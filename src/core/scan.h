@@ -19,7 +19,7 @@ inline constexpr size_t kScanBlockSize = 64;
 
 /// Counters describing how much work a search did; used to quantify
 /// pruning power in tests and benchmarks. Owned by the scan layer so the
-/// kernels, the index drivers, and the benchmarks agree on one vocabulary.
+/// kernels, the query driver, and the benchmarks agree on one vocabulary.
 struct SearchStats {
   size_t codes_visited = 0;      ///< codes whose distance accumulation began
   size_t codes_skipped_ti = 0;   ///< codes pruned by the triangle inequality
@@ -118,7 +118,7 @@ struct ScanKernel {
 
 /// Resolves a kernel choice against what this binary/CPU supports.
 /// kReference resolves to the scalar block kernel (the reference row-wise
-/// loop lives in the index drivers, not here).
+/// loop lives in the query driver, core/search_driver.cc).
 const ScanKernel& GetScanKernel(ScanKernelType type);
 
 /// True when the AVX2 kernel was compiled in and the CPU supports it.
@@ -128,6 +128,16 @@ bool Avx2ScanAvailable();
 /// VAQ_SCAN_KERNEL=scalar environment override.
 const char* AutoScanKernelName();
 
+/// One partition of the database (a TI cluster or an IVF cell) as a query
+/// scans it. Points into index-owned storage; valid for one query.
+struct PartitionRef {
+  const BlockedCodes* codes = nullptr;  ///< the members, blocked
+  const uint32_t* ids = nullptr;        ///< blocked row -> global row id
+  /// Members' cached centroid distances, ascending (TI only, else null).
+  const float* sorted_distances = nullptr;
+  float query_distance = 0.f;  ///< query-to-centroid distance
+};
+
 /// Reusable per-thread query state. Threading one of these through
 /// Search/SearchBatch makes the steady-state query path allocation-free:
 /// every vector reaches its high-water size during warmup and is only
@@ -136,10 +146,11 @@ struct SearchScratch {
   std::vector<float> lut;               ///< ADC lookup table
   std::vector<float> pca_space;         ///< query in PCA space
   std::vector<float> projected;         ///< query in permuted PCA space
-  std::vector<float> query_to_cluster;  ///< TI centroid distances
-  std::vector<size_t> order;            ///< TI cluster visit order
+  std::vector<float> query_to_cluster;  ///< partition centroid distances
+  std::vector<size_t> order;            ///< partition ranking
   TopKHeap heap{1};                     ///< reused best-so-far structure
   float acc[kScanBlockSize] = {};       ///< per-block partial sums
+  std::vector<PartitionRef> visits;     ///< ranked partitions to scan
 };
 
 /// Full blocked scan (SearchMode::kHeap): accumulates all `s_limit`
@@ -173,7 +184,7 @@ void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
                    TopKHeap* heap, SearchStats* stats,
                    StopController* stop = nullptr);
 
-/// Shared tail of every Search() driver: stamps the degradation report
+/// Tail of the query driver (SearchEncoded): stamps the degradation report
 /// into `stats`, then either extracts the (possibly partial) best-so-far
 /// heap into `out` — converting squared ADC estimates to distances — or
 /// maps the stop cause to a Status. Cancellation always fails with
@@ -190,7 +201,7 @@ Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
 /// and scan-work counters computed as `after - before` so callers that
 /// reuse a SearchStats across queries never double-count. Also emits the
 /// sampled slow-query log line (common/trace.h) when configured. Called
-/// once per query by the index drivers, after FinalizeSearchResult;
+/// once per query by the query driver, after FinalizeSearchResult;
 /// deliberately outside the scan loops so the hot path is untouched.
 void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
                           const Status& status, const QueryTrace* trace);

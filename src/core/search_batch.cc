@@ -17,10 +17,26 @@ Status FirstError(const std::vector<Status>& statuses) {
 
 }  // namespace
 
-Status RunSearchBatch(
-    size_t num_queries, size_t num_threads,
-    const std::function<Status(size_t, SearchScratch*)>& run_query,
-    std::vector<Status>* statuses) {
+Status RunSearchBatch(const FloatMatrix& queries, size_t dim,
+                      const SearchParams& params, size_t num_threads,
+                      const BatchQueryFn& search,
+                      std::vector<std::vector<Neighbor>>* results,
+                      std::vector<Status>* statuses,
+                      std::vector<SearchStats>* query_stats) {
+  if (queries.cols() != dim) {
+    return Status::InvalidArgument("query dimension mismatch");
+  }
+  const size_t num_queries = queries.rows();
+  results->resize(num_queries);
+  if (query_stats != nullptr) query_stats->assign(num_queries, SearchStats{});
+  SearchParams query_params = params;
+  query_params.trace = nullptr;
+  auto run_query = [&](size_t q, SearchScratch* scratch) {
+    SearchStats* stats = query_stats != nullptr ? &(*query_stats)[q] : nullptr;
+    return search(queries.row(q), query_params, scratch, &(*results)[q],
+                  stats);
+  };
+
   if (num_queries == 0) {
     if (statuses != nullptr) statuses->clear();
     return Status::OK();

@@ -1,0 +1,351 @@
+#include "core/search_driver.h"
+
+#include <algorithm>
+#include <cmath>
+
+#include "common/timer.h"
+
+namespace vaq {
+namespace {
+
+/// User-supplied SearchParams never abort: every reachable misuse maps to
+/// InvalidArgument (the same rule as for untrusted files).
+Status ValidateSearchParams(const VaqEncoder& encoder, size_t n,
+                            const SearchParams& params) {
+  if (!encoder.trained()) {
+    return Status::FailedPrecondition("index is not trained");
+  }
+  if (params.k == 0) return Status::InvalidArgument("k must be >= 1");
+  if (params.k > n) {
+    return Status::InvalidArgument("k exceeds the number of indexed "
+                                   "vectors");
+  }
+  if (params.visit_fraction <= 0.0 || params.visit_fraction > 1.0) {
+    return Status::InvalidArgument("visit_fraction must be in (0, 1]");
+  }
+  switch (params.mode) {
+    case SearchMode::kHeap:
+    case SearchMode::kEarlyAbandon:
+    case SearchMode::kTriangleInequality:
+      break;
+    default:
+      return Status::InvalidArgument("unknown SearchMode value");
+  }
+  switch (params.kernel) {
+    case ScanKernelType::kAuto:
+    case ScanKernelType::kScalar:
+    case ScanKernelType::kAvx2:
+    case ScanKernelType::kReference:
+      break;
+    default:
+      return Status::InvalidArgument("unknown ScanKernelType value");
+  }
+  return Status::OK();
+}
+
+/// Everything the scan of one query reads or writes, fixed before the
+/// first row.
+struct QueryScan {
+  const CodeMatrix& codes;
+  const VariableCodebooks& books;
+  const float* lut;
+  const uint32_t* lut_offsets;
+  size_t s_limit;   ///< subspaces accumulated per row
+  size_t interval;  ///< subspaces between early-abandon checks
+  SearchScratch* scratch;
+  SearchStats* stats;
+  StopController* stop;
+  QueryTrace* trace;
+};
+
+/// Early abandoning distance accumulation (Algorithm 4 lines 38-41).
+/// Accumulates lookup-table entries subspace by subspace, checking the
+/// best-so-far threshold every `interval` subspaces (the paper checks
+/// every four to amortize the branch). Returns the partial sum; the caller
+/// pushes only if it stayed below the threshold, so an abandoned
+/// accumulation is never mistaken for a full distance.
+float EarlyAbandonAdc(const QueryScan& q, const uint16_t* code,
+                      float threshold_sq) {
+  float acc = 0.f;
+  size_t s = 0;
+  while (s < q.s_limit) {
+    const size_t stop = std::min(s + q.interval, q.s_limit);
+    for (; s < stop; ++s) {
+      acc += q.lut[q.books.lut_offset(s) + code[s]];
+    }
+    if (acc >= threshold_sq) break;
+  }
+  if (q.stats != nullptr) {
+    q.stats->lut_adds += s;
+    if (s == q.s_limit) ++q.stats->rows_scanned;
+  }
+  return acc;
+}
+
+/// Row-at-a-time reference scan (ScanKernelType::kReference), kept as the
+/// correctness oracle for the blocked kernels. It walks the same plan as
+/// ScanBlocked — the whole database in row order, or the ranked partitions
+/// with TI's window tested row by row — and checks the deadline every 64
+/// rows, the blocked kernels' granularity.
+void ScanReference(const QueryScan& q, bool heap_mode, bool partitioned,
+                   bool windowed) {
+  TopKHeap& heap = q.scratch->heap;
+  SearchStats* stats = q.stats;
+  StopController* stop = q.stop;
+  if (!partitioned) {
+    for (size_t r = 0; r < q.codes.rows(); ++r) {
+      if (stop != nullptr && r % kScanBlockSize == 0 && stop->ShouldStop()) {
+        return;
+      }
+      const uint16_t* code = q.codes.row(r);
+      if (heap_mode) {
+        float acc = 0.f;
+        for (size_t s = 0; s < q.s_limit; ++s) {
+          acc += q.lut[q.books.lut_offset(s) + code[s]];
+        }
+        heap.Push(acc, static_cast<int64_t>(r));
+        if (stats != nullptr) {
+          stats->lut_adds += q.s_limit;
+          ++stats->rows_scanned;
+        }
+      } else {
+        const float threshold = heap.Threshold();
+        const float acc = EarlyAbandonAdc(q, code, threshold);
+        if (acc < threshold) heap.Push(acc, static_cast<int64_t>(r));
+      }
+      if (stats != nullptr) ++stats->codes_visited;
+    }
+    return;
+  }
+
+  for (const PartitionRef& p : q.scratch->visits) {
+    if (stop != nullptr && stop->ShouldStop()) return;
+    if (stats != nullptr) ++stats->partitions_visited;
+    const size_t rows = p.codes->rows();
+    if (rows == 0) continue;
+    const float dq = p.query_distance;
+    const float* cached = p.sorted_distances;
+
+    // Members that can beat the best-so-far satisfy
+    // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
+    // The cached distances are sorted, so locate the window once and keep
+    // tightening its upper end as the threshold improves.
+    size_t begin = 0;
+    size_t end = rows;
+    if (windowed && heap.full()) {
+      const float r = std::sqrt(heap.Threshold());
+      begin = std::lower_bound(cached, cached + rows, dq - r) - cached;
+      end = std::upper_bound(cached, cached + rows, dq + r) - cached;
+      if (stats != nullptr) stats->codes_skipped_ti += rows - (end - begin);
+    }
+    for (size_t i = begin; i < end; ++i) {
+      if (stop != nullptr && (i - begin) % kScanBlockSize == 0 &&
+          i != begin && stop->ShouldStop()) {
+        return;
+      }
+      const float threshold = heap.Threshold();
+      if (windowed && heap.full()) {
+        const float r = std::sqrt(threshold);
+        const float dx = cached[i];
+        if (dx >= dq + r) {
+          // Sorted ascending: every later member is also out of range.
+          if (stats != nullptr) stats->codes_skipped_ti += end - i;
+          break;
+        }
+        if (dx <= dq - r) {
+          if (stats != nullptr) ++stats->codes_skipped_ti;
+          continue;
+        }
+      }
+      const uint32_t id = p.ids[i];
+      const float acc = EarlyAbandonAdc(q, q.codes.row(id), threshold);
+      if (acc < threshold) heap.Push(acc, static_cast<int64_t>(id));
+      if (stats != nullptr) ++stats->codes_visited;
+    }
+  }
+}
+
+/// Triangle-inequality cascade through one TI partition (Algorithm 4),
+/// block-wise: the sorted cached distances bound a candidate window that
+/// is re-tightened from the live threshold before each block rather than
+/// before each row.
+void ScanWindow(const QueryScan& q, const PartitionRef& p,
+                const ScanKernel& kernel) {
+  TopKHeap& heap = q.scratch->heap;
+  SearchStats* stats = q.stats;
+  const BlockedCodes& bc = *p.codes;
+  const float dq = p.query_distance;
+  const float* cached = p.sorted_distances;
+
+  // Members that can beat the best-so-far satisfy
+  // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
+  size_t begin = 0;
+  size_t end = bc.rows();
+  if (heap.full()) {
+    TraceSpan prune_span(q.trace, QueryPhase::kTiPrune);
+    const float r = std::sqrt(heap.Threshold());
+    begin = std::lower_bound(cached, cached + end, dq - r) - cached;
+    end = std::upper_bound(cached + begin, cached + end, dq + r) - cached;
+    if (stats != nullptr) stats->codes_skipped_ti += bc.rows() - (end - begin);
+  }
+  size_t i = begin;
+  while (i < end) {
+    size_t stop_row = end;
+    if (heap.full()) {
+      const float r = std::sqrt(heap.Threshold());
+      // Leading members too close to the centroid cannot improve.
+      const size_t skip_to =
+          std::upper_bound(cached + i, cached + end, dq - r) - cached;
+      if (stats != nullptr) stats->codes_skipped_ti += skip_to - i;
+      i = skip_to;
+      if (i >= end) break;
+      // Sorted ascending: everything at or past dq + r is out of range.
+      stop_row = std::lower_bound(cached + i, cached + end, dq + r) - cached;
+      if (stop_row == i) {
+        if (stats != nullptr) stats->codes_skipped_ti += end - i;
+        break;
+      }
+    }
+    // Scan to the nearer of the window edge and the block boundary, so
+    // the window is re-tightened against the improved threshold before
+    // the next block starts.
+    const size_t chunk_end =
+        std::min(stop_row, (i / kScanBlockSize + 1) * kScanBlockSize);
+    {
+      TraceSpan span(q.trace, QueryPhase::kBlockScan);
+      BlockedEaScan(bc, i, chunk_end, p.ids, q.lut, q.lut_offsets,
+                    q.s_limit, q.interval, kernel, q.scratch->acc, &heap,
+                    stats, q.stop);
+    }
+    if (q.stop != nullptr && q.stop->stopped()) return;
+    if (chunk_end == stop_row && stop_row < end) {
+      if (stats != nullptr) stats->codes_skipped_ti += end - stop_row;
+      break;
+    }
+    i = chunk_end;
+  }
+}
+
+/// Blocked scan through a runtime-selected kernel. Accumulation order per
+/// row is identical to ScanReference, so neighbors and distances match it
+/// bit for bit; only the work counters reflect the block-granular (rather
+/// than row-granular) abandoning decisions.
+void ScanBlocked(const QueryScan& q, const BlockedCodes* blocked,
+                 bool heap_mode, bool partitioned, bool windowed,
+                 const ScanKernel& kernel) {
+  TopKHeap& heap = q.scratch->heap;
+  if (!partitioned) {
+    if (heap_mode) {
+      BlockedFullScan(*blocked, nullptr, q.lut, q.lut_offsets, q.s_limit,
+                      kernel, q.scratch->acc, &heap, q.stats, q.stop);
+    } else {
+      BlockedEaScan(*blocked, 0, blocked->rows(), nullptr, q.lut,
+                    q.lut_offsets, q.s_limit, q.interval, kernel,
+                    q.scratch->acc, &heap, q.stats, q.stop);
+    }
+    return;
+  }
+  for (const PartitionRef& p : q.scratch->visits) {
+    // Between-partition check: on expiry the heap already holds the
+    // best-so-far over every partition (and partial block) completed.
+    if (q.stop != nullptr && q.stop->ShouldStop()) return;
+    if (q.stats != nullptr) ++q.stats->partitions_visited;
+    if (p.codes->empty()) continue;
+    if (windowed) {
+      ScanWindow(q, p, kernel);
+    } else {
+      BlockedEaScan(*p.codes, 0, p.codes->rows(), p.ids, q.lut,
+                    q.lut_offsets, q.s_limit, q.interval, kernel,
+                    q.scratch->acc, &heap, q.stats, q.stop);
+    }
+  }
+}
+
+}  // namespace
+
+Status SearchEncoded(const VaqEncoder& encoder, const CodeMatrix& codes,
+                     const BlockedCodes* blocked,
+                     const PartitionRanker* ranker, const float* query,
+                     const SearchParams& params, SearchScratch* scratch,
+                     std::vector<Neighbor>* out, SearchStats* stats) {
+  WallTimer timer;
+  CpuTimer cpu_timer(CpuTimer::Scope::kThread);
+  VAQ_RETURN_IF_ERROR(ValidateSearchParams(encoder, codes.rows(), params));
+  StopController stop_state(params.deadline, params.cancel_token);
+  StopController* stop = stop_state.armed() ? &stop_state : nullptr;
+
+  // Snapshot for telemetry deltas: callers may reuse `stats` across
+  // queries, so counters are fed as after-minus-before.
+  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
+  QueryTrace* trace = params.trace;
+  if (trace != nullptr) trace->Reset();
+
+  {
+    TraceSpan span(trace, QueryPhase::kProject);
+    encoder.ProjectQuery(query, &scratch->pca_space, &scratch->projected);
+  }
+  const float* projected = scratch->projected.data();
+  {
+    TraceSpan span(trace, QueryPhase::kLutBuild);
+    encoder.BuildLut(projected, &scratch->lut);
+  }
+  scratch->heap.Reset(params.k);
+
+  const size_t m = encoder.num_subspaces();
+  const bool partitioned = ranker != nullptr;
+  QueryScan scan{codes,
+                 encoder.codebooks(),
+                 scratch->lut.data(),
+                 encoder.lut_offsets32(),
+                 m,
+                 std::max<size_t>(1, params.ea_check_interval),
+                 scratch,
+                 stats,
+                 stop,
+                 trace};
+  const bool windowed = partitioned && ranker->windowed();
+  if (partitioned) {
+    TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
+    const size_t total = ranker->Rank(projected, scratch);
+    rank_span.Stop();
+    if (stats != nullptr) {
+      stats->clusters_total = total;
+      stats->clusters_visited = scratch->visits.size();
+      stats->partitions_total = total;
+      stats->partitions_visited = 0;  // plan stamped; nothing entered yet
+    }
+  } else if (params.num_subspaces_used != 0) {
+    scan.s_limit = std::min(params.num_subspaces_used, m);
+  }
+  const bool heap_mode = !partitioned && params.mode == SearchMode::kHeap;
+  const bool reference = params.kernel == ScanKernelType::kReference;
+  {
+    // Windowed blocked scans trace each chunk themselves.
+    TraceSpan scan_span(reference || !windowed ? trace : nullptr,
+                        QueryPhase::kBlockScan);
+    if (reference) {
+      ScanReference(scan, heap_mode, partitioned, windowed);
+    } else {
+      ScanBlocked(scan, blocked, heap_mode, partitioned, windowed,
+                  GetScanKernel(params.kernel));
+    }
+  }
+
+  const double wall_us = timer.ElapsedMicros();
+  const double cpu_us = cpu_timer.ElapsedMicros();
+  const Status status =
+      FinalizeSearchResult(stop, params.strict_deadline, &scratch->heap, out,
+                           stats, wall_us, cpu_us);
+  if (stats != nullptr) {
+    RecordQueryTelemetry(before, *stats, status, trace);
+  } else {
+    SearchStats after;
+    after.truncated = stop != nullptr && stop->stopped();
+    after.wall_micros = wall_us;
+    after.cpu_micros = cpu_us;
+    RecordQueryTelemetry(before, after, status, trace);
+  }
+  return status;
+}
+
+}  // namespace vaq

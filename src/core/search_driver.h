@@ -1,0 +1,100 @@
+#ifndef VAQ_CORE_SEARCH_DRIVER_H_
+#define VAQ_CORE_SEARCH_DRIVER_H_
+
+#include <cstddef>
+#include <vector>
+
+#include "common/deadline.h"
+#include "common/matrix.h"
+#include "common/status.h"
+#include "common/topk.h"
+#include "common/trace.h"
+#include "core/scan.h"
+#include "core/vaq_encoder.h"
+
+namespace vaq {
+
+/// Query-time pruning strategy (Figure 7's variants).
+enum class SearchMode {
+  kHeap,             ///< plain ADC scan into a top-k heap
+  kEarlyAbandon,     ///< + subspace skipping (EA)
+  kTriangleInequality  ///< + data skipping (TI) cascading into EA
+};
+
+struct SearchParams {
+  size_t k = 100;
+  SearchMode mode = SearchMode::kTriangleInequality;
+  /// Fraction of TI clusters visited (paper evaluates 0.25 and 0.1).
+  double visit_fraction = 0.25;
+  /// Use only the first `num_subspaces_used` subspaces when accumulating
+  /// distances (0 = all). Supports the subspace-omission study (Figure 4);
+  /// TI mode requires all subspaces and falls back to EA when set.
+  size_t num_subspaces_used = 0;
+  /// How many subspaces to accumulate between early-abandon threshold
+  /// checks (Section III-E notes checks "after every four subspaces" to
+  /// amortize the branch). The blocked scan checks once per block after
+  /// every `ea_check_interval` subspaces.
+  size_t ea_check_interval = 4;
+  /// Which ADC scan implementation runs the accumulation. kAuto picks the
+  /// fastest blocked kernel for this CPU; kReference is the original
+  /// row-at-a-time loop, kept as the correctness oracle. All choices
+  /// return bit-identical neighbors and distances.
+  ScanKernelType kernel = ScanKernelType::kAuto;
+  /// Wall-clock budget for this query (absolute expiry; a copy handed to
+  /// every query of a batch enforces one shared batch deadline). The
+  /// default never expires and adds zero overhead to the hot path.
+  /// Checked between 64-row blocks and between TI partitions, so on
+  /// expiry the query returns the meaningful best-so-far top-k
+  /// accumulated so far (DESIGN.md §9).
+  Deadline deadline;
+  /// Cooperative cancellation, checked at the same granularity. A
+  /// cancelled query always fails with kCancelled.
+  CancellationToken cancel_token;
+  /// false (default): an expired deadline degrades gracefully — partial
+  /// results, OK status, SearchStats::truncated set. true: the query
+  /// fails with kDeadlineExceeded instead of returning partial results.
+  bool strict_deadline = false;
+  /// Optional per-query phase-timing sink (common/trace.h). Only consulted
+  /// when process-wide tracing is enabled; nullptr (the default) keeps the
+  /// query path free of clock reads. Not owned; must outlive the call.
+  /// Batch entry points ignore it (queries run concurrently; a single
+  /// trace is not thread-safe).
+  QueryTrace* trace = nullptr;
+};
+
+/// The family-specific step of a partitioned query: ranking the index's
+/// partitions (TI clusters, IVF cells) for one projected query. Called once
+/// per query, inside the partition_rank trace span, never inside a scan
+/// loop.
+class PartitionRanker {
+ public:
+  /// Writes the partitions to visit into scratch->visits, nearest first,
+  /// and returns how many partitions the index has.
+  virtual size_t Rank(const float* projected, SearchScratch* scratch) const = 0;
+
+  /// True when every partition carries sorted centroid distances (TI): the
+  /// scan then narrows each partition to its triangle-inequality window
+  /// and traces every chunk it scans. Otherwise each visited partition is
+  /// scanned whole under one trace span for the query.
+  virtual bool windowed() const = 0;
+};
+
+/// The one query driver under VaqIndex and VaqIvfIndex: validate, project,
+/// build the LUT, scan, finalize (FinalizeSearchResult) and record the
+/// query's telemetry.
+///
+/// With `ranker` null the scan is flat: every row of `blocked` (required
+/// then) or of `codes` (the kReference kernel) in row order, as a plain
+/// heap scan for SearchMode::kHeap and early-abandoned otherwise. With a
+/// ranker the scan visits the ranked partitions nearest first,
+/// early-abandoned over all subspaces. `params.visit_fraction` is
+/// validated but read only by the ranker.
+Status SearchEncoded(const VaqEncoder& encoder, const CodeMatrix& codes,
+                     const BlockedCodes* blocked,
+                     const PartitionRanker* ranker, const float* query,
+                     const SearchParams& params, SearchScratch* scratch,
+                     std::vector<Neighbor>* out, SearchStats* stats);
+
+}  // namespace vaq
+
+#endif  // VAQ_CORE_SEARCH_DRIVER_H_

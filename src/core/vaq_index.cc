@@ -4,15 +4,11 @@
 #include <cmath>
 #include <fstream>
 #include <numeric>
-#include <thread>
 
 #include "common/io.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/serialize.h"
-#include "common/timer.h"
-#include "core/allocation.h"
-#include "core/balance.h"
 #include "core/search_batch.h"
 
 namespace vaq {
@@ -20,160 +16,58 @@ namespace {
 
 constexpr char kMagic[8] = {'V', 'A', 'Q', 'I', 'D', 'X', '0', '1'};
 
-/// Early abandoning distance accumulation (Algorithm 4 lines 38-41).
-/// Accumulates lookup-table entries subspace by subspace, checking the
-/// best-so-far threshold every `interval` subspaces (the paper checks
-/// every four to amortize the branch). Returns the partial sum; the caller
-/// pushes only if it stayed below the threshold, so an abandoned
-/// accumulation is never mistaken for a full distance.
-float EarlyAbandonAdc(const VariableCodebooks& books, const uint16_t* code,
-                      const float* lut, float threshold_sq, size_t s_limit,
-                      size_t interval, SearchStats* stats) {
-  float acc = 0.f;
-  size_t s = 0;
-  while (s < s_limit) {
-    const size_t stop = std::min(s + interval, s_limit);
-    for (; s < stop; ++s) {
-      acc += lut[books.lut_offset(s) + code[s]];
+/// Ranks TI clusters by the query's prefix distance to their centroids
+/// (full sort) and visits the nearest `visit_fraction` of them, each
+/// narrowed to its triangle-inequality window.
+class TiRanker final : public PartitionRanker {
+ public:
+  TiRanker(const TiPartition& ti, const std::vector<BlockedCodes>& blocked,
+           double visit_fraction)
+      : ti_(ti), blocked_(blocked), visit_fraction_(visit_fraction) {}
+
+  size_t Rank(const float* projected, SearchScratch* scratch) const override {
+    std::vector<float>& query_to_cluster = scratch->query_to_cluster;
+    ti_.QueryDistances(projected, &query_to_cluster);
+    std::vector<size_t>& order = scratch->order;
+    order.resize(ti_.num_clusters());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return query_to_cluster[a] < query_to_cluster[b];
+    });
+    const size_t visit = std::clamp<size_t>(
+        static_cast<size_t>(std::ceil(visit_fraction_ *
+                                      static_cast<double>(order.size()))),
+        1, order.size());
+    scratch->visits.resize(visit);
+    for (size_t v = 0; v < visit; ++v) {
+      const size_t c = order[v];
+      const TiPartition::Cluster& cluster = ti_.cluster(c);
+      scratch->visits[v] = {&blocked_[c], cluster.ids.data(),
+                            cluster.distances.data(), query_to_cluster[c]};
     }
-    if (acc >= threshold_sq) break;
+    return order.size();
   }
-  if (stats != nullptr) {
-    stats->lut_adds += s;
-    if (s == s_limit) ++stats->rows_scanned;
-  }
-  return acc;
-}
+
+  bool windowed() const override { return true; }
+
+ private:
+  const TiPartition& ti_;
+  const std::vector<BlockedCodes>& blocked_;
+  double visit_fraction_;
+};
 
 }  // namespace
 
 Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
                                  const VaqOptions& options) {
-  if (data.rows() < 2) {
-    return Status::InvalidArgument("training requires at least 2 vectors");
-  }
-  if (options.num_subspaces == 0 || options.num_subspaces > data.cols()) {
-    return Status::InvalidArgument("num_subspaces must be in [1, dim]");
-  }
-  if (options.min_bits < 1) {
-    return Status::InvalidArgument("min_bits must be >= 1");
-  }
-
   VaqIndex index;
   index.options_ = options;
+  VaqEncoder::TrainedRows rows;
+  VAQ_RETURN_IF_ERROR(index.encoder_.Train(data, options, &rows));
+  index.codes_ = std::move(rows.codes);
 
-  // Per-stage build accounting (DESIGN.md §10): cumulative registry
-  // counters plus a kDebug build report at the end. Training is cold
-  // path; the StageTimer scopes cost two clock reads per stage.
   MetricsRegistry& reg = MetricsRegistry::Global();
-  double pca_us = 0.0, subspace_us = 0.0, alloc_us = 0.0, book_us = 0.0,
-         encode_us = 0.0, ti_us = 0.0, scan_us = 0.0;
-
-  // Step 1 (Algorithm 1, VarPCA): eigen-decomposition of the covariance;
-  // dimensions become PCs sorted by descending variance.
-  {
-    StageTimer st(reg.GetCounter("vaq_build_pca_us_total",
-                                 "Cumulative PCA fit wall time (us)"),
-                  &pca_us);
-    Pca::Options pca_opts;
-    pca_opts.center = options.center_pca;
-    VAQ_RETURN_IF_ERROR(index.pca_.Fit(data, pca_opts));
-  }
-  const std::vector<double> variances = index.pca_.ExplainedVarianceRatio();
-
-  // Steps 2-3 (Section III-B, Algorithm 2 lines 2-9): subspace
-  // construction + ordering repair, then partial importance balancing.
-  const size_t m = options.num_subspaces;
-  SubspaceLayout layout;
-  {
-    StageTimer st(
-        reg.GetCounter("vaq_build_subspace_us_total",
-                       "Cumulative subspace grouping/balancing time (us)"),
-        &subspace_us);
-    if (options.clustered_subspaces) {
-      VAQ_ASSIGN_OR_RETURN(layout, SubspaceLayout::Clustered(variances, m));
-      VAQ_RETURN_IF_ERROR(layout.RepairOrdering(variances));
-    } else {
-      VAQ_ASSIGN_OR_RETURN(layout, SubspaceLayout::Uniform(data.cols(), m));
-    }
-    BalanceResult balance = options.partial_balance
-                                ? PartialBalance(variances, layout)
-                                : IdentityBalance(variances);
-    index.permutation_ = balance.permutation;
-    index.balance_swaps_ = balance.num_swaps;
-    index.layout_ = layout;
-    index.subspace_variances_ =
-        layout.SubspaceVariances(balance.permuted_variances);
-  }
-
-  // Step 4 (Algorithm 2 lines 10-18): adaptive bit allocation.
-  StageTimer alloc_timer(
-      reg.GetCounter("vaq_build_allocation_us_total",
-                     "Cumulative bit-allocation (MILP) time (us)"),
-      &alloc_us);
-  if (options.adaptive_allocation) {
-    AllocationOptions aopts;
-    aopts.total_bits = options.total_bits;
-    aopts.min_bits = options.min_bits;
-    aopts.max_bits = options.max_bits;
-    // A dictionary larger than the training set cannot be estimated; cap
-    // the per-subspace bits at log2(n) so small collections spread their
-    // budget instead of memorizing the leading subspaces.
-    size_t data_cap = 1;
-    while ((size_t{1} << (data_cap + 1)) <= data.rows() && data_cap < 16) {
-      ++data_cap;
-    }
-    aopts.max_bits = std::max(options.min_bits,
-                              std::min(options.max_bits, data_cap));
-    if (options.total_bits > m * aopts.max_bits) {
-      // Tiny collections with large budgets: relax the cap to stay
-      // feasible rather than reject the configuration.
-      aopts.max_bits = options.max_bits;
-    }
-    aopts.target_variance = options.target_variance;
-    VAQ_ASSIGN_OR_RETURN(Allocation alloc,
-                         AllocateBits(index.subspace_variances_, aopts));
-    index.bits_ = alloc.bits;
-  } else {
-    // Uniform regime (PQ/OPQ style): total_bits/m each, remainder spread
-    // over the leading subspaces.
-    index.bits_.assign(m, static_cast<int>(options.total_bits / m));
-    for (size_t i = 0; i < options.total_bits % m; ++i) ++index.bits_[i];
-    for (int b : index.bits_) {
-      if (b < 1 || b > 16) {
-        return Status::InvalidArgument(
-            "uniform allocation yields unsupported bits per subspace");
-      }
-    }
-  }
-
-  alloc_timer.Stop();
-
-  // Step 5 (Algorithm 3): project, permute, train variable dictionaries,
-  // encode.
-  FloatMatrix projected;
-  {
-    StageTimer st(
-        reg.GetCounter("vaq_build_codebook_us_total",
-                       "Cumulative codebook training time (us)"),
-        &book_us);
-    VAQ_ASSIGN_OR_RETURN(projected, index.pca_.Transform(data));
-    projected = projected.PermuteColumns(index.permutation_);
-
-    CodebookOptions copts;
-    copts.kmeans_iters = options.kmeans_iters;
-    copts.seed = options.seed;
-    VAQ_RETURN_IF_ERROR(
-        index.books_.Train(projected, layout, index.bits_, copts));
-  }
-  {
-    StageTimer st(reg.GetCounter("vaq_build_encode_us_total",
-                                 "Cumulative database encoding time (us)"),
-                  &encode_us);
-    VAQ_ASSIGN_OR_RETURN(
-        index.codes_, index.books_.Encode(projected, options.train_threads));
-  }
-
+  double ti_us = 0.0, scan_us = 0.0;
   // Step 6 (Algorithm 3 lines 24-48): TI partition for data skipping.
   {
     StageTimer st(reg.GetCounter("vaq_build_ti_us_total",
@@ -187,13 +81,12 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
       topts.prefix_subspaces = options.ti_prefix_subspaces;
     } else {
       // Auto: smallest prefix explaining >= 90% of the variance.
+      const std::vector<double>& vars = index.subspace_variances();
+      const double total = std::accumulate(vars.begin(), vars.end(), 0.0);
       double acc = 0.0;
-      const double total =
-          std::accumulate(index.subspace_variances_.begin(),
-                          index.subspace_variances_.end(), 0.0);
-      size_t prefix = m;
-      for (size_t s = 0; s < m; ++s) {
-        acc += index.subspace_variances_[s];
+      size_t prefix = vars.size();
+      for (size_t s = 0; s < vars.size(); ++s) {
+        acc += vars[s];
         if (total > 0.0 && acc >= 0.9 * total) {
           prefix = s + 1;
           break;
@@ -201,7 +94,8 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
       }
       topts.prefix_subspaces = prefix;
     }
-    VAQ_RETURN_IF_ERROR(index.ti_.Build(index.codes_, index.books_, topts));
+    VAQ_RETURN_IF_ERROR(
+        index.ti_.Build(index.codes_, index.codebooks(), topts));
   }
   {
     StageTimer st(
@@ -215,16 +109,13 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
           "VaqIndex build report: n=%zu d=%zu m=%zu pca=%.0fus "
           "subspace=%.0fus allocation=%.0fus codebook=%.0fus encode=%.0fus "
           "ti=%.0fus scan_layout=%.0fus",
-          data.rows(), data.cols(), m, pca_us, subspace_us, alloc_us, book_us,
-          encode_us, ti_us, scan_us);
+          data.rows(), data.cols(), options.num_subspaces, rows.pca_us,
+          rows.subspace_us, rows.allocation_us, rows.codebook_us,
+          rows.encode_us, ti_us, scan_us);
   return index;
 }
 
 void VaqIndex::BuildScanStructures() {
-  lut_offsets32_.resize(num_subspaces());
-  for (size_t s = 0; s < num_subspaces(); ++s) {
-    lut_offsets32_[s] = static_cast<uint32_t>(books_.lut_offset(s));
-  }
   blocked_ = BlockedCodes::Build(codes_);
   ti_blocked_.clear();
   ti_blocked_.reserve(ti_.num_clusters());
@@ -236,16 +127,14 @@ void VaqIndex::BuildScanStructures() {
 }
 
 Status VaqIndex::Add(const FloatMatrix& data) {
-  if (!books_.trained()) {
+  if (!encoder_.trained()) {
     return Status::FailedPrecondition("index is not trained");
   }
   if (data.cols() != dim()) {
     return Status::InvalidArgument("dimension mismatch in Add");
   }
-  VAQ_ASSIGN_OR_RETURN(FloatMatrix projected, pca_.Transform(data));
-  projected = projected.PermuteColumns(permutation_);
   VAQ_ASSIGN_OR_RETURN(CodeMatrix fresh,
-                       books_.Encode(projected, options_.train_threads));
+                       encoder_.Encode(data, options_.train_threads));
 
   CodeMatrix merged(codes_.rows() + fresh.rows(), codes_.cols());
   std::copy_n(codes_.data(), codes_.size(), merged.data());
@@ -258,297 +147,15 @@ Status VaqIndex::Add(const FloatMatrix& data) {
   topts.num_threads = options_.train_threads;
   topts.prefix_subspaces = ti_.prefix_subspaces();
   topts.seed = options_.seed ^ 0x7153A9F2ULL;
-  VAQ_RETURN_IF_ERROR(ti_.Build(codes_, books_, topts));
+  VAQ_RETURN_IF_ERROR(ti_.Build(codes_, codebooks(), topts));
   BuildScanStructures();
   return Status::OK();
 }
 
 void VaqIndex::ProjectQuery(const float* query,
                             std::vector<float>* projected) const {
-  std::vector<float> pca_space(dim());
-  pca_.TransformRow(query, pca_space.data());
-  projected->resize(dim());
-  for (size_t p = 0; p < dim(); ++p) {
-    (*projected)[p] = pca_space[permutation_[p]];
-  }
-}
-
-/// Original row-at-a-time scan, kept verbatim as the correctness oracle
-/// for the blocked kernels (selected via ScanKernelType::kReference).
-void VaqIndex::SearchProjectedReference(const float* projected,
-                                        const SearchParams& params,
-                                        SearchScratch* scratch,
-                                        TopKHeap* heap, SearchStats* stats,
-                                        StopController* stop) const {
-  QueryTrace* trace = params.trace;
-  std::vector<float>& lut = scratch->lut;
-  {
-    TraceSpan span(trace, QueryPhase::kLutBuild);
-    books_.BuildLookupTable(projected, &lut);
-  }
-
-  const size_t m = num_subspaces();
-  const size_t s_limit = params.num_subspaces_used == 0
-                             ? m
-                             : std::min(params.num_subspaces_used, m);
-  SearchMode mode = params.mode;
-  if (mode == SearchMode::kTriangleInequality && s_limit != m) {
-    mode = SearchMode::kEarlyAbandon;  // TI caches assume full distances
-  }
-
-  const size_t interval = std::max<size_t>(1, params.ea_check_interval);
-  const size_t n = codes_.rows();
-  if (mode == SearchMode::kHeap) {
-    TraceSpan span(trace, QueryPhase::kBlockScan);
-    for (size_t r = 0; r < n; ++r) {
-      // Same check granularity as the blocked kernels: every 64 rows.
-      if (stop != nullptr && r % kScanBlockSize == 0 && stop->ShouldStop()) {
-        return;
-      }
-      const uint16_t* code = codes_.row(r);
-      float acc = 0.f;
-      for (size_t s = 0; s < s_limit; ++s) {
-        acc += lut[books_.lut_offset(s) + code[s]];
-      }
-      heap->Push(acc, static_cast<int64_t>(r));
-      if (stats != nullptr) {
-        ++stats->codes_visited;
-        stats->lut_adds += s_limit;
-        ++stats->rows_scanned;
-      }
-    }
-    return;
-  }
-
-  if (mode == SearchMode::kEarlyAbandon) {
-    TraceSpan span(trace, QueryPhase::kBlockScan);
-    for (size_t r = 0; r < n; ++r) {
-      if (stop != nullptr && r % kScanBlockSize == 0 && stop->ShouldStop()) {
-        return;
-      }
-      const float threshold = heap->Threshold();
-      const float acc =
-          EarlyAbandonAdc(books_, codes_.row(r), lut.data(), threshold,
-                          s_limit, interval, stats);
-      if (acc < threshold) heap->Push(acc, static_cast<int64_t>(r));
-      if (stats != nullptr) ++stats->codes_visited;
-    }
-    return;
-  }
-
-  // Triangle inequality cascade (Algorithm 4).
-  TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
-  std::vector<float>& query_to_cluster = scratch->query_to_cluster;
-  ti_.QueryDistances(projected, &query_to_cluster);
-  std::vector<size_t>& order = scratch->order;
-  order.resize(ti_.num_clusters());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return query_to_cluster[a] < query_to_cluster[b];
-  });
-  const size_t visit = std::clamp<size_t>(
-      static_cast<size_t>(std::ceil(params.visit_fraction *
-                                    static_cast<double>(order.size()))),
-      1, order.size());
-  rank_span.Stop();
-  if (stats != nullptr) {
-    stats->clusters_total = order.size();
-    stats->clusters_visited = visit;
-    stats->partitions_total = order.size();
-    stats->partitions_visited = 0;  // plan stamped; nothing entered yet
-  }
-
-  TraceSpan scan_span(trace, QueryPhase::kBlockScan);
-  for (size_t v = 0; v < visit; ++v) {
-    if (stop != nullptr && stop->ShouldStop()) return;
-    if (stats != nullptr) ++stats->partitions_visited;
-    const size_t c = order[v];
-    const TiPartition::Cluster& cluster = ti_.cluster(c);
-    if (cluster.ids.empty()) continue;
-    const float dq = query_to_cluster[c];
-
-    // Members that can beat the best-so-far satisfy
-    // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
-    // The cached distances are sorted, so locate the window once and keep
-    // tightening its upper end as the threshold improves.
-    size_t begin = 0;
-    size_t end = cluster.ids.size();
-    if (heap->full()) {
-      const float r = std::sqrt(heap->Threshold());
-      begin = std::lower_bound(cluster.distances.begin(),
-                               cluster.distances.end(), dq - r) -
-              cluster.distances.begin();
-      end = std::upper_bound(cluster.distances.begin(),
-                             cluster.distances.end(), dq + r) -
-            cluster.distances.begin();
-      if (stats != nullptr) {
-        stats->codes_skipped_ti += cluster.ids.size() - (end - begin);
-      }
-    }
-    for (size_t i = begin; i < end; ++i) {
-      if (stop != nullptr && (i - begin) % kScanBlockSize == 0 &&
-          i != begin && stop->ShouldStop()) {
-        return;
-      }
-      const float threshold = heap->Threshold();
-      if (heap->full()) {
-        const float r = std::sqrt(threshold);
-        const float dx = cluster.distances[i];
-        if (dx >= dq + r) {
-          // Sorted ascending: every later member is also out of range.
-          if (stats != nullptr) stats->codes_skipped_ti += end - i;
-          break;
-        }
-        if (dx <= dq - r) {
-          if (stats != nullptr) ++stats->codes_skipped_ti;
-          continue;
-        }
-      }
-      const uint32_t id = cluster.ids[i];
-      const float acc = EarlyAbandonAdc(books_, codes_.row(id), lut.data(),
-                                        threshold, m, interval, stats);
-      if (acc < threshold) heap->Push(acc, static_cast<int64_t>(id));
-      if (stats != nullptr) ++stats->codes_visited;
-    }
-  }
-}
-
-/// Blocked scan dispatch: all three SearchModes run on the transposed
-/// cache-blocked layout through a runtime-selected kernel. Accumulation
-/// order per row is identical to the reference, so neighbors and
-/// distances match it bit for bit; only the work counters reflect the
-/// block-granular (rather than row-granular) abandoning decisions.
-void VaqIndex::SearchProjected(const float* projected,
-                               const SearchParams& params,
-                               SearchScratch* scratch, TopKHeap* heap,
-                               SearchStats* stats,
-                               StopController* stop) const {
-  if (params.kernel == ScanKernelType::kReference) {
-    SearchProjectedReference(projected, params, scratch, heap, stats, stop);
-    return;
-  }
-  const ScanKernel& kernel = GetScanKernel(params.kernel);
-
-  QueryTrace* trace = params.trace;
-  std::vector<float>& lut = scratch->lut;
-  {
-    TraceSpan span(trace, QueryPhase::kLutBuild);
-    books_.BuildLookupTable(projected, &lut);
-  }
-
-  const size_t m = num_subspaces();
-  const size_t s_limit = params.num_subspaces_used == 0
-                             ? m
-                             : std::min(params.num_subspaces_used, m);
-  SearchMode mode = params.mode;
-  if (mode == SearchMode::kTriangleInequality && s_limit != m) {
-    mode = SearchMode::kEarlyAbandon;  // TI caches assume full distances
-  }
-  const size_t interval = std::max<size_t>(1, params.ea_check_interval);
-
-  if (mode == SearchMode::kHeap) {
-    TraceSpan span(trace, QueryPhase::kBlockScan);
-    BlockedFullScan(blocked_, nullptr, lut.data(), lut_offsets32_.data(),
-                    s_limit, kernel, scratch->acc, heap, stats, stop);
-    return;
-  }
-
-  if (mode == SearchMode::kEarlyAbandon) {
-    TraceSpan span(trace, QueryPhase::kBlockScan);
-    BlockedEaScan(blocked_, 0, blocked_.rows(), nullptr, lut.data(),
-                  lut_offsets32_.data(), s_limit, interval, kernel,
-                  scratch->acc, heap, stats, stop);
-    return;
-  }
-
-  // Triangle inequality cascade (Algorithm 4), block-wise: clusters are
-  // ranked as in the reference, and within a cluster the sorted cached
-  // distances bound a candidate window that is re-tightened from the live
-  // threshold before each block rather than before each row.
-  TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
-  std::vector<float>& query_to_cluster = scratch->query_to_cluster;
-  ti_.QueryDistances(projected, &query_to_cluster);
-  std::vector<size_t>& order = scratch->order;
-  order.resize(ti_.num_clusters());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return query_to_cluster[a] < query_to_cluster[b];
-  });
-  const size_t visit = std::clamp<size_t>(
-      static_cast<size_t>(std::ceil(params.visit_fraction *
-                                    static_cast<double>(order.size()))),
-      1, order.size());
-  rank_span.Stop();
-  if (stats != nullptr) {
-    stats->clusters_total = order.size();
-    stats->clusters_visited = visit;
-    stats->partitions_total = order.size();
-    stats->partitions_visited = 0;  // plan stamped; nothing entered yet
-  }
-
-  for (size_t v = 0; v < visit; ++v) {
-    // Between-partition check: on expiry the heap already holds the
-    // best-so-far over every partition (and partial block) completed.
-    if (stop != nullptr && stop->ShouldStop()) return;
-    if (stats != nullptr) ++stats->partitions_visited;
-    const size_t c = order[v];
-    const TiPartition::Cluster& cluster = ti_.cluster(c);
-    if (cluster.ids.empty()) continue;
-    const BlockedCodes& bc = ti_blocked_[c];
-    const float dq = query_to_cluster[c];
-    const float* cached = cluster.distances.data();
-
-    // Members that can beat the best-so-far satisfy
-    // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
-    size_t begin = 0;
-    size_t end = cluster.ids.size();
-    if (heap->full()) {
-      TraceSpan prune_span(trace, QueryPhase::kTiPrune);
-      const float r = std::sqrt(heap->Threshold());
-      begin = std::lower_bound(cached, cached + end, dq - r) - cached;
-      end = std::upper_bound(cached + begin, cached + end, dq + r) - cached;
-      if (stats != nullptr) {
-        stats->codes_skipped_ti += cluster.ids.size() - (end - begin);
-      }
-    }
-    size_t i = begin;
-    while (i < end) {
-      size_t stop_row = end;
-      if (heap->full()) {
-        const float r = std::sqrt(heap->Threshold());
-        // Leading members too close to the centroid cannot improve.
-        const size_t skip_to =
-            std::upper_bound(cached + i, cached + end, dq - r) - cached;
-        if (stats != nullptr) stats->codes_skipped_ti += skip_to - i;
-        i = skip_to;
-        if (i >= end) break;
-        // Sorted ascending: everything at or past dq + r is out of range.
-        stop_row =
-            std::lower_bound(cached + i, cached + end, dq + r) - cached;
-        if (stop_row == i) {
-          if (stats != nullptr) stats->codes_skipped_ti += end - i;
-          break;
-        }
-      }
-      // Scan to the nearer of the window edge and the block boundary, so
-      // the window is re-tightened against the improved threshold before
-      // the next block starts.
-      const size_t chunk_end =
-          std::min(stop_row, (i / kScanBlockSize + 1) * kScanBlockSize);
-      {
-        TraceSpan span(trace, QueryPhase::kBlockScan);
-        BlockedEaScan(bc, i, chunk_end, cluster.ids.data(), lut.data(),
-                      lut_offsets32_.data(), m, interval, kernel,
-                      scratch->acc, heap, stats, stop);
-      }
-      if (stop != nullptr && stop->stopped()) return;
-      if (chunk_end == stop_row && stop_row < end) {
-        if (stats != nullptr) stats->codes_skipped_ti += end - stop_row;
-        break;
-      }
-      i = chunk_end;
-    }
-  }
+  std::vector<float> pca_space;
+  encoder_.ProjectQuery(query, &pca_space, projected);
 }
 
 Status VaqIndex::Search(const float* query, const SearchParams& params,
@@ -558,82 +165,17 @@ Status VaqIndex::Search(const float* query, const SearchParams& params,
   return Search(query, params, &scratch, out, stats);
 }
 
-/// User-supplied SearchParams never abort: every reachable misuse maps to
-/// InvalidArgument (PR 2 established the same rule for untrusted files).
-Status VaqIndex::ValidateSearchParams(const SearchParams& params) const {
-  if (!books_.trained()) {
-    return Status::FailedPrecondition("index is not trained");
-  }
-  if (params.k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (params.k > size()) {
-    return Status::InvalidArgument("k exceeds the number of indexed "
-                                   "vectors");
-  }
-  if (params.visit_fraction <= 0.0 || params.visit_fraction > 1.0) {
-    return Status::InvalidArgument("visit_fraction must be in (0, 1]");
-  }
-  switch (params.mode) {
-    case SearchMode::kHeap:
-    case SearchMode::kEarlyAbandon:
-    case SearchMode::kTriangleInequality:
-      break;
-    default:
-      return Status::InvalidArgument("unknown SearchMode value");
-  }
-  switch (params.kernel) {
-    case ScanKernelType::kAuto:
-    case ScanKernelType::kScalar:
-    case ScanKernelType::kAvx2:
-    case ScanKernelType::kReference:
-      break;
-    default:
-      return Status::InvalidArgument("unknown ScanKernelType value");
-  }
-  return Status::OK();
-}
-
 Status VaqIndex::Search(const float* query, const SearchParams& params,
                         SearchScratch* scratch, std::vector<Neighbor>* out,
                         SearchStats* stats) const {
-  WallTimer timer;
-  CpuTimer cpu_timer(CpuTimer::Scope::kThread);
-  VAQ_RETURN_IF_ERROR(ValidateSearchParams(params));
-  StopController stop(params.deadline, params.cancel_token);
-  StopController* stop_ptr = stop.armed() ? &stop : nullptr;
-
-  // Snapshot for telemetry deltas: callers may reuse `stats` across
-  // queries, so counters are fed as after-minus-before.
-  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
-  if (params.trace != nullptr) params.trace->Reset();
-
-  {
-    TraceSpan span(params.trace, QueryPhase::kProject);
-    scratch->pca_space.resize(dim());
-    pca_.TransformRow(query, scratch->pca_space.data());
-    scratch->projected.resize(dim());
-    for (size_t p = 0; p < dim(); ++p) {
-      scratch->projected[p] = scratch->pca_space[permutation_[p]];
-    }
-  }
-
-  scratch->heap.Reset(params.k);
-  SearchProjected(scratch->projected.data(), params, scratch, &scratch->heap,
-                  stats, stop_ptr);
-  const double wall_us = timer.ElapsedMicros();
-  const double cpu_us = cpu_timer.ElapsedMicros();
-  const Status status =
-      FinalizeSearchResult(stop_ptr, params.strict_deadline, &scratch->heap,
-                           out, stats, wall_us, cpu_us);
-  if (stats != nullptr) {
-    RecordQueryTelemetry(before, *stats, status, params.trace);
-  } else {
-    SearchStats after;
-    after.truncated = stop_ptr != nullptr && stop_ptr->stopped();
-    after.wall_micros = wall_us;
-    after.cpu_micros = cpu_us;
-    RecordQueryTelemetry(before, after, status, params.trace);
-  }
-  return status;
+  // TI caches assume full distances: with a subspace prefix the query
+  // falls back to a flat early-abandon scan.
+  const bool ti = params.mode == SearchMode::kTriangleInequality &&
+                  (params.num_subspaces_used == 0 ||
+                   params.num_subspaces_used >= num_subspaces());
+  const TiRanker ranker(ti_, ti_blocked_, params.visit_fraction);
+  return SearchEncoded(encoder_, codes_, &blocked_, ti ? &ranker : nullptr,
+                       query, params, scratch, out, stats);
 }
 
 Result<std::vector<std::vector<Neighbor>>> VaqIndex::SearchBatch(
@@ -649,32 +191,14 @@ Status VaqIndex::SearchBatchInto(
     size_t num_threads, std::vector<std::vector<Neighbor>>* results,
     std::vector<Status>* statuses,
     std::vector<SearchStats>* query_stats) const {
-  if (queries.cols() != dim()) {
-    return Status::InvalidArgument("query dimension mismatch");
-  }
-  const size_t nq = queries.rows();
-  results->resize(nq);
-  if (query_stats != nullptr) query_stats->assign(nq, SearchStats{});
-  // Queries are independent; each chunk owns one scratch on the shared
-  // pool, so the per-query path stays allocation-free once warmed up.
-  // params.deadline is an absolute expiry shared by every query: the
-  // whole batch is bounded by one budget, and queries still queued when
-  // it passes degrade (or strict-fail) at their first check point instead
-  // of wedging the batch.
-  // A single QueryTrace is not thread-safe, so the per-query workers do
-  // not share params.trace (batch callers trace via single-query calls).
-  SearchParams query_params = params;
-  query_params.trace = nullptr;
   return RunSearchBatch(
-      nq, num_threads,
-      [this, &queries, &query_params, results, query_stats](
-          size_t q, SearchScratch* scratch) {
-        SearchStats* stats =
-            query_stats != nullptr ? &(*query_stats)[q] : nullptr;
-        return Search(queries.row(q), query_params, scratch, &(*results)[q],
-                      stats);
+      queries, dim(), params, num_threads,
+      [this](const float* query, const SearchParams& query_params,
+             SearchScratch* scratch, std::vector<Neighbor>* out,
+             SearchStats* stats) {
+        return Search(query, query_params, scratch, out, stats);
       },
-      statuses);
+      results, statuses, query_stats);
 }
 
 void VaqIndex::SaveOptionsSection(std::ostream& os) const {
@@ -727,89 +251,33 @@ Status VaqIndex::LoadOptionsSection(std::istream& is) {
   return Status::OK();
 }
 
-void VaqIndex::SavePcaSection(std::ostream& os) const {
-  WriteVector(os, std::vector<double>(pca_.eigenvalues()));
-  WriteVector(os, pca_.means());
-  WriteMatrix(os, pca_.components());
-}
-
-Status VaqIndex::LoadPcaSection(std::istream& is) {
-  std::vector<double> eigenvalues;
-  std::vector<float> means;
-  FloatMatrix components;
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &eigenvalues));
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &means));
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &components));
-  return pca_.Restore(std::move(eigenvalues), std::move(means),
-                      std::move(components));
-}
-
-void VaqIndex::SaveLayoutSection(std::ostream& os) const {
-  WriteVector(os, std::vector<uint64_t>(permutation_.begin(),
-                                        permutation_.end()));
-  WriteVector(os, subspace_variances_);
-  WritePod<uint64_t>(os, balance_swaps_);
-}
-
-Status VaqIndex::LoadLayoutSection(std::istream& is) {
-  std::vector<uint64_t> perm64;
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &perm64));
-  permutation_.assign(perm64.begin(), perm64.end());
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &subspace_variances_));
-  uint64_t u64 = 0;
-  VAQ_RETURN_IF_ERROR(ReadPod(is, &u64));
-  balance_swaps_ = u64;
-  return Status::OK();
-}
-
 Status VaqIndex::ValidateInvariants() const {
-  const size_t d = pca_.dim();
-  const size_t m = layout_.num_subspaces();
-  const size_t n = codes_.rows();
-  if (!pca_.fitted() || d == 0) {
-    return Status::Internal("index has no fitted PCA state");
-  }
-  if (permutation_.size() != d || !IsPermutation(permutation_)) {
-    return Status::Internal("stored permutation is not a permutation of "
-                            "[0, dim)");
-  }
-  if (layout_.dim() != d) {
-    return Status::Internal("subspace layout width disagrees with PCA "
-                            "dimension");
-  }
-  if (m == 0 || m != options_.num_subspaces) {
+  const size_t m = num_subspaces();
+  VAQ_RETURN_IF_ERROR(encoder_.ValidateInvariants(codes_));
+  if (m != options_.num_subspaces) {
     return Status::Internal("subspace count disagrees with options");
   }
-  VAQ_RETURN_IF_ERROR(books_.ValidateInvariants());
-  if (books_.layout().num_subspaces() != m || books_.dim() != d) {
-    return Status::Internal("codebook layout disagrees with index layout");
-  }
-  if (bits_.size() != m || books_.bits() != bits_) {
-    return Status::Internal("bit allocation disagrees with codebooks");
-  }
   size_t bit_sum = 0;
-  for (int b : bits_) bit_sum += static_cast<size_t>(b);
+  for (int b : bits_per_subspace()) bit_sum += static_cast<size_t>(b);
   if (bit_sum != options_.total_bits) {
     return Status::Internal("per-subspace bits do not sum to the configured "
                             "budget");
   }
-  if (subspace_variances_.size() != m) {
+  if (subspace_variances().size() != m) {
     return Status::Internal("subspace variance profile length disagrees "
                             "with subspace count");
   }
-  for (double v : subspace_variances_) {
+  for (double v : subspace_variances()) {
     if (!std::isfinite(v) || v < 0.0) {
       return Status::Internal("subspace variances contain invalid values");
     }
   }
-  if (n == 0) return Status::Internal("index holds no encoded vectors");
-  VAQ_RETURN_IF_ERROR(books_.ValidateCodes(codes_));
   const size_t p = ti_.prefix_subspaces();
   if (p == 0 || p > m) {
     return Status::Internal("TI prefix_subspaces outside [1, m]");
   }
-  const SubspaceSpan& last = layout_.span(p - 1);
-  return ti_.ValidateInvariants(n, m, last.offset + last.length);
+  const SubspaceSpan& last = layout().span(p - 1);
+  return ti_.ValidateInvariants(codes_.rows(), m, last.offset + last.length);
 }
 
 namespace {
@@ -830,9 +298,9 @@ Status VaqIndex::Save(const std::string& path) const {
   VAQ_RETURN_IF_ERROR(ValidateInvariants());
   ContainerWriter writer(kMagic, kVaqIndexFormatVersion);
   SaveOptionsSection(writer.AddSection(kSecOptions));
-  SavePcaSection(writer.AddSection(kSecPca));
-  SaveLayoutSection(writer.AddSection(kSecLayout));
-  books_.Save(writer.AddSection(kSecBooks));
+  encoder_.SavePca(writer.AddSection(kSecPca));
+  encoder_.SaveLayout(writer.AddSection(kSecLayout));
+  encoder_.SaveBooks(writer.AddSection(kSecBooks));
   WriteMatrix(writer.AddSection(kSecCodes), codes_);
   ti_.Save(writer.AddSection(kSecTi));
   return writer.Commit(path);
@@ -853,19 +321,17 @@ Result<VaqIndex> VaqIndex::Load(const std::string& path) {
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecPca));
     ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.LoadPcaSection(is));
+    VAQ_RETURN_IF_ERROR(index.encoder_.LoadPca(is));
   }
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecLayout));
     ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.LoadLayoutSection(is));
+    VAQ_RETURN_IF_ERROR(index.encoder_.LoadLayout(is));
   }
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecBooks));
     ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.books_.Load(is));
-    index.layout_ = index.books_.layout();
-    index.bits_ = index.books_.bits();
+    VAQ_RETURN_IF_ERROR(index.encoder_.LoadBooks(is));
   }
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCodes));
@@ -892,11 +358,9 @@ Result<VaqIndex> VaqIndex::LoadLegacy(const std::string& path) {
 
   VaqIndex index;
   VAQ_RETURN_IF_ERROR(index.LoadOptionsSection(is));
-  VAQ_RETURN_IF_ERROR(index.LoadPcaSection(is));
-  VAQ_RETURN_IF_ERROR(index.LoadLayoutSection(is));
-  VAQ_RETURN_IF_ERROR(index.books_.Load(is));
-  index.layout_ = index.books_.layout();
-  index.bits_ = index.books_.bits();
+  VAQ_RETURN_IF_ERROR(index.encoder_.LoadPca(is));
+  VAQ_RETURN_IF_ERROR(index.encoder_.LoadLayout(is));
+  VAQ_RETURN_IF_ERROR(index.encoder_.LoadBooks(is));
   VAQ_RETURN_IF_ERROR(ReadMatrix(is, &index.codes_));
   VAQ_RETURN_IF_ERROR(index.ti_.Load(is));
   VAQ_RETURN_IF_ERROR(index.ValidateInvariants());

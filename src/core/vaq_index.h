@@ -6,107 +6,24 @@
 #include <string>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/matrix.h"
 #include "common/status.h"
 #include "common/topk.h"
-#include "common/trace.h"
 #include "core/codebook.h"
 #include "core/scan.h"
+#include "core/search_driver.h"
 #include "core/subspace.h"
 #include "core/ti_partition.h"
-#include "linalg/pca.h"
+#include "core/vaq_encoder.h"
 
 namespace vaq {
 
-/// Training-time configuration of a VaqIndex (Algorithm 5 inputs).
-struct VaqOptions {
-  /// Number of subspaces m.
-  size_t num_subspaces = 32;
-  /// Total encoding budget in bits (sum over subspaces).
-  size_t total_bits = 256;
-  /// C2 bounds on the per-subspace allocation (paper: 1 and 13).
-  size_t min_bits = 1;
-  size_t max_bits = 13;
-  /// C1 target fraction of explained variance.
-  double target_variance = 1.0;
-  /// Non-uniform subspace widths via 1-D k-means over the variance profile
-  /// (Section III-B "Clustering of Dimensions"); uniform widths otherwise.
-  bool clustered_subspaces = false;
-  /// Partial importance balancing (Algorithm 2 lines 2-9).
-  bool partial_balance = true;
-  /// Adaptive MILP bit allocation; false assigns total_bits/m uniformly
-  /// (the PQ/OPQ regime) for ablation studies.
-  bool adaptive_allocation = true;
-  /// Mean-center before PCA.
-  bool center_pca = true;
-  /// Triangle-inequality partition size (paper: 1000 clusters).
-  size_t ti_clusters = 1000;
-  /// Subspaces spanned by TI centroids; 0 picks the smallest prefix
-  /// explaining >= 90% of the variance.
-  size_t ti_prefix_subspaces = 0;
-  int kmeans_iters = 25;
-  uint64_t seed = 42;
-  /// Threads used for the embarrassingly-parallel training steps (data
-  /// encoding and TI cluster assignment). 0 = hardware concurrency.
-  /// Query execution is always single-threaded per query, matching the
-  /// paper's CPU-time reporting.
-  size_t train_threads = 1;
-};
-
-/// Query-time pruning strategy (Figure 7's variants).
-enum class SearchMode {
-  kHeap,             ///< plain ADC scan into a top-k heap
-  kEarlyAbandon,     ///< + subspace skipping (EA)
-  kTriangleInequality  ///< + data skipping (TI) cascading into EA
-};
-
-struct SearchParams {
-  size_t k = 100;
-  SearchMode mode = SearchMode::kTriangleInequality;
-  /// Fraction of TI clusters visited (paper evaluates 0.25 and 0.1).
-  double visit_fraction = 0.25;
-  /// Use only the first `num_subspaces_used` subspaces when accumulating
-  /// distances (0 = all). Supports the subspace-omission study (Figure 4);
-  /// TI mode requires all subspaces and falls back to EA when set.
-  size_t num_subspaces_used = 0;
-  /// How many subspaces to accumulate between early-abandon threshold
-  /// checks (Section III-E notes checks "after every four subspaces" to
-  /// amortize the branch). The blocked scan checks once per block after
-  /// every `ea_check_interval` subspaces.
-  size_t ea_check_interval = 4;
-  /// Which ADC scan implementation runs the accumulation. kAuto picks the
-  /// fastest blocked kernel for this CPU; kReference is the original
-  /// row-at-a-time loop, kept as the correctness oracle. All choices
-  /// return bit-identical neighbors and distances.
-  ScanKernelType kernel = ScanKernelType::kAuto;
-  /// Wall-clock budget for this query (absolute expiry; a copy handed to
-  /// every query of a batch enforces one shared batch deadline). The
-  /// default never expires and adds zero overhead to the hot path.
-  /// Checked between 64-row blocks and between TI partitions, so on
-  /// expiry the query returns the meaningful best-so-far top-k
-  /// accumulated so far (DESIGN.md §9).
-  Deadline deadline;
-  /// Cooperative cancellation, checked at the same granularity. A
-  /// cancelled query always fails with kCancelled.
-  CancellationToken cancel_token;
-  /// false (default): an expired deadline degrades gracefully — partial
-  /// results, OK status, SearchStats::truncated set. true: the query
-  /// fails with kDeadlineExceeded instead of returning partial results.
-  bool strict_deadline = false;
-  /// Optional per-query phase-timing sink (common/trace.h). Only consulted
-  /// when process-wide tracing is enabled; nullptr (the default) keeps the
-  /// query path free of clock reads. Not owned; must outlive the call.
-  /// Batch entry points ignore it (queries run concurrently; a single
-  /// trace is not thread-safe).
-  QueryTrace* trace = nullptr;
-};
-
 /// Variance-Aware Quantization index: the paper's end-to-end system
-/// (Algorithm 5). Train() runs VarPCA, subspace construction, partial
-/// balancing, adaptive bit allocation, variable-size dictionary learning,
-/// encoding, and the TI partition build; Search() answers k-NN queries
-/// with ADC plus the two skipping strategies.
+/// (Algorithm 5). Train() runs the shared VaqEncoder (VarPCA, subspace
+/// construction, partial balancing, adaptive bit allocation,
+/// variable-size dictionary learning, encoding) and builds the TI
+/// partition; Search() answers k-NN queries through the shared query
+/// driver with ADC plus the two skipping strategies.
 class VaqIndex {
  public:
   VaqIndex() = default;
@@ -121,19 +38,23 @@ class VaqIndex {
   Status Add(const FloatMatrix& data);
 
   size_t size() const { return codes_.rows(); }
-  size_t dim() const { return pca_.dim(); }
-  size_t num_subspaces() const { return layout_.num_subspaces(); }
-  const std::vector<int>& bits_per_subspace() const { return bits_; }
-  const SubspaceLayout& layout() const { return layout_; }
-  const VariableCodebooks& codebooks() const { return books_; }
+  size_t dim() const { return encoder_.dim(); }
+  size_t num_subspaces() const { return encoder_.num_subspaces(); }
+  const std::vector<int>& bits_per_subspace() const {
+    return encoder_.bits();
+  }
+  const SubspaceLayout& layout() const { return encoder_.layout(); }
+  const VariableCodebooks& codebooks() const {
+    return encoder_.codebooks();
+  }
   const TiPartition& ti_partition() const { return ti_; }
   const VaqOptions& options() const { return options_; }
   /// Normalized variance share of each (importance-ordered) subspace.
   const std::vector<double>& subspace_variances() const {
-    return subspace_variances_;
+    return encoder_.subspace_variances();
   }
   /// Number of swaps the partial balancing step performed.
-  size_t balance_swaps() const { return balance_swaps_; }
+  size_t balance_swaps() const { return encoder_.balance_swaps(); }
 
   /// Bytes used by the encoded database (2 bytes per subspace per vector).
   size_t code_bytes() const { return codes_.size() * sizeof(uint16_t); }
@@ -197,8 +118,8 @@ class VaqIndex {
   /// semantically inconsistent is rejected with a non-OK Status.
   static Result<VaqIndex> Load(const std::string& path);
 
-  /// Semantic consistency of the full index state: permutation_ is a true
-  /// permutation, bits are in range and sum to the budget, every stored
+  /// Semantic consistency of the full index state: the encoder's
+  /// permutation is a true permutation, bits sum to the budget, every stored
   /// code addresses an existing dictionary entry, PCA/codebook/TI
   /// dimensions mutually consistent, TI clusters partition the database.
   /// Run automatically after Load and before Save.
@@ -209,38 +130,18 @@ class VaqIndex {
   static Result<VaqIndex> LoadLegacy(const std::string& path);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
-  void SavePcaSection(std::ostream& os) const;
-  Status LoadPcaSection(std::istream& is);
-  void SaveLayoutSection(std::ostream& os) const;
-  Status LoadLayoutSection(std::istream& is);
-  Status ValidateSearchParams(const SearchParams& params) const;
-  void SearchProjected(const float* projected, const SearchParams& params,
-                       SearchScratch* scratch, TopKHeap* heap,
-                       SearchStats* stats, StopController* stop) const;
-  void SearchProjectedReference(const float* projected,
-                                const SearchParams& params,
-                                SearchScratch* scratch, TopKHeap* heap,
-                                SearchStats* stats,
-                                StopController* stop) const;
-  /// (Re)builds the blocked code layouts and narrow LUT offsets the scan
-  /// kernels consume. Called after Train/Add/Load mutate codes_ or ti_.
+  /// (Re)builds the blocked code layouts the scan kernels consume. Called
+  /// after Train/Add/Load mutate codes_ or ti_.
   void BuildScanStructures();
 
   VaqOptions options_;
-  Pca pca_;
-  std::vector<size_t> permutation_;  ///< layout position -> PCA component
-  SubspaceLayout layout_;
-  std::vector<int> bits_;
-  std::vector<double> subspace_variances_;
-  size_t balance_swaps_ = 0;
-  VariableCodebooks books_;
+  VaqEncoder encoder_;
   CodeMatrix codes_;
   TiPartition ti_;
   // Scan-layer views of the database: derived from codes_/ti_ and rebuilt
   // by BuildScanStructures (never serialized).
   BlockedCodes blocked_;                 ///< whole database, row order
   std::vector<BlockedCodes> ti_blocked_; ///< one per TI cluster, member order
-  std::vector<uint32_t> lut_offsets32_;  ///< books_.lut_offset as uint32
 };
 
 }  // namespace vaq

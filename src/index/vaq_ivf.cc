@@ -2,124 +2,96 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-
 #include <fstream>
+#include <numeric>
 
 #include "common/io.h"
 #include "common/log.h"
-#include "common/macros.h"
 #include "common/metrics.h"
 #include "common/serialize.h"
-#include "common/timer.h"
-#include "common/trace.h"
-#include "core/allocation.h"
-#include "core/balance.h"
 #include "core/search_batch.h"
 
 namespace vaq {
+namespace {
+
+/// Ranks the coarse cells by squared distance from the query to their
+/// centroids, ties broken by cell id, and visits the nearest `nprobe`
+/// whole.
+class CellRanker final : public PartitionRanker {
+ public:
+  CellRanker(const KMeans& coarse, const std::vector<BlockedCodes>& blocked,
+             const std::vector<std::vector<uint32_t>>& lists, size_t nprobe)
+      : coarse_(coarse), blocked_(blocked), lists_(lists), nprobe_(nprobe) {}
+
+  size_t Rank(const float* projected, SearchScratch* scratch) const override {
+    std::vector<float>& cell_dist = scratch->query_to_cluster;
+    cell_dist.resize(coarse_.k());
+    for (size_t c = 0; c < coarse_.k(); ++c) {
+      cell_dist[c] = SquaredL2(projected, coarse_.centroids().row(c),
+                               coarse_.centroids().cols());
+    }
+    std::vector<size_t>& order = scratch->order;
+    order.resize(coarse_.k());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::partial_sort(order.begin(), order.begin() + nprobe_, order.end(),
+                      [&](size_t a, size_t b) {
+                        if (cell_dist[a] != cell_dist[b]) {
+                          return cell_dist[a] < cell_dist[b];
+                        }
+                        return a < b;
+                      });
+    scratch->visits.resize(nprobe_);
+    for (size_t v = 0; v < nprobe_; ++v) {
+      const size_t c = order[v];
+      scratch->visits[v] = {&blocked_[c], lists_[c].data(), nullptr,
+                            cell_dist[c]};
+    }
+    return coarse_.k();
+  }
+
+  bool windowed() const override { return false; }
+
+ private:
+  const KMeans& coarse_;
+  const std::vector<BlockedCodes>& blocked_;
+  const std::vector<std::vector<uint32_t>>& lists_;
+  size_t nprobe_;
+};
+
+/// The driver's parameters for an IVF query: early abandon inside the
+/// lists, with the configured scan kernel.
+SearchParams DriverParams(size_t k, const QueryControl& control,
+                          ScanKernelType kernel) {
+  SearchParams params;
+  params.k = k;
+  params.mode = SearchMode::kEarlyAbandon;
+  params.kernel = kernel;
+  params.deadline = control.deadline;
+  params.cancel_token = control.cancel_token;
+  params.strict_deadline = control.strict_deadline;
+  params.trace = control.trace;
+  return params;
+}
+
+}  // namespace
 
 Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
                                        const VaqIvfOptions& options) {
-  if (data.rows() < 2) {
-    return Status::InvalidArgument("training requires at least 2 vectors");
-  }
-  const VaqOptions& vopts = options.vaq;
-  if (vopts.num_subspaces == 0 || vopts.num_subspaces > data.cols()) {
-    return Status::InvalidArgument("num_subspaces must be in [1, dim]");
-  }
   if (options.coarse_k == 0) {
     return Status::InvalidArgument("coarse_k must be >= 1");
   }
-
   VaqIvfIndex index;
   index.options_ = options;
-
-  // Per-stage build accounting, same counters as VaqIndex::Train plus the
-  // coarse-quantizer stage (DESIGN.md §10).
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  double pca_us = 0.0, subspace_us = 0.0, alloc_us = 0.0, book_us = 0.0,
-         encode_us = 0.0, coarse_us = 0.0, scan_us = 0.0;
-
-  // Same encoding pipeline as VaqIndex: VarPCA, subspaces, balancing,
-  // adaptive allocation, variable dictionaries.
-  {
-    StageTimer st(reg.GetCounter("vaq_build_pca_us_total",
-                                 "Cumulative PCA fit wall time (us)"),
-                  &pca_us);
-    Pca::Options pca_opts;
-    pca_opts.center = vopts.center_pca;
-    VAQ_RETURN_IF_ERROR(index.pca_.Fit(data, pca_opts));
-  }
-  const std::vector<double> variances = index.pca_.ExplainedVarianceRatio();
-
-  const size_t m = vopts.num_subspaces;
-  SubspaceLayout layout;
-  std::vector<double> subspace_vars;
-  {
-    StageTimer st(
-        reg.GetCounter("vaq_build_subspace_us_total",
-                       "Cumulative subspace grouping/balancing time (us)"),
-        &subspace_us);
-    if (vopts.clustered_subspaces) {
-      VAQ_ASSIGN_OR_RETURN(layout, SubspaceLayout::Clustered(variances, m));
-      VAQ_RETURN_IF_ERROR(layout.RepairOrdering(variances));
-    } else {
-      VAQ_ASSIGN_OR_RETURN(layout, SubspaceLayout::Uniform(data.cols(), m));
-    }
-    const BalanceResult balance = vopts.partial_balance
-                                      ? PartialBalance(variances, layout)
-                                      : IdentityBalance(variances);
-    index.permutation_ = balance.permutation;
-    index.layout_ = layout;
-    subspace_vars = layout.SubspaceVariances(balance.permuted_variances);
-  }
-
-  {
-    StageTimer st(
-        reg.GetCounter("vaq_build_allocation_us_total",
-                       "Cumulative bit-allocation (MILP) time (us)"),
-        &alloc_us);
-    if (vopts.adaptive_allocation) {
-      AllocationOptions aopts;
-      aopts.total_bits = vopts.total_bits;
-      aopts.min_bits = vopts.min_bits;
-      aopts.max_bits = vopts.max_bits;
-      aopts.target_variance = vopts.target_variance;
-      VAQ_ASSIGN_OR_RETURN(Allocation alloc,
-                           AllocateBits(subspace_vars, aopts));
-      index.bits_ = alloc.bits;
-    } else {
-      index.bits_.assign(m, static_cast<int>(vopts.total_bits / m));
-      for (size_t i = 0; i < vopts.total_bits % m; ++i) ++index.bits_[i];
-    }
-  }
-
-  FloatMatrix projected;
-  {
-    StageTimer st(
-        reg.GetCounter("vaq_build_codebook_us_total",
-                       "Cumulative codebook training time (us)"),
-        &book_us);
-    VAQ_ASSIGN_OR_RETURN(projected, index.pca_.Transform(data));
-    projected = projected.PermuteColumns(index.permutation_);
-
-    CodebookOptions copts;
-    copts.kmeans_iters = vopts.kmeans_iters;
-    copts.seed = vopts.seed;
-    VAQ_RETURN_IF_ERROR(
-        index.books_.Train(projected, layout, index.bits_, copts));
-  }
-  {
-    StageTimer st(reg.GetCounter("vaq_build_encode_us_total",
-                                 "Cumulative database encoding time (us)"),
-                  &encode_us);
-    VAQ_ASSIGN_OR_RETURN(index.codes_,
-                         index.books_.Encode(projected, vopts.train_threads));
-  }
+  const VaqOptions& vopts = options.vaq;
+  VaqEncoder::TrainedRows rows;
+  VAQ_RETURN_IF_ERROR(index.encoder_.Train(data, vopts, &rows));
+  index.codes_ = std::move(rows.codes);
 
   // IVF part: trained coarse k-means over the projected vectors (instead
-  // of VaqIndex's random-sample TI centroids).
+  // of VaqIndex's random-sample TI centroids), with the same build
+  // accounting as the encoder stages (DESIGN.md §10).
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  double coarse_us = 0.0, scan_us = 0.0;
   {
     StageTimer st(
         reg.GetCounter("vaq_build_coarse_us_total",
@@ -129,9 +101,10 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
     kopts.k = std::min(options.coarse_k, data.rows());
     kopts.max_iters = vopts.kmeans_iters;
     kopts.seed = vopts.seed ^ 0x51F15EEDULL;
-    VAQ_RETURN_IF_ERROR(index.coarse_.Train(projected, kopts));
+    VAQ_RETURN_IF_ERROR(index.coarse_.Train(rows.projected, kopts));
     index.lists_.assign(index.coarse_.k(), {});
-    const std::vector<uint32_t> assign = index.coarse_.AssignAll(projected);
+    const std::vector<uint32_t> assign =
+        index.coarse_.AssignAll(rows.projected);
     for (size_t r = 0; r < data.rows(); ++r) {
       index.lists_[assign[r]].push_back(static_cast<uint32_t>(r));
     }
@@ -148,16 +121,13 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
           "VaqIvfIndex build report: n=%zu d=%zu m=%zu pca=%.0fus "
           "subspace=%.0fus allocation=%.0fus codebook=%.0fus encode=%.0fus "
           "coarse=%.0fus scan_layout=%.0fus",
-          data.rows(), data.cols(), m, pca_us, subspace_us, alloc_us, book_us,
-          encode_us, coarse_us, scan_us);
+          data.rows(), data.cols(), vopts.num_subspaces, rows.pca_us,
+          rows.subspace_us, rows.allocation_us, rows.codebook_us,
+          rows.encode_us, coarse_us, scan_us);
   return index;
 }
 
 void VaqIvfIndex::BuildScanStructures() {
-  lut_offsets32_.resize(books_.num_subspaces());
-  for (size_t s = 0; s < books_.num_subspaces(); ++s) {
-    lut_offsets32_[s] = static_cast<uint32_t>(books_.lut_offset(s));
-  }
   list_blocked_.clear();
   list_blocked_.reserve(lists_.size());
   for (const auto& list : lists_) {
@@ -191,29 +161,6 @@ Status VaqIvfIndex::LoadOptionsSection(std::istream& is) {
   return Status::OK();
 }
 
-void VaqIvfIndex::SavePcaSection(std::ostream& os) const {
-  WriteVector(os, std::vector<double>(pca_.eigenvalues()));
-  WriteVector(os, pca_.means());
-  WriteMatrix(os, pca_.components());
-  WriteVector(os, std::vector<uint64_t>(permutation_.begin(),
-                                        permutation_.end()));
-}
-
-Status VaqIvfIndex::LoadPcaSection(std::istream& is) {
-  std::vector<double> eigenvalues;
-  std::vector<float> means;
-  FloatMatrix components;
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &eigenvalues));
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &means));
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &components));
-  VAQ_RETURN_IF_ERROR(pca_.Restore(std::move(eigenvalues), std::move(means),
-                                   std::move(components)));
-  std::vector<uint64_t> perm64;
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &perm64));
-  permutation_.assign(perm64.begin(), perm64.end());
-  return Status::OK();
-}
-
 void VaqIvfIndex::SaveListsSection(std::ostream& os) const {
   WritePod<uint64_t>(os, lists_.size());
   for (const auto& list : lists_) WriteVector(os, list);
@@ -238,24 +185,9 @@ Status VaqIvfIndex::LoadListsSection(std::istream& is) {
 }
 
 Status VaqIvfIndex::ValidateInvariants() const {
-  const size_t d = pca_.dim();
+  const size_t d = dim();
   const size_t n = codes_.rows();
-  if (!pca_.fitted() || d == 0) {
-    return Status::Internal("index has no fitted PCA state");
-  }
-  if (permutation_.size() != d || !IsPermutation(permutation_)) {
-    return Status::Internal("stored permutation is not a permutation of "
-                            "[0, dim)");
-  }
-  VAQ_RETURN_IF_ERROR(books_.ValidateInvariants());
-  if (books_.dim() != d) {
-    return Status::Internal("codebook width disagrees with PCA dimension");
-  }
-  if (bits_.size() != books_.num_subspaces() || books_.bits() != bits_) {
-    return Status::Internal("bit allocation disagrees with codebooks");
-  }
-  if (n == 0) return Status::Internal("index holds no encoded vectors");
-  VAQ_RETURN_IF_ERROR(books_.ValidateCodes(codes_));
+  VAQ_RETURN_IF_ERROR(encoder_.ValidateInvariants(codes_));
   if (coarse_.k() == 0 || coarse_.centroids().cols() != d) {
     return Status::Internal("coarse centroid shape disagrees with the "
                             "projected dimension");
@@ -290,14 +222,17 @@ Status VaqIvfIndex::ValidateInvariants() const {
 }
 
 Status VaqIvfIndex::Save(const std::string& path) const {
-  if (!books_.trained()) {
+  if (!encoder_.trained()) {
     return Status::FailedPrecondition("index is not trained");
   }
   VAQ_RETURN_IF_ERROR(ValidateInvariants());
   ContainerWriter writer(kIvfMagic, kIvfFormatVersion);
   SaveOptionsSection(writer.AddSection(kSecOptions));
-  SavePcaSection(writer.AddSection(kSecPca));
-  books_.Save(writer.AddSection(kSecBooks));
+  // IVF files carry the permutation inside PCA0 (there is no LAYT).
+  std::ostream& pca = writer.AddSection(kSecPca);
+  encoder_.SavePca(pca);
+  encoder_.SavePermutation(pca);
+  encoder_.SaveBooks(writer.AddSection(kSecBooks));
   WriteMatrix(writer.AddSection(kSecCodes), codes_);
   WriteMatrix(writer.AddSection(kSecCoarse), coarse_.centroids());
   SaveListsSection(writer.AddSection(kSecLists));
@@ -319,14 +254,13 @@ Result<VaqIvfIndex> VaqIvfIndex::Load(const std::string& path) {
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecPca));
     ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.LoadPcaSection(is));
+    VAQ_RETURN_IF_ERROR(index.encoder_.LoadPca(is));
+    VAQ_RETURN_IF_ERROR(index.encoder_.LoadPermutation(is));
   }
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecBooks));
     ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.books_.Load(is));
-    index.layout_ = index.books_.layout();
-    index.bits_ = index.books_.bits();
+    VAQ_RETURN_IF_ERROR(index.encoder_.LoadBooks(is));
   }
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCodes));
@@ -359,10 +293,9 @@ Result<VaqIvfIndex> VaqIvfIndex::LoadLegacy(const std::string& path) {
   VAQ_RETURN_IF_ERROR(CheckMagic(is, kIvfMagic));
   VaqIvfIndex index;
   VAQ_RETURN_IF_ERROR(index.LoadOptionsSection(is));
-  VAQ_RETURN_IF_ERROR(index.LoadPcaSection(is));
-  VAQ_RETURN_IF_ERROR(index.books_.Load(is));
-  index.layout_ = index.books_.layout();
-  index.bits_ = index.books_.bits();
+  VAQ_RETURN_IF_ERROR(index.encoder_.LoadPca(is));
+  VAQ_RETURN_IF_ERROR(index.encoder_.LoadPermutation(is));
+  VAQ_RETURN_IF_ERROR(index.encoder_.LoadBooks(is));
   VAQ_RETURN_IF_ERROR(ReadMatrix(is, &index.codes_));
   FloatMatrix coarse_centroids;
   VAQ_RETURN_IF_ERROR(ReadMatrix(is, &coarse_centroids));
@@ -390,139 +323,20 @@ Status VaqIvfIndex::Search(const float* query, size_t k, size_t nprobe,
                            const QueryControl& control,
                            SearchScratch* scratch, std::vector<Neighbor>* out,
                            SearchStats* stats) const {
-  WallTimer timer;
-  CpuTimer cpu_timer(CpuTimer::Scope::kThread);
-  if (!books_.trained()) {
-    return Status::FailedPrecondition("index is not trained");
-  }
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (k > size()) {
-    return Status::InvalidArgument("k exceeds the number of indexed "
-                                   "vectors");
-  }
+  return SearchProbed(query, DriverParams(k, control, options_.scan_kernel),
+                      nprobe, scratch, out, stats);
+}
+
+Status VaqIvfIndex::SearchProbed(const float* query,
+                                 const SearchParams& params, size_t nprobe,
+                                 SearchScratch* scratch,
+                                 std::vector<Neighbor>* out,
+                                 SearchStats* stats) const {
   if (nprobe == 0) nprobe = options_.default_nprobe;
   nprobe = std::min(nprobe, coarse_.k());
-  StopController stop_state(control.deadline, control.cancel_token);
-  StopController* stop = stop_state.armed() ? &stop_state : nullptr;
-
-  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
-  QueryTrace* trace = control.trace;
-  if (trace != nullptr) trace->Reset();
-
-  // Project the query into the permuted PCA space.
-  std::vector<float>& projected = scratch->projected;
-  {
-    TraceSpan span(trace, QueryPhase::kProject);
-    scratch->pca_space.resize(dim());
-    pca_.TransformRow(query, scratch->pca_space.data());
-    projected.resize(dim());
-    for (size_t p = 0; p < dim(); ++p) {
-      projected[p] = scratch->pca_space[permutation_[p]];
-    }
-  }
-
-  std::vector<float>& lut = scratch->lut;
-  {
-    TraceSpan span(trace, QueryPhase::kLutBuild);
-    books_.BuildLookupTable(projected.data(), &lut);
-  }
-
-  // Rank the coarse cells by query distance; `query_to_cluster` holds the
-  // distances and `order` the cell ranking, mirroring VaqIndex's TI path.
-  TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
-  std::vector<float>& cell_dist = scratch->query_to_cluster;
-  cell_dist.resize(coarse_.k());
-  for (size_t c = 0; c < coarse_.k(); ++c) {
-    cell_dist[c] =
-        SquaredL2(projected.data(), coarse_.centroids().row(c), dim());
-  }
-  std::vector<size_t>& order = scratch->order;
-  order.resize(coarse_.k());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::partial_sort(order.begin(), order.begin() + nprobe, order.end(),
-                    [&](size_t a, size_t b) {
-                      if (cell_dist[a] != cell_dist[b]) {
-                        return cell_dist[a] < cell_dist[b];
-                      }
-                      return a < b;
-                    });
-  rank_span.Stop();
-  if (stats != nullptr) {
-    stats->clusters_total = coarse_.k();
-    stats->clusters_visited = nprobe;
-    stats->partitions_total = coarse_.k();
-    stats->partitions_visited = 0;  // plan stamped; nothing entered yet
-  }
-
-  // Blocked early-abandoned ADC scan of the probed lists
-  // (importance-ordered subspaces, threshold checked once per block every
-  // 4 subspaces, same kernels as VaqIndex). The deadline/cancel check
-  // runs between coarse cells here and between 64-row blocks inside
-  // BlockedEaScan.
-  const size_t m = books_.num_subspaces();
-  TopKHeap& heap = scratch->heap;
-  heap.Reset(k);
-  TraceSpan scan_span(trace, QueryPhase::kBlockScan);
-  if (options_.scan_kernel == ScanKernelType::kReference) {
-    for (size_t v = 0; v < nprobe; ++v) {
-      if (stop != nullptr && stop->ShouldStop()) break;
-      if (stats != nullptr) ++stats->partitions_visited;
-      const std::vector<uint32_t>& list = lists_[order[v]];
-      for (size_t i = 0; i < list.size(); ++i) {
-        if (stop != nullptr && i % kScanBlockSize == 0 && i != 0 &&
-            stop->ShouldStop()) {
-          break;
-        }
-        const uint32_t id = list[i];
-        const float threshold = heap.Threshold();
-        const uint16_t* code = codes_.row(id);
-        float acc = 0.f;
-        size_t s = 0;
-        while (s < m) {
-          const size_t s_stop = std::min(s + 4, m);
-          for (; s < s_stop; ++s) {
-            acc += lut[books_.lut_offset(s) + code[s]];
-          }
-          if (acc >= threshold) break;
-        }
-        if (stats != nullptr) {
-          ++stats->codes_visited;
-          stats->lut_adds += s;
-          if (s == m) ++stats->rows_scanned;
-        }
-        if (acc < threshold) heap.Push(acc, static_cast<int64_t>(id));
-      }
-      if (stop != nullptr && stop->stopped()) break;
-    }
-  } else {
-    const ScanKernel& kernel = GetScanKernel(options_.scan_kernel);
-    for (size_t v = 0; v < nprobe; ++v) {
-      if (stop != nullptr && stop->ShouldStop()) break;
-      if (stats != nullptr) ++stats->partitions_visited;
-      const size_t c = order[v];
-      const BlockedCodes& bc = list_blocked_[c];
-      if (bc.empty()) continue;
-      BlockedEaScan(bc, 0, bc.rows(), lists_[c].data(), lut.data(),
-                    lut_offsets32_.data(), m, /*interval=*/4, kernel,
-                    scratch->acc, &heap, stats, stop);
-    }
-  }
-  scan_span.Stop();
-  const double wall_us = timer.ElapsedMicros();
-  const double cpu_us = cpu_timer.ElapsedMicros();
-  const Status status = FinalizeSearchResult(stop, control.strict_deadline,
-                                             &heap, out, stats, wall_us,
-                                             cpu_us);
-  if (stats != nullptr) {
-    RecordQueryTelemetry(before, *stats, status, trace);
-  } else {
-    SearchStats after;
-    after.truncated = stop != nullptr && stop->stopped();
-    after.wall_micros = wall_us;
-    after.cpu_micros = cpu_us;
-    RecordQueryTelemetry(before, after, status, trace);
-  }
-  return status;
+  const CellRanker ranker(coarse_, list_blocked_, lists_, nprobe);
+  return SearchEncoded(encoder_, codes_, nullptr, &ranker, query, params,
+                       scratch, out, stats);
 }
 
 Status VaqIvfIndex::SearchBatchInto(
@@ -531,25 +345,15 @@ Status VaqIvfIndex::SearchBatchInto(
     std::vector<std::vector<Neighbor>>* results,
     std::vector<Status>* statuses,
     std::vector<SearchStats>* query_stats) const {
-  if (queries.cols() != dim()) {
-    return Status::InvalidArgument("query dimension mismatch");
-  }
-  const size_t nq = queries.rows();
-  results->resize(nq);
-  if (query_stats != nullptr) query_stats->assign(nq, SearchStats{});
-  // A single QueryTrace is not thread-safe across the batch workers.
-  QueryControl query_control = control;
-  query_control.trace = nullptr;
   return RunSearchBatch(
-      nq, num_threads,
-      [this, &queries, k, nprobe, query_control, results, query_stats](
-          size_t q, SearchScratch* scratch) {
-        SearchStats* stats =
-            query_stats != nullptr ? &(*query_stats)[q] : nullptr;
-        return Search(queries.row(q), k, nprobe, query_control, scratch,
-                      &(*results)[q], stats);
+      queries, dim(), DriverParams(k, control, options_.scan_kernel),
+      num_threads,
+      [this, nprobe](const float* query, const SearchParams& params,
+                     SearchScratch* scratch, std::vector<Neighbor>* out,
+                     SearchStats* stats) {
+        return SearchProbed(query, params, nprobe, scratch, out, stats);
       },
-      statuses);
+      results, statuses, query_stats);
 }
 
 }  // namespace vaq

@@ -27,8 +27,9 @@ struct VaqIvfOptions {
 /// quantization methods" the paper's conclusion calls for (Sections V-B/E
 /// show random-sample TI partitions already rival tree indexes; this
 /// replaces them with trained coarse k-means partitions in the projected
-/// space, the IVF pattern, while keeping VAQ's variable-size codes and
-/// importance-ordered early abandoning inside each list).
+/// space, the IVF pattern). Encoding and scanning are VaqIndex's: the same
+/// VaqEncoder and the same query driver, with early abandoning inside each
+/// list. Only the coarse cells and their ranking are IVF's own.
 class VaqIvfIndex {
  public:
   VaqIvfIndex() = default;
@@ -37,9 +38,11 @@ class VaqIvfIndex {
                                    const VaqIvfOptions& options);
 
   size_t size() const { return codes_.rows(); }
-  size_t dim() const { return pca_.dim(); }
+  size_t dim() const { return encoder_.dim(); }
   size_t coarse_k() const { return coarse_.k(); }
-  const std::vector<int>& bits_per_subspace() const { return bits_; }
+  const std::vector<int>& bits_per_subspace() const {
+    return encoder_.bits();
+  }
 
   /// k-NN over the `nprobe` nearest lists (0 = the configured default;
   /// nprobe >= coarse_k degenerates to a full early-abandoned scan).
@@ -88,24 +91,21 @@ class VaqIvfIndex {
   static Result<VaqIvfIndex> LoadLegacy(const std::string& path);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
-  void SavePcaSection(std::ostream& os) const;
-  Status LoadPcaSection(std::istream& is);
   void SaveListsSection(std::ostream& os) const;
   Status LoadListsSection(std::istream& is);
+  /// The Search overloads' shared body over the driver's parameters.
+  Status SearchProbed(const float* query, const SearchParams& params,
+                      size_t nprobe, SearchScratch* scratch,
+                      std::vector<Neighbor>* out, SearchStats* stats) const;
   /// (Re)builds the per-list blocked code layouts after Train/Load.
   void BuildScanStructures();
 
   VaqIvfOptions options_;
-  Pca pca_;
-  std::vector<size_t> permutation_;
-  SubspaceLayout layout_;
-  std::vector<int> bits_;
-  VariableCodebooks books_;
+  VaqEncoder encoder_;
   CodeMatrix codes_;
   KMeans coarse_;                            ///< over projected vectors
   std::vector<std::vector<uint32_t>> lists_; ///< ids per coarse cell
   std::vector<BlockedCodes> list_blocked_;   ///< scan views of lists_
-  std::vector<uint32_t> lut_offsets32_;
 };
 
 }  // namespace vaq

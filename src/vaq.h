@@ -22,10 +22,11 @@
 #include "core/allocation.h"
 #include "core/balance.h"
 #include "core/codebook.h"
-#include "core/packed_codes.h"
 #include "core/scan.h"
+#include "core/search_driver.h"
 #include "core/subspace.h"
 #include "core/ti_partition.h"
+#include "core/vaq_encoder.h"
 #include "core/vaq_index.h"
 #include "datasets/synthetic.h"
 #include "datasets/ucr_like.h"

@@ -1,0 +1,16 @@
+// Seeded-violation fixture (NOT compiled). Path mirrors the shared query
+// driver, where both index families' Search bodies run, so
+// entrypoint-no-check must arm here too.
+
+namespace vaq {
+
+Status SearchEncoded(const float* query, size_t k) {
+  VAQ_CHECK(query != nullptr);  // seed: entrypoint-no-check
+  return Status::OK();
+}
+
+void ScanBlocked(size_t rows) {
+  VAQ_CHECK(rows > 0);  // scan helper, not an entry point: legal
+}
+
+}  // namespace vaq

@@ -260,6 +260,10 @@ TEST(VaqIndexConfigTest, RejectsInvalidOptions) {
   opts = SmallOptions();
   opts.total_bits = 2;  // infeasible for 8 subspaces at min 1
   EXPECT_FALSE(VaqIndex::Train(data, opts).ok());
+  opts = SmallOptions();
+  opts.adaptive_allocation = false;
+  opts.total_bits = 17 * opts.num_subspaces;  // 17 bits per subspace
+  EXPECT_FALSE(VaqIndex::Train(data, opts).ok());
   EXPECT_FALSE(VaqIndex::Train(FloatMatrix(1, 16), SmallOptions()).ok());
 }
 

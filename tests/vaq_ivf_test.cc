@@ -94,6 +94,46 @@ TEST_F(VaqIvfTest, RejectsBadInputs) {
   opts.coarse_k = 0;
   EXPECT_FALSE(VaqIvfIndex::Train(base_, opts).ok());
   EXPECT_FALSE(VaqIvfIndex::Train(FloatMatrix(1, 32), VaqIvfOptions{}).ok());
+  opts = VaqIvfOptions{};
+  opts.vaq.num_subspaces = 8;
+  opts.vaq.adaptive_allocation = false;
+  opts.vaq.total_bits = 17 * opts.vaq.num_subspaces;  // 17 bits per subspace
+  EXPECT_FALSE(VaqIvfIndex::Train(base_, opts).ok());
+}
+
+TEST_F(VaqIvfTest, SharesEncoderWithVaqIndex) {
+  // Both families train the same encoder: the same bit allocation (capped
+  // at log2(n) = 8 bits for 400 rows) and, with every list probed, the
+  // same early-abandon distances as a flat VaqIndex scan.
+  const FloatMatrix data =
+      GenerateSpectrumMixture(400, 32, PowerLawSpectrum(32, 2.0), 4, 1.0, 7);
+  const FloatMatrix queries =
+      GenerateSpectrumMixture(5, 32, PowerLawSpectrum(32, 2.0), 4, 1.0, 107);
+  VaqIvfOptions opts;
+  opts.vaq.num_subspaces = 8;
+  opts.vaq.total_bits = 64;
+  opts.vaq.kmeans_iters = 5;
+  opts.coarse_k = 8;
+  auto flat = VaqIndex::Train(data, opts.vaq);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  auto ivf = VaqIvfIndex::Train(data, opts);
+  ASSERT_TRUE(ivf.ok()) << ivf.status().ToString();
+
+  EXPECT_EQ(flat->bits_per_subspace(), ivf->bits_per_subspace());
+  for (int b : ivf->bits_per_subspace()) EXPECT_LE(b, 8);
+
+  SearchParams params;
+  params.k = 10;
+  params.mode = SearchMode::kEarlyAbandon;
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    std::vector<Neighbor> want, got;
+    ASSERT_TRUE(flat->Search(queries.row(q), params, &want).ok());
+    ASSERT_TRUE(ivf->Search(queries.row(q), 10, /*nprobe=*/8, &got).ok());
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].distance, got[i].distance) << "q=" << q << " i=" << i;
+    }
+  }
 }
 
 TEST_F(VaqIvfTest, EveryVectorLandsInSomeList) {

@@ -22,7 +22,8 @@ suite, the Status-not-abort API tests) into CI build failures:
                        Every diagnostic goes through the leveled VAQ_LOG
                        funnel so servers and tests can capture it.
   entrypoint-no-check  Public Search*/Load* entry points (src/core/
-                       vaq_index.cc, src/index/vaq_ivf.cc) must not
+                       vaq_index.cc, src/core/search_driver.cc,
+                       src/index/vaq_ivf.cc) must not
                        VAQ_CHECK: user-reachable misuse returns Status,
                        never aborts the process. (VAQ_DCHECK stays legal:
                        debug-only, compiled out of release servers.)
@@ -61,6 +62,7 @@ KERNEL_FUNCTIONS = {
 
 ENTRYPOINT_FILES = {
     "src/core/vaq_index.cc",
+    "src/core/search_driver.cc",
     "src/index/vaq_ivf.cc",
 }
 ENTRYPOINT_NAME = re.compile(r"\b(?:Search|Load)\w*")
