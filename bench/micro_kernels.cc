@@ -1,14 +1,17 @@
 // Google-benchmark microbenchmarks of the hot kernels behind every
-// table/figure: distance computation, lookup-table builds, ADC scans with
-// and without the pruning cascade, k-means assignment, and encoding.
+// table/figure: distance computation, lookup-table builds and encoding per
+// subspace width, ADC scans with and without the pruning cascade, and
+// k-means assignment.
 
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "clustering/kmeans.h"
 #include "common/rng.h"
+#include "core/codebook.h"
 #include "core/scan.h"
 #include "core/vaq_index.h"
 #include "datasets/synthetic.h"
@@ -209,31 +212,109 @@ void BM_AdcFullScanBlockedSimd(benchmark::State& state) {
 BENCHMARK(BM_AdcFullScanBlockedScalar);
 BENCHMARK(BM_AdcFullScanBlockedSimd);
 
-void BM_VaqEncodeRow(benchmark::State& state) {
-  const ScanFixture& fixture = ScanFixture::Get();
-  const auto& books = fixture.index.codebooks();
-  std::vector<float> projected;
-  fixture.index.ProjectQuery(fixture.queries.row(0), &projected);
-  std::vector<uint16_t> code(books.num_subspaces());
-  for (auto _ : state) {
-    books.EncodeRow(projected.data(), code.data());
-    benchmark::DoNotOptimize(code.data());
+// ---------------------------------------------------------------------------
+// Lookup-table build and encoding per subspace width: 3 dims (96-d at
+// m=32, as DEEP) and 4 dims (128-d at m=32, as SIFT), 8 bits per subspace
+// (the paper's 256-bit budget). BM_BuildLookupTable and BM_VaqEncodeRow
+// call the public API on the dispatched kernel (labelled); the Scalar/Simd
+// pairs time one lookup table's worth of centroid-distance kernel calls —
+// the work both the table build and the encoder's candidate search do —
+// on each instruction set.
+// ---------------------------------------------------------------------------
+
+struct CodebookFixture {
+  static constexpr size_t kSubspaces = 32;
+  static constexpr int kBits = 8;
+
+  VariableCodebooks books;
+  FloatMatrix queries;
+
+  static const CodebookFixture& Get(size_t width) {
+    static std::map<size_t, const CodebookFixture*> fixtures;
+    const CodebookFixture*& fixture = fixtures[width];
+    if (fixture == nullptr) {
+      auto* f = new CodebookFixture();
+      const size_t dim = kSubspaces * width;
+      auto layout = SubspaceLayout::Uniform(dim, kSubspaces);
+      VAQ_CHECK(layout.ok());
+      CodebookOptions opts;
+      opts.kmeans_iters = 3;
+      VAQ_CHECK(f->books
+                    .Train(RandomData(4096, dim, 5 + width), *layout,
+                           std::vector<int>(kSubspaces, kBits), opts)
+                    .ok());
+      f->queries = RandomData(64, dim, 6 + width);
+      fixture = f;
+    }
+    return *fixture;
   }
+};
+
+void BM_VaqEncodeRow(benchmark::State& state) {
+  const CodebookFixture& f =
+      CodebookFixture::Get(static_cast<size_t>(state.range(0)));
+  std::vector<uint16_t> code(f.books.num_subspaces());
+  size_t q = 0;
+  for (auto _ : state) {
+    f.books.EncodeRow(f.queries.row(q), code.data());
+    benchmark::DoNotOptimize(code.data());
+    benchmark::ClobberMemory();
+    q = (q + 1) & 63;
+  }
+  state.SetLabel(AutoScanKernelName());
 }
-BENCHMARK(BM_VaqEncodeRow);
+BENCHMARK(BM_VaqEncodeRow)->ArgName("width")->Arg(3)->Arg(4);
 
 void BM_BuildLookupTable(benchmark::State& state) {
-  const ScanFixture& fixture = ScanFixture::Get();
-  const auto& books = fixture.index.codebooks();
-  std::vector<float> projected;
-  fixture.index.ProjectQuery(fixture.queries.row(0), &projected);
+  const CodebookFixture& f =
+      CodebookFixture::Get(static_cast<size_t>(state.range(0)));
   std::vector<float> lut;
+  size_t q = 0;
   for (auto _ : state) {
-    books.BuildLookupTable(projected.data(), &lut);
+    f.books.BuildLookupTable(f.queries.row(q), &lut);
     benchmark::DoNotOptimize(lut.data());
+    benchmark::ClobberMemory();
+    q = (q + 1) & 63;
   }
+  state.SetLabel(AutoScanKernelName());
+  state.SetItemsProcessed(state.iterations() * f.books.lut_entries());
 }
-BENCHMARK(BM_BuildLookupTable);
+BENCHMARK(BM_BuildLookupTable)->ArgName("width")->Arg(3)->Arg(4);
+
+void CentroidDistancesBenchmark(benchmark::State& state, ScanKernelType type) {
+  const CodebookFixture& f =
+      CodebookFixture::Get(static_cast<size_t>(state.range(0)));
+  const ScanKernel& kernel = GetScanKernel(type);
+  std::vector<float> lut(f.books.lut_entries());
+  size_t q = 0;
+  for (auto _ : state) {
+    for (size_t s = 0; s < f.books.num_subspaces(); ++s) {
+      const SubspaceSpan& span = f.books.layout().span(s);
+      const FloatMatrix& dict = f.books.dictionary(s);
+      kernel.distances(f.queries.row(q) + span.offset, dict.data(),
+                       span.length, dict.cols(), dict.cols(),
+                       lut.data() + f.books.lut_offset(s));
+    }
+    benchmark::DoNotOptimize(lut.data());
+    benchmark::ClobberMemory();
+    q = (q + 1) & 63;
+  }
+  state.SetLabel(kernel.name);
+  state.SetItemsProcessed(state.iterations() * f.books.lut_entries());
+}
+
+void BM_CentroidDistancesScalar(benchmark::State& state) {
+  CentroidDistancesBenchmark(state, ScanKernelType::kScalar);
+}
+void BM_CentroidDistancesSimd(benchmark::State& state) {
+  if (!Avx2ScanAvailable()) {
+    state.SkipWithError("AVX2 kernels not available on this machine");
+    return;
+  }
+  CentroidDistancesBenchmark(state, ScanKernelType::kAvx2);
+}
+BENCHMARK(BM_CentroidDistancesScalar)->ArgName("width")->Arg(3)->Arg(4);
+BENCHMARK(BM_CentroidDistancesSimd)->ArgName("width")->Arg(3)->Arg(4);
 
 }  // namespace
 }  // namespace vaq

@@ -10,8 +10,18 @@
 #include "clustering/kmeans.h"
 #include "common/io.h"
 #include "common/macros.h"
+#include "core/scan.h"
+#include "linalg/ops.h"
 
 namespace vaq {
+
+namespace {
+
+/// Candidate distances EncodeRow computes per kernel call; a dictionary
+/// larger than this is scanned in tiles (1 KiB of stack).
+constexpr size_t kEncodeTile = 256;
+
+}  // namespace
 
 Status VariableCodebooks::Train(const FloatMatrix& projected,
                                 const SubspaceLayout& layout,
@@ -34,8 +44,8 @@ Status VariableCodebooks::Train(const FloatMatrix& projected,
 
   layout_ = layout;
   bits_ = bits;
-  centroids_.clear();
-  centroids_.reserve(bits.size());
+  dictionaries_.clear();
+  dictionaries_.reserve(bits.size());
 
   for (size_t s = 0; s < layout.num_subspaces(); ++s) {
     const SubspaceSpan& span = layout.span(s);
@@ -49,7 +59,7 @@ Status VariableCodebooks::Train(const FloatMatrix& projected,
       hopts.seed = options.seed + 31 * s;
       auto centroids = HierarchicalKMeans(sub, hopts);
       if (!centroids.ok()) return centroids.status();
-      centroids_.push_back(std::move(*centroids));
+      dictionaries_.push_back(Transpose(*centroids));
     } else {
       KMeans km;
       KMeansOptions kopts;
@@ -57,7 +67,7 @@ Status VariableCodebooks::Train(const FloatMatrix& projected,
       kopts.max_iters = options.kmeans_iters;
       kopts.seed = options.seed + 31 * s;
       VAQ_RETURN_IF_ERROR(km.Train(sub, kopts));
-      centroids_.push_back(km.centroids());
+      dictionaries_.push_back(Transpose(km.centroids()));
     }
   }
 
@@ -73,17 +83,25 @@ Status VariableCodebooks::Train(const FloatMatrix& projected,
 
 void VariableCodebooks::EncodeRow(const float* x, uint16_t* code) const {
   VAQ_DCHECK(trained_);
+  const ScanKernel::DistancesFn distances =
+      GetScanKernel(ScanKernelType::kAuto).distances;
+  float tile[kEncodeTile] = {};
   for (size_t s = 0; s < layout_.num_subspaces(); ++s) {
     const SubspaceSpan& span = layout_.span(s);
-    const FloatMatrix& dict = centroids_[s];
-    const float* sub = x + span.offset;
+    const FloatMatrix& dict = dictionaries_[s];
+    const size_t k = dict.cols();
     float best = std::numeric_limits<float>::max();
     uint16_t best_code = 0;
-    for (size_t c = 0; c < dict.rows(); ++c) {
-      const float dist = SquaredL2(sub, dict.row(c), span.length);
-      if (dist < best) {
-        best = dist;
-        best_code = static_cast<uint16_t>(c);
+    for (size_t c0 = 0; c0 < k; c0 += kEncodeTile) {
+      const size_t count = std::min(kEncodeTile, k - c0);
+      distances(x + span.offset, dict.data() + c0, span.length, k, count,
+                tile);
+      // Strict '<': the first of equal minima wins.
+      for (size_t i = 0; i < count; ++i) {
+        if (tile[i] < best) {
+          best = tile[i];
+          best_code = static_cast<uint16_t>(c0 + i);
+        }
       }
     }
     code[s] = best_code;
@@ -127,26 +145,16 @@ void VariableCodebooks::DecodeRow(const uint16_t* code, float* out) const {
   VAQ_DCHECK(trained_);
   for (size_t s = 0; s < layout_.num_subspaces(); ++s) {
     const SubspaceSpan& span = layout_.span(s);
-    const float* centroid = centroids_[s].row(code[s]);
+    const FloatMatrix& dict = dictionaries_[s];
     for (size_t j = 0; j < span.length; ++j) {
-      out[span.offset + j] = centroid[j];
+      out[span.offset + j] = dict.at(j, code[s]);
     }
   }
 }
 
 void VariableCodebooks::BuildLookupTable(const float* query,
                                          std::vector<float>* lut) const {
-  VAQ_DCHECK(trained_);
-  lut->resize(lut_entries_);
-  for (size_t s = 0; s < layout_.num_subspaces(); ++s) {
-    const SubspaceSpan& span = layout_.span(s);
-    const FloatMatrix& dict = centroids_[s];
-    const float* sub = query + span.offset;
-    float* block = lut->data() + lut_offsets_[s];
-    for (size_t c = 0; c < dict.rows(); ++c) {
-      block[c] = SquaredL2(sub, dict.row(c), span.length);
-    }
-  }
+  BuildPrefixLookupTable(query, layout_.num_subspaces(), lut);
 }
 
 void VariableCodebooks::BuildPrefixLookupTable(const float* prefix,
@@ -155,14 +163,13 @@ void VariableCodebooks::BuildPrefixLookupTable(const float* prefix,
   VAQ_DCHECK(trained_);
   VAQ_DCHECK(prefix_subspaces <= layout_.num_subspaces());
   lut->resize(lut_entries_);
+  const ScanKernel::DistancesFn distances =
+      GetScanKernel(ScanKernelType::kAuto).distances;
   for (size_t s = 0; s < prefix_subspaces; ++s) {
     const SubspaceSpan& span = layout_.span(s);
-    const FloatMatrix& dict = centroids_[s];
-    const float* sub = prefix + span.offset;
-    float* block = lut->data() + lut_offsets_[s];
-    for (size_t c = 0; c < dict.rows(); ++c) {
-      block[c] = SquaredL2(sub, dict.row(c), span.length);
-    }
+    const FloatMatrix& dict = dictionaries_[s];
+    distances(prefix + span.offset, dict.data(), span.length, dict.cols(),
+              dict.cols(), lut->data() + lut_offsets_[s]);
   }
 }
 
@@ -195,20 +202,23 @@ Result<VariableCodebooks::SdcTables> VariableCodebooks::BuildSdcTables()
           "use asymmetric distances instead");
     }
   }
+  // Row a of a table is the lookup table of centroid a. Negating a float
+  // difference is exact, so the rows form a symmetric table with a zero
+  // diagonal.
+  const ScanKernel::DistancesFn distances =
+      GetScanKernel(ScanKernelType::kAuto).distances;
   SdcTables sdc;
   sdc.tables.resize(num_subspaces());
   for (size_t s = 0; s < num_subspaces(); ++s) {
-    const FloatMatrix& dict = centroids_[s];
-    const size_t k = dict.rows();
-    const size_t len = dict.cols();
+    const FloatMatrix& dict = dictionaries_[s];
+    const size_t len = dict.rows();
+    const size_t k = dict.cols();
     auto& table = sdc.tables[s];
-    table.assign(k * k, 0.f);
+    table.resize(k * k);
+    std::vector<float> centroid(len);
     for (size_t a = 0; a < k; ++a) {
-      for (size_t b = a + 1; b < k; ++b) {
-        const float dist = SquaredL2(dict.row(a), dict.row(b), len);
-        table[a * k + b] = dist;
-        table[b * k + a] = dist;
-      }
+      for (size_t j = 0; j < len; ++j) centroid[j] = dict.at(j, a);
+      distances(centroid.data(), dict.data(), len, k, k, table.data() + a * k);
     }
   }
   return sdc;
@@ -249,7 +259,7 @@ void VariableCodebooks::Save(std::ostream& os) const {
     WritePod<uint64_t>(os, layout_.span(s).length);
   }
   WriteVector(os, std::vector<int32_t>(bits_.begin(), bits_.end()));
-  for (const auto& c : centroids_) WriteMatrix(os, c);
+  for (const auto& dict : dictionaries_) WriteMatrix(os, Transpose(dict));
 }
 
 Status VariableCodebooks::Load(std::istream& is) {
@@ -292,20 +302,22 @@ Status VariableCodebooks::Load(std::istream& is) {
                              std::to_string(b) + " outside [1, 16]");
     }
   }
-  std::vector<FloatMatrix> centroids(m);
+  std::vector<FloatMatrix> dictionaries(m);
+  FloatMatrix centroids;
   for (size_t s = 0; s < m; ++s) {
-    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &centroids[s]));
-    if (centroids[s].rows() != size_t{1} << bits32[s] ||
-        centroids[s].cols() != spans[s].length) {
+    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &centroids));
+    if (centroids.rows() != size_t{1} << bits32[s] ||
+        centroids.cols() != spans[s].length) {
       return Status::IoError("corrupted codebooks: dictionary " +
                              std::to_string(s) +
                              " shape disagrees with its bits/span");
     }
+    dictionaries[s] = Transpose(centroids);
   }
   // All bytes parsed and validated; commit the state.
   layout_ = SubspaceLayout(std::move(spans));
   bits_.assign(bits32.begin(), bits32.end());
-  centroids_ = std::move(centroids);
+  dictionaries_ = std::move(dictionaries);
   lut_offsets_.resize(m);
   lut_entries_ = 0;
   for (size_t s = 0; s < m; ++s) {
@@ -322,7 +334,7 @@ Status VariableCodebooks::ValidateInvariants() const {
   }
   const size_t m = layout_.num_subspaces();
   if (m == 0) return Status::Internal("codebooks have no subspaces");
-  if (bits_.size() != m || centroids_.size() != m ||
+  if (bits_.size() != m || dictionaries_.size() != m ||
       lut_offsets_.size() != m) {
     return Status::Internal("codebook state sizes disagree");
   }
@@ -331,16 +343,16 @@ Status VariableCodebooks::ValidateInvariants() const {
     if (bits_[s] < 1 || bits_[s] > 16) {
       return Status::Internal("bits per subspace outside [1, 16]");
     }
-    if (centroids_[s].rows() != size_t{1} << bits_[s] ||
-        centroids_[s].cols() != layout_.span(s).length) {
+    if (dictionaries_[s].rows() != layout_.span(s).length ||
+        dictionaries_[s].cols() != size_t{1} << bits_[s]) {
       return Status::Internal("dictionary shape disagrees with bits/span");
     }
     if (lut_offsets_[s] != entries) {
       return Status::Internal("lookup-table offsets are inconsistent");
     }
     entries += size_t{1} << bits_[s];
-    for (size_t i = 0; i < centroids_[s].size(); ++i) {
-      if (!std::isfinite(centroids_[s].data()[i])) {
+    for (size_t i = 0; i < dictionaries_[s].size(); ++i) {
+      if (!std::isfinite(dictionaries_[s].data()[i])) {
         return Status::Internal("dictionary contains non-finite values");
       }
     }

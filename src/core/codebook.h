@@ -23,8 +23,10 @@ struct CodebookOptions {
 /// Per-subspace dictionaries of *variable* sizes (Section III-D) plus the
 /// encode/decode and lookup-table machinery shared by the query engine.
 ///
-/// Dictionary i holds 2^bits[i] centroids of the subspace's width. Encoded
-/// vectors store one uint16 dictionary index per subspace.
+/// Dictionary i holds 2^bits[i] centroids of the subspace's width, stored
+/// dimension-major (DESIGN.md §7.1) so that one kernel call computes a
+/// sub-vector's distance to 8 centroids per SIMD vector. Encoded vectors
+/// store one uint16 dictionary index per subspace.
 class VariableCodebooks {
  public:
   VariableCodebooks() = default;
@@ -41,8 +43,10 @@ class VariableCodebooks {
   const SubspaceLayout& layout() const { return layout_; }
   const std::vector<int>& bits() const { return bits_; }
 
-  /// Dictionary for subspace s: (2^bits[s] x span(s).length).
-  const FloatMatrix& centroids(size_t s) const { return centroids_[s]; }
+  /// Dictionary for subspace s, dimension-major:
+  /// (span(s).length x 2^bits[s]). Column c is centroid c, so
+  /// dictionary(s)(j, c) is its j-th dimension.
+  const FloatMatrix& dictionary(size_t s) const { return dictionaries_[s]; }
 
   /// Encodes every row of `data` (n x dim()). `num_threads` > 1 splits the
   /// rows across std::thread workers (encoding is embarrassingly
@@ -50,7 +54,9 @@ class VariableCodebooks {
   Result<CodeMatrix> Encode(const FloatMatrix& data,
                             size_t num_threads = 1) const;
 
-  /// Encodes a single vector (length dim()) into `code` (num_subspaces()).
+  /// Encodes a single vector (length dim()) into `code` (num_subspaces()):
+  /// per subspace, the lowest index among the nearest dictionary items.
+  /// Allocation-free.
   void EncodeRow(const float* x, uint16_t* code) const;
 
   /// Reconstructs the vector represented by `code` into `out`
@@ -102,6 +108,8 @@ class VariableCodebooks {
   /// (the quantization error of Eq. 2, averaged).
   Result<double> ReconstructionError(const FloatMatrix& data) const;
 
+  /// Writes the dictionaries row-major (one centroid per row), the byte
+  /// layout of every saved file; Load transposes them back.
   void Save(std::ostream& os) const;
   /// Restores from a stream, validating structural consistency (span
   /// contiguity, bits in [1, 16], dictionary shapes) before any state is
@@ -123,7 +131,7 @@ class VariableCodebooks {
   bool trained_ = false;
   SubspaceLayout layout_;
   std::vector<int> bits_;
-  std::vector<FloatMatrix> centroids_;
+  std::vector<FloatMatrix> dictionaries_;  ///< dimension-major, see above
   std::vector<size_t> lut_offsets_;
   size_t lut_entries_ = 0;
 };

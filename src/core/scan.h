@@ -100,19 +100,37 @@ class BlockedCodes {
   std::vector<uint16_t> data_;
 };
 
-/// One ADC accumulation kernel. `accumulate` adds, for every lane
-/// i in [0, kScanBlockSize), the LUT entries of subspaces
-/// [s_begin, s_end) selected by the block's transposed codes:
+/// The kernels of one instruction set.
+///
+/// `accumulate` adds, for every lane i in [0, kScanBlockSize), the LUT
+/// entries of subspaces [s_begin, s_end) selected by the block's
+/// transposed codes:
 ///
 ///   acc[i] += sum_{s in [s_begin, s_end)} lut[lut_offsets[s] + block[s*64 + i]]
 ///
 /// with the per-lane additions performed in ascending subspace order, so
 /// every implementation produces bit-identical float sums.
+///
+/// `distances` computes the squared L2 distance from one sub-vector `sub`
+/// (`len` floats) to `count` centroids of a dimension-major dictionary:
+/// dimension j of centroid i is `dict[j * stride + i]`.
+///
+///   out[i] = SquaredL2(sub, centroid i, len)   for i in [0, count)
+///
+/// Every implementation repeats SquaredL2's float operation order (four
+/// partial sums over groups of four dims, then their left-to-right sum,
+/// then the serial tail; separate mul and add, no FMA), so each entry is
+/// bit-identical to SquaredL2. It builds the ADC lookup tables and the
+/// encoder's candidate distances (DESIGN.md §7.1).
 struct ScanKernel {
   using AccumulateFn = void (*)(const uint16_t* block, const float* lut,
                                 const uint32_t* lut_offsets, size_t s_begin,
                                 size_t s_end, float* acc);
+  using DistancesFn = void (*)(const float* sub, const float* dict,
+                               size_t len, size_t stride, size_t count,
+                               float* out);
   AccumulateFn accumulate = nullptr;
+  DistancesFn distances = nullptr;
   const char* name = "";
 };
 

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
+#include "common/io.h"
 #include "common/rng.h"
+#include "core/scan.h"
 
 namespace vaq {
 namespace {
@@ -17,6 +21,34 @@ FloatMatrix RandomData(size_t n, size_t d, uint64_t seed) {
     data.data()[i] = static_cast<float>(rng.Gaussian());
   }
   return data;
+}
+
+/// Centroid c of a dimension-major dictionary, gathered row-major.
+std::vector<float> Centroid(const FloatMatrix& dict, size_t c) {
+  std::vector<float> out(dict.rows());
+  for (size_t j = 0; j < dict.rows(); ++j) out[j] = dict.at(j, c);
+  return out;
+}
+
+/// Reference encoder: per subspace, the first index of the minimum
+/// SquaredL2 over the dictionary, as a row-at-a-time loop.
+std::vector<uint16_t> BruteForceEncode(const VariableCodebooks& books,
+                                       const float* x) {
+  std::vector<uint16_t> code(books.num_subspaces());
+  for (size_t s = 0; s < books.num_subspaces(); ++s) {
+    const SubspaceSpan& span = books.layout().span(s);
+    const FloatMatrix& dict = books.dictionary(s);
+    float best = std::numeric_limits<float>::max();
+    for (size_t c = 0; c < dict.cols(); ++c) {
+      const float d =
+          SquaredL2(x + span.offset, Centroid(dict, c).data(), span.length);
+      if (d < best) {
+        best = d;
+        code[s] = static_cast<uint16_t>(c);
+      }
+    }
+  }
+  return code;
 }
 
 class CodebookTest : public ::testing::Test {
@@ -37,10 +69,10 @@ class CodebookTest : public ::testing::Test {
 };
 
 TEST_F(CodebookTest, DictionarySizesMatchBits) {
-  EXPECT_EQ(books_.centroids(0).rows(), 32u);
-  EXPECT_EQ(books_.centroids(1).rows(), 8u);
-  EXPECT_EQ(books_.centroids(2).rows(), 4u);
-  EXPECT_EQ(books_.centroids(0).cols(), 4u);
+  EXPECT_EQ(books_.dictionary(0).cols(), 32u);
+  EXPECT_EQ(books_.dictionary(1).cols(), 8u);
+  EXPECT_EQ(books_.dictionary(2).cols(), 4u);
+  EXPECT_EQ(books_.dictionary(0).rows(), 4u);
   EXPECT_EQ(books_.lut_entries(), 32u + 8u + 4u);
   EXPECT_EQ(books_.lut_offset(0), 0u);
   EXPECT_EQ(books_.lut_offset(1), 32u);
@@ -62,12 +94,13 @@ TEST_F(CodebookTest, EncodePicksNearestDictionaryItem) {
   books_.EncodeRow(data_.row(0), code.data());
   for (size_t s = 0; s < 3; ++s) {
     const auto& span = layout_.span(s);
-    const float chosen = SquaredL2(data_.row(0) + span.offset,
-                                   books_.centroids(s).row(code[s]),
-                                   span.length);
-    for (size_t c = 0; c < books_.centroids(s).rows(); ++c) {
-      const float other = SquaredL2(data_.row(0) + span.offset,
-                                    books_.centroids(s).row(c), span.length);
+    const float chosen =
+        SquaredL2(data_.row(0) + span.offset,
+                  Centroid(books_.dictionary(s), code[s]).data(), span.length);
+    for (size_t c = 0; c < books_.dictionary(s).cols(); ++c) {
+      const float other =
+          SquaredL2(data_.row(0) + span.offset,
+                    Centroid(books_.dictionary(s), c).data(), span.length);
       EXPECT_LE(chosen, other + 1e-6f);
     }
   }
@@ -132,7 +165,7 @@ TEST_F(CodebookTest, SaveLoadRoundtrip) {
   ASSERT_TRUE(loaded.Load(ss).ok());
   EXPECT_EQ(loaded.bits(), books_.bits());
   EXPECT_EQ(loaded.num_subspaces(), books_.num_subspaces());
-  EXPECT_TRUE(loaded.centroids(0) == books_.centroids(0));
+  EXPECT_TRUE(loaded.dictionary(0) == books_.dictionary(0));
   // Encoding behaviour must be identical.
   std::vector<uint16_t> a(3), b(3);
   books_.EncodeRow(data_.row(5), a.data());
@@ -150,7 +183,146 @@ TEST_F(CodebookTest, HierarchicalPathForLargeDictionaries) {
   CodebookOptions opts;
   opts.seed = 41;
   ASSERT_TRUE(books.Train(big, *layout, {11}, opts).ok());
-  EXPECT_EQ(books.centroids(0).rows(), 2048u);
+  EXPECT_EQ(books.dictionary(0).cols(), 2048u);
+}
+
+std::vector<ScanKernelType> DistanceKernels() {
+  std::vector<ScanKernelType> kernels{ScanKernelType::kScalar};
+  if (Avx2ScanAvailable()) kernels.push_back(ScanKernelType::kAvx2);
+  return kernels;
+}
+
+// Every kernel entry must be the exact bits of SquaredL2 against the
+// row-major centroid. Widths 1-9 cover the serial tail alone (< 4), one
+// group of four (4-7) and several groups whose partial-sum order differs
+// from a sequential sum (>= 8); bits 1-12 include dictionaries of fewer
+// than 8 entries, i.e. the SIMD lane remainder.
+TEST(CentroidDistanceKernelTest, BitIdenticalToSquaredL2) {
+  Rng rng(2024);
+  for (ScanKernelType type : DistanceKernels()) {
+    const ScanKernel& kernel = GetScanKernel(type);
+    ASSERT_NE(kernel.distances, nullptr);
+    for (size_t len = 1; len <= 9; ++len) {
+      for (size_t bits = 1; bits <= 12; ++bits) {
+        const size_t k = size_t{1} << bits;
+        FloatMatrix dict(len, k);
+        std::vector<float> sub(len);
+        const float scale = bits % 3 == 0 ? 1e3f : bits % 3 == 1 ? 1.f : 1e-3f;
+        for (size_t i = 0; i < dict.size(); ++i) {
+          dict.data()[i] = scale * static_cast<float>(rng.Gaussian());
+        }
+        for (float& v : sub) v = scale * static_cast<float>(rng.Gaussian());
+        // The full dictionary, then a sub-range starting mid-vector (the
+        // shape of an encoder tile over a dictionary row of pitch k).
+        const size_t first = k > 3 ? 3 : 0;
+        for (size_t begin : {size_t{0}, first}) {
+          const size_t count = k - begin;
+          std::vector<float> out(count, -1.f);
+          kernel.distances(sub.data(), dict.data() + begin, len, k, count,
+                           out.data());
+          size_t mismatches = 0;
+          for (size_t c = 0; c < count; ++c) {
+            const float expect = SquaredL2(
+                sub.data(), Centroid(dict, begin + c).data(), len);
+            if (std::memcmp(&out[c], &expect, sizeof(float)) != 0) {
+              ++mismatches;
+            }
+          }
+          EXPECT_EQ(mismatches, 0u)
+              << kernel.name << " len=" << len << " bits=" << bits
+              << " begin=" << begin;
+        }
+      }
+    }
+  }
+}
+
+TEST(CentroidDistanceKernelTest, LookupTablesAndCodesMatchRowMajorReference) {
+  // Spans of 3 and 4 dims (96-d and 128-d at m=32) plus a ragged layout;
+  // 9 bits = 512 entries spans two encoder tiles.
+  for (size_t dim : {size_t{12}, size_t{16}, size_t{19}}) {
+    const FloatMatrix data = RandomData(700, dim, 50 + dim);
+    auto layout = SubspaceLayout::Uniform(dim, 4);
+    ASSERT_TRUE(layout.ok());
+    VariableCodebooks books;
+    CodebookOptions opts;
+    opts.kmeans_iters = 4;
+    ASSERT_TRUE(books.Train(data, *layout, {9, 1, 2, 6}, opts).ok());
+
+    std::vector<float> lut;
+    for (size_t q = 0; q < 4; ++q) {
+      books.BuildLookupTable(data.row(q), &lut);
+      size_t mismatches = 0;
+      for (size_t s = 0; s < books.num_subspaces(); ++s) {
+        const SubspaceSpan& span = layout->span(s);
+        const FloatMatrix& dict = books.dictionary(s);
+        for (size_t c = 0; c < dict.cols(); ++c) {
+          const float expect = SquaredL2(
+              data.row(q) + span.offset, Centroid(dict, c).data(),
+              span.length);
+          if (std::memcmp(&lut[books.lut_offset(s) + c], &expect,
+                          sizeof(float)) != 0) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "dim=" << dim << " query=" << q;
+    }
+
+    std::vector<uint16_t> code(books.num_subspaces());
+    for (size_t r = 0; r < 200; ++r) {
+      books.EncodeRow(data.row(r), code.data());
+      ASSERT_EQ(code, BruteForceEncode(books, data.row(r)))
+          << "dim=" << dim << " row=" << r;
+    }
+  }
+}
+
+/// Codebooks of one subspace holding `centroids` (row-major, one centroid
+/// per row), loaded from the serialized form.
+VariableCodebooks OneSubspaceBooks(const FloatMatrix& centroids, int bits) {
+  std::stringstream ss;
+  WritePod<uint8_t>(ss, 1);
+  WritePod<uint64_t>(ss, 1);
+  WritePod<uint64_t>(ss, 0);
+  WritePod<uint64_t>(ss, centroids.cols());
+  WriteVector(ss, std::vector<int32_t>{bits});
+  WriteMatrix(ss, centroids);
+  VariableCodebooks books;
+  EXPECT_TRUE(books.Load(ss).ok());
+  return books;
+}
+
+TEST(CentroidDistanceKernelTest, DuplicatedCentroidsEncodeToLowestIndex) {
+  // 3 dims and 10 bits: every centroid sits far away except exact copies
+  // of one point at indices 100, 700 (another encoder tile) and 1023. The
+  // lowest index must win.
+  constexpr size_t kLen = 3;
+  FloatMatrix centroids(1024, kLen);
+  for (size_t c = 0; c < centroids.rows(); ++c) {
+    for (size_t j = 0; j < kLen; ++j) {
+      centroids.at(c, j) = 100.f + static_cast<float>(c + j);
+    }
+  }
+  const float nearest[kLen] = {0.5f, -0.25f, 2.f};
+  for (size_t c : {size_t{700}, size_t{100}, size_t{1023}}) {
+    std::copy(nearest, nearest + kLen, centroids.row(c));
+  }
+  const VariableCodebooks books = OneSubspaceBooks(centroids, 10);
+  const float queries[][kLen] = {{0.5f, -0.25f, 2.f}, {0.f, 0.f, 0.f}};
+  for (const auto& query : queries) {
+    uint16_t code = 0;
+    books.EncodeRow(query, &code);
+    EXPECT_EQ(code, 100u);
+    EXPECT_EQ(BruteForceEncode(books, query), std::vector<uint16_t>{100});
+  }
+
+  // A dictionary of identical entries encodes everything to 0.
+  const VariableCodebooks same =
+      OneSubspaceBooks(FloatMatrix(16, kLen, 1.f), 4);
+  uint16_t code = 7;
+  same.EncodeRow(queries[0], &code);
+  EXPECT_EQ(code, 0u);
 }
 
 TEST(CodebookErrorsTest, RejectsBadInputs) {
@@ -179,8 +351,8 @@ TEST(CodebookDeterminismTest, SameSeedSameDictionaries) {
   VariableCodebooks a, b;
   ASSERT_TRUE(a.Train(data, *layout, {4, 4}, opts).ok());
   ASSERT_TRUE(b.Train(data, *layout, {4, 4}, opts).ok());
-  EXPECT_TRUE(a.centroids(0) == b.centroids(0));
-  EXPECT_TRUE(a.centroids(1) == b.centroids(1));
+  EXPECT_TRUE(a.dictionary(0) == b.dictionary(0));
+  EXPECT_TRUE(a.dictionary(1) == b.dictionary(1));
 }
 
 }  // namespace

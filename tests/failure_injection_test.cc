@@ -105,7 +105,10 @@ class FailureInjectionTest : public ::testing::Test {
     auto index = VaqIndex::Train(base_, opts);
     ASSERT_TRUE(index.ok());
     index_ = std::move(*index);
-    path_ = "/tmp/vaq_failure_injection.bin";
+    // One file per test process: ctest runs the tests of this fixture in
+    // parallel, and a shared path lets one test's TearDown or rewrite race
+    // another test's read.
+    path_ = "/tmp/vaq_failure_injection." + std::to_string(getpid()) + ".bin";
     ASSERT_TRUE(index_.Save(path_).ok());
   }
 

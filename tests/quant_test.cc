@@ -160,7 +160,7 @@ TEST(BoltTest, FourBitDictionaries) {
   BoltQuantizer bolt(opts);
   ASSERT_TRUE(bolt.Train(SharedData().base).ok());
   for (size_t s = 0; s < 16; ++s) {
-    EXPECT_EQ(bolt.codebooks().centroids(s).rows(), 16u);
+    EXPECT_EQ(bolt.codebooks().dictionary(s).cols(), 16u);
   }
   EXPECT_EQ(bolt.code_bytes(), 1500u * 8u);  // two codes per byte
 }

@@ -7,8 +7,12 @@ suite, the Status-not-abort API tests) into CI build failures:
 
   kernel-no-alloc      The block-scan kernels (ScalarAccumulate,
                        Avx2Accumulate, BlockedFullScan, BlockedEaScan in
-                       src/core/scan.cc / scan_avx2.cc) must not allocate:
-                       no new/malloc, no container growth. The paper's
+                       src/core/scan.cc / scan_avx2.cc), the centroid-
+                       distance kernels behind the ADC lookup tables
+                       (ScalarCentroidDistances, Avx2CentroidDistances)
+                       and the per-row encoder (EncodeRow in
+                       src/core/codebook.cc) must not allocate: no
+                       new/malloc, no container growth. The paper's
                        speed claims (Sec. III-E) rest on these loops
                        touching nothing but caller-owned buffers.
   kernel-no-clock      Same functions: no direct clock reads. Time is
@@ -52,12 +56,16 @@ import sys
 KERNEL_FILES = {
     "src/core/scan.cc",
     "src/core/scan_avx2.cc",
+    "src/core/codebook.cc",
 }
 KERNEL_FUNCTIONS = {
     "ScalarAccumulate",
     "Avx2Accumulate",
     "BlockedFullScan",
     "BlockedEaScan",
+    "ScalarCentroidDistances",
+    "Avx2CentroidDistances",
+    "EncodeRow",
 }
 
 ENTRYPOINT_FILES = {
@@ -257,7 +265,7 @@ def lint_file(root, relpath, violations):
     if relpath in KERNEL_FILES:
         for name, b0, b1 in find_function_extents(stripped,
                                                   KERNEL_FUNCTIONS):
-            where = f"scan kernel {name}()"
+            where = f"kernel {name}()"
             scan_region(stripped, b0, b1, ALLOC_PATTERNS,
                         "kernel-no-alloc", relpath, where, violations)
             scan_region(stripped, b0, b1, CLOCK_PATTERNS,
