@@ -14,21 +14,7 @@
 namespace vaq {
 
 BlockedCodes BlockedCodes::Build(const CodeMatrix& codes) {
-  BlockedCodes bc;
-  bc.rows_ = codes.rows();
-  bc.num_subspaces_ = codes.cols();
-  if (bc.rows_ == 0 || bc.num_subspaces_ == 0) return bc;
-  const size_t m = bc.num_subspaces_;
-  const size_t blocks = (bc.rows_ + kScanBlockSize - 1) / kScanBlockSize;
-  bc.data_.assign(blocks * m * kScanBlockSize, 0);
-  for (size_t r = 0; r < bc.rows_; ++r) {
-    const uint16_t* src = codes.row(r);
-    const size_t b = r / kScanBlockSize;
-    const size_t lane = r % kScanBlockSize;
-    uint16_t* dst = bc.data_.data() + b * m * kScanBlockSize + lane;
-    for (size_t s = 0; s < m; ++s) dst[s * kScanBlockSize] = src[s];
-  }
-  return bc;
+  return Build(codes, nullptr, codes.rows());
 }
 
 BlockedCodes BlockedCodes::Build(const CodeMatrix& codes, const uint32_t* ids,
@@ -41,14 +27,22 @@ BlockedCodes BlockedCodes::Build(const CodeMatrix& codes, const uint32_t* ids,
   const size_t blocks = (count + kScanBlockSize - 1) / kScanBlockSize;
   bc.data_.assign(blocks * m * kScanBlockSize, 0);
   for (size_t r = 0; r < count; ++r) {
-    VAQ_DCHECK(ids[r] < codes.rows());
-    const uint16_t* src = codes.row(ids[r]);
+    VAQ_DCHECK(ids == nullptr || ids[r] < codes.rows());
+    const uint16_t* src = codes.row(ids != nullptr ? ids[r] : r);
     const size_t b = r / kScanBlockSize;
     const size_t lane = r % kScanBlockSize;
     uint16_t* dst = bc.data_.data() + b * m * kScanBlockSize + lane;
     for (size_t s = 0; s < m; ++s) dst[s * kScanBlockSize] = src[s];
   }
   return bc;
+}
+
+void BlockedCodes::ReadRow(size_t r, uint16_t* out) const {
+  VAQ_DCHECK(r < rows_);
+  const uint16_t* src = block(r / kScanBlockSize) + r % kScanBlockSize;
+  for (size_t s = 0; s < num_subspaces_; ++s) {
+    out[s] = src[s * kScanBlockSize];
+  }
 }
 
 namespace {

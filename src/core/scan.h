@@ -79,10 +79,14 @@ class BlockedCodes {
   /// Blocks every row of `codes` in row order.
   static BlockedCodes Build(const CodeMatrix& codes);
 
-  /// Blocks the subset `ids[0..count)` of rows, in that order. Used for
-  /// TI clusters and IVF lists whose members are scanned contiguously.
+  /// Blocks the rows `ids[0..count)` (null: rows [0, count)), in that
+  /// order: a TI cluster's or IVF list's members, scanned contiguously.
   static BlockedCodes Build(const CodeMatrix& codes, const uint32_t* ids,
                             size_t count);
+
+  /// Copies row `r`'s codes, one per subspace, into `out`: the inverse of
+  /// Build, and the one way to read an index's codes back row-major.
+  void ReadRow(size_t r, uint16_t* out) const;
 
   size_t rows() const { return rows_; }
   size_t num_subspaces() const { return num_subspaces_; }
@@ -99,6 +103,20 @@ class BlockedCodes {
   size_t num_subspaces_ = 0;
   std::vector<uint16_t> data_;
 };
+
+/// The TI clusters' and IVF lists' layouts: entry p blocks the rows
+/// `members(p)` (a `const std::vector<uint32_t>&`) of `codes`, in order.
+template <typename MembersFn>
+std::vector<BlockedCodes> BlockPartitions(const CodeMatrix& codes,
+                                          size_t count, MembersFn members) {
+  std::vector<BlockedCodes> blocked;
+  blocked.reserve(count);
+  for (size_t p = 0; p < count; ++p) {
+    const std::vector<uint32_t>& ids = members(p);
+    blocked.push_back(BlockedCodes::Build(codes, ids.data(), ids.size()));
+  }
+  return blocked;
+}
 
 /// The kernels of one instruction set.
 ///
@@ -147,11 +165,13 @@ bool Avx2ScanAvailable();
 const char* AutoScanKernelName();
 
 /// One partition of the database (a TI cluster or an IVF cell) as a query
-/// scans it. Points into index-owned storage; valid for one query.
+/// scans it; a flat scan is a single partition holding every row in row
+/// order. Points into index-owned storage; valid for one query.
 struct PartitionRef {
   const BlockedCodes* codes = nullptr;  ///< the members, blocked
-  const uint32_t* ids = nullptr;        ///< blocked row -> global row id
-  /// Members' cached centroid distances, ascending (TI only, else null).
+  const uint32_t* ids = nullptr;  ///< blocked row -> row id (null: identity)
+  /// Members' cached centroid distances, ascending (TI only, else null);
+  /// a visit that carries them is scanned inside its TI window.
   const float* sorted_distances = nullptr;
   float query_distance = 0.f;  ///< query-to-centroid distance
 };

@@ -46,85 +46,46 @@ Status ValidateSearchParams(const VaqEncoder& encoder, size_t n,
 /// Everything the scan of one query reads or writes, fixed before the
 /// first row.
 struct QueryScan {
-  const CodeMatrix& codes;
-  const VariableCodebooks& books;
   const float* lut;
   const uint32_t* lut_offsets;
   size_t s_limit;   ///< subspaces accumulated per row
   size_t interval;  ///< subspaces between early-abandon checks
+  bool heap_mode;   ///< SearchMode::kHeap: accumulate every row in full
+  bool ranked;      ///< the visits come from a PartitionRanker
   SearchScratch* scratch;
   SearchStats* stats;
   StopController* stop;
   QueryTrace* trace;
 };
 
-/// Early abandoning distance accumulation (Algorithm 4 lines 38-41).
-/// Accumulates lookup-table entries subspace by subspace, checking the
-/// best-so-far threshold every `interval` subspaces (the paper checks
-/// every four to amortize the branch). Returns the partial sum; the caller
-/// pushes only if it stayed below the threshold, so an abandoned
-/// accumulation is never mistaken for a full distance.
-float EarlyAbandonAdc(const QueryScan& q, const uint16_t* code,
-                      float threshold_sq) {
-  float acc = 0.f;
-  size_t s = 0;
-  while (s < q.s_limit) {
-    const size_t stop = std::min(s + q.interval, q.s_limit);
-    for (; s < stop; ++s) {
-      acc += q.lut[q.books.lut_offset(s) + code[s]];
-    }
-    if (acc >= threshold_sq) break;
-  }
-  if (q.stats != nullptr) {
-    q.stats->lut_adds += s;
-    if (s == q.s_limit) ++q.stats->rows_scanned;
-  }
-  return acc;
+/// Entering a ranked partition is a stop check and counts it as visited;
+/// entering the flat scan's one partition is neither. Returns false when
+/// the query must stop, with the best-so-far of every partition completed.
+bool EnterPartition(const QueryScan& q) {
+  if (!q.ranked) return true;
+  if (q.stop != nullptr && q.stop->ShouldStop()) return false;
+  if (q.stats != nullptr) ++q.stats->partitions_visited;
+  return true;
 }
 
 /// Row-at-a-time reference scan (ScanKernelType::kReference), kept as the
-/// correctness oracle for the blocked kernels. It walks the same plan as
-/// ScanBlocked — the whole database in row order, or the ranked partitions
-/// with TI's window tested row by row — and checks the deadline every 64
-/// rows, the blocked kernels' granularity.
-void ScanReference(const QueryScan& q, bool heap_mode, bool partitioned,
-                   bool windowed) {
+/// correctness oracle for the blocked kernels. It walks the same visits as
+/// ScanBlocked, with TI's window tested row by row, reads each row back
+/// from the same blocked layout, and checks the deadline every 64 rows of
+/// a partition, the blocked kernels' granularity.
+void ScanReference(const QueryScan& q) {
   TopKHeap& heap = q.scratch->heap;
   SearchStats* stats = q.stats;
   StopController* stop = q.stop;
-  if (!partitioned) {
-    for (size_t r = 0; r < q.codes.rows(); ++r) {
-      if (stop != nullptr && r % kScanBlockSize == 0 && stop->ShouldStop()) {
-        return;
-      }
-      const uint16_t* code = q.codes.row(r);
-      if (heap_mode) {
-        float acc = 0.f;
-        for (size_t s = 0; s < q.s_limit; ++s) {
-          acc += q.lut[q.books.lut_offset(s) + code[s]];
-        }
-        heap.Push(acc, static_cast<int64_t>(r));
-        if (stats != nullptr) {
-          stats->lut_adds += q.s_limit;
-          ++stats->rows_scanned;
-        }
-      } else {
-        const float threshold = heap.Threshold();
-        const float acc = EarlyAbandonAdc(q, code, threshold);
-        if (acc < threshold) heap.Push(acc, static_cast<int64_t>(r));
-      }
-      if (stats != nullptr) ++stats->codes_visited;
-    }
-    return;
-  }
-
+  std::vector<uint16_t> code;  // the oracle may allocate
   for (const PartitionRef& p : q.scratch->visits) {
-    if (stop != nullptr && stop->ShouldStop()) return;
-    if (stats != nullptr) ++stats->partitions_visited;
+    if (!EnterPartition(q)) return;
     const size_t rows = p.codes->rows();
     if (rows == 0) continue;
+    code.resize(p.codes->num_subspaces());
     const float dq = p.query_distance;
     const float* cached = p.sorted_distances;
+    const bool windowed = cached != nullptr;
 
     // Members that can beat the best-so-far satisfy
     // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
@@ -139,8 +100,9 @@ void ScanReference(const QueryScan& q, bool heap_mode, bool partitioned,
       if (stats != nullptr) stats->codes_skipped_ti += rows - (end - begin);
     }
     for (size_t i = begin; i < end; ++i) {
+      // A ranked partition's entry check stands in for its first row's.
       if (stop != nullptr && (i - begin) % kScanBlockSize == 0 &&
-          i != begin && stop->ShouldStop()) {
+          (i != begin || !q.ranked) && stop->ShouldStop()) {
         return;
       }
       const float threshold = heap.Threshold();
@@ -157,10 +119,27 @@ void ScanReference(const QueryScan& q, bool heap_mode, bool partitioned,
           continue;
         }
       }
-      const uint32_t id = p.ids[i];
-      const float acc = EarlyAbandonAdc(q, q.codes.row(id), threshold);
-      if (acc < threshold) heap.Push(acc, static_cast<int64_t>(id));
-      if (stats != nullptr) ++stats->codes_visited;
+      // Early abandoning (Algorithm 4 lines 38-41), checked every `interval`
+      // subspaces; only a full sum below the threshold is pushed. kHeap
+      // never abandons and pushes every row.
+      p.codes->ReadRow(i, code.data());
+      float acc = 0.f;
+      size_t s = 0;
+      while (s < q.s_limit) {
+        for (const size_t s_end = std::min(s + q.interval, q.s_limit);
+             s < s_end; ++s) {
+          acc += q.lut[q.lut_offsets[s] + code[s]];
+        }
+        if (!q.heap_mode && acc >= threshold) break;
+      }
+      if (q.heap_mode || acc < threshold) {
+        heap.Push(acc, p.ids != nullptr ? p.ids[i] : static_cast<int64_t>(i));
+      }
+      if (stats != nullptr) {
+        stats->lut_adds += s;
+        if (s == q.s_limit) ++stats->rows_scanned;
+        ++stats->codes_visited;
+      }
     }
   }
 }
@@ -230,29 +209,16 @@ void ScanWindow(const QueryScan& q, const PartitionRef& p,
 /// row is identical to ScanReference, so neighbors and distances match it
 /// bit for bit; only the work counters reflect the block-granular (rather
 /// than row-granular) abandoning decisions.
-void ScanBlocked(const QueryScan& q, const BlockedCodes* blocked,
-                 bool heap_mode, bool partitioned, bool windowed,
-                 const ScanKernel& kernel) {
+void ScanBlocked(const QueryScan& q, const ScanKernel& kernel) {
   TopKHeap& heap = q.scratch->heap;
-  if (!partitioned) {
-    if (heap_mode) {
-      BlockedFullScan(*blocked, nullptr, q.lut, q.lut_offsets, q.s_limit,
-                      kernel, q.scratch->acc, &heap, q.stats, q.stop);
-    } else {
-      BlockedEaScan(*blocked, 0, blocked->rows(), nullptr, q.lut,
-                    q.lut_offsets, q.s_limit, q.interval, kernel,
-                    q.scratch->acc, &heap, q.stats, q.stop);
-    }
-    return;
-  }
   for (const PartitionRef& p : q.scratch->visits) {
-    // Between-partition check: on expiry the heap already holds the
-    // best-so-far over every partition (and partial block) completed.
-    if (q.stop != nullptr && q.stop->ShouldStop()) return;
-    if (q.stats != nullptr) ++q.stats->partitions_visited;
+    if (!EnterPartition(q)) return;
     if (p.codes->empty()) continue;
-    if (windowed) {
+    if (p.sorted_distances != nullptr) {
       ScanWindow(q, p, kernel);
+    } else if (q.heap_mode) {
+      BlockedFullScan(*p.codes, p.ids, q.lut, q.lut_offsets, q.s_limit,
+                      kernel, q.scratch->acc, &heap, q.stats, q.stop);
     } else {
       BlockedEaScan(*p.codes, 0, p.codes->rows(), p.ids, q.lut,
                     q.lut_offsets, q.s_limit, q.interval, kernel,
@@ -263,14 +229,14 @@ void ScanBlocked(const QueryScan& q, const BlockedCodes* blocked,
 
 }  // namespace
 
-Status SearchEncoded(const VaqEncoder& encoder, const CodeMatrix& codes,
+Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
                      const BlockedCodes* blocked,
                      const PartitionRanker* ranker, const float* query,
                      const SearchParams& params, SearchScratch* scratch,
                      std::vector<Neighbor>* out, SearchStats* stats) {
   WallTimer timer;
   CpuTimer cpu_timer(CpuTimer::Scope::kThread);
-  VAQ_RETURN_IF_ERROR(ValidateSearchParams(encoder, codes.rows(), params));
+  VAQ_RETURN_IF_ERROR(ValidateSearchParams(encoder, num_rows, params));
   StopController stop_state(params.deadline, params.cancel_token);
   StopController* stop = stop_state.armed() ? &stop_state : nullptr;
 
@@ -292,19 +258,12 @@ Status SearchEncoded(const VaqEncoder& encoder, const CodeMatrix& codes,
   scratch->heap.Reset(params.k);
 
   const size_t m = encoder.num_subspaces();
-  const bool partitioned = ranker != nullptr;
-  QueryScan scan{codes,
-                 encoder.codebooks(),
-                 scratch->lut.data(),
-                 encoder.lut_offsets32(),
-                 m,
+  const bool ranked = ranker != nullptr;
+  QueryScan scan{scratch->lut.data(), encoder.lut_offsets32(), m,
                  std::max<size_t>(1, params.ea_check_interval),
-                 scratch,
-                 stats,
-                 stop,
-                 trace};
-  const bool windowed = partitioned && ranker->windowed();
-  if (partitioned) {
+                 !ranked && params.mode == SearchMode::kHeap, ranked,
+                 scratch, stats, stop, trace};
+  if (ranked) {
     TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
     const size_t total = ranker->Rank(projected, scratch);
     rank_span.Stop();
@@ -314,20 +273,24 @@ Status SearchEncoded(const VaqEncoder& encoder, const CodeMatrix& codes,
       stats->partitions_total = total;
       stats->partitions_visited = 0;  // plan stamped; nothing entered yet
     }
-  } else if (params.num_subspaces_used != 0) {
-    scan.s_limit = std::min(params.num_subspaces_used, m);
+  } else {
+    scratch->visits.assign(1, PartitionRef{blocked});
+    if (params.num_subspaces_used != 0) {
+      scan.s_limit = std::min(params.num_subspaces_used, m);
+    }
   }
-  const bool heap_mode = !partitioned && params.mode == SearchMode::kHeap;
   const bool reference = params.kernel == ScanKernelType::kReference;
+  // A blocked TI scan traces each chunk of its windows (ScanWindow); every
+  // other scan is one span.
+  const bool windowed =
+      ranked && params.mode == SearchMode::kTriangleInequality;
   {
-    // Windowed blocked scans trace each chunk themselves.
     TraceSpan scan_span(reference || !windowed ? trace : nullptr,
                         QueryPhase::kBlockScan);
     if (reference) {
-      ScanReference(scan, heap_mode, partitioned, windowed);
+      ScanReference(scan);
     } else {
-      ScanBlocked(scan, blocked, heap_mode, partitioned, windowed,
-                  GetScanKernel(params.kernel));
+      ScanBlocked(scan, GetScanKernel(params.kernel));
     }
   }
 

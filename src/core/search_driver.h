@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/matrix.h"
 #include "common/status.h"
 #include "common/topk.h"
 #include "common/trace.h"
@@ -71,25 +70,18 @@ class PartitionRanker {
   /// Writes the partitions to visit into scratch->visits, nearest first,
   /// and returns how many partitions the index has.
   virtual size_t Rank(const float* projected, SearchScratch* scratch) const = 0;
-
-  /// True when every partition carries sorted centroid distances (TI): the
-  /// scan then narrows each partition to its triangle-inequality window
-  /// and traces every chunk it scans. Otherwise each visited partition is
-  /// scanned whole under one trace span for the query.
-  virtual bool windowed() const = 0;
 };
 
 /// The one query driver under VaqIndex and VaqIvfIndex: validate, project,
 /// build the LUT, scan, finalize (FinalizeSearchResult) and record the
-/// query's telemetry.
+/// query's telemetry. `num_rows` is the size of the indexed database.
 ///
-/// With `ranker` null the scan is flat: every row of `blocked` (required
-/// then) or of `codes` (the kReference kernel) in row order, as a plain
-/// heap scan for SearchMode::kHeap and early-abandoned otherwise. With a
-/// ranker the scan visits the ranked partitions nearest first,
-/// early-abandoned over all subspaces. `params.visit_fraction` is
-/// validated but read only by the ranker.
-Status SearchEncoded(const VaqEncoder& encoder, const CodeMatrix& codes,
+/// With a ranker the scan visits the ranked partitions nearest first,
+/// early-abandoned over all subspaces. With `ranker` null the scan is flat:
+/// one partition, `blocked` (required then), in row order, as a plain heap
+/// scan for SearchMode::kHeap and early-abandoned otherwise.
+/// `params.visit_fraction` is validated but read only by the ranker.
+Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
                      const BlockedCodes* blocked,
                      const PartitionRanker* ranker, const float* query,
                      const SearchParams& params, SearchScratch* scratch,

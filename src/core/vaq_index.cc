@@ -48,8 +48,6 @@ class TiRanker final : public PartitionRanker {
     return order.size();
   }
 
-  bool windowed() const override { return true; }
-
  private:
   const TiPartition& ti_;
   const std::vector<BlockedCodes>& blocked_;
@@ -64,7 +62,6 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
   index.options_ = options;
   VaqEncoder::TrainedRows rows;
   VAQ_RETURN_IF_ERROR(index.encoder_.Train(data, options, &rows));
-  index.codes_ = std::move(rows.codes);
 
   MetricsRegistry& reg = MetricsRegistry::Global();
   double ti_us = 0.0, scan_us = 0.0;
@@ -95,14 +92,14 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
       topts.prefix_subspaces = prefix;
     }
     VAQ_RETURN_IF_ERROR(
-        index.ti_.Build(index.codes_, index.codebooks(), topts));
+        index.ti_.Build(rows.codes, index.codebooks(), topts));
   }
   {
     StageTimer st(
         reg.GetCounter("vaq_build_scan_layout_us_total",
                        "Cumulative blocked scan-layout build time (us)"),
         &scan_us);
-    index.BuildScanStructures();
+    index.BuildScanStructures(rows.codes);
   }
   reg.GetCounter("vaq_builds_total", "Index builds completed")->Increment();
   VAQ_LOG(LogLevel::kDebug,
@@ -115,15 +112,19 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
   return index;
 }
 
-void VaqIndex::BuildScanStructures() {
-  blocked_ = BlockedCodes::Build(codes_);
-  ti_blocked_.clear();
-  ti_blocked_.reserve(ti_.num_clusters());
-  for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    const TiPartition::Cluster& cluster = ti_.cluster(c);
-    ti_blocked_.push_back(
-        BlockedCodes::Build(codes_, cluster.ids.data(), cluster.ids.size()));
-  }
+void VaqIndex::BuildScanStructures(const CodeMatrix& codes) {
+  blocked_ = BlockedCodes::Build(codes);
+  ti_blocked_ = BlockPartitions(
+      codes, ti_.num_clusters(),
+      [this](size_t c) -> const std::vector<uint32_t>& {
+        return ti_.cluster(c).ids;
+      });
+}
+
+CodeMatrix VaqIndex::RowCodes(size_t extra_rows) const {
+  CodeMatrix codes(size() + extra_rows, num_subspaces());
+  for (size_t r = 0; r < size(); ++r) blocked_.ReadRow(r, codes.row(r));
+  return codes;
 }
 
 Status VaqIndex::Add(const FloatMatrix& data) {
@@ -136,19 +137,17 @@ Status VaqIndex::Add(const FloatMatrix& data) {
   VAQ_ASSIGN_OR_RETURN(CodeMatrix fresh,
                        encoder_.Encode(data, options_.train_threads));
 
-  CodeMatrix merged(codes_.rows() + fresh.rows(), codes_.cols());
-  std::copy_n(codes_.data(), codes_.size(), merged.data());
+  CodeMatrix codes = RowCodes(fresh.rows());
   std::copy_n(fresh.data(), fresh.size(),
-              merged.data() + codes_.size());
-  codes_ = std::move(merged);
+              codes.data() + size() * codes.cols());
 
   TiPartitionOptions topts;
   topts.num_clusters = options_.ti_clusters;
   topts.num_threads = options_.train_threads;
   topts.prefix_subspaces = ti_.prefix_subspaces();
   topts.seed = options_.seed ^ 0x7153A9F2ULL;
-  VAQ_RETURN_IF_ERROR(ti_.Build(codes_, codebooks(), topts));
-  BuildScanStructures();
+  VAQ_RETURN_IF_ERROR(ti_.Build(codes, codebooks(), topts));
+  BuildScanStructures(codes);
   return Status::OK();
 }
 
@@ -174,7 +173,7 @@ Status VaqIndex::Search(const float* query, const SearchParams& params,
                   (params.num_subspaces_used == 0 ||
                    params.num_subspaces_used >= num_subspaces());
   const TiRanker ranker(ti_, ti_blocked_, params.visit_fraction);
-  return SearchEncoded(encoder_, codes_, &blocked_, ti ? &ranker : nullptr,
+  return SearchEncoded(encoder_, size(), &blocked_, ti ? &ranker : nullptr,
                        query, params, scratch, out, stats);
 }
 
@@ -251,9 +250,9 @@ Status VaqIndex::LoadOptionsSection(std::istream& is) {
   return Status::OK();
 }
 
-Status VaqIndex::ValidateInvariants() const {
+Status VaqIndex::ValidateInvariants(const CodeMatrix& codes) const {
   const size_t m = num_subspaces();
-  VAQ_RETURN_IF_ERROR(encoder_.ValidateInvariants(codes_));
+  VAQ_RETURN_IF_ERROR(encoder_.ValidateInvariants(codes));
   if (m != options_.num_subspaces) {
     return Status::Internal("subspace count disagrees with options");
   }
@@ -277,7 +276,7 @@ Status VaqIndex::ValidateInvariants() const {
     return Status::Internal("TI prefix_subspaces outside [1, m]");
   }
   const SubspaceSpan& last = layout().span(p - 1);
-  return ti_.ValidateInvariants(codes_.rows(), m, last.offset + last.length);
+  return ti_.ValidateInvariants(codes.rows(), m, last.offset + last.length);
 }
 
 namespace {
@@ -293,15 +292,19 @@ constexpr uint32_t kSecTi = SectionTag('T', 'I', 'P', 'T');
 }  // namespace
 
 Status VaqIndex::Save(const std::string& path) const {
+  if (!encoder_.trained()) {
+    return Status::FailedPrecondition("index is not trained");
+  }
   // Refuse to persist a broken index: the file would checksum correctly
   // but fail validation on load.
-  VAQ_RETURN_IF_ERROR(ValidateInvariants());
+  const CodeMatrix codes = RowCodes();
+  VAQ_RETURN_IF_ERROR(ValidateInvariants(codes));
   ContainerWriter writer(kMagic, kVaqIndexFormatVersion);
   SaveOptionsSection(writer.AddSection(kSecOptions));
   encoder_.SavePca(writer.AddSection(kSecPca));
   encoder_.SaveLayout(writer.AddSection(kSecLayout));
   encoder_.SaveBooks(writer.AddSection(kSecBooks));
-  WriteMatrix(writer.AddSection(kSecCodes), codes_);
+  WriteMatrix(writer.AddSection(kSecCodes), codes);
   ti_.Save(writer.AddSection(kSecTi));
   return writer.Commit(path);
 }
@@ -313,6 +316,7 @@ Result<VaqIndex> VaqIndex::Load(const std::string& path) {
       ContainerReader reader,
       ContainerReader::Open(path, kMagic, kVaqIndexFormatVersion));
   VaqIndex index;
+  CodeMatrix codes;
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecOptions));
     ByteViewStream is(sec.data, sec.size);
@@ -336,18 +340,15 @@ Result<VaqIndex> VaqIndex::Load(const std::string& path) {
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCodes));
     ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &index.codes_));
+    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &codes));
   }
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecTi));
     ByteViewStream is(sec.data, sec.size);
     VAQ_RETURN_IF_ERROR(index.ti_.Load(is));
   }
-  // Semantic validation gates BuildScanStructures: the blocked layouts
-  // index codes_ through TI cluster ids, so inconsistent state must be
-  // rejected before any derived structure is built.
-  VAQ_RETURN_IF_ERROR(index.ValidateInvariants());
-  index.BuildScanStructures();
+  VAQ_RETURN_IF_ERROR(index.ValidateInvariants(codes));
+  index.BuildScanStructures(codes);
   return index;
 }
 
@@ -357,14 +358,15 @@ Result<VaqIndex> VaqIndex::LoadLegacy(const std::string& path) {
   VAQ_RETURN_IF_ERROR(CheckMagic(is, kMagic));
 
   VaqIndex index;
+  CodeMatrix codes;
   VAQ_RETURN_IF_ERROR(index.LoadOptionsSection(is));
   VAQ_RETURN_IF_ERROR(index.encoder_.LoadPca(is));
   VAQ_RETURN_IF_ERROR(index.encoder_.LoadLayout(is));
   VAQ_RETURN_IF_ERROR(index.encoder_.LoadBooks(is));
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &index.codes_));
+  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &codes));
   VAQ_RETURN_IF_ERROR(index.ti_.Load(is));
-  VAQ_RETURN_IF_ERROR(index.ValidateInvariants());
-  index.BuildScanStructures();
+  VAQ_RETURN_IF_ERROR(index.ValidateInvariants(codes));
+  index.BuildScanStructures(codes);
   return index;
 }
 

@@ -37,7 +37,7 @@ class VaqIndex {
   /// rebuilds the TI partition.
   Status Add(const FloatMatrix& data);
 
-  size_t size() const { return codes_.rows(); }
+  size_t size() const { return blocked_.rows(); }
   size_t dim() const { return encoder_.dim(); }
   size_t num_subspaces() const { return encoder_.num_subspaces(); }
   const std::vector<int>& bits_per_subspace() const {
@@ -56,8 +56,11 @@ class VaqIndex {
   /// Number of swaps the partial balancing step performed.
   size_t balance_swaps() const { return encoder_.balance_swaps(); }
 
-  /// Bytes used by the encoded database (2 bytes per subspace per vector).
-  size_t code_bytes() const { return codes_.size() * sizeof(uint16_t); }
+  /// Bytes of the codes as saved, n·m·2 (perfbench's
+  /// scan.code_bytes_per_vector); the padded blocked layouts take more.
+  size_t code_bytes() const {
+    return size() * num_subspaces() * sizeof(uint16_t);
+  }
 
   /// k-NN search for a raw (unprojected) query of length dim(). Results
   /// are ADC distance estimates (non-squared), ascending. This overload
@@ -123,23 +126,26 @@ class VaqIndex {
   /// code addresses an existing dictionary entry, PCA/codebook/TI
   /// dimensions mutually consistent, TI clusters partition the database.
   /// Run automatically after Load and before Save.
-  Status ValidateInvariants() const;
+  Status ValidateInvariants() const { return ValidateInvariants(RowCodes()); }
 
  private:
   /// Legacy (pre-container) loader for files written before versioning.
   static Result<VaqIndex> LoadLegacy(const std::string& path);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
-  /// (Re)builds the blocked code layouts the scan kernels consume. Called
-  /// after Train/Add/Load mutate codes_ or ti_.
-  void BuildScanStructures();
+  /// ValidateInvariants against `codes`, the database in row order.
+  Status ValidateInvariants(const CodeMatrix& codes) const;
+  /// The codes in row order, read back from blocked_, then `extra_rows`
+  /// rows for Add to fill.
+  CodeMatrix RowCodes(size_t extra_rows = 0) const;
+  /// Builds the layouts from `codes` (row order) and ti_. They gather rows
+  /// through TI cluster ids, so Load validates `codes` first.
+  void BuildScanStructures(const CodeMatrix& codes);
 
   VaqOptions options_;
   VaqEncoder encoder_;
-  CodeMatrix codes_;
   TiPartition ti_;
-  // Scan-layer views of the database: derived from codes_/ti_ and rebuilt
-  // by BuildScanStructures (never serialized).
+  // The only copy of the codes: the layouts the scan kernels consume.
   BlockedCodes blocked_;                 ///< whole database, row order
   std::vector<BlockedCodes> ti_blocked_; ///< one per TI cluster, member order
 };

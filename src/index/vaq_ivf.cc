@@ -49,8 +49,6 @@ class CellRanker final : public PartitionRanker {
     return coarse_.k();
   }
 
-  bool windowed() const override { return false; }
-
  private:
   const KMeans& coarse_;
   const std::vector<BlockedCodes>& blocked_;
@@ -80,12 +78,14 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
   if (options.coarse_k == 0) {
     return Status::InvalidArgument("coarse_k must be >= 1");
   }
+  if (options.default_nprobe == 0) {
+    return Status::InvalidArgument("default_nprobe must be >= 1");
+  }
   VaqIvfIndex index;
   index.options_ = options;
   const VaqOptions& vopts = options.vaq;
   VaqEncoder::TrainedRows rows;
   VAQ_RETURN_IF_ERROR(index.encoder_.Train(data, vopts, &rows));
-  index.codes_ = std::move(rows.codes);
 
   // IVF part: trained coarse k-means over the projected vectors (instead
   // of VaqIndex's random-sample TI centroids), with the same build
@@ -114,7 +114,7 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
         reg.GetCounter("vaq_build_scan_layout_us_total",
                        "Cumulative blocked scan-layout build time (us)"),
         &scan_us);
-    index.BuildScanStructures();
+    index.BuildScanStructures(rows.codes);
   }
   reg.GetCounter("vaq_builds_total", "Index builds completed")->Increment();
   VAQ_LOG(LogLevel::kDebug,
@@ -127,13 +127,21 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
   return index;
 }
 
-void VaqIvfIndex::BuildScanStructures() {
-  list_blocked_.clear();
-  list_blocked_.reserve(lists_.size());
-  for (const auto& list : lists_) {
-    list_blocked_.push_back(
-        BlockedCodes::Build(codes_, list.data(), list.size()));
+void VaqIvfIndex::BuildScanStructures(const CodeMatrix& codes) {
+  num_rows_ = codes.rows();
+  list_blocked_ = BlockPartitions(
+      codes, lists_.size(),
+      [this](size_t c) -> const std::vector<uint32_t>& { return lists_[c]; });
+}
+
+CodeMatrix VaqIvfIndex::RowCodes() const {
+  CodeMatrix codes(num_rows_, encoder_.num_subspaces());
+  for (size_t c = 0; c < lists_.size(); ++c) {
+    for (size_t i = 0; i < lists_[c].size(); ++i) {
+      list_blocked_[c].ReadRow(i, codes.row(lists_[c][i]));
+    }
   }
+  return codes;
 }
 
 namespace {
@@ -184,10 +192,13 @@ Status VaqIvfIndex::LoadListsSection(std::istream& is) {
   return Status::OK();
 }
 
-Status VaqIvfIndex::ValidateInvariants() const {
+Status VaqIvfIndex::ValidateInvariants(const CodeMatrix& codes) const {
   const size_t d = dim();
-  const size_t n = codes_.rows();
-  VAQ_RETURN_IF_ERROR(encoder_.ValidateInvariants(codes_));
+  const size_t n = codes.rows();
+  VAQ_RETURN_IF_ERROR(encoder_.ValidateInvariants(codes));
+  if (options_.default_nprobe == 0) {
+    return Status::Internal("default nprobe must be >= 1");
+  }
   if (coarse_.k() == 0 || coarse_.centroids().cols() != d) {
     return Status::Internal("coarse centroid shape disagrees with the "
                             "projected dimension");
@@ -225,7 +236,8 @@ Status VaqIvfIndex::Save(const std::string& path) const {
   if (!encoder_.trained()) {
     return Status::FailedPrecondition("index is not trained");
   }
-  VAQ_RETURN_IF_ERROR(ValidateInvariants());
+  const CodeMatrix codes = RowCodes();
+  VAQ_RETURN_IF_ERROR(ValidateInvariants(codes));
   ContainerWriter writer(kIvfMagic, kIvfFormatVersion);
   SaveOptionsSection(writer.AddSection(kSecOptions));
   // IVF files carry the permutation inside PCA0 (there is no LAYT).
@@ -233,7 +245,7 @@ Status VaqIvfIndex::Save(const std::string& path) const {
   encoder_.SavePca(pca);
   encoder_.SavePermutation(pca);
   encoder_.SaveBooks(writer.AddSection(kSecBooks));
-  WriteMatrix(writer.AddSection(kSecCodes), codes_);
+  WriteMatrix(writer.AddSection(kSecCodes), codes);
   WriteMatrix(writer.AddSection(kSecCoarse), coarse_.centroids());
   SaveListsSection(writer.AddSection(kSecLists));
   return writer.Commit(path);
@@ -246,6 +258,7 @@ Result<VaqIvfIndex> VaqIvfIndex::Load(const std::string& path) {
       ContainerReader reader,
       ContainerReader::Open(path, kIvfMagic, kIvfFormatVersion));
   VaqIvfIndex index;
+  CodeMatrix codes;
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecOptions));
     ByteViewStream is(sec.data, sec.size);
@@ -265,7 +278,7 @@ Result<VaqIvfIndex> VaqIvfIndex::Load(const std::string& path) {
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCodes));
     ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &index.codes_));
+    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &codes));
   }
   {
     VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCoarse));
@@ -279,11 +292,8 @@ Result<VaqIvfIndex> VaqIvfIndex::Load(const std::string& path) {
     ByteViewStream is(sec.data, sec.size);
     VAQ_RETURN_IF_ERROR(index.LoadListsSection(is));
   }
-  // Validation gates BuildScanStructures: the blocked layouts gather
-  // codes_ rows through the list ids, so they must be proven in range
-  // first.
-  VAQ_RETURN_IF_ERROR(index.ValidateInvariants());
-  index.BuildScanStructures();
+  VAQ_RETURN_IF_ERROR(index.ValidateInvariants(codes));
+  index.BuildScanStructures(codes);
   return index;
 }
 
@@ -292,17 +302,18 @@ Result<VaqIvfIndex> VaqIvfIndex::LoadLegacy(const std::string& path) {
   if (!is) return Status::IoError("cannot open " + path);
   VAQ_RETURN_IF_ERROR(CheckMagic(is, kIvfMagic));
   VaqIvfIndex index;
+  CodeMatrix codes;
   VAQ_RETURN_IF_ERROR(index.LoadOptionsSection(is));
   VAQ_RETURN_IF_ERROR(index.encoder_.LoadPca(is));
   VAQ_RETURN_IF_ERROR(index.encoder_.LoadPermutation(is));
   VAQ_RETURN_IF_ERROR(index.encoder_.LoadBooks(is));
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &index.codes_));
+  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &codes));
   FloatMatrix coarse_centroids;
   VAQ_RETURN_IF_ERROR(ReadMatrix(is, &coarse_centroids));
   VAQ_RETURN_IF_ERROR(index.coarse_.Restore(std::move(coarse_centroids)));
   VAQ_RETURN_IF_ERROR(index.LoadListsSection(is));
-  VAQ_RETURN_IF_ERROR(index.ValidateInvariants());
-  index.BuildScanStructures();
+  VAQ_RETURN_IF_ERROR(index.ValidateInvariants(codes));
+  index.BuildScanStructures(codes);
   return index;
 }
 
@@ -335,7 +346,7 @@ Status VaqIvfIndex::SearchProbed(const float* query,
   if (nprobe == 0) nprobe = options_.default_nprobe;
   nprobe = std::min(nprobe, coarse_.k());
   const CellRanker ranker(coarse_, list_blocked_, lists_, nprobe);
-  return SearchEncoded(encoder_, codes_, nullptr, &ranker, query, params,
+  return SearchEncoded(encoder_, num_rows_, nullptr, &ranker, query, params,
                        scratch, out, stats);
 }
 

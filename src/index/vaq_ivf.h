@@ -16,7 +16,7 @@ struct VaqIvfOptions {
   VaqOptions vaq;
   /// Number of coarse k-means partitions (inverted lists).
   size_t coarse_k = 256;
-  /// Default number of lists probed per query.
+  /// Default number of lists probed per query (>= 1).
   size_t default_nprobe = 8;
   /// ADC scan implementation for the in-list scans (shared with VaqIndex;
   /// see ScanKernelType). All choices return identical results.
@@ -37,7 +37,7 @@ class VaqIvfIndex {
   static Result<VaqIvfIndex> Train(const FloatMatrix& data,
                                    const VaqIvfOptions& options);
 
-  size_t size() const { return codes_.rows(); }
+  size_t size() const { return num_rows_; }
   size_t dim() const { return encoder_.dim(); }
   size_t coarse_k() const { return coarse_.k(); }
   const std::vector<int>& bits_per_subspace() const {
@@ -83,9 +83,9 @@ class VaqIvfIndex {
   static Result<VaqIvfIndex> Load(const std::string& path);
 
   /// Semantic consistency: permutation, codebook/code agreement, coarse
-  /// centroid shape, and the inverted lists covering every row exactly
-  /// once.
-  Status ValidateInvariants() const;
+  /// centroid shape, a default nprobe of at least 1, and the inverted
+  /// lists covering every row exactly once.
+  Status ValidateInvariants() const { return ValidateInvariants(RowCodes()); }
 
  private:
   static Result<VaqIvfIndex> LoadLegacy(const std::string& path);
@@ -97,15 +97,21 @@ class VaqIvfIndex {
   Status SearchProbed(const float* query, const SearchParams& params,
                       size_t nprobe, SearchScratch* scratch,
                       std::vector<Neighbor>* out, SearchStats* stats) const;
-  /// (Re)builds the per-list blocked code layouts after Train/Load.
-  void BuildScanStructures();
+  /// ValidateInvariants against `codes`, the database in row order.
+  Status ValidateInvariants(const CodeMatrix& codes) const;
+  /// The codes in row order, read back from the per-list layouts.
+  CodeMatrix RowCodes() const;
+  /// Adopts `codes` (row order) as the database: builds the per-list
+  /// layouts, which gather rows through lists_, so Load validates first.
+  void BuildScanStructures(const CodeMatrix& codes);
 
   VaqIvfOptions options_;
   VaqEncoder encoder_;
-  CodeMatrix codes_;
+  size_t num_rows_ = 0;                      ///< database size
   KMeans coarse_;                            ///< over projected vectors
   std::vector<std::vector<uint32_t>> lists_; ///< ids per coarse cell
-  std::vector<BlockedCodes> list_blocked_;   ///< scan views of lists_
+  /// One layout per list, member order: the only copy of the codes.
+  std::vector<BlockedCodes> list_blocked_;
 };
 
 }  // namespace vaq

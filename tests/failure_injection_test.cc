@@ -406,6 +406,53 @@ TEST_F(CorruptionSweepTest, ValidationRejectsChecksumCleanBrokenLists) {
   std::remove(path.c_str());
 }
 
+TEST_F(CorruptionSweepTest, ValidationRejectsChecksumCleanZeroNprobe) {
+  // A default nprobe of 0 would make every default-probe query return
+  // nothing. Train refuses it; a checksum-clean file that holds it must be
+  // refused on load too.
+  const std::string path =
+      "/tmp/vaq_sweep_ivf_nprobe." + std::to_string(getpid()) + ".bin";
+  ASSERT_TRUE(ivf_->Save(path).ok());
+
+  const char magic[8] = {'V', 'A', 'Q', 'I', 'V', 'F', '0', '1'};
+  auto reader = ContainerReader::Open(path, magic, 1);
+  ASSERT_TRUE(reader.ok());
+  ContainerWriter writer(magic, 1);
+  for (const uint32_t tag :
+       {SectionTag('O', 'P', 'T', 'S'), SectionTag('P', 'C', 'A', '0'),
+        SectionTag('B', 'O', 'O', 'K'), SectionTag('C', 'O', 'D', 'E'),
+        SectionTag('C', 'R', 'S', 'E'), SectionTag('L', 'I', 'S', 'T')}) {
+    auto sec = reader->Section(tag);
+    ASSERT_TRUE(sec.ok());
+    std::string body(sec->data, sec->size);
+    if (tag == SectionTag('O', 'P', 'T', 'S')) {
+      // Layout: u64 coarse_k, then u64 default_nprobe.
+      ASSERT_EQ(body.size(), 16u);
+      const uint64_t zero = 0;
+      std::memcpy(body.data() + 8, &zero, sizeof(zero));
+    }
+    writer.AddSection(tag).write(body.data(),
+                                 static_cast<std::streamsize>(body.size()));
+  }
+  ASSERT_TRUE(writer.Commit(path).ok());
+
+  auto loaded = VaqIvfIndex::Load(path);
+  ASSERT_FALSE(loaded.ok()) << "default nprobe 0 survived a load";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
+  std::remove(path.c_str());
+}
+
+TEST(UntrainedSaveTest, BothFamiliesFailPrecondition) {
+  // Nothing to persist yet: Save must say so before it reads any layout.
+  const std::string path =
+      "/tmp/vaq_untrained_save." + std::to_string(getpid()) + ".bin";
+  EXPECT_EQ(VaqIndex().Save(path).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(VaqIvfIndex().Save(path).code(),
+            StatusCode::kFailedPrecondition);
+  std::ifstream probe(path);
+  EXPECT_FALSE(probe.good()) << "a failed Save left a file behind";
+}
+
 TEST_F(FailureInjectionTest, SearchAfterCleanReloadStillWorks) {
   // Control: an untouched file loads and searches identically.
   auto loaded = VaqIndex::Load(path_);

@@ -130,6 +130,56 @@ TEST(BlockedCodesTest, SubsetBuildFollowsIdOrder) {
   }
 }
 
+TEST(BlockedCodesTest, ReadRowInvertsBuild) {
+  // The blocked layouts are an index's only copy of its codes, so reading
+  // a row back must reproduce the row-major codes exactly: for the whole
+  // matrix and for partitions of 0, 1, 63, 64 and 65 members.
+  RawAdcProblem p = RawAdcProblem::Make(/*n=*/300, {13, 1, 8, 5, 16, 3}, 29);
+  const size_t m = p.bits.size();
+  std::vector<uint16_t> row(m);
+  const BlockedCodes whole = BlockedCodes::Build(p.codes);
+  ASSERT_EQ(whole.rows(), p.codes.rows());
+  for (size_t r = 0; r < whole.rows(); ++r) {
+    whole.ReadRow(r, row.data());
+    for (size_t s = 0; s < m; ++s) {
+      ASSERT_EQ(row[s], p.codes(r, s)) << "r=" << r << " s=" << s;
+    }
+  }
+
+  // Partitions draw their members out of row order, so a read-back that
+  // ignored the member order would fail.
+  Rng rng(31);
+  std::vector<uint32_t> order(p.codes.rows());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<uint32_t>(i);
+  }
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.NextIndex(i)]);
+  }
+  const std::vector<size_t> sizes = {0, 1, 63, 64, 65};
+  std::vector<std::vector<uint32_t>> members;
+  size_t next = 0;
+  for (size_t size : sizes) {
+    members.emplace_back(order.begin() + next, order.begin() + next + size);
+    next += size;
+  }
+  const std::vector<BlockedCodes> parts = BlockPartitions(
+      p.codes, members.size(),
+      [&](size_t c) -> const std::vector<uint32_t>& { return members[c]; });
+  ASSERT_EQ(parts.size(), sizes.size());
+  for (size_t c = 0; c < parts.size(); ++c) {
+    ASSERT_EQ(parts[c].rows(), sizes[c]);
+    EXPECT_EQ(parts[c].empty(), sizes[c] == 0);
+    for (size_t i = 0; i < sizes[c]; ++i) {
+      parts[c].ReadRow(i, row.data());
+      for (size_t s = 0; s < m; ++s) {
+        ASSERT_EQ(row[s], p.codes(members[c][i], s))
+            << "partition of " << sizes[c] << " i=" << i << " s=" << s;
+      }
+    }
+  }
+}
+
 class KernelEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 

@@ -1,10 +1,15 @@
 #include "core/vaq_index.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <numeric>
+#include <sstream>
+#include <string>
 
+#include "common/serialize.h"
 #include "datasets/synthetic.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
@@ -200,6 +205,60 @@ TEST_F(VaqIndexTest, AddAppendsSearchableVectors) {
   ASSERT_TRUE(index_.Search(extra.row(0), params, &result).ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_GE(result[0].id, 0);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << is.rdbuf();
+  return bytes.str();
+}
+
+/// The CODE section payload of a saved VaqIndex: u64 rows, u64 cols, then
+/// the uint16 codes in row order.
+std::string CodeSection(const std::string& path) {
+  const char magic[8] = {'V', 'A', 'Q', 'I', 'D', 'X', '0', '1'};
+  auto reader = ContainerReader::Open(path, magic, 1);
+  if (!reader.ok()) return "";
+  auto sec = reader->Section(SectionTag('C', 'O', 'D', 'E'));
+  if (!sec.ok()) return "";
+  return std::string(sec->data, sec->size);
+}
+
+TEST_F(VaqIndexTest, AddReadsStoredCodesBackExactly) {
+  // Add rebuilds TI from the codes read back out of the blocked layout,
+  // and Save writes them back the same way. Neither may disturb a stored
+  // code: the rows saved before the Add lead the rows saved after it.
+  const std::string prefix =
+      "/tmp/vaq_add_readback." + std::to_string(getpid());
+  const std::string path_a = prefix + ".a.bin";
+  const std::string path_c = prefix + ".c.bin";
+  const std::string path_d = prefix + ".d.bin";
+  const FloatMatrix extra = SkewedData(150, 32, 777);
+  ASSERT_TRUE(index_.Save(path_a).ok());
+  ASSERT_TRUE(index_.Add(extra).ok());
+  ASSERT_TRUE(index_.Save(path_c).ok());
+
+  const std::string code_a = CodeSection(path_a);
+  const std::string code_c = CodeSection(path_c);
+  const size_t header = 2 * sizeof(uint64_t);
+  const size_t row_bytes = index_.num_subspaces() * sizeof(uint16_t);
+  ASSERT_EQ(code_a.size(), header + 1200 * row_bytes);
+  ASSERT_EQ(code_c.size(), header + 1350 * row_bytes);
+  EXPECT_EQ(code_a.compare(header, std::string::npos, code_c, header,
+                           1200 * row_bytes),
+            0)
+      << "Add changed a stored code";
+
+  // The same Add on the reloaded index saves the same bytes.
+  auto loaded = VaqIndex::Load(path_a);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->Add(extra).ok());
+  ASSERT_TRUE(loaded->Save(path_d).ok());
+  EXPECT_EQ(ReadFileBytes(path_d), ReadFileBytes(path_c));
+  std::remove(path_a.c_str());
+  std::remove(path_c.c_str());
+  std::remove(path_d.c_str());
 }
 
 TEST(VaqIndexConfigTest, UniformAllocationMode) {

@@ -99,6 +99,10 @@ TEST_F(VaqIvfTest, RejectsBadInputs) {
   opts.vaq.adaptive_allocation = false;
   opts.vaq.total_bits = 17 * opts.vaq.num_subspaces;  // 17 bits per subspace
   EXPECT_FALSE(VaqIvfIndex::Train(base_, opts).ok());
+  opts = VaqIvfOptions{};
+  opts.default_nprobe = 0;  // would probe no list and return nothing
+  EXPECT_EQ(VaqIvfIndex::Train(base_, opts).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(VaqIvfTest, SharesEncoderWithVaqIndex) {
