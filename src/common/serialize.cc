@@ -104,6 +104,11 @@ bool WriteAllFd(int fd, const char* data, size_t len) {
   return true;
 }
 
+/// `st` with its message prefixed by the file it is about.
+Status WithPath(const std::string& path, const Status& st) {
+  return Status(st.code(), path + ": " + st.message());
+}
+
 std::string ErrnoText() {
   // strerror_r's GNU/POSIX signature split makes it unportable; plain
   // strerror races only with other strerror calls on exotic libcs, and
@@ -242,10 +247,7 @@ Result<ContainerReader> ContainerReader::Open(const std::string& path,
   std::string bytes;
   VAQ_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
   auto parsed = Parse(std::move(bytes), format_magic, max_format_version);
-  if (!parsed.ok()) {
-    return Status(parsed.status().code(),
-                  path + ": " + parsed.status().message());
-  }
+  if (!parsed.ok()) return WithPath(path, parsed.status());
   return parsed;
 }
 
@@ -347,6 +349,30 @@ Result<ContainerReader::SectionView> ContainerReader::Section(
                         static_cast<char>((tag >> 24) & 0xFF)};
   return Status::IoError("container is missing required section '" +
                          std::string(name, 4) + "'");
+}
+
+Status LoadSections(const std::string& path, const char format_magic[8],
+                    uint32_t max_format_version,
+                    std::initializer_list<SectionParser> parsers) {
+  std::string bytes;
+  VAQ_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
+  if (bytes.size() < kMagicBytes ||
+      std::memcmp(bytes.data(), kContainerMagic, kMagicBytes) != 0) {
+    ByteViewStream body(bytes.data(), bytes.size());
+    VAQ_RETURN_IF_ERROR(CheckMagic(body, format_magic));
+    for (const SectionParser& p : parsers) VAQ_RETURN_IF_ERROR(p.parse(body));
+    return Status::OK();
+  }
+  auto reader = ContainerReader::Parse(std::move(bytes), format_magic,
+                                       max_format_version);
+  if (!reader.ok()) return WithPath(path, reader.status());
+  for (const SectionParser& p : parsers) {
+    VAQ_ASSIGN_OR_RETURN(const ContainerReader::SectionView sec,
+                         reader->Section(p.tag));
+    ByteViewStream is(sec.data, sec.size);
+    VAQ_RETURN_IF_ERROR(p.parse(is));
+  }
+  return Status::OK();
 }
 
 bool IsPermutation(const std::vector<size_t>& v) {

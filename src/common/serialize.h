@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <initializer_list>
 #include <istream>
 #include <sstream>
 #include <streambuf>
@@ -31,10 +33,12 @@ namespace vaq {
 ///
 /// Readers verify the envelope structurally (no offset can escape the
 /// buffer), then the footer CRC, then each section CRC, before any index
-/// code parses a byte of payload. Writers never touch the destination
-/// path directly: the container is staged to `<path>.tmp.<pid>`, flushed
-/// and fsync'd, then renamed over the target, so a crash mid-save leaves
-/// the previous file intact.
+/// code parses a byte of payload. A legacy (v0) file, written before the
+/// container, is the family's format magic followed by the same section
+/// payloads back to back, with no envelope; LoadSections reads both.
+/// Writers never touch the destination path directly: the container is
+/// staged to `<path>.tmp.<pid>`, flushed and fsync'd, then renamed over
+/// the target, so a crash mid-save leaves the previous file intact.
 
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), slice-by-4 table
 /// driven. `crc` chains incremental updates; pass the previous return
@@ -46,7 +50,7 @@ inline constexpr uint32_t kContainerVersion = 1;
 
 /// 8-byte magic opening every container file. Legacy (pre-container)
 /// index files open with their per-family format magic instead, which is
-/// how Load tells the two apart.
+/// how LoadSections tells the two apart.
 inline constexpr char kContainerMagic[8] = {'V', 'A', 'Q', 'B',
                                             'O', 'X', '0', '1'};
 
@@ -184,6 +188,24 @@ class ContainerReader {
   std::vector<Entry> entries_;
   uint32_t format_version_ = 0;
 };
+
+/// One section of a saved index file as its family's Load parses it.
+struct SectionParser {
+  uint32_t tag;
+  std::function<Status(std::istream&)> parse;
+};
+
+/// Reads the saved index file `path` once and runs `parsers`, in write
+/// order, over its sections. The first 8 bytes pick the framing:
+///  - the container magic: the file is verified exactly as
+///    ContainerReader::Open verifies it before any parser runs, and each
+///    parser reads the payload of the section carrying its tag;
+///  - `format_magic`: a legacy v0 file. Each parser reads the one body
+///    stream, starting where the previous parser stopped.
+/// A missing or unreadable file, or any other opening, is IoError.
+Status LoadSections(const std::string& path, const char format_magic[8],
+                    uint32_t max_format_version,
+                    std::initializer_list<SectionParser> parsers);
 
 /// True if `v` is a permutation of [0, v.size()). Shared by the post-load
 /// invariant validators (index permutations, subspace orderings).

@@ -320,13 +320,13 @@ void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
   if (status.code() == StatusCode::kCancelled) cancelled->Increment();
 
   // Work counters accumulate across queries on a reused SearchStats, so
-  // feed the delta. wall/cpu are assigned per query and used as-is.
+  // feed the delta. partitions_visited, wall and cpu are assigned per
+  // query and used as-is.
   rows_scanned->Increment(after.rows_scanned - before.rows_scanned);
   lut_adds->Increment(after.lut_adds - before.lut_adds);
   codes_skipped->Increment(after.codes_skipped_ti - before.codes_skipped_ti);
   codes_visited->Increment(after.codes_visited - before.codes_visited);
-  partitions_visited->Increment(after.partitions_visited -
-                                before.partitions_visited);
+  partitions_visited->Increment(after.partitions_visited);
   wall_us->Observe(after.wall_micros);
   cpu_us->Observe(after.cpu_micros);
 

@@ -33,10 +33,10 @@ struct SearchStats {
 
   // Degradation report (DESIGN.md §9): work *actually performed*,
   // accumulated as the scan runs. `partitions_visited` counts partitions
-  // the scan entered, so it trails `clusters_visited` while a query runs
-  // and equals it only for a query that was never stopped. The invariant
-  // partitions_visited <= clusters_visited is checked in
-  // FinalizeSearchResult. Both pairs stay because they answer different
+  // the scan entered, from zero on every query, so it trails
+  // `clusters_visited` while a query runs and equals it only for a query
+  // that was never stopped. The invariant partitions_visited <=
+  // clusters_visited is checked in FinalizeSearchResult. Both pairs stay because they answer different
   // questions: planned-vs-total is pruning power, entered-vs-planned is
   // deadline progress.
   bool truncated = false;         ///< stopped before the planned work finished
@@ -237,10 +237,12 @@ Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
 /// Feeds one finished query into the global metrics registry
 /// (DESIGN.md §10): outcome counters, latency histograms (wall + CPU),
 /// and scan-work counters computed as `after - before` so callers that
-/// reuse a SearchStats across queries never double-count. Also emits the
-/// sampled slow-query log line (common/trace.h) when configured. Called
-/// once per query by the query driver, after FinalizeSearchResult;
-/// deliberately outside the scan loops so the hot path is untouched.
+/// reuse a SearchStats across queries never double-count (except
+/// `partitions_visited`, which each query counts from zero and is fed
+/// as-is). Also emits the sampled slow-query log line (common/trace.h)
+/// when configured. Called once per query by the query driver, after
+/// FinalizeSearchResult; deliberately outside the scan loops so the hot
+/// path is untouched.
 void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
                           const Status& status, const QueryTrace* trace);
 

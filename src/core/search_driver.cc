@@ -20,7 +20,8 @@ Status ValidateSearchParams(const VaqEncoder& encoder, size_t n,
     return Status::InvalidArgument("k exceeds the number of indexed "
                                    "vectors");
   }
-  if (params.visit_fraction <= 0.0 || params.visit_fraction > 1.0) {
+  // Written so that NaN fails it too.
+  if (!(params.visit_fraction > 0.0 && params.visit_fraction <= 1.0)) {
     return Status::InvalidArgument("visit_fraction must be in (0, 1]");
   }
   switch (params.mode) {
@@ -263,6 +264,8 @@ Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
                  std::max<size_t>(1, params.ea_check_interval),
                  !ranked && params.mode == SearchMode::kHeap, ranked,
                  scratch, stats, stop, trace};
+  // Partitions are counted per query, flat queries included (none).
+  if (stats != nullptr) stats->partitions_visited = 0;
   if (ranked) {
     TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
     const size_t total = ranker->Rank(projected, scratch);
@@ -271,7 +274,6 @@ Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
       stats->clusters_total = total;
       stats->clusters_visited = scratch->visits.size();
       stats->partitions_total = total;
-      stats->partitions_visited = 0;  // plan stamped; nothing entered yet
     }
   } else {
     scratch->visits.assign(1, PartitionRef{blocked});

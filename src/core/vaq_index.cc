@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <numeric>
 
 #include "common/io.h"
@@ -310,61 +309,18 @@ Status VaqIndex::Save(const std::string& path) const {
 }
 
 Result<VaqIndex> VaqIndex::Load(const std::string& path) {
-  VAQ_ASSIGN_OR_RETURN(const bool boxed, IsContainerFile(path));
-  if (!boxed) return LoadLegacy(path);
-  VAQ_ASSIGN_OR_RETURN(
-      ContainerReader reader,
-      ContainerReader::Open(path, kMagic, kVaqIndexFormatVersion));
   VaqIndex index;
   CodeMatrix codes;
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecOptions));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.LoadOptionsSection(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecPca));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.encoder_.LoadPca(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecLayout));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.encoder_.LoadLayout(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecBooks));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.encoder_.LoadBooks(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCodes));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &codes));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecTi));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.ti_.Load(is));
-  }
-  VAQ_RETURN_IF_ERROR(index.ValidateInvariants(codes));
-  index.BuildScanStructures(codes);
-  return index;
-}
-
-Result<VaqIndex> VaqIndex::LoadLegacy(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open " + path);
-  VAQ_RETURN_IF_ERROR(CheckMagic(is, kMagic));
-
-  VaqIndex index;
-  CodeMatrix codes;
-  VAQ_RETURN_IF_ERROR(index.LoadOptionsSection(is));
-  VAQ_RETURN_IF_ERROR(index.encoder_.LoadPca(is));
-  VAQ_RETURN_IF_ERROR(index.encoder_.LoadLayout(is));
-  VAQ_RETURN_IF_ERROR(index.encoder_.LoadBooks(is));
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &codes));
-  VAQ_RETURN_IF_ERROR(index.ti_.Load(is));
+  VaqEncoder& enc = index.encoder_;
+  VAQ_RETURN_IF_ERROR(LoadSections(
+      path, kMagic, kVaqIndexFormatVersion,
+      {{kSecOptions,
+        [&](std::istream& is) { return index.LoadOptionsSection(is); }},
+       {kSecPca, [&](std::istream& is) { return enc.LoadPca(is); }},
+       {kSecLayout, [&](std::istream& is) { return enc.LoadLayout(is); }},
+       {kSecBooks, [&](std::istream& is) { return enc.LoadBooks(is); }},
+       {kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes); }},
+       {kSecTi, [&](std::istream& is) { return index.ti_.Load(is); }}}));
   VAQ_RETURN_IF_ERROR(index.ValidateInvariants(codes));
   index.BuildScanStructures(codes);
   return index;

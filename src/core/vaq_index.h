@@ -116,9 +116,11 @@ class VaqIndex {
   /// disk mid-save never destroys an existing index.
   Status Save(const std::string& path) const;
   /// Restores an index saved by Save (container format) or by the legacy
-  /// unversioned v0 layout. Checksums (container files) and
-  /// ValidateInvariants() both gate success: a file that decodes but is
-  /// semantically inconsistent is rejected with a non-OK Status.
+  /// unversioned v0 layout, which holds the same sections without the
+  /// envelope; one LoadSections pass reads either. Checksums (container
+  /// files) and ValidateInvariants() both gate success: a file that
+  /// decodes but is semantically inconsistent is rejected with a non-OK
+  /// Status.
   static Result<VaqIndex> Load(const std::string& path);
 
   /// Semantic consistency of the full index state: the encoder's
@@ -129,8 +131,6 @@ class VaqIndex {
   Status ValidateInvariants() const { return ValidateInvariants(RowCodes()); }
 
  private:
-  /// Legacy (pre-container) loader for files written before versioning.
-  static Result<VaqIndex> LoadLegacy(const std::string& path);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
   /// ValidateInvariants against `codes`, the database in row order.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <numeric>
 
 #include "common/io.h"
@@ -252,66 +251,28 @@ Status VaqIvfIndex::Save(const std::string& path) const {
 }
 
 Result<VaqIvfIndex> VaqIvfIndex::Load(const std::string& path) {
-  VAQ_ASSIGN_OR_RETURN(const bool boxed, IsContainerFile(path));
-  if (!boxed) return LoadLegacy(path);
-  VAQ_ASSIGN_OR_RETURN(
-      ContainerReader reader,
-      ContainerReader::Open(path, kIvfMagic, kIvfFormatVersion));
   VaqIvfIndex index;
   CodeMatrix codes;
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecOptions));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.LoadOptionsSection(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecPca));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.encoder_.LoadPca(is));
-    VAQ_RETURN_IF_ERROR(index.encoder_.LoadPermutation(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecBooks));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.encoder_.LoadBooks(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCodes));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &codes));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCoarse));
-    ByteViewStream is(sec.data, sec.size);
-    FloatMatrix coarse_centroids;
-    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &coarse_centroids));
-    VAQ_RETURN_IF_ERROR(index.coarse_.Restore(std::move(coarse_centroids)));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecLists));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(index.LoadListsSection(is));
-  }
-  VAQ_RETURN_IF_ERROR(index.ValidateInvariants(codes));
-  index.BuildScanStructures(codes);
-  return index;
-}
-
-Result<VaqIvfIndex> VaqIvfIndex::LoadLegacy(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open " + path);
-  VAQ_RETURN_IF_ERROR(CheckMagic(is, kIvfMagic));
-  VaqIvfIndex index;
-  CodeMatrix codes;
-  VAQ_RETURN_IF_ERROR(index.LoadOptionsSection(is));
-  VAQ_RETURN_IF_ERROR(index.encoder_.LoadPca(is));
-  VAQ_RETURN_IF_ERROR(index.encoder_.LoadPermutation(is));
-  VAQ_RETURN_IF_ERROR(index.encoder_.LoadBooks(is));
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &codes));
-  FloatMatrix coarse_centroids;
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &coarse_centroids));
-  VAQ_RETURN_IF_ERROR(index.coarse_.Restore(std::move(coarse_centroids)));
-  VAQ_RETURN_IF_ERROR(index.LoadListsSection(is));
+  VaqEncoder& enc = index.encoder_;
+  VAQ_RETURN_IF_ERROR(LoadSections(
+      path, kIvfMagic, kIvfFormatVersion,
+      {{kSecOptions,
+        [&](std::istream& is) { return index.LoadOptionsSection(is); }},
+       {kSecPca,
+        [&](std::istream& is) {
+          VAQ_RETURN_IF_ERROR(enc.LoadPca(is));
+          return enc.LoadPermutation(is);
+        }},
+       {kSecBooks, [&](std::istream& is) { return enc.LoadBooks(is); }},
+       {kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes); }},
+       {kSecCoarse,
+        [&](std::istream& is) {
+          FloatMatrix centroids;
+          VAQ_RETURN_IF_ERROR(ReadMatrix(is, &centroids));
+          return index.coarse_.Restore(std::move(centroids));
+        }},
+       {kSecLists,
+        [&](std::istream& is) { return index.LoadListsSection(is); }}}));
   VAQ_RETURN_IF_ERROR(index.ValidateInvariants(codes));
   index.BuildScanStructures(codes);
   return index;

@@ -78,7 +78,8 @@ class VaqIvfIndex {
   /// Persists the index as a versioned, checksummed container, staged to
   /// a temp file and renamed into place (crash-safe; see DESIGN.md §8).
   Status Save(const std::string& path) const;
-  /// Restores a container or legacy-format index; both paths run
+  /// Restores a container or legacy v0 index (the same sections without
+  /// the envelope) in one LoadSections pass, then runs
   /// ValidateInvariants() before any scan structure is built.
   static Result<VaqIvfIndex> Load(const std::string& path);
 
@@ -88,7 +89,6 @@ class VaqIvfIndex {
   Status ValidateInvariants() const { return ValidateInvariants(RowCodes()); }
 
  private:
-  static Result<VaqIvfIndex> LoadLegacy(const std::string& path);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
   void SaveListsSection(std::ostream& os) const;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <fstream>
 
 #include "common/io.h"
 #include "common/macros.h"
@@ -302,52 +301,18 @@ Status OptimizedProductQuantizer::Save(const std::string& path) const {
 
 Result<OptimizedProductQuantizer> OptimizedProductQuantizer::Load(
     const std::string& path) {
-  VAQ_ASSIGN_OR_RETURN(const bool boxed, IsContainerFile(path));
-  if (!boxed) return LoadLegacy(path);
-  VAQ_ASSIGN_OR_RETURN(
-      ContainerReader reader,
-      ContainerReader::Open(path, kOpqMagic, kOpqFormatVersion));
   OptimizedProductQuantizer opq;
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecOptions));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(opq.LoadOptionsSection(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecRotation));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(opq.LoadRotationSection(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecBooks));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(opq.books_.Load(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCodes));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &opq.codes_));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecStats));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(opq.LoadStatsSection(is));
-  }
-  VAQ_RETURN_IF_ERROR(opq.ValidateInvariants());
-  return opq;
-}
-
-Result<OptimizedProductQuantizer> OptimizedProductQuantizer::LoadLegacy(
-    const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open " + path);
-  VAQ_RETURN_IF_ERROR(CheckMagic(is, kOpqMagic));
-  OptimizedProductQuantizer opq;
-  VAQ_RETURN_IF_ERROR(opq.LoadOptionsSection(is));
-  VAQ_RETURN_IF_ERROR(opq.LoadRotationSection(is));
-  VAQ_RETURN_IF_ERROR(opq.books_.Load(is));
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &opq.codes_));
-  VAQ_RETURN_IF_ERROR(opq.LoadStatsSection(is));
+  VAQ_RETURN_IF_ERROR(LoadSections(
+      path, kOpqMagic, kOpqFormatVersion,
+      {{kSecOptions,
+        [&](std::istream& is) { return opq.LoadOptionsSection(is); }},
+       {kSecRotation,
+        [&](std::istream& is) { return opq.LoadRotationSection(is); }},
+       {kSecBooks, [&](std::istream& is) { return opq.books_.Load(is); }},
+       {kSecCodes,
+        [&](std::istream& is) { return ReadMatrix(is, &opq.codes_); }},
+       {kSecStats,
+        [&](std::istream& is) { return opq.LoadStatsSection(is); }}}));
   VAQ_RETURN_IF_ERROR(opq.ValidateInvariants());
   return opq;
 }

@@ -64,8 +64,9 @@ class OptimizedProductQuantizer : public Quantizer {
   double train_error() const { return train_error_; }
 
   /// Persists/restores the learned rotation, dictionaries, and codes.
-  /// Save writes the checksummed container format atomically; Load also
-  /// accepts the legacy unversioned layout and runs ValidateInvariants().
+  /// Save writes the checksummed container format atomically; Load reads
+  /// it or the legacy v0 layout (the same sections without the envelope)
+  /// in one LoadSections pass and runs ValidateInvariants().
   Status Save(const std::string& path) const;
   static Result<OptimizedProductQuantizer> Load(const std::string& path);
 
@@ -75,8 +76,6 @@ class OptimizedProductQuantizer : public Quantizer {
 
  private:
   void RotateRow(const float* x, float* out) const;
-  static Result<OptimizedProductQuantizer> LoadLegacy(
-      const std::string& path);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
   void SaveRotationSection(std::ostream& os) const;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include <fstream>
-
 #include "common/io.h"
 #include "common/macros.h"
 #include "common/serialize.h"
@@ -174,46 +172,16 @@ Status ProductQuantizer::Save(const std::string& path) const {
 }
 
 Result<ProductQuantizer> ProductQuantizer::Load(const std::string& path) {
-  VAQ_ASSIGN_OR_RETURN(const bool boxed, IsContainerFile(path));
-  if (!boxed) return LoadLegacy(path);
-  VAQ_ASSIGN_OR_RETURN(
-      ContainerReader reader,
-      ContainerReader::Open(path, kPqMagic, kPqFormatVersion));
   ProductQuantizer pq;
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecOptions));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(pq.LoadOptionsSection(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecBooks));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(pq.books_.Load(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCodes));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &pq.codes_));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecStats));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(pq.LoadStatsSection(is));
-  }
-  VAQ_RETURN_IF_ERROR(pq.ValidateInvariants());
-  return pq;
-}
-
-Result<ProductQuantizer> ProductQuantizer::LoadLegacy(
-    const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open " + path);
-  VAQ_RETURN_IF_ERROR(CheckMagic(is, kPqMagic));
-  ProductQuantizer pq;
-  VAQ_RETURN_IF_ERROR(pq.LoadOptionsSection(is));
-  VAQ_RETURN_IF_ERROR(pq.books_.Load(is));
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &pq.codes_));
-  VAQ_RETURN_IF_ERROR(pq.LoadStatsSection(is));
+  VAQ_RETURN_IF_ERROR(LoadSections(
+      path, kPqMagic, kPqFormatVersion,
+      {{kSecOptions,
+        [&](std::istream& is) { return pq.LoadOptionsSection(is); }},
+       {kSecBooks, [&](std::istream& is) { return pq.books_.Load(is); }},
+       {kSecCodes,
+        [&](std::istream& is) { return ReadMatrix(is, &pq.codes_); }},
+       {kSecStats,
+        [&](std::istream& is) { return pq.LoadStatsSection(is); }}}));
   VAQ_RETURN_IF_ERROR(pq.ValidateInvariants());
   return pq;
 }

@@ -71,8 +71,9 @@ class ProductQuantizer : public Quantizer {
 
   /// Persists/restores the trained dictionaries, codes, and subspace
   /// ranking (SDC tables are rebuilt on demand, not stored). Save writes
-  /// the checksummed container format atomically; Load also accepts the
-  /// legacy unversioned layout and runs ValidateInvariants() either way.
+  /// the checksummed container format atomically; Load reads it or the
+  /// legacy v0 layout (the same sections without the envelope) in one
+  /// LoadSections pass and runs ValidateInvariants() either way.
   Status Save(const std::string& path) const;
   static Result<ProductQuantizer> Load(const std::string& path);
 
@@ -81,7 +82,6 @@ class ProductQuantizer : public Quantizer {
   Status ValidateInvariants() const;
 
  private:
-  static Result<ProductQuantizer> LoadLegacy(const std::string& path);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
   void SaveStatsSection(std::ostream& os) const;

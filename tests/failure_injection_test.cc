@@ -56,8 +56,9 @@ void ByteFlipSweep(const std::string& path, const std::vector<char>& good,
 }
 
 /// Truncates the file at every `stride` boundary (and just before the
-/// end). No truncation may parse: the envelope is structurally bounded
-/// and CRC-sealed.
+/// end). No truncation may parse: a container's envelope is structurally
+/// bounded and CRC-sealed, and a legacy file's sections are read with
+/// bounds-checked lengths.
 void TruncationSweep(const std::string& path, const std::vector<char>& good,
                      const LoadProbe& load, size_t stride = 64) {
   for (size_t cut = 0; cut < good.size(); cut += stride) {
@@ -451,6 +452,45 @@ TEST(UntrainedSaveTest, BothFamiliesFailPrecondition) {
             StatusCode::kFailedPrecondition);
   std::ifstream probe(path);
   EXPECT_FALSE(probe.good()) << "a failed Save left a file behind";
+}
+
+/// Legacy v0 files carry no envelope and no checksum, so only the section
+/// parsers' bounds checks reject a cut file. Copies the committed golden
+/// to a per-process path and truncates it at every byte.
+void LegacyTruncationSweep(const std::string& golden, const LoadProbe& load) {
+  const std::vector<char> good =
+      ReadFile(std::string(VAQ_TEST_DATA_DIR) + "/golden/" + golden);
+  ASSERT_GT(good.size(), 64u) << "missing golden file " << golden;
+  const std::string path =
+      "/tmp/vaq_legacy_sweep." + std::to_string(getpid()) + ".bin";
+  WriteFile(path, good);
+  ASSERT_TRUE(load(path)) << "pristine " << golden << " failed to load";
+  TruncationSweep(path, good, load, /*stride=*/1);
+  std::remove(path.c_str());
+}
+
+TEST(LegacyTruncationTest, VaqIndexV0RejectsEveryCut) {
+  LegacyTruncationSweep("vaq_index_v0.bin", [](const std::string& p) {
+    return VaqIndex::Load(p).ok();
+  });
+}
+
+TEST(LegacyTruncationTest, VaqIvfV0RejectsEveryCut) {
+  LegacyTruncationSweep("vaq_ivf_v0.bin", [](const std::string& p) {
+    return VaqIvfIndex::Load(p).ok();
+  });
+}
+
+TEST(LegacyTruncationTest, PqV0RejectsEveryCut) {
+  LegacyTruncationSweep("pq_v0.bin", [](const std::string& p) {
+    return ProductQuantizer::Load(p).ok();
+  });
+}
+
+TEST(LegacyTruncationTest, OpqV0RejectsEveryCut) {
+  LegacyTruncationSweep("opq_v0.bin", [](const std::string& p) {
+    return OptimizedProductQuantizer::Load(p).ok();
+  });
 }
 
 TEST_F(FailureInjectionTest, SearchAfterCleanReloadStillWorks) {

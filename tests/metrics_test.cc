@@ -476,6 +476,26 @@ TEST_F(SearchTelemetryTest, ReusedStatsDoNotDoubleCount) {
   // The registry must see only the second query's rows, not the running
   // total accumulated in the reused stats struct.
   EXPECT_EQ(rows->value(), before + rows_one_query);
+
+  // Each ranked query counts its own partitions from zero, so the
+  // partitions counter grows by that query's count, and a flat query
+  // after a ranked one adds nothing.
+  Counter* partitions =
+      reg.GetCounter("vaq_scan_partitions_visited_total", "");
+  params.mode = SearchMode::kTriangleInequality;
+  for (const double visit : {1.0, 0.5}) {
+    params.visit_fraction = visit;
+    const uint64_t partitions_before = partitions->value();
+    ASSERT_TRUE(index_->Search(base_->row(6), params, &result, &stats).ok());
+    EXPECT_GT(stats.partitions_visited, 0u);
+    EXPECT_EQ(partitions->value(),
+              partitions_before + stats.partitions_visited)
+        << "visit_fraction " << visit;
+  }
+  params.mode = SearchMode::kHeap;
+  const uint64_t partitions_before = partitions->value();
+  ASSERT_TRUE(index_->Search(base_->row(6), params, &result, &stats).ok());
+  EXPECT_EQ(partitions->value(), partitions_before);
 }
 
 // Captured log lines for the slow-query test (plain function pointer

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -343,6 +344,8 @@ TEST(VaqIndexConfigTest, RejectsInvalidSearchParams) {
   params.visit_fraction = 0.0;
   EXPECT_FALSE(index->Search(data.row(0), params, &result).ok());
   params.visit_fraction = 1.5;
+  EXPECT_FALSE(index->Search(data.row(0), params, &result).ok());
+  params.visit_fraction = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(index->Search(data.row(0), params, &result).ok());
 }
 

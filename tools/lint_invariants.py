@@ -25,12 +25,18 @@ suite, the Status-not-abort API tests) into CI build failures:
   no-raw-stdio         No fprintf/printf/puts outside src/common/log.cc.
                        Every diagnostic goes through the leveled VAQ_LOG
                        funnel so servers and tests can capture it.
-  entrypoint-no-check  Public Search*/Load* entry points (src/core/
-                       vaq_index.cc, src/core/search_driver.cc,
-                       src/index/vaq_ivf.cc) must not
-                       VAQ_CHECK: user-reachable misuse returns Status,
-                       never aborts the process. (VAQ_DCHECK stays legal:
-                       debug-only, compiled out of release servers.)
+  entrypoint-no-check  Public Search*/Load* entry points of the saved
+                       families (src/core/vaq_index.cc,
+                       src/index/vaq_ivf.cc, src/quant/pq.cc,
+                       src/quant/opq.cc), the shared query driver
+                       (src/core/search_driver.cc) and the shared file
+                       reader every Load runs through (LoadSections and
+                       ContainerReader's Open/Parse/Section in
+                       src/common/serialize.cc) must not VAQ_CHECK:
+                       user-reachable misuse and untrusted files return
+                       Status, never abort the process. (VAQ_DCHECK
+                       stays legal: debug-only, compiled out of release
+                       servers.)
 
 Suppression: append  // vaq-lint: allow(<rule-id>) -- <why>  on the
 offending line or the line directly above it. Suppressions are per-rule
@@ -72,8 +78,11 @@ ENTRYPOINT_FILES = {
     "src/core/vaq_index.cc",
     "src/core/search_driver.cc",
     "src/index/vaq_ivf.cc",
+    "src/quant/pq.cc",
+    "src/quant/opq.cc",
+    "src/common/serialize.cc",
 }
-ENTRYPOINT_NAME = re.compile(r"\b(?:Search|Load)\w*")
+ENTRYPOINT_NAME = re.compile(r"\b(?:Search|Load|Open|Parse|Section)\w*")
 
 STDIO_EXEMPT = {"src/common/log.cc"}
 
