@@ -104,11 +104,6 @@ bool WriteAllFd(int fd, const char* data, size_t len) {
   return true;
 }
 
-/// `st` with its message prefixed by the file it is about.
-Status WithPath(const std::string& path, const Status& st) {
-  return Status(st.code(), path + ": " + st.message());
-}
-
 std::string ErrnoText() {
   // strerror_r's GNU/POSIX signature split makes it unportable; plain
   // strerror races only with other strerror calls on exotic libcs, and
@@ -241,16 +236,6 @@ Status ContainerWriter::Commit(const std::string& path) const {
   return AtomicWriteFile(path, bytes);
 }
 
-Result<ContainerReader> ContainerReader::Open(const std::string& path,
-                                              const char format_magic[8],
-                                              uint32_t max_format_version) {
-  std::string bytes;
-  VAQ_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
-  auto parsed = Parse(std::move(bytes), format_magic, max_format_version);
-  if (!parsed.ok()) return WithPath(path, parsed.status());
-  return parsed;
-}
-
 Result<ContainerReader> ContainerReader::Parse(std::string bytes,
                                                const char format_magic[8],
                                                uint32_t max_format_version) {
@@ -365,7 +350,10 @@ Status LoadSections(const std::string& path, const char format_magic[8],
   }
   auto reader = ContainerReader::Parse(std::move(bytes), format_magic,
                                        max_format_version);
-  if (!reader.ok()) return WithPath(path, reader.status());
+  if (!reader.ok()) {
+    const Status& st = reader.status();
+    return Status(st.code(), path + ": " + st.message());
+  }
   for (const SectionParser& p : parsers) {
     VAQ_ASSIGN_OR_RETURN(const ContainerReader::SectionView sec,
                          reader->Section(p.tag));
@@ -382,18 +370,6 @@ bool IsPermutation(const std::vector<size_t>& v) {
     seen[x] = true;
   }
   return true;
-}
-
-Result<bool> IsContainerFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open " + path);
-  char head[8] = {};
-  is.read(head, sizeof(head));
-  if (!is) {
-    return Status::IoError("cannot read " + path +
-                           ": shorter than a format magic");
-  }
-  return std::memcmp(head, kContainerMagic, sizeof(head)) == 0;
 }
 
 namespace serialize_internal {

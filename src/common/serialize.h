@@ -148,7 +148,7 @@ class ContainerWriter {
   std::deque<Section> sections_;
 };
 
-/// Verified view of a container file. Open/Parse fully validate the
+/// Verified view of a container file. Parse fully validates the
 /// envelope (magic, versions, table bounds, per-section CRCs, footer CRC)
 /// before returning, so section payloads handed to index parsers are
 /// exactly the bytes that were written.
@@ -159,13 +159,9 @@ class ContainerReader {
     size_t size = 0;
   };
 
-  /// Reads and verifies `path`. `max_format_version` rejects files written
-  /// by a newer schema than the caller understands.
-  static Result<ContainerReader> Open(const std::string& path,
-                                      const char format_magic[8],
-                                      uint32_t max_format_version);
-
-  /// Same, over bytes already in memory (takes ownership).
+  /// Verifies a container file's bytes (takes ownership).
+  /// `max_format_version` rejects files written by a newer schema than the
+  /// caller understands.
   static Result<ContainerReader> Parse(std::string bytes,
                                        const char format_magic[8],
                                        uint32_t max_format_version);
@@ -197,8 +193,8 @@ struct SectionParser {
 
 /// Reads the saved index file `path` once and runs `parsers`, in write
 /// order, over its sections. The first 8 bytes pick the framing:
-///  - the container magic: the file is verified exactly as
-///    ContainerReader::Open verifies it before any parser runs, and each
+///  - the container magic: ContainerReader::Parse verifies the file
+///    before any parser runs (errors prefixed with `path`), and each
 ///    parser reads the payload of the section carrying its tag;
 ///  - `format_magic`: a legacy v0 file. Each parser reads the one body
 ///    stream, starting where the previous parser stopped.
@@ -210,11 +206,6 @@ Status LoadSections(const std::string& path, const char format_magic[8],
 /// True if `v` is a permutation of [0, v.size()). Shared by the post-load
 /// invariant validators (index permutations, subspace orderings).
 bool IsPermutation(const std::vector<size_t>& v);
-
-/// Sniffs the first 8 bytes of `path`: true when they match the container
-/// magic, false otherwise (legacy layouts open with a per-family magic).
-/// IoError when the file cannot be opened or is shorter than 8 bytes.
-Result<bool> IsContainerFile(const std::string& path);
 
 namespace serialize_internal {
 /// Test hook: makes the next AtomicWriteFile calls fail (as if the disk

@@ -17,6 +17,10 @@ namespace vaq {
 
 namespace {
 
+/// Dictionaries larger than 2^this are trained hierarchically (Section
+/// III-D fixes 2^10).
+constexpr int kHierarchicalThresholdBits = 10;
+
 /// Candidate distances EncodeRow computes per kernel call; a dictionary
 /// larger than this is scanned in tiles (1 KiB of stack).
 constexpr size_t kEncodeTile = 256;
@@ -51,7 +55,7 @@ Status VariableCodebooks::Train(const FloatMatrix& projected,
     const SubspaceSpan& span = layout.span(s);
     const FloatMatrix sub = projected.SliceColumns(span.offset, span.length);
     const size_t k = size_t{1} << bits[s];
-    if (static_cast<size_t>(bits[s]) > options.hierarchical_threshold_bits) {
+    if (bits[s] > kHierarchicalThresholdBits) {
       HierarchicalKMeansOptions hopts;
       hopts.k = k;
       hopts.coarse_k = 64;

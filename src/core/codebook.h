@@ -15,9 +15,6 @@ namespace vaq {
 struct CodebookOptions {
   int kmeans_iters = 25;
   uint64_t seed = 42;
-  /// Dictionaries larger than 2^this are trained hierarchically
-  /// (Section III-D uses 2^10).
-  size_t hierarchical_threshold_bits = 10;
 };
 
 /// Per-subspace dictionaries of *variable* sizes (Section III-D) plus the

@@ -173,24 +173,8 @@ void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,
                      size_t s_limit, const ScanKernel& kernel, float* acc,
                      TopKHeap* heap, SearchStats* stats,
                      StopController* stop) {
-  const size_t n = bc.rows();
-  for (size_t row = 0; row < n; row += kScanBlockSize) {
-    if (stop != nullptr && stop->ShouldStop()) return;
-    const size_t lanes = std::min(kScanBlockSize, n - row);
-    std::fill(acc, acc + kScanBlockSize, 0.f);
-    kernel.accumulate(bc.block(row / kScanBlockSize), lut, lut_offsets, 0,
-                      s_limit, acc);
-    for (size_t i = 0; i < lanes; ++i) {
-      const size_t global = row + i;
-      heap->Push(acc[i],
-                 static_cast<int64_t>(ids != nullptr ? ids[global] : global));
-    }
-    if (stats != nullptr) {
-      stats->codes_visited += lanes;
-      stats->lut_adds += s_limit * lanes;
-      stats->rows_scanned += lanes;
-    }
-  }
+  BlockedEaScan(bc, 0, bc.rows(), ids, lut, lut_offsets, s_limit, s_limit,
+                kernel, acc, heap, stats, stop);
 }
 
 void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,

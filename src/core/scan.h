@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/deadline.h"
@@ -118,6 +119,32 @@ std::vector<BlockedCodes> BlockPartitions(const CodeMatrix& codes,
   return blocked;
 }
 
+/// Checks that the member lists `members(p)`, p in [0, count), hold every
+/// row of [0, num_rows) exactly once, as TI clusters and IVF lists must.
+/// Internal, naming the partitions `what`, otherwise.
+template <typename MembersFn>
+Status ValidatePartitionCover(size_t num_rows, size_t count,
+                              MembersFn members, const char* what) {
+  std::vector<bool> seen(num_rows, false);
+  size_t listed = 0;
+  size_t distinct = 0;
+  for (size_t p = 0; p < count; ++p) {
+    const std::vector<uint32_t>& ids = members(p);
+    listed += ids.size();
+    for (const uint32_t id : ids) {
+      if (id < num_rows && !seen[id]) {
+        seen[id] = true;
+        ++distinct;
+      }
+    }
+  }
+  if (listed != num_rows || distinct != num_rows) {
+    return Status::Internal(std::string(what) +
+                            " do not hold every database row exactly once");
+  }
+  return Status::OK();
+}
+
 /// The kernels of one instruction set.
 ///
 /// `accumulate` adds, for every lane i in [0, kScanBlockSize), the LUT
@@ -184,22 +211,16 @@ struct SearchScratch {
   std::vector<float> lut;               ///< ADC lookup table
   std::vector<float> pca_space;         ///< query in PCA space
   std::vector<float> projected;         ///< query in permuted PCA space
-  std::vector<float> query_to_cluster;  ///< partition centroid distances
-  std::vector<size_t> order;            ///< partition ranking
+  std::vector<Neighbor> ranking;        ///< visited partitions, nearest first
   TopKHeap heap{1};                     ///< reused best-so-far structure
   float acc[kScanBlockSize] = {};       ///< per-block partial sums
   std::vector<PartitionRef> visits;     ///< ranked partitions to scan
 };
 
 /// Full blocked scan (SearchMode::kHeap): accumulates all `s_limit`
-/// subspaces for every row of `bc` and pushes every distance. `ids` maps
-/// blocked row index -> global id (nullptr = identity). `acc` is a
-/// caller-owned kScanBlockSize buffer (SearchScratch::acc).
-///
-/// `stop` (optional) is consulted once per 64-row block; when it fires
-/// the scan returns immediately with the heap holding the best-so-far
-/// top-k over the rows already processed. Passing nullptr (the default)
-/// keeps the loop free of any deadline overhead.
+/// subspaces for every row of `bc` and pushes every distance. It is
+/// BlockedEaScan over every row with `interval = s_limit`, so no abandon
+/// check ever runs.
 void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,
                      const float* lut, const uint32_t* lut_offsets,
                      size_t s_limit, const ScanKernel& kernel, float* acc,
@@ -207,14 +228,21 @@ void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,
                      StopController* stop = nullptr);
 
 /// Blocked early-abandoning scan of rows [row_begin, row_end) of `bc`.
+/// `ids` maps blocked row index -> global id (nullptr = identity). `acc`
+/// is a caller-owned kScanBlockSize buffer (SearchScratch::acc).
+///
 /// The best-so-far threshold is read once per block; after every
-/// `interval` subspaces the block is abandoned when the minimum partial
-/// sum over its active lanes already exceeds that threshold (no lane can
-/// improve the heap). Only fully-accumulated rows are ever pushed, so an
-/// abandoned partial sum is never mistaken for a distance — the same
-/// invariant as the reference per-row early abandon, and therefore the
-/// same final top-k.
-/// `stop` has the same block-granular semantics as in BlockedFullScan.
+/// `interval` subspaces but the last, the block is abandoned when the
+/// minimum partial sum over its active lanes already reaches that
+/// threshold (no lane can improve the heap). Only fully-accumulated rows
+/// are ever pushed, so an abandoned partial sum is never mistaken for a
+/// distance — the same invariant as the reference per-row early abandon,
+/// and therefore the same final top-k.
+///
+/// `stop` (optional) is consulted once per 64-row block; when it fires
+/// the scan returns immediately with the heap holding the best-so-far
+/// top-k over the rows already processed. Passing nullptr (the default)
+/// keeps the loop free of any deadline overhead.
 void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
                    const uint32_t* ids, const float* lut,
                    const uint32_t* lut_offsets, size_t s_limit,

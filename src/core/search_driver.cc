@@ -51,7 +51,6 @@ struct QueryScan {
   const uint32_t* lut_offsets;
   size_t s_limit;   ///< subspaces accumulated per row
   size_t interval;  ///< subspaces between early-abandon checks
-  bool heap_mode;   ///< SearchMode::kHeap: accumulate every row in full
   bool ranked;      ///< the visits come from a PartitionRanker
   SearchScratch* scratch;
   SearchStats* stats;
@@ -120,20 +119,21 @@ void ScanReference(const QueryScan& q) {
           continue;
         }
       }
-      // Early abandoning (Algorithm 4 lines 38-41), checked every `interval`
-      // subspaces; only a full sum below the threshold is pushed. kHeap
-      // never abandons and pushes every row.
+      // Early abandoning (Algorithm 4 lines 38-41), checked after every
+      // `interval` subspaces but the last, as in BlockedEaScan; a full sum
+      // is offered to the heap, which keeps it only if it improves the
+      // top-k.
       p.codes->ReadRow(i, code.data());
       float acc = 0.f;
       size_t s = 0;
-      while (s < q.s_limit) {
+      for (;;) {
         for (const size_t s_end = std::min(s + q.interval, q.s_limit);
              s < s_end; ++s) {
           acc += q.lut[q.lut_offsets[s] + code[s]];
         }
-        if (!q.heap_mode && acc >= threshold) break;
+        if (s == q.s_limit || acc >= threshold) break;
       }
-      if (q.heap_mode || acc < threshold) {
+      if (s == q.s_limit) {
         heap.Push(acc, p.ids != nullptr ? p.ids[i] : static_cast<int64_t>(i));
       }
       if (stats != nullptr) {
@@ -217,9 +217,6 @@ void ScanBlocked(const QueryScan& q, const ScanKernel& kernel) {
     if (p.codes->empty()) continue;
     if (p.sorted_distances != nullptr) {
       ScanWindow(q, p, kernel);
-    } else if (q.heap_mode) {
-      BlockedFullScan(*p.codes, p.ids, q.lut, q.lut_offsets, q.s_limit,
-                      kernel, q.scratch->acc, &heap, q.stats, q.stop);
     } else {
       BlockedEaScan(*p.codes, 0, p.codes->rows(), p.ids, q.lut,
                     q.lut_offsets, q.s_limit, q.interval, kernel,
@@ -229,6 +226,21 @@ void ScanBlocked(const QueryScan& q, const ScanKernel& kernel) {
 }
 
 }  // namespace
+
+void RankPartitions(const float* projected, const FloatMatrix& centroids,
+                    size_t visit, std::vector<Neighbor>* ranking) {
+  const size_t total = centroids.rows();
+  ranking->resize(total);
+  for (size_t c = 0; c < total; ++c) {
+    (*ranking)[c] = {SquaredL2(projected, centroids.row(c), centroids.cols()),
+                     static_cast<int64_t>(c)};
+  }
+  // Neighbor orders by (distance, id).
+  const auto nearest_end = ranking->begin() + std::min(visit, total);
+  std::nth_element(ranking->begin(), nearest_end, ranking->end());
+  std::sort(ranking->begin(), nearest_end);
+  ranking->erase(nearest_end, ranking->end());
+}
 
 Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
                      const BlockedCodes* blocked,
@@ -261,8 +273,7 @@ Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
   const size_t m = encoder.num_subspaces();
   const bool ranked = ranker != nullptr;
   QueryScan scan{scratch->lut.data(), encoder.lut_offsets32(), m,
-                 std::max<size_t>(1, params.ea_check_interval),
-                 !ranked && params.mode == SearchMode::kHeap, ranked,
+                 std::max<size_t>(1, params.ea_check_interval), ranked,
                  scratch, stats, stop, trace};
   // Partitions are counted per query, flat queries included (none).
   if (stats != nullptr) stats->partitions_visited = 0;
@@ -281,6 +292,9 @@ Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
       scan.s_limit = std::min(params.num_subspaces_used, m);
     }
   }
+  // kHeap is the early-abandon scan that never checks: one interval spans
+  // every accumulated subspace.
+  if (params.mode == SearchMode::kHeap) scan.interval = scan.s_limit;
   const bool reference = params.kernel == ScanKernelType::kReference;
   // A blocked TI scan traces each chunk of its windows (ScanWindow); every
   // other scan is one span.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/matrix.h"
 #include "common/status.h"
 #include "common/topk.h"
 #include "common/trace.h"
@@ -72,14 +73,22 @@ class PartitionRanker {
   virtual size_t Rank(const float* projected, SearchScratch* scratch) const = 0;
 };
 
+/// Algorithm 4's partition ranking, for TI clusters and IVF cells alike:
+/// writes the min(visit, centroids.rows()) centroids nearest the first
+/// `centroids.cols()` dims of `projected` to `ranking` as (squared
+/// distance, row id), sorted nearest first with exact ties in ascending id.
+void RankPartitions(const float* projected, const FloatMatrix& centroids,
+                    size_t visit, std::vector<Neighbor>* ranking);
+
 /// The one query driver under VaqIndex and VaqIvfIndex: validate, project,
 /// build the LUT, scan, finalize (FinalizeSearchResult) and record the
 /// query's telemetry. `num_rows` is the size of the indexed database.
 ///
 /// With a ranker the scan visits the ranked partitions nearest first,
 /// early-abandoned over all subspaces. With `ranker` null the scan is flat:
-/// one partition, `blocked` (required then), in row order, as a plain heap
-/// scan for SearchMode::kHeap and early-abandoned otherwise.
+/// one partition, `blocked` (required then), in row order. Every scan is
+/// early-abandoned; SearchMode::kHeap is the one whose check interval spans
+/// all accumulated subspaces, so it never abandons a row.
 /// `params.visit_fraction` is validated but read only by the ranker.
 Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
                      const BlockedCodes* blocked,

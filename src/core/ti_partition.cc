@@ -8,6 +8,7 @@
 
 #include "common/io.h"
 #include "common/rng.h"
+#include "core/scan.h"
 
 namespace vaq {
 
@@ -179,33 +180,25 @@ Status TiPartition::ValidateInvariants(size_t num_rows, size_t num_subspaces,
       return Status::Internal("TI centroids contain non-finite values");
     }
   }
-  std::vector<bool> seen(num_rows, false);
-  size_t total = 0;
   for (const Cluster& cluster : clusters_) {
     if (cluster.ids.size() != cluster.distances.size()) {
       return Status::Internal("TI id/distance arrays disagree in length");
     }
     float prev = 0.f;
-    for (size_t i = 0; i < cluster.ids.size(); ++i) {
-      const uint32_t id = cluster.ids[i];
-      if (id >= num_rows || seen[id]) {
-        return Status::Internal("TI clusters are not a partition of the "
-                                "database rows");
-      }
-      seen[id] = true;
-      const float d = cluster.distances[i];
+    for (const float d : cluster.distances) {
       if (!std::isfinite(d) || d < 0.f || d < prev) {
         return Status::Internal("TI cached distances are not sorted "
                                 "non-negative finite values");
       }
       prev = d;
     }
-    total += cluster.ids.size();
   }
-  if (total != num_rows) {
-    return Status::Internal("TI clusters do not cover every database row");
-  }
-  return Status::OK();
+  return ValidatePartitionCover(
+      num_rows, clusters_.size(),
+      [this](size_t c) -> const std::vector<uint32_t>& {
+        return clusters_[c].ids;
+      },
+      "TI clusters");
 }
 
 }  // namespace vaq

@@ -15,9 +15,9 @@ namespace {
 
 constexpr char kMagic[8] = {'V', 'A', 'Q', 'I', 'D', 'X', '0', '1'};
 
-/// Ranks TI clusters by the query's prefix distance to their centroids
-/// (full sort) and visits the nearest `visit_fraction` of them, each
-/// narrowed to its triangle-inequality window.
+/// Visits the nearest `visit_fraction` of the TI clusters (RankPartitions
+/// over the prefix centroids), each narrowed to its triangle-inequality
+/// window around dq, the query's prefix distance to the centroid.
 class TiRanker final : public PartitionRanker {
  public:
   TiRanker(const TiPartition& ti, const std::vector<BlockedCodes>& blocked,
@@ -25,26 +25,18 @@ class TiRanker final : public PartitionRanker {
       : ti_(ti), blocked_(blocked), visit_fraction_(visit_fraction) {}
 
   size_t Rank(const float* projected, SearchScratch* scratch) const override {
-    std::vector<float>& query_to_cluster = scratch->query_to_cluster;
-    ti_.QueryDistances(projected, &query_to_cluster);
-    std::vector<size_t>& order = scratch->order;
-    order.resize(ti_.num_clusters());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return query_to_cluster[a] < query_to_cluster[b];
-    });
-    const size_t visit = std::clamp<size_t>(
-        static_cast<size_t>(std::ceil(visit_fraction_ *
-                                      static_cast<double>(order.size()))),
-        1, order.size());
-    scratch->visits.resize(visit);
-    for (size_t v = 0; v < visit; ++v) {
-      const size_t c = order[v];
-      const TiPartition::Cluster& cluster = ti_.cluster(c);
-      scratch->visits[v] = {&blocked_[c], cluster.ids.data(),
-                            cluster.distances.data(), query_to_cluster[c]};
+    // At least one: the driver has checked visit_fraction is in (0, 1].
+    const size_t visit = static_cast<size_t>(std::ceil(
+        visit_fraction_ * static_cast<double>(ti_.num_clusters())));
+    RankPartitions(projected, ti_.centroids(), visit, &scratch->ranking);
+    scratch->visits.resize(scratch->ranking.size());
+    for (size_t v = 0; v < scratch->ranking.size(); ++v) {
+      const Neighbor& r = scratch->ranking[v];
+      const TiPartition::Cluster& cluster = ti_.cluster(r.id);
+      scratch->visits[v] = {&blocked_[r.id], cluster.ids.data(),
+                            cluster.distances.data(), std::sqrt(r.distance)};
     }
-    return order.size();
+    return ti_.num_clusters();
   }
 
  private:

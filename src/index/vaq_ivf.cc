@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/io.h"
 #include "common/log.h"
@@ -13,9 +12,8 @@
 namespace vaq {
 namespace {
 
-/// Ranks the coarse cells by squared distance from the query to their
-/// centroids, ties broken by cell id, and visits the nearest `nprobe`
-/// whole.
+/// Visits the `nprobe` coarse cells nearest the query (RankPartitions over
+/// the coarse centroids), each list whole.
 class CellRanker final : public PartitionRanker {
  public:
   CellRanker(const KMeans& coarse, const std::vector<BlockedCodes>& blocked,
@@ -23,27 +21,13 @@ class CellRanker final : public PartitionRanker {
       : coarse_(coarse), blocked_(blocked), lists_(lists), nprobe_(nprobe) {}
 
   size_t Rank(const float* projected, SearchScratch* scratch) const override {
-    std::vector<float>& cell_dist = scratch->query_to_cluster;
-    cell_dist.resize(coarse_.k());
-    for (size_t c = 0; c < coarse_.k(); ++c) {
-      cell_dist[c] = SquaredL2(projected, coarse_.centroids().row(c),
-                               coarse_.centroids().cols());
-    }
-    std::vector<size_t>& order = scratch->order;
-    order.resize(coarse_.k());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::partial_sort(order.begin(), order.begin() + nprobe_, order.end(),
-                      [&](size_t a, size_t b) {
-                        if (cell_dist[a] != cell_dist[b]) {
-                          return cell_dist[a] < cell_dist[b];
-                        }
-                        return a < b;
-                      });
-    scratch->visits.resize(nprobe_);
-    for (size_t v = 0; v < nprobe_; ++v) {
-      const size_t c = order[v];
-      scratch->visits[v] = {&blocked_[c], lists_[c].data(), nullptr,
-                            cell_dist[c]};
+    RankPartitions(projected, coarse_.centroids(), nprobe_,
+                   &scratch->ranking);
+    scratch->visits.resize(scratch->ranking.size());
+    for (size_t v = 0; v < scratch->ranking.size(); ++v) {
+      const Neighbor& r = scratch->ranking[v];
+      scratch->visits[v] = {&blocked_[r.id], lists_[r.id].data(), nullptr,
+                            r.distance};
     }
     return coarse_.k();
   }
@@ -211,24 +195,10 @@ Status VaqIvfIndex::ValidateInvariants(const CodeMatrix& codes) const {
     return Status::Internal("inverted list count disagrees with the coarse "
                             "partition size");
   }
-  // The lists must partition the database: every row id exactly once.
-  std::vector<bool> seen(n, false);
-  size_t total = 0;
-  for (const auto& list : lists_) {
-    for (uint32_t id : list) {
-      if (id >= n || seen[id]) {
-        return Status::Internal("inverted lists are not a partition of the "
-                                "database rows");
-      }
-      seen[id] = true;
-    }
-    total += list.size();
-  }
-  if (total != n) {
-    return Status::Internal("inverted lists do not cover every database "
-                            "row");
-  }
-  return Status::OK();
+  return ValidatePartitionCover(
+      n, lists_.size(),
+      [this](size_t c) -> const std::vector<uint32_t>& { return lists_[c]; },
+      "inverted lists");
 }
 
 Status VaqIvfIndex::Save(const std::string& path) const {
@@ -305,7 +275,6 @@ Status VaqIvfIndex::SearchProbed(const float* query,
                                  std::vector<Neighbor>* out,
                                  SearchStats* stats) const {
   if (nprobe == 0) nprobe = options_.default_nprobe;
-  nprobe = std::min(nprobe, coarse_.k());
   const CellRanker ranker(coarse_, list_blocked_, lists_, nprobe);
   return SearchEncoded(encoder_, num_rows_, nullptr, &ranker, query, params,
                        scratch, out, stats);

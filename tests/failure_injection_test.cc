@@ -33,6 +33,14 @@ void WriteFile(const std::string& path, const std::vector<char>& bytes) {
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Reads a saved version-1 container back, verified, section by section.
+Result<ContainerReader> ReadContainer(const std::string& path,
+                                      const char magic[8]) {
+  std::string bytes;
+  VAQ_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
+  return ContainerReader::Parse(std::move(bytes), magic, 1);
+}
+
 /// Loader signature for the corruption sweeps: attempts a load and
 /// reports whether it succeeded. Any outcome but a clean Status error on
 /// a corrupted file (a crash, an abort, a sanitizer report) fails the
@@ -335,7 +343,7 @@ TEST_F(CorruptionSweepTest, ValidationRejectsChecksumCleanOutOfRangeCodes) {
   ASSERT_TRUE(pq_->Save(path).ok());
 
   const char magic[8] = {'V', 'A', 'Q', 'P', 'Q', '0', '0', '1'};
-  auto reader = ContainerReader::Open(path, magic, 1);
+  auto reader = ReadContainer(path, magic);
   ASSERT_TRUE(reader.ok());
   ContainerWriter writer(magic, 1);
   for (const uint32_t tag :
@@ -370,7 +378,7 @@ TEST_F(CorruptionSweepTest, ValidationRejectsChecksumCleanBrokenLists) {
   ASSERT_TRUE(ivf_->Save(path).ok());
 
   const char magic[8] = {'V', 'A', 'Q', 'I', 'V', 'F', '0', '1'};
-  auto reader = ContainerReader::Open(path, magic, 1);
+  auto reader = ReadContainer(path, magic);
   ASSERT_TRUE(reader.ok());
   ContainerWriter writer(magic, 1);
   for (const uint32_t tag :
@@ -416,7 +424,7 @@ TEST_F(CorruptionSweepTest, ValidationRejectsChecksumCleanZeroNprobe) {
   ASSERT_TRUE(ivf_->Save(path).ok());
 
   const char magic[8] = {'V', 'A', 'Q', 'I', 'V', 'F', '0', '1'};
-  auto reader = ContainerReader::Open(path, magic, 1);
+  auto reader = ReadContainer(path, magic);
   ASSERT_TRUE(reader.ok());
   ContainerWriter writer(magic, 1);
   for (const uint32_t tag :

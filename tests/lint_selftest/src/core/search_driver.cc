@@ -13,4 +13,13 @@ void ScanBlocked(size_t rows) {
   VAQ_CHECK(rows > 0);  // scan helper, not an entry point: legal
 }
 
+void RankPartitions(const float* projected, size_t visit) {
+  VAQ_CHECK(visit > 0);  // seed: entrypoint-no-check
+  (void)projected;
+}
+
+void BuildRanking(size_t visit) {
+  VAQ_CHECK(visit > 0);  // "Rank" mid-identifier, not a Rank*: legal
+}
+
 }  // namespace vaq

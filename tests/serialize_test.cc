@@ -163,7 +163,9 @@ TEST_F(ContainerTest, CommitWritesLoadableFile) {
   ContainerWriter writer(kTestMagic, 1);
   WriteString(writer.AddSection(kTagAlpha), "payload");
   ASSERT_TRUE(writer.Commit(path_).ok());
-  auto reader = ContainerReader::Open(path_, kTestMagic, 1);
+  std::string bytes;
+  ASSERT_TRUE(ReadFileBytes(path_, &bytes).ok());
+  auto reader = ContainerReader::Parse(std::move(bytes), kTestMagic, 1);
   ASSERT_TRUE(reader.ok());
   auto sec = reader->Section(kTagAlpha);
   ASSERT_TRUE(sec.ok());
@@ -171,33 +173,6 @@ TEST_F(ContainerTest, CommitWritesLoadableFile) {
   std::string s;
   ASSERT_TRUE(ReadString(is, &s).ok());
   EXPECT_EQ(s, "payload");
-}
-
-TEST_F(ContainerTest, IsContainerFileDiscriminatesLayouts) {
-  ContainerWriter writer(kTestMagic, 1);
-  WriteString(writer.AddSection(kTagAlpha), "x");
-  ASSERT_TRUE(writer.Commit(path_).ok());
-  auto boxed = IsContainerFile(path_);
-  ASSERT_TRUE(boxed.ok());
-  EXPECT_TRUE(*boxed);
-
-  // A legacy-style file opening with a family magic is not a container.
-  {
-    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
-    os.write(kTestMagic, 8);
-    os << "legacy body";
-  }
-  boxed = IsContainerFile(path_);
-  ASSERT_TRUE(boxed.ok());
-  EXPECT_FALSE(*boxed);
-
-  // Too short to hold any magic: clean error, not a guess.
-  {
-    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
-    os << "abc";
-  }
-  EXPECT_FALSE(IsContainerFile(path_).ok());
-  EXPECT_FALSE(IsContainerFile("/tmp/definitely_not_there_vaq.bin").ok());
 }
 
 TEST(AtomicWriteFileTest, ReplacesTargetAndLeavesNoTemp) {

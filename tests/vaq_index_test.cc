@@ -219,7 +219,7 @@ std::string ReadFileBytes(const std::string& path) {
 /// the uint16 codes in row order.
 std::string CodeSection(const std::string& path) {
   const char magic[8] = {'V', 'A', 'Q', 'I', 'D', 'X', '0', '1'};
-  auto reader = ContainerReader::Open(path, magic, 1);
+  auto reader = ContainerReader::Parse(ReadFileBytes(path), magic, 1);
   if (!reader.ok()) return "";
   auto sec = reader->Section(SectionTag('C', 'O', 'D', 'E'));
   if (!sec.ok()) return "";

@@ -29,10 +29,12 @@ suite, the Status-not-abort API tests) into CI build failures:
                        families (src/core/vaq_index.cc,
                        src/index/vaq_ivf.cc, src/quant/pq.cc,
                        src/quant/opq.cc), the shared query driver
-                       (src/core/search_driver.cc) and the shared file
-                       reader every Load runs through (LoadSections and
-                       ContainerReader's Open/Parse/Section in
-                       src/common/serialize.cc) must not VAQ_CHECK:
+                       (src/core/search_driver.cc) and its partition
+                       ranking (Rank*, run on the user's visit_fraction
+                       and nprobe), and the shared file reader every Load
+                       runs through (LoadSections and ContainerReader's
+                       Parse/Section in src/common/serialize.cc) must not
+                       VAQ_CHECK:
                        user-reachable misuse and untrusted files return
                        Status, never abort the process. (VAQ_DCHECK
                        stays legal: debug-only, compiled out of release
@@ -82,7 +84,7 @@ ENTRYPOINT_FILES = {
     "src/quant/opq.cc",
     "src/common/serialize.cc",
 }
-ENTRYPOINT_NAME = re.compile(r"\b(?:Search|Load|Open|Parse|Section)\w*")
+ENTRYPOINT_NAME = re.compile(r"\b(?:Search|Load|Parse|Section|Rank)\w*")
 
 STDIO_EXEMPT = {"src/common/log.cc"}
 
