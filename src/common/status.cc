@@ -21,8 +21,6 @@ const char* CodeName(StatusCode code) {
       return "IoError";
     case StatusCode::kUnimplemented:
       return "Unimplemented";
-    case StatusCode::kInfeasible:
-      return "Infeasible";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
     case StatusCode::kCancelled:

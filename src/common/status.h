@@ -17,7 +17,6 @@ enum class StatusCode {
   kInternal,
   kIoError,
   kUnimplemented,
-  kInfeasible,  ///< Optimization problem has no feasible solution.
   kDeadlineExceeded,  ///< Query budget expired in strict-deadline mode.
   kCancelled,         ///< Caller cancelled the operation.
   kUnavailable,  ///< Overloaded: admission control rejected the request;
@@ -55,9 +54,6 @@ class Status {
   }
   static Status Unimplemented(std::string msg) {
     return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
-  static Status Infeasible(std::string msg) {
-    return Status(StatusCode::kInfeasible, std::move(msg));
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));

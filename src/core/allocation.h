@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "solver/lp.h"
 
 namespace vaq {
 
@@ -15,58 +14,31 @@ struct AllocationOptions {
   /// C2 bounds per subspace.
   size_t min_bits = 1;
   size_t max_bits = 13;
-  /// C1: subspaces in the minimal prefix explaining this fraction of the
-  /// total variance must receive at least one bit. With min_bits >= 1 the
-  /// constraint is implied; it becomes active when min_bits == 0.
-  double target_variance = 1.0;
-  /// C4: enforce that allocations are non-increasing in the subspace
-  /// importance ordering and capped proportionally to each subspace's
-  /// variance share.
-  bool proportional = true;
-  /// Optional external importance weights replacing the variance shares in
-  /// the objective (Section III-C's extensibility argument: supervision or
-  /// workload knowledge can reweight subspaces without a new solver).
-  /// When set, C4's proportional caps and monotone rows are skipped (the
-  /// weights need not follow the variance ordering); length must equal the
-  /// subspace count.
-  std::vector<double> weight_override;
-  /// Extra linear constraint rows over the bit variables, appended to the
-  /// built-in C1-C3 rows — e.g. "subspaces 4 and 5 share a size" or
-  /// "the first two subspaces get at most 16 bits combined" for storage
-  /// or latency service agreements.
-  std::vector<LinearConstraint> extra_constraints;
 };
 
 struct Allocation {
   /// Bits per subspace, aligned with the importance-ordered subspaces.
   std::vector<int> bits;
-  /// Objective value W^T y of the chosen allocation.
-  double objective = 0.0;
-  /// True when the MILP solved; false when the deterministic water-filling
-  /// fallback produced the allocation (never happens for valid inputs, but
-  /// the fallback keeps the system total).
-  bool milp_solved = false;
 };
 
 /// Adaptive subspace budget allocation (Section III-C, Algorithm 2).
 ///
-/// Solves  maximize W^T y  s.t.  sum(y) == B,  min <= y_i <= max  (C2/C3),
-/// prefix coverage (C1), monotone + proportional caps (C4), with y integer,
-/// where W are the normalized subspace variances sorted non-increasing.
+/// Reverse water-filling of y_i = theta + (1/2) log2(V_i) within
+/// [min_bits, max_bits], rounded to the exact budget by largest remainder
+/// and sorted non-increasing to follow the importance order.
+///
+/// This point is also the optimum of the paper's MILP, maximize W^T y over
+/// integer y subject to C1-C4. C4 caps every y_i at this point's value,
+/// and these caps already sum to the budget that C3 demands, so the
+/// feasible region is this single point. C1 (the variance-covering prefix
+/// gets at least one bit) is implied whenever min_bits >= 1, which
+/// VaqEncoder::Train requires.
 ///
 /// Returns kInvalidArgument when the budget cannot satisfy the bounds
-/// (B < m*min or B > m*max).
+/// (B < m*min or B > m*max) or when a variance is negative, non-finite or
+/// out of the non-increasing importance order.
 Result<Allocation> AllocateBits(const std::vector<double>& subspace_variances,
                                 const AllocationOptions& options);
-
-/// Deterministic reference allocator: reverse water-filling of the
-/// transform-coding rate allocation y_i = theta + (1/2) log2(V_i), clamped
-/// to the bounds and rounded to integers (largest remainder) with
-/// monotonicity enforced. Anchors the MILP's C4 caps and doubles as a
-/// fallback and test oracle.
-Result<Allocation> AllocateBitsProportional(
-    const std::vector<double>& subspace_variances,
-    const AllocationOptions& options);
 
 }  // namespace vaq
 

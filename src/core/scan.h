@@ -30,20 +30,19 @@ struct SearchStats {
   // accumulation): how many partitions the pruning policy *selected* for
   // this query, out of how many the index has.
   size_t clusters_visited = 0;   ///< partitions the query planned to visit
-  size_t clusters_total = 0;     ///< partitions in the index
+  size_t clusters_total = 0;     ///< partitions in the index (0 = flat scan)
 
   // Degradation report (DESIGN.md §9): work *actually performed*,
   // accumulated as the scan runs. `partitions_visited` counts partitions
   // the scan entered, from zero on every query, so it trails
   // `clusters_visited` while a query runs and equals it only for a query
   // that was never stopped. The invariant partitions_visited <=
-  // clusters_visited is checked in FinalizeSearchResult. Both pairs stay because they answer different
-  // questions: planned-vs-total is pruning power, entered-vs-planned is
-  // deadline progress.
+  // clusters_visited is checked in FinalizeSearchResult. The two ratios
+  // answer different questions: planned-vs-total is pruning power,
+  // entered-vs-planned is deadline progress.
   bool truncated = false;         ///< stopped before the planned work finished
   size_t rows_scanned = 0;        ///< rows whose full distance was accumulated
   size_t partitions_visited = 0;  ///< TI clusters / IVF cells actually entered
-  size_t partitions_total = 0;    ///< partitions in the index (0 = flat scan)
   double wall_micros = 0.0;       ///< wall time of the Search() call
   double cpu_micros = 0.0;        ///< thread CPU time of the Search() call
 

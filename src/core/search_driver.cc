@@ -8,12 +8,18 @@
 namespace vaq {
 namespace {
 
-/// User-supplied SearchParams never abort: every reachable misuse maps to
-/// InvalidArgument (the same rule as for untrusted files).
+/// User-supplied SearchParams and queries never abort: every reachable
+/// misuse maps to InvalidArgument (the same rule as for untrusted files).
 Status ValidateSearchParams(const VaqEncoder& encoder, size_t n,
-                            const SearchParams& params) {
+                            const float* query, const SearchParams& params) {
   if (!encoder.trained()) {
     return Status::FailedPrecondition("index is not trained");
+  }
+  // A NaN coordinate would make every distance NaN and every row a tie.
+  for (size_t i = 0; i < encoder.dim(); ++i) {
+    if (!std::isfinite(query[i])) {
+      return Status::InvalidArgument("query must be finite");
+    }
   }
   if (params.k == 0) return Status::InvalidArgument("k must be >= 1");
   if (params.k > n) {
@@ -249,7 +255,7 @@ Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
                      std::vector<Neighbor>* out, SearchStats* stats) {
   WallTimer timer;
   CpuTimer cpu_timer(CpuTimer::Scope::kThread);
-  VAQ_RETURN_IF_ERROR(ValidateSearchParams(encoder, num_rows, params));
+  VAQ_RETURN_IF_ERROR(ValidateSearchParams(encoder, num_rows, query, params));
   StopController stop_state(params.deadline, params.cancel_token);
   StopController* stop = stop_state.armed() ? &stop_state : nullptr;
 
@@ -284,7 +290,6 @@ Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
     if (stats != nullptr) {
       stats->clusters_total = total;
       stats->clusters_visited = scratch->visits.size();
-      stats->partitions_total = total;
     }
   } else {
     scratch->visits.assign(1, PartitionRef{blocked});

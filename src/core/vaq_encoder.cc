@@ -1,6 +1,8 @@
 #include "core/vaq_encoder.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/io.h"
 #include "common/metrics.h"
@@ -9,6 +11,23 @@
 #include "core/balance.h"
 
 namespace vaq {
+namespace {
+
+/// NaN or infinite rows would train and encode silently (or stall the
+/// eigensolver), so they are rejected at the boundary.
+Status CheckFinite(const FloatMatrix& rows) {
+  const float* v = rows.data();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!std::isfinite(v[i])) {
+      return Status::InvalidArgument(
+          "vectors must be finite: NaN or inf in row " +
+          std::to_string(i / rows.cols()));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Status VaqEncoder::Train(const FloatMatrix& data, const VaqOptions& options,
                          TrainedRows* rows) {
@@ -21,6 +40,7 @@ Status VaqEncoder::Train(const FloatMatrix& data, const VaqOptions& options,
   if (options.min_bits < 1) {
     return Status::InvalidArgument("min_bits must be >= 1");
   }
+  VAQ_RETURN_IF_ERROR(CheckFinite(data));
 
   // Per-stage build accounting (DESIGN.md §10): cumulative registry
   // counters plus the owner's kDebug build report. Training is cold path;
@@ -68,7 +88,7 @@ Status VaqEncoder::Train(const FloatMatrix& data, const VaqOptions& options,
   {
     StageTimer st(
         reg.GetCounter("vaq_build_allocation_us_total",
-                       "Cumulative bit-allocation (MILP) time (us)"),
+                       "Cumulative bit-allocation time (us)"),
         &rows->allocation_us);
     if (options.adaptive_allocation) {
       AllocationOptions aopts;
@@ -88,7 +108,6 @@ Status VaqEncoder::Train(const FloatMatrix& data, const VaqOptions& options,
         // feasible rather than reject the configuration.
         aopts.max_bits = options.max_bits;
       }
-      aopts.target_variance = options.target_variance;
       VAQ_ASSIGN_OR_RETURN(Allocation alloc,
                            AllocateBits(subspace_variances_, aopts));
       bits = alloc.bits;
@@ -129,6 +148,7 @@ Result<FloatMatrix> VaqEncoder::Project(const FloatMatrix& rows) const {
 
 Result<CodeMatrix> VaqEncoder::Encode(const FloatMatrix& rows,
                                       size_t num_threads) const {
+  VAQ_RETURN_IF_ERROR(CheckFinite(rows));
   VAQ_ASSIGN_OR_RETURN(FloatMatrix projected, Project(rows));
   return books_.Encode(projected, num_threads);
 }

@@ -23,15 +23,14 @@ struct VaqOptions {
   /// C2 bounds on the per-subspace allocation (paper: 1 and 13).
   size_t min_bits = 1;
   size_t max_bits = 13;
-  /// C1 target fraction of explained variance.
-  double target_variance = 1.0;
   /// Non-uniform subspace widths via 1-D k-means over the variance profile
   /// (Section III-B "Clustering of Dimensions"); uniform widths otherwise.
   bool clustered_subspaces = false;
   /// Partial importance balancing (Algorithm 2 lines 2-9).
   bool partial_balance = true;
-  /// Adaptive MILP bit allocation; false assigns total_bits/m uniformly
-  /// (the PQ/OPQ regime) for ablation studies.
+  /// Adaptive bit allocation (AllocateBits: log-variance water-filling,
+  /// the optimum of the paper's C1-C4 MILP); false assigns total_bits/m
+  /// uniformly (the PQ/OPQ regime) for ablation studies.
   bool adaptive_allocation = true;
   /// Mean-center before PCA.
   bool center_pca = true;
@@ -65,13 +64,13 @@ class VaqEncoder {
            codebook_us = 0.0, encode_us = 0.0;
   };
 
-  /// Trains on `data` (n x d, n >= 2, options.num_subspaces <= d) and
-  /// encodes it. Each stage feeds its vaq_build_*_us_total counter
+  /// Trains on `data` (n x d, n >= 2, options.num_subspaces <= d, every
+  /// value finite) and encodes it. Each stage feeds its vaq_build_*_us_total counter
   /// (DESIGN.md §10).
   Status Train(const FloatMatrix& data, const VaqOptions& options,
                TrainedRows* rows);
 
-  /// Encodes raw rows (n x dim()).
+  /// Encodes raw rows (n x dim(), every value finite).
   Result<CodeMatrix> Encode(const FloatMatrix& rows,
                             size_t num_threads) const;
 

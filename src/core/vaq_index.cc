@@ -196,7 +196,8 @@ void VaqIndex::SaveOptionsSection(std::ostream& os) const {
   WritePod<uint64_t>(os, options_.total_bits);
   WritePod<uint64_t>(os, options_.min_bits);
   WritePod<uint64_t>(os, options_.max_bits);
-  WritePod<double>(os, options_.target_variance);
+  // Retired C1 target-variance slot: always 1.0, read back and discarded.
+  WritePod<double>(os, 1.0);
   WritePod<uint8_t>(os, options_.clustered_subspaces);
   WritePod<uint8_t>(os, options_.partial_balance);
   WritePod<uint8_t>(os, options_.adaptive_allocation);
@@ -220,8 +221,7 @@ Status VaqIndex::LoadOptionsSection(std::istream& is) {
   options_.min_bits = u64;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u64));
   options_.max_bits = u64;
-  VAQ_RETURN_IF_ERROR(ReadPod(is, &f64));
-  options_.target_variance = f64;
+  VAQ_RETURN_IF_ERROR(ReadPod(is, &f64));  // retired target-variance slot
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u8));
   options_.clustered_subspaces = u8;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u8));

@@ -11,7 +11,7 @@
 ///   vaq::HnswIndex / InvertedMultiIndex / IsaxIndex / DsTreeIndex —
 ///   rival indexes
 /// plus dataset generators (datasets/), evaluation utilities (eval/), and
-/// the numeric substrates (linalg/, clustering/, solver/).
+/// the numeric substrates (linalg/, clustering/).
 
 #include "common/cpu_features.h"
 #include "common/matrix.h"

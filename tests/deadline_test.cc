@@ -380,8 +380,8 @@ TEST_F(SearchDeadlineTest, TruncationReportDescribesPartitionProgress) {
   SetTracingEnabled(false);
   ASSERT_TRUE(st.ok());
   EXPECT_TRUE(stats.truncated);
-  EXPECT_EQ(stats.partitions_total, 32u);
-  EXPECT_LT(stats.partitions_visited, stats.partitions_total);
+  EXPECT_EQ(stats.clusters_total, 32u);
+  EXPECT_LT(stats.partitions_visited, stats.clusters_total);
   EXPECT_GT(stats.wall_micros, 0.0);
   // The query got through projection, LUT build, and partition ranking
   // before the budget hit, and entered the scan phase without finishing
@@ -435,7 +435,7 @@ TEST_F(IvfDeadlineTest, ZeroBudgetTruncates) {
   EXPECT_TRUE(stats.truncated);
   EXPECT_TRUE(result.empty());
   EXPECT_EQ(stats.partitions_visited, 0u);
-  EXPECT_EQ(stats.partitions_total, 32u);
+  EXPECT_EQ(stats.clusters_total, 32u);
 }
 
 TEST_F(IvfDeadlineTest, PartialBudgetVisitsSomeCellsAndStaysExact) {

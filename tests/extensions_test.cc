@@ -1,7 +1,6 @@
 // Tests for the extension features: exact re-ranking, symmetric distance
-// computation (SDC), custom allocation constraints and weights, the
-// configurable early-abandon interval, parallel encoding, the Frequent
-// Directions sketch, and baseline persistence.
+// computation (SDC), the configurable early-abandon interval, parallel
+// encoding, the Frequent Directions sketch, and baseline persistence.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <fstream>
 
 #include "common/rng.h"
-#include "core/allocation.h"
 #include "core/vaq_index.h"
 #include "datasets/synthetic.h"
 #include "eval/ground_truth.h"
@@ -140,66 +138,6 @@ TEST(SdcTest, PqSdcSearchCloseToAdc) {
   // should stay in the same ballpark.
   EXPECT_LE(sdc_recall, adc_recall + 0.05);
   EXPECT_GE(sdc_recall, adc_recall - 0.25);
-}
-
-TEST(AllocationExtensionsTest, WeightOverrideChangesAllocation) {
-  const std::vector<double> vars = {8, 4, 2, 1};
-  AllocationOptions opts;
-  opts.total_bits = 20;
-  opts.min_bits = 1;
-  opts.max_bits = 13;
-  auto base = AllocateBits(vars, opts);
-  ASSERT_TRUE(base.ok());
-
-  // Invert the importance: the caller knows the last subspace matters.
-  opts.weight_override = {0.1, 0.1, 0.1, 0.7};
-  auto overridden = AllocateBits(vars, opts);
-  ASSERT_TRUE(overridden.ok());
-  EXPECT_GT(overridden->bits[3], base->bits[3]);
-  EXPECT_EQ(overridden->bits[0] + overridden->bits[1] + overridden->bits[2] +
-                overridden->bits[3],
-            20);
-}
-
-TEST(AllocationExtensionsTest, WeightOverrideWidthChecked) {
-  AllocationOptions opts;
-  opts.total_bits = 8;
-  opts.weight_override = {1.0};  // wrong width
-  EXPECT_FALSE(AllocateBits({2, 1}, opts).ok());
-}
-
-TEST(AllocationExtensionsTest, ExtraConstraintHonored) {
-  const std::vector<double> vars = {8, 4, 2, 1};
-  AllocationOptions opts;
-  opts.total_bits = 16;
-  opts.min_bits = 1;
-  opts.max_bits = 13;
-  // SLA-style row: subspaces 0 and 1 together get at most 9 bits.
-  LinearConstraint row;
-  row.coeffs = {1, 1, 0, 0};
-  row.relation = Relation::kLessEqual;
-  row.rhs = 9;
-  opts.extra_constraints.push_back(row);
-  auto alloc = AllocateBits(vars, opts);
-  ASSERT_TRUE(alloc.ok());
-  EXPECT_LE(alloc->bits[0] + alloc->bits[1], 9);
-  EXPECT_EQ(alloc->bits[0] + alloc->bits[1] + alloc->bits[2] + alloc->bits[3],
-            16);
-}
-
-TEST(AllocationExtensionsTest, InfeasibleExtraConstraintReported) {
-  AllocationOptions opts;
-  opts.total_bits = 8;
-  opts.min_bits = 1;
-  opts.max_bits = 13;
-  LinearConstraint row;
-  row.coeffs = {1, 1};
-  row.relation = Relation::kGreaterEqual;
-  row.rhs = 100;  // impossible
-  opts.extra_constraints.push_back(row);
-  auto alloc = AllocateBits({2, 1}, opts);
-  ASSERT_FALSE(alloc.ok());
-  EXPECT_EQ(alloc.status().code(), StatusCode::kInfeasible);
 }
 
 TEST(EaIntervalTest, AnyIntervalGivesIdenticalResults) {

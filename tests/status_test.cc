@@ -24,7 +24,6 @@ TEST(StatusTest, FactoryFunctionsSetCodeAndMessage) {
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   EXPECT_EQ(Status::IoError("x").code(), StatusCode::kIoError);
   EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
-  EXPECT_EQ(Status::Infeasible("x").code(), StatusCode::kInfeasible);
   EXPECT_EQ(Status::InvalidArgument("bad budget").message(), "bad budget");
 }
 

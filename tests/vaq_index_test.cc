@@ -349,6 +349,60 @@ TEST(VaqIndexConfigTest, RejectsInvalidSearchParams) {
   EXPECT_FALSE(index->Search(data.row(0), params, &result).ok());
 }
 
+TEST(VaqIndexConfigTest, RejectsNonFiniteVectors) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  FloatMatrix data = SkewedData(500, 16, 29);
+  VaqOptions opts;
+  opts.num_subspaces = 4;
+  opts.total_bits = 24;
+  opts.ti_clusters = 8;
+  opts.kmeans_iters = 5;
+
+  // Train: one NaN anywhere in the training set.
+  FloatMatrix poisoned = data;
+  poisoned.row(137)[5] = nan;
+  EXPECT_EQ(VaqIndex::Train(poisoned, opts).status().code(),
+            StatusCode::kInvalidArgument);
+
+  auto index = VaqIndex::Train(data, opts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+
+  // Add: rows with NaN or inf are rejected and the index does not grow.
+  FloatMatrix bad_rows(3, 16);
+  for (size_t i = 0; i < bad_rows.size(); ++i) bad_rows.data()[i] = nan;
+  EXPECT_EQ(index->Add(bad_rows).code(), StatusCode::kInvalidArgument);
+  FloatMatrix one_inf = SkewedData(3, 16, 31);
+  one_inf.row(2)[15] = -inf;
+  EXPECT_EQ(index->Add(one_inf).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index->size(), 500u);
+
+  // Search: a NaN or inf coordinate fails the query.
+  std::vector<Neighbor> result;
+  SearchParams params;
+  params.k = 5;
+  std::vector<float> query(data.row(0), data.row(0) + 16);
+  query[3] = nan;
+  EXPECT_EQ(index->Search(query.data(), params, &result).code(),
+            StatusCode::kInvalidArgument);
+  query[3] = inf;
+  EXPECT_EQ(index->Search(query.data(), params, &result).code(),
+            StatusCode::kInvalidArgument);
+
+  // Batch: the bad query gets its own status, the others are answered.
+  FloatMatrix queries = SkewedData(3, 16, 37);
+  queries.row(1)[0] = nan;
+  std::vector<std::vector<Neighbor>> results;
+  std::vector<Status> statuses;
+  ASSERT_TRUE(
+      index->SearchBatchInto(queries, params, 2, &results, &statuses).ok());
+  ASSERT_EQ(statuses.size(), 3u);
+  EXPECT_TRUE(statuses[0].ok());
+  EXPECT_EQ(statuses[1].code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(statuses[2].ok());
+  EXPECT_EQ(results[2].size(), 5u);
+}
+
 class VaqModeEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t, bool>> {};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "datasets/synthetic.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
@@ -103,6 +105,43 @@ TEST_F(VaqIvfTest, RejectsBadInputs) {
   opts.default_nprobe = 0;  // would probe no list and return nothing
   EXPECT_EQ(VaqIvfIndex::Train(base_, opts).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(VaqIvfTest, RejectsNonFiniteVectors) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  FloatMatrix poisoned = base_;
+  poisoned.row(1999)[31] = nan;
+  VaqIvfOptions opts;
+  opts.vaq.num_subspaces = 8;
+  opts.vaq.total_bits = 48;
+  opts.vaq.kmeans_iters = 10;
+  opts.coarse_k = 32;
+  EXPECT_EQ(VaqIvfIndex::Train(poisoned, opts).status().code(),
+            StatusCode::kInvalidArgument);
+  poisoned.row(1999)[31] = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(VaqIvfIndex::Train(poisoned, opts).status().code(),
+            StatusCode::kInvalidArgument);
+
+  std::vector<float> query(queries_.row(0), queries_.row(0) + 32);
+  query[7] = nan;
+  std::vector<Neighbor> out;
+  EXPECT_EQ(index_.Search(query.data(), 5, 4, &out).code(),
+            StatusCode::kInvalidArgument);
+
+  FloatMatrix queries = queries_;
+  queries.row(2)[0] = nan;
+  std::vector<std::vector<Neighbor>> results;
+  std::vector<Status> statuses;
+  ASSERT_TRUE(index_
+                  .SearchBatchInto(queries, 5, 4, QueryControl{}, 2, &results,
+                                   &statuses)
+                  .ok());
+  ASSERT_EQ(statuses.size(), queries.rows());
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    EXPECT_EQ(statuses[q].code(), q == 2 ? StatusCode::kInvalidArgument
+                                         : StatusCode::kOk)
+        << q;
+  }
 }
 
 TEST_F(VaqIvfTest, SharesEncoderWithVaqIndex) {
