@@ -54,7 +54,10 @@ int main(int argc, char** argv) {
               base->rows(), queries->rows(), base->cols());
 
   auto gt = BruteForceKnn(*base, *queries, 10);
-  if (!gt.ok()) return 1;
+  if (!gt.ok()) {
+    std::fprintf(stderr, "ground truth: %s\n", gt.status().ToString().c_str());
+    return 1;
+  }
 
   // Scan index with TI skipping.
   VaqOptions opts;
@@ -70,6 +73,11 @@ int main(int argc, char** argv) {
   params.k = 10;
   params.visit_fraction = 0.25;
   auto scan_results = index->SearchBatch(*queries, params);
+  if (!scan_results.ok()) {
+    std::fprintf(stderr, "search: %s\n",
+                 scan_results.status().ToString().c_str());
+    return 1;
+  }
   std::printf("VaqIndex   (TI visit 0.25): Recall@10 = %.3f\n",
               Recall(*scan_results, *gt, 10));
 
@@ -84,7 +92,12 @@ int main(int argc, char** argv) {
   }
   std::vector<std::vector<Neighbor>> ivf_results(queries->rows());
   for (size_t q = 0; q < queries->rows(); ++q) {
-    (void)ivf->Search(queries->row(q), 10, /*nprobe=*/16, &ivf_results[q]);
+    const Status st =
+        ivf->Search(queries->row(q), 10, /*nprobe=*/16, &ivf_results[q]);
+    if (!st.ok()) {
+      std::fprintf(stderr, "ivf search: %s\n", st.ToString().c_str());
+      return 1;
+    }
   }
   std::printf("VaqIvfIndex (nprobe 16)   : Recall@10 = %.3f\n",
               Recall(ivf_results, *gt, 10));

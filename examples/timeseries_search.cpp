@@ -39,7 +39,11 @@ int main() {
   }
 
   auto exact = BruteForceKnn(base, queries, kK);
-  if (!exact.ok()) return 1;
+  if (!exact.ok()) {
+    std::fprintf(stderr, "ground truth: %s\n",
+                 exact.status().ToString().c_str());
+    return 1;
+  }
 
   struct Variant {
     const char* name;
@@ -67,7 +71,13 @@ int main() {
     CpuTimer timer;
     for (size_t q = 0; q < kQueries; ++q) {
       SearchStats stats;
-      (void)index->Search(queries.row(q), params, &results[q], &stats);
+      const Status st =
+          index->Search(queries.row(q), params, &results[q], &stats);
+      if (!st.ok()) {
+        std::fprintf(stderr, "%s search: %s\n", v.name,
+                     st.ToString().c_str());
+        return 1;
+      }
       visited += stats.codes_visited;
       lut_adds += stats.lut_adds;
     }

@@ -18,6 +18,4 @@ bool CpuHasAvx2() {
 #endif
 }
 
-const char* CpuFeatureString() { return CpuHasAvx2() ? "avx2" : "generic"; }
-
 }  // namespace vaq

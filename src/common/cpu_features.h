@@ -9,10 +9,6 @@ namespace vaq {
 /// builtin, so callers can branch unconditionally.
 bool CpuHasAvx2();
 
-/// Human-readable summary of the detected features ("avx2" / "generic"),
-/// for benchmark and test logs.
-const char* CpuFeatureString();
-
 }  // namespace vaq
 
 #endif  // VAQ_COMMON_CPU_FEATURES_H_

@@ -5,6 +5,24 @@
 
 namespace vaq {
 
+void ParallelFor(size_t n, size_t num_threads,
+                 const std::function<void(size_t, size_t)>& body) {
+  if (num_threads == 0) {
+    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
+  }
+  num_threads = std::min(num_threads, n);
+  if (num_threads <= 1) {
+    body(0, n);
+    return;
+  }
+  std::vector<std::thread> workers;
+  const size_t chunk = (n + num_threads - 1) / num_threads;
+  for (size_t begin = 0; begin < n; begin += chunk) {
+    workers.emplace_back(body, begin, std::min(n, begin + chunk));
+  }
+  for (std::thread& worker : workers) worker.join();
+}
+
 ThreadPool::ThreadPool() : ThreadPool(Options()) {}
 
 ThreadPool::ThreadPool(const Options& options) {

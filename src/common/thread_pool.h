@@ -81,6 +81,14 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Runs body(begin, end) over [0, n) in ceil(n / t) contiguous chunks, one
+/// fresh std::thread each, and joins them. t is `num_threads` (0 = hardware
+/// concurrency) capped at n; t <= 1 runs body(0, n) inline. The build steps
+/// use plain threads rather than ThreadPool::Shared(): a build called from
+/// a pool task would otherwise wait on its own pool.
+void ParallelFor(size_t n, size_t num_threads,
+                 const std::function<void(size_t, size_t)>& body);
+
 /// Completion latch for a set of tasks submitted to a ThreadPool. The
 /// submitting thread calls Add() per task and Wait() once; each task
 /// calls Done() exactly once (use a scope guard or call it on every exit

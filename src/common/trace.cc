@@ -40,8 +40,6 @@ const char* QueryPhaseName(QueryPhase phase) {
       return "block_scan";
     case QueryPhase::kTiPrune:
       return "ti_prune";
-    case QueryPhase::kRerank:
-      return "rerank";
   }
   return "unknown";
 }

@@ -23,10 +23,9 @@ enum class QueryPhase : int {
   kPartitionRank = 2,  ///< rank TI partitions / coarse lists by lower bound
   kBlockScan = 3,      ///< blocked ADC scan over candidate codes
   kTiPrune = 4,        ///< triangle-inequality partition pruning decisions
-  kRerank = 5,         ///< exact re-ranking of shortlisted candidates
 };
 
-inline constexpr int kNumQueryPhases = 6;
+inline constexpr int kNumQueryPhases = 5;
 
 const char* QueryPhaseName(QueryPhase phase);
 

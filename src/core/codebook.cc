@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <algorithm>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "clustering/kmeans.h"
 #include "common/io.h"
 #include "common/macros.h"
+#include "common/thread_pool.h"
 #include "core/scan.h"
 #include "linalg/ops.h"
 
@@ -119,29 +119,9 @@ Result<CodeMatrix> VariableCodebooks::Encode(const FloatMatrix& data,
     return Status::InvalidArgument("data width does not match codebooks");
   }
   CodeMatrix codes(data.rows(), num_subspaces());
-  if (num_threads == 0) {
-    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, std::max<size_t>(1, data.rows()));
-  if (num_threads <= 1) {
-    for (size_t r = 0; r < data.rows(); ++r) {
-      EncodeRow(data.row(r), codes.row(r));
-    }
-    return codes;
-  }
-  std::vector<std::thread> workers;
-  const size_t chunk = (data.rows() + num_threads - 1) / num_threads;
-  for (size_t t = 0; t < num_threads; ++t) {
-    const size_t begin = t * chunk;
-    const size_t end = std::min(data.rows(), begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([this, &data, &codes, begin, end] {
-      for (size_t r = begin; r < end; ++r) {
-        EncodeRow(data.row(r), codes.row(r));
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
+  ParallelFor(data.rows(), num_threads, [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) EncodeRow(data.row(r), codes.row(r));
+  });
   return codes;
 }
 
@@ -192,48 +172,6 @@ float VariableCodebooks::AdcDistance(const uint16_t* code,
   float acc = 0.f;
   for (size_t s = 0; s < layout_.num_subspaces(); ++s) {
     acc += lut[lut_offsets_[s] + code[s]];
-  }
-  return acc;
-}
-
-Result<VariableCodebooks::SdcTables> VariableCodebooks::BuildSdcTables()
-    const {
-  if (!trained_) return Status::FailedPrecondition("codebooks not trained");
-  for (int b : bits_) {
-    if (b > 12) {
-      return Status::InvalidArgument(
-          "SDC tables above 12 bits per subspace are impractically large; "
-          "use asymmetric distances instead");
-    }
-  }
-  // Row a of a table is the lookup table of centroid a. Negating a float
-  // difference is exact, so the rows form a symmetric table with a zero
-  // diagonal.
-  const ScanKernel::DistancesFn distances =
-      GetScanKernel(ScanKernelType::kAuto).distances;
-  SdcTables sdc;
-  sdc.tables.resize(num_subspaces());
-  for (size_t s = 0; s < num_subspaces(); ++s) {
-    const FloatMatrix& dict = dictionaries_[s];
-    const size_t len = dict.rows();
-    const size_t k = dict.cols();
-    auto& table = sdc.tables[s];
-    table.resize(k * k);
-    std::vector<float> centroid(len);
-    for (size_t a = 0; a < k; ++a) {
-      for (size_t j = 0; j < len; ++j) centroid[j] = dict.at(j, a);
-      distances(centroid.data(), dict.data(), len, k, k, table.data() + a * k);
-    }
-  }
-  return sdc;
-}
-
-float VariableCodebooks::SdcDistance(const uint16_t* a, const uint16_t* b,
-                                     const SdcTables& sdc) const {
-  float acc = 0.f;
-  for (size_t s = 0; s < num_subspaces(); ++s) {
-    const size_t k = size_t{1} << bits_[s];
-    acc += sdc.tables[s][static_cast<size_t>(a[s]) * k + b[s]];
   }
   return acc;
 }

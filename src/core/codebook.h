@@ -85,22 +85,6 @@ class VariableCodebooks {
   /// Full ADC accumulation over all subspaces (squared distance).
   float AdcDistance(const uint16_t* code, const float* lut) const;
 
-  /// Per-subspace tables of squared distances between dictionary items,
-  /// enabling Symmetric Distance Computation (SDC, Section II-C): both
-  /// query and database are encoded and distances come from code-to-code
-  /// lookups. tables[s] is row-major (2^bits[s] x 2^bits[s]).
-  struct SdcTables {
-    std::vector<std::vector<float>> tables;
-  };
-
-  /// Builds SDC tables. Quadratic in dictionary size, so subspaces above
-  /// 12 bits are rejected (16M+ entries per table).
-  Result<SdcTables> BuildSdcTables() const;
-
-  /// Squared SDC distance between two encoded vectors.
-  float SdcDistance(const uint16_t* a, const uint16_t* b,
-                    const SdcTables& sdc) const;
-
   /// Mean squared reconstruction error of `data` under the codebooks
   /// (the quantization error of Eq. 2, averaged).
   Result<double> ReconstructionError(const FloatMatrix& data) const;

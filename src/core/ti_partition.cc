@@ -4,10 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <thread>
 
 #include "common/io.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/scan.h"
 
 namespace vaq {
@@ -55,12 +55,7 @@ Status TiPartition::Build(const CodeMatrix& codes,
   clusters_.assign(num_clusters, Cluster{});
   std::vector<uint32_t> assignment(n);
   std::vector<float> best_dist(n);
-  size_t num_threads = options.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, n);
-  auto assign_range = [&](size_t begin, size_t end) {
+  ParallelFor(n, options.num_threads, [&](size_t begin, size_t end) {
     for (size_t r = begin; r < end; ++r) {
       const uint16_t* code = codes.row(r);
       float best = std::numeric_limits<float>::max();
@@ -76,20 +71,7 @@ Status TiPartition::Build(const CodeMatrix& codes,
       assignment[r] = static_cast<uint32_t>(best_c);
       best_dist[r] = std::sqrt(best);
     }
-  };
-  if (num_threads <= 1) {
-    assign_range(0, n);
-  } else {
-    std::vector<std::thread> workers;
-    const size_t chunk = (n + num_threads - 1) / num_threads;
-    for (size_t t = 0; t < num_threads; ++t) {
-      const size_t begin = t * chunk;
-      const size_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      workers.emplace_back(assign_range, begin, end);
-    }
-    for (auto& worker : workers) worker.join();
-  }
+  });
   std::vector<std::vector<std::pair<float, uint32_t>>> staged(num_clusters);
   for (size_t r = 0; r < n; ++r) {
     staged[assignment[r]].push_back({best_dist[r], static_cast<uint32_t>(r)});

@@ -53,9 +53,7 @@ Status VaqEncoder::Train(const FloatMatrix& data, const VaqOptions& options,
     StageTimer st(reg.GetCounter("vaq_build_pca_us_total",
                                  "Cumulative PCA fit wall time (us)"),
                   &rows->pca_us);
-    Pca::Options pca_opts;
-    pca_opts.center = options.center_pca;
-    VAQ_RETURN_IF_ERROR(pca_.Fit(data, pca_opts));
+    VAQ_RETURN_IF_ERROR(pca_.Fit(data));
   }
   const std::vector<double> variances = pca_.ExplainedVarianceRatio();
 

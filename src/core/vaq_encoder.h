@@ -32,8 +32,6 @@ struct VaqOptions {
   /// the optimum of the paper's C1-C4 MILP); false assigns total_bits/m
   /// uniformly (the PQ/OPQ regime) for ablation studies.
   bool adaptive_allocation = true;
-  /// Mean-center before PCA.
-  bool center_pca = true;
   /// Triangle-inequality partition size (paper: 1000 clusters).
   size_t ti_clusters = 1000;
   /// Subspaces spanned by TI centroids; 0 picks the smallest prefix

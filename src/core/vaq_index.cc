@@ -201,7 +201,8 @@ void VaqIndex::SaveOptionsSection(std::ostream& os) const {
   WritePod<uint8_t>(os, options_.clustered_subspaces);
   WritePod<uint8_t>(os, options_.partial_balance);
   WritePod<uint8_t>(os, options_.adaptive_allocation);
-  WritePod<uint8_t>(os, options_.center_pca);
+  // Retired PCA-centering slot: PCA always centers, so always 1.
+  WritePod<uint8_t>(os, 1);
   WritePod<uint64_t>(os, options_.ti_clusters);
   WritePod<uint64_t>(os, options_.ti_prefix_subspaces);
   WritePod<int32_t>(os, options_.kmeans_iters);
@@ -228,8 +229,7 @@ Status VaqIndex::LoadOptionsSection(std::istream& is) {
   options_.partial_balance = u8;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u8));
   options_.adaptive_allocation = u8;
-  VAQ_RETURN_IF_ERROR(ReadPod(is, &u8));
-  options_.center_pca = u8;
+  VAQ_RETURN_IF_ERROR(ReadPod(is, &u8));  // retired PCA-centering slot
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u64));
   options_.ti_clusters = u64;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u64));

@@ -170,12 +170,4 @@ UcrLikeDataset UcrArchiveGenerator::Generate(size_t index) const {
   return dataset;
 }
 
-std::vector<UcrLikeDataset> UcrArchiveGenerator::GenerateAll(
-    size_t count) const {
-  std::vector<UcrLikeDataset> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) out.push_back(Generate(i));
-  return out;
-}
-
 }  // namespace vaq

@@ -43,9 +43,6 @@ class UcrArchiveGenerator {
   /// Generates dataset `index` (train/test split included).
   UcrLikeDataset Generate(size_t index) const;
 
-  /// Convenience: all `count` datasets.
-  std::vector<UcrLikeDataset> GenerateAll(size_t count = kDefaultCount) const;
-
  private:
   uint64_t seed_;
 };

@@ -1,7 +1,8 @@
 #include "eval/ground_truth.h"
 
 #include <cmath>
-#include <thread>
+
+#include "common/thread_pool.h"
 
 namespace vaq {
 
@@ -28,29 +29,11 @@ Result<std::vector<std::vector<Neighbor>>> BruteForceKnn(
 
   const size_t nq = queries.rows();
   std::vector<std::vector<Neighbor>> results(nq);
-  if (num_threads == 0) {
-    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, std::max<size_t>(1, nq));
-
-  auto worker = [&](size_t begin, size_t end) {
+  ParallelFor(nq, num_threads, [&](size_t begin, size_t end) {
     for (size_t q = begin; q < end; ++q) {
       results[q] = BruteForceKnnSingle(base, queries.row(q), k);
     }
-  };
-  if (num_threads == 1) {
-    worker(0, nq);
-  } else {
-    std::vector<std::thread> threads;
-    const size_t chunk = (nq + num_threads - 1) / num_threads;
-    for (size_t t = 0; t < num_threads; ++t) {
-      const size_t begin = t * chunk;
-      const size_t end = std::min(nq, begin + chunk);
-      if (begin >= end) break;
-      threads.emplace_back(worker, begin, end);
-    }
-    for (auto& thread : threads) thread.join();
-  }
+  });
   return results;
 }
 

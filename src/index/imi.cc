@@ -30,8 +30,7 @@ Status InvertedMultiIndex::Train(const FloatMatrix& data) {
   const std::vector<uint32_t> a1 = coarse_first_.AssignAll(first);
   const std::vector<uint32_t> a2 = coarse_second_.AssignAll(second);
 
-  // Fine PQ: over the raw vectors (shared lookup table across cells), or
-  // over residuals w.r.t. the cell centroids (the original design).
+  // Fine PQ over the raw vectors, so one lookup table serves all cells.
   VAQ_ASSIGN_OR_RETURN(
       SubspaceLayout layout,
       SubspaceLayout::Uniform(data.cols(), options_.num_subspaces));
@@ -40,24 +39,8 @@ Status InvertedMultiIndex::Train(const FloatMatrix& data) {
   copts.seed = options_.seed + 2;
   std::vector<int> bits(options_.num_subspaces,
                         static_cast<int>(options_.bits_per_subspace));
-  if (options_.residual_encoding) {
-    FloatMatrix residuals(data.rows(), data.cols());
-    for (size_t r = 0; r < data.rows(); ++r) {
-      const float* x = data.row(r);
-      const float* u = coarse_first_.centroids().row(a1[r]);
-      const float* v = coarse_second_.centroids().row(a2[r]);
-      float* dst = residuals.row(r);
-      for (size_t c = 0; c < half_dim_; ++c) dst[c] = x[c] - u[c];
-      for (size_t c = half_dim_; c < data.cols(); ++c) {
-        dst[c] = x[c] - v[c - half_dim_];
-      }
-    }
-    VAQ_RETURN_IF_ERROR(books_.Train(residuals, layout, bits, copts));
-    VAQ_ASSIGN_OR_RETURN(codes_, books_.Encode(residuals));
-  } else {
-    VAQ_RETURN_IF_ERROR(books_.Train(data, layout, bits, copts));
-    VAQ_ASSIGN_OR_RETURN(codes_, books_.Encode(data));
-  }
+  VAQ_RETURN_IF_ERROR(books_.Train(data, layout, bits, copts));
+  VAQ_ASSIGN_OR_RETURN(codes_, books_.Encode(data));
 
   // Populate the cell lists.
   const size_t grid = options_.coarse_k * options_.coarse_k;
@@ -67,7 +50,6 @@ Status InvertedMultiIndex::Train(const FloatMatrix& data) {
         static_cast<uint32_t>(r));
   }
   num_rows_ = data.rows();
-  full_dim_ = data.cols();
   return Status::OK();
 }
 
@@ -116,29 +98,13 @@ Status InvertedMultiIndex::SearchWithBudget(const float* query, size_t k,
   push_cell(0, 0);
 
   std::vector<float> lut;
-  std::vector<float> residual_query(full_dim_);
-  if (!options_.residual_encoding) {
-    books_.BuildLookupTable(query, &lut);
-  }
+  books_.BuildLookupTable(query, &lut);
   TopKHeap heap(k);
   size_t candidates = 0;
   while (!frontier.empty() && candidates < max_candidates) {
     const Cell cell = frontier.top();
     frontier.pop();
     const auto& list = lists_[o1[cell.i] * kk + o2[cell.j]];
-    if (!list.empty() && options_.residual_encoding) {
-      // Per-cell table over the residual query (q minus the cell
-      // centroid) — the cost residual IMI pays for finer codes.
-      const float* u = coarse_first_.centroids().row(o1[cell.i]);
-      const float* v = coarse_second_.centroids().row(o2[cell.j]);
-      for (size_t c = 0; c < half_dim_; ++c) {
-        residual_query[c] = query[c] - u[c];
-      }
-      for (size_t c = half_dim_; c < full_dim_; ++c) {
-        residual_query[c] = query[c] - v[c - half_dim_];
-      }
-      books_.BuildLookupTable(residual_query.data(), &lut);
-    }
     for (uint32_t id : list) {
       heap.Push(books_.AdcDistance(codes_.row(id), lut.data()),
                 static_cast<int64_t>(id));

@@ -20,11 +20,6 @@ struct ImiOptions {
   /// Default number of candidates pulled from the nearest cells before the
   /// ADC ranking (the index's speed/recall knob).
   size_t max_candidates = 10000;
-  /// Encode residuals w.r.t. the cell centroids (the original IMI design)
-  /// instead of raw vectors. Residual codes are finer-grained but each
-  /// visited cell needs its own lookup table, making queries slower —
-  /// the classic IVF accuracy/latency trade.
-  bool residual_encoding = false;
   int kmeans_iters = 20;
   uint64_t seed = 42;
 };
@@ -70,7 +65,6 @@ class InvertedMultiIndex : public Quantizer {
 
   ImiOptions options_;
   size_t half_dim_ = 0;
-  size_t full_dim_ = 0;
   KMeans coarse_first_;
   KMeans coarse_second_;
   VariableCodebooks books_;

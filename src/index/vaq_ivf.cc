@@ -230,16 +230,17 @@ Result<VaqIvfIndex> VaqIvfIndex::Load(const std::string& path) {
         [&](std::istream& is) { return index.LoadOptionsSection(is); }},
        {kSecPca,
         [&](std::istream& is) {
-          VAQ_RETURN_IF_ERROR(enc.LoadPca(is));
-          return enc.LoadPermutation(is);
+          const Status pca = enc.LoadPca(is);
+          return pca.ok() ? enc.LoadPermutation(is) : pca;
         }},
        {kSecBooks, [&](std::istream& is) { return enc.LoadBooks(is); }},
        {kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes); }},
        {kSecCoarse,
         [&](std::istream& is) {
           FloatMatrix centroids;
-          VAQ_RETURN_IF_ERROR(ReadMatrix(is, &centroids));
-          return index.coarse_.Restore(std::move(centroids));
+          const Status read = ReadMatrix(is, &centroids);
+          return read.ok() ? index.coarse_.Restore(std::move(centroids))
+                           : read;
         }},
        {kSecLists,
         [&](std::istream& is) { return index.LoadListsSection(is); }}}));

@@ -51,33 +51,6 @@ Status ProductQuantizer::Search(const float* query, size_t k,
   return SearchSubset(query, k, 0, out);
 }
 
-Status ProductQuantizer::PrepareSdc() {
-  if (!books_.trained()) {
-    return Status::FailedPrecondition("PQ is not trained");
-  }
-  VAQ_ASSIGN_OR_RETURN(sdc_, books_.BuildSdcTables());
-  sdc_ready_ = true;
-  return Status::OK();
-}
-
-Status ProductQuantizer::SearchSdc(const float* query, size_t k,
-                                   std::vector<Neighbor>* out) const {
-  if (!sdc_ready_) {
-    return Status::FailedPrecondition("call PrepareSdc() before SearchSdc()");
-  }
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  std::vector<uint16_t> qcode(books_.num_subspaces());
-  books_.EncodeRow(query, qcode.data());
-  TopKHeap heap(k);
-  for (size_t r = 0; r < codes_.rows(); ++r) {
-    heap.Push(books_.SdcDistance(qcode.data(), codes_.row(r), sdc_),
-              static_cast<int64_t>(r));
-  }
-  *out = heap.TakeSorted();
-  for (Neighbor& nb : *out) nb.distance = std::sqrt(std::max(0.f, nb.distance));
-  return Status::OK();
-}
-
 namespace {
 constexpr char kPqMagic[8] = {'V', 'A', 'Q', 'P', 'Q', '0', '0', '1'};
 constexpr uint32_t kPqFormatVersion = 1;

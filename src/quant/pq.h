@@ -47,14 +47,6 @@ class ProductQuantizer : public Quantizer {
   Status SearchSubset(const float* query, size_t k, size_t num_subspaces_used,
                       std::vector<Neighbor>* out) const;
 
-  /// Symmetric-distance search (Section II-C): the query is encoded and
-  /// distances come from precomputed code-to-code tables, trading a little
-  /// accuracy (the query is quantized too) for table reuse across queries.
-  /// Call PrepareSdc() once after Train().
-  Status PrepareSdc();
-  Status SearchSdc(const float* query, size_t k,
-                   std::vector<Neighbor>* out) const;
-
   const VariableCodebooks& codebooks() const { return books_; }
   const CodeMatrix& codes() const { return codes_; }
   /// Per-subspace share of training variance, used for subspace ranking.
@@ -70,10 +62,10 @@ class ProductQuantizer : public Quantizer {
   double train_error() const { return train_error_; }
 
   /// Persists/restores the trained dictionaries, codes, and subspace
-  /// ranking (SDC tables are rebuilt on demand, not stored). Save writes
-  /// the checksummed container format atomically; Load reads it or the
-  /// legacy v0 layout (the same sections without the envelope) in one
-  /// LoadSections pass and runs ValidateInvariants() either way.
+  /// ranking. Save writes the checksummed container format atomically;
+  /// Load reads it or the legacy v0 layout (the same sections without the
+  /// envelope) in one LoadSections pass and runs ValidateInvariants()
+  /// either way.
   Status Save(const std::string& path) const;
   static Result<ProductQuantizer> Load(const std::string& path);
 
@@ -92,8 +84,6 @@ class ProductQuantizer : public Quantizer {
   std::vector<double> subspace_variances_;
   std::vector<size_t> subspace_order_;
   double train_error_ = 0.0;
-  VariableCodebooks::SdcTables sdc_;
-  bool sdc_ready_ = false;
 };
 
 }  // namespace vaq

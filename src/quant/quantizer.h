@@ -11,7 +11,7 @@
 namespace vaq {
 
 /// Common interface of the baseline ANN methods (PQ, OPQ, Bolt, PQFS,
-/// ITQ-LSH, VQ) so the benchmark harness can drive them uniformly.
+/// ITQ-LSH) so the benchmark harness can drive them uniformly.
 ///
 /// Train() learns the method's parameters on `data` AND encodes `data` as
 /// the searchable database (the paper's scan-based regime: the training

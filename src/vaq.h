@@ -7,7 +7,7 @@
 ///   vaq::VaqIndex      — the paper's scan index (TI + EA skipping)
 ///   vaq::VaqIvfIndex   — inverted-file index over VAQ primitives
 ///   vaq::ProductQuantizer / OptimizedProductQuantizer / BoltQuantizer /
-///   PqFastScan / ItqLsh / VectorQuantizer — baselines
+///   PqFastScan / ItqLsh — baselines
 ///   vaq::HnswIndex / InvertedMultiIndex / IsaxIndex / DsTreeIndex —
 ///   rival indexes
 /// plus dataset generators (datasets/), evaluation utilities (eval/), and
@@ -41,12 +41,10 @@
 #include "index/isax.h"
 #include "index/vaq_ivf.h"
 #include "linalg/pca.h"
-#include "linalg/sketch.h"
 #include "quant/bolt.h"
 #include "quant/itq.h"
 #include "quant/opq.h"
 #include "quant/pq.h"
 #include "quant/pqfs.h"
-#include "quant/vq.h"
 
 #endif  // VAQ_VAQ_H_

@@ -1,7 +1,8 @@
 // Robustness of the batch execution layer: the shared ThreadPool, the
-// admission controller's load shedding, per-query status isolation, and
-// deadline-bounded batches with stuck (artificially slowed) workers. The
-// concurrency tests here are the primary targets of the TSan CI leg.
+// build steps' ParallelFor, the admission controller's load shedding,
+// per-query status isolation, and deadline-bounded batches with stuck
+// (artificially slowed) workers. The concurrency tests here are the
+// primary targets of the TSan CI leg.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -109,6 +111,38 @@ TEST(ThreadPoolTest, SwallowsTaskExceptions) {
   }).ok());
   group.Wait();
   EXPECT_TRUE(second_ran.load());
+}
+
+TEST(ParallelForTest, CoversEveryIndexOnceInContiguousChunks) {
+  // 10 items on 4 threads: ceil(10 / 4) = 3 per chunk, so 4 chunks with
+  // the last one short. Each chunk writes only its own slots.
+  std::vector<int> hits(10, 0);
+  std::vector<std::pair<size_t, size_t>> chunks(4);
+  std::atomic<size_t> num_chunks{0};
+  ParallelFor(hits.size(), 4, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) ++hits[i];
+    chunks[begin / 3] = {begin, end};
+    ++num_chunks;
+  });
+  EXPECT_EQ(hits, std::vector<int>(10, 1));
+  EXPECT_EQ(num_chunks.load(), 4u);
+  EXPECT_EQ(chunks.back(), std::make_pair(size_t{9}, size_t{10}));
+}
+
+TEST(ParallelForTest, OneThreadOrOneItemRunsInline) {
+  // 8 threads over 1 item cap at one thread, which runs on the caller.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::pair<size_t, size_t>> calls;
+  auto body = [&](size_t begin, size_t end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    calls.push_back({begin, end});
+  };
+  ParallelFor(5, 1, body);
+  ParallelFor(1, 8, body);
+  ParallelFor(0, 0, body);
+  const std::vector<std::pair<size_t, size_t>> expected = {
+      {0, 5}, {0, 1}, {0, 0}};
+  EXPECT_EQ(calls, expected);
 }
 
 TEST(AdmissionControllerTest, EnforcesTheCapAndReleasesOnDestruction) {

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <set>
 
+#include "common/io.h"
 #include "datasets/synthetic.h"
 #include "datasets/ucr_like.h"
 #include "datasets/vector_io.h"
@@ -176,6 +178,59 @@ TEST(VectorIoTest, IvecsRoundtrip) {
   auto loaded = ReadIvecs(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(*loaded == m);
+  std::remove(path.c_str());
+}
+
+// Writes raw bytes, so tests can build records the writers never emit.
+void WriteRawFile(const std::string& path, const std::vector<int32_t>& words,
+                  const std::vector<uint8_t>& tail = {}) {
+  std::ofstream os(path, std::ios::binary);
+  WriteBytes(os, words.data(), words.size() * sizeof(int32_t));
+  WriteBytes(os, tail.data(), tail.size());
+}
+
+TEST(VectorIoTest, BvecsRoundtrip) {
+  const std::string path = "/tmp/vaq_io_test.bvecs";
+  // Two 3-dim records: int32 dim, then 3 uint8 values each.
+  {
+    std::ofstream os(path, std::ios::binary);
+    const int32_t d = 3;
+    const uint8_t rows[2][3] = {{0, 7, 255}, {1, 128, 42}};
+    for (const auto& row : rows) {
+      WriteBytes(os, &d, sizeof(d));
+      WriteBytes(os, row, sizeof(row));
+    }
+  }
+  auto loaded = ReadBvecs(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(*loaded ==
+              FloatMatrix(2, 3, std::vector<float>{0, 7, 255, 1, 128, 42}));
+  auto limited = ReadBvecs(path, 1);
+  ASSERT_TRUE(limited.ok());
+  EXPECT_EQ(limited->rows(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(VectorIoTest, HeaderOnlyHugeDimensionIsIoError) {
+  // A 4-byte file claiming 2^31-1 dims must fail before any payload
+  // buffer is sized from the header.
+  const std::string path = "/tmp/vaq_io_huge_header.vecs";
+  WriteRawFile(path, {0x7fffffff});
+  EXPECT_EQ(ReadFvecs(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadBvecs(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadIvecs(path).status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+TEST(VectorIoTest, RecordLongerThanFileIsIoError) {
+  // Header claims 10 dims; only 3 int32/float values (12 bytes) follow.
+  const std::string path = "/tmp/vaq_io_short_record.vecs";
+  WriteRawFile(path, {10, 1, 2, 3});
+  EXPECT_EQ(ReadFvecs(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadIvecs(path).status().code(), StatusCode::kIoError);
+  // As .bvecs the header claims 10 bytes; only 3 follow.
+  WriteRawFile(path, {10}, {1, 2, 3});
+  EXPECT_EQ(ReadBvecs(path).status().code(), StatusCode::kIoError);
   std::remove(path.c_str());
 }
 

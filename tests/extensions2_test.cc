@@ -1,5 +1,5 @@
-// Tests for the second extension batch: residual encoding in the IMI,
-// VaqIvf persistence, k-means restore, and the umbrella header.
+// Tests for the second extension batch: VaqIvf persistence, k-means
+// restore, and the umbrella header.
 
 #include "vaq.h"  // umbrella header must be self-contained
 
@@ -14,59 +14,6 @@ namespace {
 FloatMatrix MixtureData(size_t n, uint64_t seed) {
   return GenerateSpectrumMixture(n, 24, PowerLawSpectrum(24, 1.0), 8, 1.5,
                                  seed);
-}
-
-TEST(ResidualImiTest, TrainsAndSearches) {
-  const FloatMatrix base = MixtureData(1500, 71);
-  const FloatMatrix queries = MixtureData(10, 171);
-  auto gt = BruteForceKnn(base, queries, 10, 1);
-  ASSERT_TRUE(gt.ok());
-
-  ImiOptions opts;
-  opts.coarse_k = 12;
-  opts.num_subspaces = 6;
-  opts.bits_per_subspace = 5;
-  opts.residual_encoding = true;
-  opts.kmeans_iters = 8;
-  InvertedMultiIndex imi(opts);
-  ASSERT_TRUE(imi.Train(base).ok());
-
-  std::vector<std::vector<Neighbor>> results(queries.rows());
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    ASSERT_TRUE(imi.SearchWithBudget(queries.row(q), 10, 1000, &results[q])
-                    .ok());
-  }
-  EXPECT_GT(Recall(results, *gt, 10), 0.3);
-}
-
-TEST(ResidualImiTest, ResidualAtLeastAsAccurateAsRawAtFullBudget) {
-  // Residual codes quantize much smaller vectors, so at a full candidate
-  // budget their recall should match or beat raw encoding.
-  const FloatMatrix base = MixtureData(2000, 73);
-  const FloatMatrix queries = MixtureData(12, 173);
-  auto gt = BruteForceKnn(base, queries, 10, 1);
-  ASSERT_TRUE(gt.ok());
-
-  auto run = [&](bool residual) {
-    ImiOptions opts;
-    opts.coarse_k = 12;
-    opts.num_subspaces = 6;
-    opts.bits_per_subspace = 4;
-    opts.residual_encoding = residual;
-    opts.kmeans_iters = 8;
-    InvertedMultiIndex imi(opts);
-    EXPECT_TRUE(imi.Train(base).ok());
-    std::vector<std::vector<Neighbor>> results(queries.rows());
-    for (size_t q = 0; q < queries.rows(); ++q) {
-      EXPECT_TRUE(imi.SearchWithBudget(queries.row(q), 10, base.rows() * 2,
-                                       &results[q])
-                      .ok());
-    }
-    return Recall(results, *gt, 10);
-  };
-  const double raw = run(false);
-  const double residual = run(true);
-  EXPECT_GE(residual, raw - 0.05);
 }
 
 TEST(VaqIvfPersistenceTest, SaveLoadRoundtrip) {

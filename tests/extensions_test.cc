@@ -1,22 +1,16 @@
-// Tests for the extension features: exact re-ranking, symmetric distance
-// computation (SDC), the configurable early-abandon interval, parallel
-// encoding, the Frequent Directions sketch, and baseline persistence.
+// Tests for the extension features: exact re-ranking, the configurable
+// early-abandon interval, parallel encoding, and baseline persistence.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
-#include "common/rng.h"
 #include "core/vaq_index.h"
 #include "datasets/synthetic.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
 #include "eval/rerank.h"
-#include "linalg/covariance.h"
-#include "linalg/pca.h"
-#include "linalg/sketch.h"
 #include "quant/pq.h"
 
 namespace vaq {
@@ -62,82 +56,6 @@ TEST(RerankTest, ImprovesApproximateRecall) {
   EXPECT_GE(Recall(reranked, *gt, 10), Recall(raw, *gt, 10));
   // Reranked distances are exact: the top-1, if correct, matches GT.
   EXPECT_GT(Recall(reranked, *gt, 10), 0.5);
-}
-
-TEST(SdcTest, MatchesDecodedPairDistances) {
-  const FloatMatrix data = RandomData(400, 16, 7);
-  auto layout = SubspaceLayout::Uniform(16, 4);
-  ASSERT_TRUE(layout.ok());
-  VariableCodebooks books;
-  CodebookOptions copts;
-  ASSERT_TRUE(books.Train(data, *layout, {4, 4, 3, 3}, copts).ok());
-  auto codes = books.Encode(data);
-  ASSERT_TRUE(codes.ok());
-  auto sdc = books.BuildSdcTables();
-  ASSERT_TRUE(sdc.ok());
-
-  std::vector<float> da(16), db(16);
-  for (size_t a = 0; a < 10; ++a) {
-    for (size_t b = 0; b < 10; ++b) {
-      books.DecodeRow(codes->row(a), da.data());
-      books.DecodeRow(codes->row(b), db.data());
-      const float exact = SquaredL2(da.data(), db.data(), 16);
-      const float via_sdc =
-          books.SdcDistance(codes->row(a), codes->row(b), *sdc);
-      EXPECT_NEAR(via_sdc, exact, 1e-3f * std::max(1.f, exact));
-    }
-  }
-}
-
-TEST(SdcTest, SelfDistanceIsZero) {
-  const FloatMatrix data = RandomData(200, 8, 9);
-  auto layout = SubspaceLayout::Uniform(8, 2);
-  ASSERT_TRUE(layout.ok());
-  VariableCodebooks books;
-  ASSERT_TRUE(books.Train(data, *layout, {4, 4}, CodebookOptions{}).ok());
-  auto codes = books.Encode(data);
-  auto sdc = books.BuildSdcTables();
-  ASSERT_TRUE(sdc.ok());
-  for (size_t r = 0; r < 20; ++r) {
-    EXPECT_FLOAT_EQ(books.SdcDistance(codes->row(r), codes->row(r), *sdc),
-                    0.f);
-  }
-}
-
-TEST(SdcTest, RejectsHugeDictionaries) {
-  const FloatMatrix data = RandomData(200, 8, 11);
-  auto layout = SubspaceLayout::Uniform(8, 1);
-  ASSERT_TRUE(layout.ok());
-  VariableCodebooks books;
-  ASSERT_TRUE(books.Train(data, *layout, {13}, CodebookOptions{}).ok());
-  EXPECT_FALSE(books.BuildSdcTables().ok());
-}
-
-TEST(SdcTest, PqSdcSearchCloseToAdc) {
-  const FloatMatrix base = RandomData(1500, 16, 13);
-  const FloatMatrix queries = RandomData(10, 16, 113);
-  auto gt = BruteForceKnn(base, queries, 10, 1);
-  ASSERT_TRUE(gt.ok());
-  PqOptions opts;
-  opts.num_subspaces = 4;
-  opts.bits_per_subspace = 6;
-  ProductQuantizer pq(opts);
-  ASSERT_TRUE(pq.Train(base).ok());
-  std::vector<Neighbor> out;
-  EXPECT_FALSE(pq.SearchSdc(queries.row(0), 5, &out).ok());  // not prepared
-  ASSERT_TRUE(pq.PrepareSdc().ok());
-
-  std::vector<std::vector<Neighbor>> adc(queries.rows()), sdc(queries.rows());
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    ASSERT_TRUE(pq.Search(queries.row(q), 10, &adc[q]).ok());
-    ASSERT_TRUE(pq.SearchSdc(queries.row(q), 10, &sdc[q]).ok());
-  }
-  const double adc_recall = Recall(adc, *gt, 10);
-  const double sdc_recall = Recall(sdc, *gt, 10);
-  // SDC quantizes the query too, so it cannot beat ADC by much, and
-  // should stay in the same ballpark.
-  EXPECT_LE(sdc_recall, adc_recall + 0.05);
-  EXPECT_GE(sdc_recall, adc_recall - 0.25);
 }
 
 TEST(EaIntervalTest, AnyIntervalGivesIdenticalResults) {
@@ -207,83 +125,6 @@ TEST(ParallelTrainTest, ThreadedVaqIndexMatchesSerial) {
   ASSERT_TRUE(b->Search(base.row(0), params, &rb).ok());
   ASSERT_EQ(ra.size(), rb.size());
   for (size_t i = 0; i < ra.size(); ++i) EXPECT_EQ(ra[i].id, rb[i].id);
-}
-
-TEST(FrequentDirectionsTest, CovarianceErrorWithinBound) {
-  const size_t n = 500, d = 24, l = 12;
-  const FloatMatrix a = RandomData(n, d, 29);
-  FrequentDirections fd(d, l);
-  fd.AppendAll(a);
-  auto approx = fd.ApproximateCovariance();
-  ASSERT_TRUE(approx.ok());
-  const DoubleMatrix exact = Covariance(a, /*center=*/false);
-
-  // Liberty's guarantee: 0 <= x^T (A^T A - B^T B) x <= 2 ||A||_F^2 / l.
-  double frob_sq = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    frob_sq += static_cast<double>(a.data()[i]) * a.data()[i];
-  }
-  const double bound = 2.0 * frob_sq / static_cast<double>(l) /
-                       static_cast<double>(n);  // covariances are /n
-  Rng rng(31);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> x(d);
-    double norm = 0.0;
-    for (auto& v : x) {
-      v = rng.Gaussian();
-      norm += v * v;
-    }
-    norm = std::sqrt(norm);
-    for (auto& v : x) v /= norm;
-    double diff = 0.0;
-    for (size_t i = 0; i < d; ++i) {
-      for (size_t j = 0; j < d; ++j) {
-        diff += x[i] * (exact(i, j) - (*approx)(i, j)) * x[j];
-      }
-    }
-    EXPECT_GE(diff, -1e-3);
-    EXPECT_LE(diff, bound + 1e-3);
-  }
-}
-
-TEST(FrequentDirectionsTest, ExactWhenSketchHoldsEverything) {
-  const FloatMatrix a = RandomData(10, 6, 37);
-  FrequentDirections fd(6, 16);  // sketch larger than the stream
-  fd.AppendAll(a);
-  auto approx = fd.ApproximateCovariance();
-  ASSERT_TRUE(approx.ok());
-  const DoubleMatrix exact = Covariance(a, false);
-  for (size_t i = 0; i < 6; ++i) {
-    for (size_t j = 0; j < 6; ++j) {
-      EXPECT_NEAR((*approx)(i, j), exact(i, j), 1e-4);
-    }
-  }
-}
-
-TEST(FrequentDirectionsTest, EmptyStreamRejected) {
-  FrequentDirections fd(4, 2);
-  EXPECT_FALSE(fd.ApproximateCovariance().ok());
-}
-
-TEST(SketchedPcaTest, TopComponentsCloseToExact) {
-  // Low intrinsic dimension: the sketch must capture the leading PCs.
-  const FloatMatrix data = GenerateSpectrumMixture(
-      800, 32, PowerLawSpectrum(32, 2.0), 1, 0.0, 41);
-  Pca exact, sketched;
-  Pca::Options exact_opts;
-  Pca::Options sketch_opts;
-  sketch_opts.sketch_size = 16;
-  ASSERT_TRUE(exact.Fit(data, exact_opts).ok());
-  ASSERT_TRUE(sketched.Fit(data, sketch_opts).ok());
-  // Leading eigenvalue within 20% and leading eigenvector aligned.
-  EXPECT_NEAR(sketched.eigenvalues()[0], exact.eigenvalues()[0],
-              0.2 * exact.eigenvalues()[0]);
-  double dot = 0.0;
-  for (size_t i = 0; i < 32; ++i) {
-    dot += static_cast<double>(sketched.components()(i, 0)) *
-           exact.components()(i, 0);
-  }
-  EXPECT_GT(std::fabs(dot), 0.95);
 }
 
 TEST(PqPersistenceTest, SaveLoadRoundtrip) {

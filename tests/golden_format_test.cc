@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -172,6 +173,54 @@ TEST(GoldenFormatTest, V1OpqMatchesCommittedBytes) {
   const std::string tmp = "/tmp/vaq_golden_opq_resave.bin";
   ASSERT_TRUE(opq->Save(tmp).ok());
   EXPECT_EQ(ReadWhole(tmp), ReadWhole(path));
+  std::remove(tmp.c_str());
+}
+
+TEST(GoldenFormatTest, RetiredOptionSlotsAreReadAndIgnored) {
+  // The v0 OPTS payload follows the 8-byte magic: four uint64 fields
+  // (bytes 8-39), the retired target-variance double (40-47), then
+  // clustered_subspaces, partial_balance, adaptive_allocation and the
+  // retired PCA-centering byte (48-51). The goldens hold 1.0 and 1; other
+  // values must neither fail Load nor change answers, and a re-save writes
+  // the fixed values back.
+  std::string bytes = ReadWhole(GoldenPath("vaq_index_v0.bin"));
+  ASSERT_GT(bytes.size(), 52u);
+  double target_variance = 0.0;
+  std::memcpy(&target_variance, &bytes[40], sizeof(target_variance));
+  ASSERT_EQ(target_variance, 1.0);
+  ASSERT_EQ(bytes[51], 1);
+  target_variance = 0.5;
+  std::memcpy(&bytes[40], &target_variance, sizeof(target_variance));
+  bytes[51] = 0;
+  const std::string edited = "/tmp/vaq_golden_retired_slots.bin";
+  {
+    std::ofstream os(edited, std::ios::binary);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto index = VaqIndex::Load(edited);
+  std::remove(edited.c_str());
+  ASSERT_TRUE(index.ok()) << index.status().message();
+  auto golden = VaqIndex::Load(GoldenPath("vaq_index_v0.bin"));
+  ASSERT_TRUE(golden.ok());
+
+  const FloatMatrix data = GoldenData();
+  SearchParams params;
+  params.k = 5;
+  for (size_t q : {0, 3, 17, 64, 119}) {
+    std::vector<Neighbor> a, b;
+    ASSERT_TRUE(index->Search(data.row(q), params, &a).ok());
+    ASSERT_TRUE(golden->Search(data.row(q), params, &b).ok());
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(a[i].distance, b[i].distance);
+    }
+  }
+
+  const std::string tmp = "/tmp/vaq_golden_retired_slots_resave.bin";
+  ASSERT_TRUE(index->Save(tmp).ok());
+  EXPECT_EQ(ReadWhole(tmp), ReadWhole(GoldenPath("vaq_index_v1.bin")))
+      << "re-save did not write the retired slots' fixed values";
   std::remove(tmp.c_str());
 }
 

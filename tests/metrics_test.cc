@@ -337,7 +337,6 @@ TEST_F(TracingTest, SpansRecordPhaseAndAggregate) {
   EXPECT_EQ(trace.PhaseCount(QueryPhase::kBlockScan), 2u);
   EXPECT_DOUBLE_EQ(trace.PhaseTotalMicros(QueryPhase::kBlockScan), 12.0);
   EXPECT_TRUE(trace.HasPhase(QueryPhase::kLutBuild));
-  EXPECT_FALSE(trace.HasPhase(QueryPhase::kRerank));
   const std::string s = trace.Format();
   EXPECT_NE(s.find("lut_build="), std::string::npos);
   EXPECT_NE(s.find("block_scan="), std::string::npos);

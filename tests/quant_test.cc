@@ -11,7 +11,6 @@
 #include "quant/opq.h"
 #include "quant/pq.h"
 #include "quant/pqfs.h"
-#include "quant/vq.h"
 
 namespace vaq {
 namespace {
@@ -248,24 +247,6 @@ TEST(ItqTest, SupportsMoreBitsThanDims) {
   ItqLsh itq(opts);
   ASSERT_TRUE(itq.Train(SharedData().base).ok());
   EXPECT_EQ(itq.code_bytes(), 1500u * 8u);
-}
-
-TEST(VqTest, SingleDictionarySearch) {
-  VqOptions opts;
-  opts.bits = 8;
-  opts.kmeans_iters = 10;
-  VectorQuantizer vq(opts);
-  ASSERT_TRUE(vq.Train(SharedData().base).ok());
-  EXPECT_EQ(vq.kmeans().k(), 256u);
-  EXPECT_GT(MethodRecall(vq), 0.05);
-}
-
-TEST(VqTest, RejectsBadBits) {
-  VqOptions opts;
-  opts.bits = 0;
-  EXPECT_FALSE(VectorQuantizer(opts).Train(SharedData().base).ok());
-  opts.bits = 21;
-  EXPECT_FALSE(VectorQuantizer(opts).Train(SharedData().base).ok());
 }
 
 }  // namespace
