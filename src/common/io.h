@@ -74,13 +74,17 @@ Status ReadPod(std::istream& is, T* value) {
   return Status::OK();
 }
 
+/// Writes `n` elements at `data` as ReadVector reads them back.
+template <typename T>
+void WriteArray(std::ostream& os, const T* data, size_t n) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  WritePod<uint64_t>(os, n);
+  if (n != 0) WriteBytes(os, data, n * sizeof(T));
+}
+
 template <typename T>
 void WriteVector(std::ostream& os, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  WritePod<uint64_t>(os, v.size());
-  if (!v.empty()) {
-    WriteBytes(os, v.data(), v.size() * sizeof(T));
-  }
+  WriteArray(os, v.data(), v.size());
 }
 
 /// Bytes left between the stream's current position and its end, or -1

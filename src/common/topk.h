@@ -49,22 +49,26 @@ class TopKHeap {
   bool full() const { return heap_.size() == k_; }
 
   /// Current pruning threshold: the largest kept distance when full,
-  /// +infinity otherwise.
+  /// +infinity otherwise. A candidate at exactly this distance may still
+  /// enter on a smaller id.
   float Threshold() const {
     if (!full()) return kInf;
     return heap_.front().distance;
   }
 
-  /// Inserts if the candidate improves the top-k. Returns true if kept.
+  /// Inserts if the candidate improves the top-k in (distance, id) order,
+  /// so an exact distance tie at the k-th place keeps the smaller id
+  /// whatever order the candidates arrive in. Returns true if kept.
   bool Push(float distance, int64_t id) {
+    const Neighbor candidate{distance, id};
     if (heap_.size() < k_) {
-      heap_.push_back({distance, id});
+      heap_.push_back(candidate);
       std::push_heap(heap_.begin(), heap_.end());
       return true;
     }
-    if (distance >= heap_.front().distance) return false;
+    if (!(candidate < heap_.front())) return false;
     std::pop_heap(heap_.begin(), heap_.end());
-    heap_.back() = {distance, id};
+    heap_.back() = candidate;
     std::push_heap(heap_.begin(), heap_.end());
     return true;
   }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "common/cpu_features.h"
 #include "common/log.h"
@@ -45,15 +46,58 @@ void BlockedCodes::ReadRow(size_t r, uint16_t* out) const {
   }
 }
 
+CodeMatrix BlockedCodes::Scatter(const uint32_t* ids,
+                                 size_t extra_rows) const {
+  CodeMatrix codes(rows_ + extra_rows, num_subspaces_);
+  for (size_t r = 0; r < rows_; ++r) ReadRow(r, codes.row(ids[r]));
+  return codes;
+}
+
+Partitioning Partitioning::FromAssignment(
+    const std::vector<uint32_t>& assignment, size_t count) {
+  Partitioning parts;
+  parts.offsets.assign(count + 1, 0);
+  for (const uint32_t p : assignment) ++parts.offsets[p + 1];
+  for (size_t p = 0; p < count; ++p) parts.offsets[p + 1] += parts.offsets[p];
+  parts.ids.resize(assignment.size());
+  std::vector<uint32_t> next(parts.offsets.begin(), parts.offsets.end() - 1);
+  for (size_t r = 0; r < assignment.size(); ++r) {
+    parts.ids[next[assignment[r]]++] = static_cast<uint32_t>(r);
+  }
+  return parts;
+}
+
+void Partitioning::Append(const std::vector<uint32_t>& members) {
+  ids.insert(ids.end(), members.begin(), members.end());
+  offsets.push_back(static_cast<uint32_t>(ids.size()));
+}
+
+Status Partitioning::Validate(size_t num_rows, const char* what) const {
+  // num_rows distinct ids below num_rows are a permutation of [0, num_rows).
+  bool ok = ids.size() == num_rows && offsets.front() == 0 &&
+            offsets.back() == num_rows &&
+            std::is_sorted(offsets.begin(), offsets.end());
+  std::vector<bool> seen(num_rows, false);
+  for (size_t i = 0; ok && i < ids.size(); ++i) {
+    ok = ids[i] < num_rows && !seen[ids[i]];
+    if (ok) seen[ids[i]] = true;
+  }
+  if (ok) return Status::OK();
+  return Status::Internal(std::string(what) +
+                          " do not hold every database row exactly once");
+}
+
 namespace {
 
 void ScalarAccumulate(const uint16_t* block, const float* lut,
                       const uint32_t* lut_offsets, size_t s_begin,
-                      size_t s_end, float* acc) {
+                      size_t s_end, size_t g_begin, size_t g_end,
+                      float* acc) {
+  const size_t lane_end = g_end * kScanLaneGroup;
   for (size_t s = s_begin; s < s_end; ++s) {
     const float* base = lut + lut_offsets[s];
     const uint16_t* codes = block + s * kScanBlockSize;
-    for (size_t i = 0; i < kScanBlockSize; ++i) {
+    for (size_t i = g_begin * kScanLaneGroup; i < lane_end; ++i) {
       acc[i] += base[codes[i]];
     }
   }
@@ -112,7 +156,7 @@ namespace internal {
 // Defined in scan_avx2.cc, the only translation unit built with -mavx2.
 void Avx2Accumulate(const uint16_t* block, const float* lut,
                     const uint32_t* lut_offsets, size_t s_begin, size_t s_end,
-                    float* acc);
+                    size_t g_begin, size_t g_end, float* acc);
 void Avx2CentroidDistances(const float* sub, const float* dict, size_t len,
                            size_t stride, size_t count, float* out);
 }  // namespace internal
@@ -193,6 +237,9 @@ void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
     const size_t lo = row - block_row0;
     const size_t hi =
         std::min(row_end, block_row0 + kScanBlockSize) - block_row0;
+    // The 8-lane groups holding lanes [lo, hi).
+    const size_t g_begin = lo / kScanLaneGroup;
+    const size_t g_end = (hi + kScanLaneGroup - 1) / kScanLaneGroup;
     const uint16_t* block = bc.block(b);
     const float threshold = heap->Threshold();
     std::fill(acc, acc + kScanBlockSize, 0.f);
@@ -200,14 +247,17 @@ void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
     bool abandoned = false;
     while (s < s_limit) {
       const size_t s_stop = std::min(s + interval, s_limit);
-      kernel.accumulate(block, lut, lut_offsets, s, s_stop, acc);
+      kernel.accumulate(block, lut, lut_offsets, s, s_stop, g_begin, g_end,
+                        acc);
       s = s_stop;
       if (s >= s_limit) break;
       float min_partial = acc[lo];
       for (size_t i = lo + 1; i < hi; ++i) {
         min_partial = std::min(min_partial, acc[i]);
       }
-      if (min_partial >= threshold) {
+      // A row whose distance ties the threshold can still enter the heap
+      // on a smaller id, so only a strictly larger minimum abandons.
+      if (min_partial > threshold) {
         abandoned = true;
         break;
       }
@@ -217,8 +267,8 @@ void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
       stats->lut_adds += s * (hi - lo);
     }
     if (!abandoned) {
-      // Every lane holds a complete distance; Push rejects anything at or
-      // above the live threshold, so stale-threshold pushes are harmless.
+      // Every lane holds a complete distance; Push rejects anything not
+      // in the live top-k, so stale-threshold pushes are harmless.
       if (stats != nullptr) stats->rows_scanned += hi - lo;
       for (size_t i = lo; i < hi; ++i) {
         const size_t global = block_row0 + i;

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/deadline.h"
@@ -17,6 +16,10 @@ namespace vaq {
 /// uint16 per subspace = 128 bytes (two cache lines) per subspace stripe,
 /// and 64 float accumulators (256 B) stay resident in L1/registers.
 inline constexpr size_t kScanBlockSize = 64;
+
+/// Lanes per group: the unit in which a kernel accumulates part of a block
+/// (one AVX2 register of floats).
+inline constexpr size_t kScanLaneGroup = 8;
 
 /// Counters describing how much work a search did; used to quantify
 /// pruning power in tests and benchmarks. Owned by the scan layer so the
@@ -72,6 +75,10 @@ enum class ScanKernelType {
 /// accumulates its subspaces in ascending order — bit-identical to the
 /// row-major reference scan. The last block is padded with code 0 (always
 /// a valid dictionary index); padded lanes are computed and discarded.
+///
+/// An index holds exactly one of these, in the storage order of its
+/// Partitioning: partitions are packed back to back with no padding, so a
+/// block may hold the tail of one partition and the head of the next.
 class BlockedCodes {
  public:
   BlockedCodes() = default;
@@ -80,18 +87,22 @@ class BlockedCodes {
   static BlockedCodes Build(const CodeMatrix& codes);
 
   /// Blocks the rows `ids[0..count)` (null: rows [0, count)), in that
-  /// order: a TI cluster's or IVF list's members, scanned contiguously.
+  /// order: stored row i is row ids[i] of `codes`.
   static BlockedCodes Build(const CodeMatrix& codes, const uint32_t* ids,
                             size_t count);
 
-  /// Copies row `r`'s codes, one per subspace, into `out`: the inverse of
-  /// Build, and the one way to read an index's codes back row-major.
+  /// Copies stored row `r`'s codes, one per subspace, into `out`.
   void ReadRow(size_t r, uint16_t* out) const;
+
+  /// The codes in row order: the inverse of Build(codes, ids, rows()) when
+  /// `ids` is a permutation of [0, rows()), and the one way to read an
+  /// index's codes back row-major. `extra_rows` zero rows follow, for Add
+  /// to fill.
+  CodeMatrix Scatter(const uint32_t* ids, size_t extra_rows = 0) const;
 
   size_t rows() const { return rows_; }
   size_t num_subspaces() const { return num_subspaces_; }
   size_t num_blocks() const { return data_.empty() ? 0 : data_.size() / (num_subspaces_ * kScanBlockSize); }
-  bool empty() const { return rows_ == 0; }
 
   /// Start of block `b`'s transposed codes (m * kScanBlockSize entries).
   const uint16_t* block(size_t b) const {
@@ -104,56 +115,45 @@ class BlockedCodes {
   std::vector<uint16_t> data_;
 };
 
-/// The TI clusters' and IVF lists' layouts: entry p blocks the rows
-/// `members(p)` (a `const std::vector<uint32_t>&`) of `codes`, in order.
-template <typename MembersFn>
-std::vector<BlockedCodes> BlockPartitions(const CodeMatrix& codes,
-                                          size_t count, MembersFn members) {
-  std::vector<BlockedCodes> blocked;
-  blocked.reserve(count);
-  for (size_t p = 0; p < count; ++p) {
-    const std::vector<uint32_t>& ids = members(p);
-    blocked.push_back(BlockedCodes::Build(codes, ids.data(), ids.size()));
-  }
-  return blocked;
-}
+/// Rows [0, n) split into partitions (TI clusters, IVF lists) in CSR form,
+/// which is also the storage order of the index's one BlockedCodes:
+/// partition p is storage rows [begin(p), end(p)), and ids[i] is the row
+/// id stored at position i.
+struct Partitioning {
+  std::vector<uint32_t> offsets{0};  ///< size() + 1 entries, from 0
+  std::vector<uint32_t> ids;         ///< storage position -> row id
 
-/// Checks that the member lists `members(p)`, p in [0, count), hold every
-/// row of [0, num_rows) exactly once, as TI clusters and IVF lists must.
-/// Internal, naming the partitions `what`, otherwise.
-template <typename MembersFn>
-Status ValidatePartitionCover(size_t num_rows, size_t count,
-                              MembersFn members, const char* what) {
-  std::vector<bool> seen(num_rows, false);
-  size_t listed = 0;
-  size_t distinct = 0;
-  for (size_t p = 0; p < count; ++p) {
-    const std::vector<uint32_t>& ids = members(p);
-    listed += ids.size();
-    for (const uint32_t id : ids) {
-      if (id < num_rows && !seen[id]) {
-        seen[id] = true;
-        ++distinct;
-      }
-    }
-  }
-  if (listed != num_rows || distinct != num_rows) {
-    return Status::Internal(std::string(what) +
-                            " do not hold every database row exactly once");
-  }
-  return Status::OK();
-}
+  size_t size() const { return offsets.size() - 1; }
+  size_t begin(size_t p) const { return offsets[p]; }
+  size_t end(size_t p) const { return offsets[p + 1]; }
+
+  /// Groups rows [0, assignment.size()) by their partition in
+  /// `assignment` (entries < count), each partition in ascending row id.
+  static Partitioning FromAssignment(const std::vector<uint32_t>& assignment,
+                                     size_t count);
+
+  /// Appends a partition holding `members` in order (Load's path).
+  void Append(const std::vector<uint32_t>& members);
+
+  /// Checks that `ids` stores every row of [0, num_rows) exactly once, as
+  /// TI clusters and IVF lists must. Internal, naming the partitions
+  /// `what`, otherwise.
+  Status Validate(size_t num_rows, const char* what) const;
+};
 
 /// The kernels of one instruction set.
 ///
-/// `accumulate` adds, for every lane i in [0, kScanBlockSize), the LUT
+/// `accumulate` adds, for every lane i of the 8-lane groups
+/// [g_begin, g_end) (lanes [8 * g_begin, 8 * g_end) of the block), the LUT
 /// entries of subspaces [s_begin, s_end) selected by the block's
 /// transposed codes:
 ///
 ///   acc[i] += sum_{s in [s_begin, s_end)} lut[lut_offsets[s] + block[s*64 + i]]
 ///
 /// with the per-lane additions performed in ascending subspace order, so
-/// every implementation produces bit-identical float sums.
+/// every implementation produces bit-identical float sums. Lanes outside
+/// the groups are neither read nor written, so a partition that covers
+/// part of a block pays only for the groups it touches.
 ///
 /// `distances` computes the squared L2 distance from one sub-vector `sub`
 /// (`len` floats) to `count` centroids of a dimension-major dictionary:
@@ -169,7 +169,8 @@ Status ValidatePartitionCover(size_t num_rows, size_t count,
 struct ScanKernel {
   using AccumulateFn = void (*)(const uint16_t* block, const float* lut,
                                 const uint32_t* lut_offsets, size_t s_begin,
-                                size_t s_end, float* acc);
+                                size_t s_end, size_t g_begin, size_t g_end,
+                                float* acc);
   using DistancesFn = void (*)(const float* sub, const float* dict,
                                size_t len, size_t stride, size_t count,
                                float* out);
@@ -191,11 +192,12 @@ bool Avx2ScanAvailable();
 const char* AutoScanKernelName();
 
 /// One partition of the database (a TI cluster or an IVF cell) as a query
-/// scans it; a flat scan is a single partition holding every row in row
-/// order. Points into index-owned storage; valid for one query.
+/// scans it: a range of storage rows of the index's one BlockedCodes,
+/// whose ids the query reads through the index's shared storage -> row id
+/// map. A flat scan is the single range [0, n), in storage order.
 struct PartitionRef {
-  const BlockedCodes* codes = nullptr;  ///< the members, blocked
-  const uint32_t* ids = nullptr;  ///< blocked row -> row id (null: identity)
+  size_t begin = 0;  ///< first storage row
+  size_t end = 0;    ///< one past the last storage row
   /// Members' cached centroid distances, ascending (TI only, else null);
   /// a visit that carries them is scanned inside its TI window.
   const float* sorted_distances = nullptr;
@@ -228,15 +230,17 @@ void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,
 
 /// Blocked early-abandoning scan of rows [row_begin, row_end) of `bc`.
 /// `ids` maps blocked row index -> global id (nullptr = identity). `acc`
-/// is a caller-owned kScanBlockSize buffer (SearchScratch::acc).
+/// is a caller-owned kScanBlockSize buffer (SearchScratch::acc). In each
+/// block only the 8-lane groups that hold rows of the range are
+/// accumulated.
 ///
 /// The best-so-far threshold is read once per block; after every
 /// `interval` subspaces but the last, the block is abandoned when the
-/// minimum partial sum over its active lanes already reaches that
-/// threshold (no lane can improve the heap). Only fully-accumulated rows
-/// are ever pushed, so an abandoned partial sum is never mistaken for a
-/// distance — the same invariant as the reference per-row early abandon,
-/// and therefore the same final top-k.
+/// minimum partial sum over its active lanes already exceeds that
+/// threshold (no lane can improve the heap, even on a tie broken by id).
+/// Only fully-accumulated rows are ever pushed, so an abandoned partial
+/// sum is never mistaken for a distance — the same invariant as the
+/// reference per-row early abandon, and therefore the same final top-k.
 ///
 /// `stop` (optional) is consulted once per 64-row block; when it fires
 /// the scan returns immediately with the heap holding the best-so-far

@@ -5,6 +5,8 @@
 // The ADC accumulation kernel is gather-bound: for each subspace stripe it
 // widens 8 uint16 codes to lane indices, gathers 8 LUT floats, and adds
 // them into 8 register-resident accumulators covering the 64-row block.
+// A call that covers only some 8-lane groups of the block (a partition
+// that starts or ends inside it) runs one register per group instead.
 // Each lane adds its subspaces in ascending order — the same float addition
 // sequence as the scalar kernel — so the sums are bit-identical, not just
 // close.
@@ -29,11 +31,43 @@ namespace internal {
 
 #if defined(__AVX2__)
 
+namespace {
+
+// Widens the 8 uint16 codes at `codes` to lane indices and gathers their
+// LUT entries from `base`.
+inline __m256 Gather8(const float* base, const uint16_t* codes) {
+  // reinterpret_cast to const __m128i* is the documented calling
+  // convention of _mm_loadu_si128 — Intel defines the intrinsic to
+  // perform an unaligned, aliasing-safe 128-bit load, so this is the
+  // one place the codebase's no-reinterpret_cast rule does not apply
+  // (everything else goes through common/io.h LoadAs/StoreAs). A
+  // memcpy into a __m128i would be equivalent but obscures that the
+  // pointer never converts to an lvalue of the wrong type.
+  // NOLINTNEXTLINE(cppcoreguidelines-pro-type-reinterpret-cast)
+  const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes));
+  return _mm256_i32gather_ps(base, _mm256_cvtepu16_epi32(c), 4);
+}
+
+}  // namespace
+
 void Avx2Accumulate(const uint16_t* block, const float* lut,
                     const uint32_t* lut_offsets, size_t s_begin, size_t s_end,
-                    float* acc) {
-  static_assert(kScanBlockSize == 64,
+                    size_t g_begin, size_t g_end, float* acc) {
+  static_assert(kScanBlockSize == 8 * kScanLaneGroup,
                 "kernel unrolls 8 vectors of 8 lanes per block");
+  if (g_begin != 0 || g_end != kScanBlockSize / kScanLaneGroup) {
+    // Part of a block: one register per group, subspaces innermost.
+    for (size_t g = g_begin; g < g_end; ++g) {
+      const size_t lane = g * kScanLaneGroup;
+      __m256 a = _mm256_loadu_ps(acc + lane);
+      for (size_t s = s_begin; s < s_end; ++s) {
+        a = _mm256_add_ps(a, Gather8(lut + lut_offsets[s],
+                                     block + s * kScanBlockSize + lane));
+      }
+      _mm256_storeu_ps(acc + lane, a);
+    }
+    return;
+  }
   __m256 a0 = _mm256_loadu_ps(acc + 0);
   __m256 a1 = _mm256_loadu_ps(acc + 8);
   __m256 a2 = _mm256_loadu_ps(acc + 16);
@@ -45,47 +79,14 @@ void Avx2Accumulate(const uint16_t* block, const float* lut,
   for (size_t s = s_begin; s < s_end; ++s) {
     const float* base = lut + lut_offsets[s];
     const uint16_t* codes = block + s * kScanBlockSize;
-    // reinterpret_cast to const __m128i* is the documented calling
-    // convention of _mm_loadu_si128 — Intel defines the intrinsic to
-    // perform an unaligned, aliasing-safe 128-bit load, so this is the
-    // one place the codebase's no-reinterpret_cast rule does not apply
-    // (everything else goes through common/io.h LoadAs/StoreAs). A
-    // memcpy into a __m128i would be equivalent but obscures that the
-    // pointer never converts to an lvalue of the wrong type.
-    // NOLINTBEGIN(cppcoreguidelines-pro-type-reinterpret-cast)
-    const __m128i c0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + 0));
-    const __m128i c1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + 8));
-    const __m128i c2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + 16));
-    const __m128i c3 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + 24));
-    const __m128i c4 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + 32));
-    const __m128i c5 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + 40));
-    const __m128i c6 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + 48));
-    const __m128i c7 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + 56));
-    // NOLINTEND(cppcoreguidelines-pro-type-reinterpret-cast)
-    a0 = _mm256_add_ps(
-        a0, _mm256_i32gather_ps(base, _mm256_cvtepu16_epi32(c0), 4));
-    a1 = _mm256_add_ps(
-        a1, _mm256_i32gather_ps(base, _mm256_cvtepu16_epi32(c1), 4));
-    a2 = _mm256_add_ps(
-        a2, _mm256_i32gather_ps(base, _mm256_cvtepu16_epi32(c2), 4));
-    a3 = _mm256_add_ps(
-        a3, _mm256_i32gather_ps(base, _mm256_cvtepu16_epi32(c3), 4));
-    a4 = _mm256_add_ps(
-        a4, _mm256_i32gather_ps(base, _mm256_cvtepu16_epi32(c4), 4));
-    a5 = _mm256_add_ps(
-        a5, _mm256_i32gather_ps(base, _mm256_cvtepu16_epi32(c5), 4));
-    a6 = _mm256_add_ps(
-        a6, _mm256_i32gather_ps(base, _mm256_cvtepu16_epi32(c6), 4));
-    a7 = _mm256_add_ps(
-        a7, _mm256_i32gather_ps(base, _mm256_cvtepu16_epi32(c7), 4));
+    a0 = _mm256_add_ps(a0, Gather8(base, codes + 0));
+    a1 = _mm256_add_ps(a1, Gather8(base, codes + 8));
+    a2 = _mm256_add_ps(a2, Gather8(base, codes + 16));
+    a3 = _mm256_add_ps(a3, Gather8(base, codes + 24));
+    a4 = _mm256_add_ps(a4, Gather8(base, codes + 32));
+    a5 = _mm256_add_ps(a5, Gather8(base, codes + 40));
+    a6 = _mm256_add_ps(a6, Gather8(base, codes + 48));
+    a7 = _mm256_add_ps(a7, Gather8(base, codes + 56));
   }
   _mm256_storeu_ps(acc + 0, a0);
   _mm256_storeu_ps(acc + 8, a1);
@@ -166,12 +167,10 @@ void Avx2CentroidDistances(const float* sub, const float* dict, size_t len,
 // the dispatcher never selects it, but the symbol must still link.
 void Avx2Accumulate(const uint16_t* block, const float* lut,
                     const uint32_t* lut_offsets, size_t s_begin, size_t s_end,
-                    float* acc) {
-  for (size_t s = s_begin; s < s_end; ++s) {
-    const float* base = lut + lut_offsets[s];
-    const uint16_t* codes = block + s * kScanBlockSize;
-    for (size_t i = 0; i < kScanBlockSize; ++i) acc[i] += base[codes[i]];
-  }
+                    size_t g_begin, size_t g_end, float* acc) {
+  GetScanKernel(ScanKernelType::kScalar)
+      .accumulate(block, lut, lut_offsets, s_begin, s_end, g_begin, g_end,
+                  acc);
 }
 
 void Avx2CentroidDistances(const float* sub, const float* dict, size_t len,

@@ -53,11 +53,13 @@ Status ValidateSearchParams(const VaqEncoder& encoder, size_t n,
 /// Everything the scan of one query reads or writes, fixed before the
 /// first row.
 struct QueryScan {
+  const BlockedCodes* codes;  ///< the index's one store, storage order
+  const uint32_t* ids;        ///< storage row -> row id
   const float* lut;
   const uint32_t* lut_offsets;
   size_t s_limit;   ///< subspaces accumulated per row
   size_t interval;  ///< subspaces between early-abandon checks
-  bool ranked;      ///< the visits come from a PartitionRanker
+  bool ranked;      ///< the visits come from a PartitionPlan
   SearchScratch* scratch;
   SearchStats* stats;
   StopController* stop;
@@ -77,50 +79,33 @@ bool EnterPartition(const QueryScan& q) {
 /// Row-at-a-time reference scan (ScanKernelType::kReference), kept as the
 /// correctness oracle for the blocked kernels. It walks the same visits as
 /// ScanBlocked, with TI's window tested row by row, reads each row back
-/// from the same blocked layout, and checks the deadline every 64 rows of
-/// a partition, the blocked kernels' granularity.
+/// from the same store, and checks for a stop at the first row of a
+/// visit and at every 64-row block boundary of the store, as the blocked
+/// scan does.
 void ScanReference(const QueryScan& q) {
   TopKHeap& heap = q.scratch->heap;
   SearchStats* stats = q.stats;
-  StopController* stop = q.stop;
-  std::vector<uint16_t> code;  // the oracle may allocate
+  std::vector<uint16_t> code(q.codes->num_subspaces());  // may allocate
   for (const PartitionRef& p : q.scratch->visits) {
     if (!EnterPartition(q)) return;
-    const size_t rows = p.codes->rows();
-    if (rows == 0) continue;
-    code.resize(p.codes->num_subspaces());
-    const float dq = p.query_distance;
     const float* cached = p.sorted_distances;
-    const bool windowed = cached != nullptr;
-
-    // Members that can beat the best-so-far satisfy
-    // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
-    // The cached distances are sorted, so locate the window once and keep
-    // tightening its upper end as the threshold improves.
-    size_t begin = 0;
-    size_t end = rows;
-    if (windowed && heap.full()) {
-      const float r = std::sqrt(heap.Threshold());
-      begin = std::lower_bound(cached, cached + rows, dq - r) - cached;
-      end = std::upper_bound(cached, cached + rows, dq + r) - cached;
-      if (stats != nullptr) stats->codes_skipped_ti += rows - (end - begin);
-    }
-    for (size_t i = begin; i < end; ++i) {
-      // A ranked partition's entry check stands in for its first row's.
-      if (stop != nullptr && (i - begin) % kScanBlockSize == 0 &&
-          (i != begin || !q.ranked) && stop->ShouldStop()) {
+    for (size_t row = p.begin; row < p.end; ++row) {
+      if (q.stop != nullptr &&
+          (row == p.begin || row % kScanBlockSize == 0) &&
+          q.stop->ShouldStop()) {
         return;
       }
       const float threshold = heap.Threshold();
-      if (windowed && heap.full()) {
+      if (cached != nullptr && heap.full()) {
+        // TI's window, as in ScanWindow.
         const float r = std::sqrt(threshold);
-        const float dx = cached[i];
-        if (dx >= dq + r) {
+        const float dx = cached[row - p.begin];
+        if (dx > p.query_distance + r) {
           // Sorted ascending: every later member is also out of range.
-          if (stats != nullptr) stats->codes_skipped_ti += end - i;
+          if (stats != nullptr) stats->codes_skipped_ti += p.end - row;
           break;
         }
-        if (dx <= dq - r) {
+        if (dx < p.query_distance - r) {
           if (stats != nullptr) ++stats->codes_skipped_ti;
           continue;
         }
@@ -128,8 +113,8 @@ void ScanReference(const QueryScan& q) {
       // Early abandoning (Algorithm 4 lines 38-41), checked after every
       // `interval` subspaces but the last, as in BlockedEaScan; a full sum
       // is offered to the heap, which keeps it only if it improves the
-      // top-k.
-      p.codes->ReadRow(i, code.data());
+      // top-k in (distance, id) order.
+      q.codes->ReadRow(row, code.data());
       float acc = 0.f;
       size_t s = 0;
       for (;;) {
@@ -137,11 +122,9 @@ void ScanReference(const QueryScan& q) {
              s < s_end; ++s) {
           acc += q.lut[q.lut_offsets[s] + code[s]];
         }
-        if (s == q.s_limit || acc >= threshold) break;
+        if (s == q.s_limit || acc > threshold) break;
       }
-      if (s == q.s_limit) {
-        heap.Push(acc, p.ids != nullptr ? p.ids[i] : static_cast<int64_t>(i));
-      }
+      if (s == q.s_limit) heap.Push(acc, q.ids[row]);
       if (stats != nullptr) {
         stats->lut_adds += s;
         if (s == q.s_limit) ++stats->rows_scanned;
@@ -153,55 +136,46 @@ void ScanReference(const QueryScan& q) {
 
 /// Triangle-inequality cascade through one TI partition (Algorithm 4),
 /// block-wise: the sorted cached distances bound a candidate window that
-/// is re-tightened from the live threshold before each block rather than
-/// before each row.
+/// is re-tightened from the live threshold before each block of the store
+/// rather than before each row.
 void ScanWindow(const QueryScan& q, const PartitionRef& p,
                 const ScanKernel& kernel) {
   TopKHeap& heap = q.scratch->heap;
   SearchStats* stats = q.stats;
-  const BlockedCodes& bc = *p.codes;
-  const float dq = p.query_distance;
   const float* cached = p.sorted_distances;
-
-  // Members that can beat the best-so-far satisfy
-  // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
-  size_t begin = 0;
-  size_t end = bc.rows();
-  if (heap.full()) {
-    TraceSpan prune_span(q.trace, QueryPhase::kTiPrune);
-    const float r = std::sqrt(heap.Threshold());
-    begin = std::lower_bound(cached, cached + end, dq - r) - cached;
-    end = std::upper_bound(cached + begin, cached + end, dq + r) - cached;
-    if (stats != nullptr) stats->codes_skipped_ti += bc.rows() - (end - begin);
-  }
-  size_t i = begin;
+  const float dq = p.query_distance;
+  const size_t end = p.end - p.begin;  // partition-local indices
+  size_t i = 0;
   while (i < end) {
     size_t stop_row = end;
     if (heap.full()) {
+      // Members that can beat a best-so-far of radius r satisfy
+      // |dq - d(x, centroid)| <= d(q, x) <= r by the triangle inequality,
+      // i.e. d(x, centroid) in [dq - r, dq + r]. The bounds are inclusive:
+      // a member at exactly the radius ties the k-th distance and may
+      // still enter on a smaller id. The first window is the prune phase.
+      TraceSpan prune_span(i == 0 ? q.trace : nullptr, QueryPhase::kTiPrune);
       const float r = std::sqrt(heap.Threshold());
-      // Leading members too close to the centroid cannot improve.
-      const size_t skip_to =
-          std::upper_bound(cached + i, cached + end, dq - r) - cached;
-      if (stats != nullptr) stats->codes_skipped_ti += skip_to - i;
-      i = skip_to;
-      if (i >= end) break;
-      // Sorted ascending: everything at or past dq + r is out of range.
-      stop_row = std::lower_bound(cached + i, cached + end, dq + r) - cached;
-      if (stop_row == i) {
+      const size_t from = i;
+      i = std::lower_bound(cached + i, cached + end, dq - r) - cached;
+      stop_row = std::upper_bound(cached + i, cached + end, dq + r) - cached;
+      if (stats != nullptr) stats->codes_skipped_ti += i - from;
+      if (i == stop_row) {
         if (stats != nullptr) stats->codes_skipped_ti += end - i;
         break;
       }
     }
-    // Scan to the nearer of the window edge and the block boundary, so
-    // the window is re-tightened against the improved threshold before
-    // the next block starts.
-    const size_t chunk_end =
-        std::min(stop_row, (i / kScanBlockSize + 1) * kScanBlockSize);
+    // Scan to the nearer of the window edge and the store's next block
+    // boundary, so the window is re-tightened against the improved
+    // threshold before the next block starts.
+    const size_t row = p.begin + i;
+    const size_t chunk_end = std::min(
+        stop_row, (row / kScanBlockSize + 1) * kScanBlockSize - p.begin);
     {
       TraceSpan span(q.trace, QueryPhase::kBlockScan);
-      BlockedEaScan(bc, i, chunk_end, p.ids, q.lut, q.lut_offsets,
-                    q.s_limit, q.interval, kernel, q.scratch->acc, &heap,
-                    stats, q.stop);
+      BlockedEaScan(*q.codes, row, p.begin + chunk_end, q.ids, q.lut,
+                    q.lut_offsets, q.s_limit, q.interval, kernel,
+                    q.scratch->acc, &heap, stats, q.stop);
     }
     if (q.stop != nullptr && q.stop->stopped()) return;
     if (chunk_end == stop_row && stop_row < end) {
@@ -220,13 +194,12 @@ void ScanBlocked(const QueryScan& q, const ScanKernel& kernel) {
   TopKHeap& heap = q.scratch->heap;
   for (const PartitionRef& p : q.scratch->visits) {
     if (!EnterPartition(q)) return;
-    if (p.codes->empty()) continue;
     if (p.sorted_distances != nullptr) {
       ScanWindow(q, p, kernel);
     } else {
-      BlockedEaScan(*p.codes, 0, p.codes->rows(), p.ids, q.lut,
-                    q.lut_offsets, q.s_limit, q.interval, kernel,
-                    q.scratch->acc, &heap, q.stats, q.stop);
+      BlockedEaScan(*q.codes, p.begin, p.end, q.ids, q.lut, q.lut_offsets,
+                    q.s_limit, q.interval, kernel, q.scratch->acc, &heap,
+                    q.stats, q.stop);
     }
   }
 }
@@ -248,14 +221,15 @@ void RankPartitions(const float* projected, const FloatMatrix& centroids,
   ranking->erase(nearest_end, ranking->end());
 }
 
-Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
-                     const BlockedCodes* blocked,
-                     const PartitionRanker* ranker, const float* query,
-                     const SearchParams& params, SearchScratch* scratch,
-                     std::vector<Neighbor>* out, SearchStats* stats) {
+Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
+                     const Partitioning& parts, const PartitionPlan* plan,
+                     const float* query, const SearchParams& params,
+                     SearchScratch* scratch, std::vector<Neighbor>* out,
+                     SearchStats* stats) {
   WallTimer timer;
   CpuTimer cpu_timer(CpuTimer::Scope::kThread);
-  VAQ_RETURN_IF_ERROR(ValidateSearchParams(encoder, num_rows, query, params));
+  VAQ_RETURN_IF_ERROR(
+      ValidateSearchParams(encoder, codes.rows(), query, params));
   StopController stop_state(params.deadline, params.cancel_token);
   StopController* stop = stop_state.armed() ? &stop_state : nullptr;
 
@@ -277,22 +251,33 @@ Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
   scratch->heap.Reset(params.k);
 
   const size_t m = encoder.num_subspaces();
-  const bool ranked = ranker != nullptr;
-  QueryScan scan{scratch->lut.data(), encoder.lut_offsets32(), m,
+  const bool ranked = plan != nullptr;
+  QueryScan scan{&codes, parts.ids.data(), scratch->lut.data(),
+                 encoder.lut_offsets32(), m,
                  std::max<size_t>(1, params.ea_check_interval), ranked,
                  scratch, stats, stop, trace};
   // Partitions are counted per query, flat queries included (none).
   if (stats != nullptr) stats->partitions_visited = 0;
   if (ranked) {
     TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
-    const size_t total = ranker->Rank(projected, scratch);
+    RankPartitions(projected, *plan->centroids, plan->visit,
+                   &scratch->ranking);
+    scratch->visits.resize(scratch->ranking.size());
+    for (size_t v = 0; v < scratch->ranking.size(); ++v) {
+      const Neighbor& r = scratch->ranking[v];
+      const size_t begin = parts.begin(r.id);
+      scratch->visits[v] = {
+          begin, parts.end(r.id),
+          plan->distances != nullptr ? plan->distances + begin : nullptr,
+          std::sqrt(r.distance)};
+    }
     rank_span.Stop();
     if (stats != nullptr) {
-      stats->clusters_total = total;
+      stats->clusters_total = plan->centroids->rows();
       stats->clusters_visited = scratch->visits.size();
     }
   } else {
-    scratch->visits.assign(1, PartitionRef{blocked});
+    scratch->visits.assign(1, PartitionRef{0, codes.rows()});
     if (params.num_subspaces_used != 0) {
       scan.s_limit = std::min(params.num_subspaces_used, m);
     }

@@ -62,15 +62,15 @@ struct SearchParams {
   QueryTrace* trace = nullptr;
 };
 
-/// The family-specific step of a partitioned query: ranking the index's
-/// partitions (TI clusters, IVF cells) for one projected query. Called once
-/// per query, inside the partition_rank trace span, never inside a scan
-/// loop.
-class PartitionRanker {
- public:
-  /// Writes the partitions to visit into scratch->visits, nearest first,
-  /// and returns how many partitions the index has.
-  virtual size_t Rank(const float* projected, SearchScratch* scratch) const = 0;
+/// What a partitioned query (TI clusters, IVF cells) visits: the `visit`
+/// partitions whose centroids are nearest the projected query, nearest
+/// first. With `distances` (TI: each stored member's cached centroid
+/// distance, in storage order) every visit is scanned inside its
+/// triangle-inequality window.
+struct PartitionPlan {
+  const FloatMatrix* centroids = nullptr;  ///< one row per partition
+  size_t visit = 0;                        ///< partitions to visit
+  const float* distances = nullptr;        ///< TI only, else null
 };
 
 /// Algorithm 4's partition ranking, for TI clusters and IVF cells alike:
@@ -82,19 +82,21 @@ void RankPartitions(const float* projected, const FloatMatrix& centroids,
 
 /// The one query driver under VaqIndex and VaqIvfIndex: validate, project,
 /// build the LUT, scan, finalize (FinalizeSearchResult) and record the
-/// query's telemetry. `num_rows` is the size of the indexed database.
+/// query's telemetry. `codes` is the index's one store, in the storage
+/// order of `parts`, whose ids map each storage row to its row id.
 ///
-/// With a ranker the scan visits the ranked partitions nearest first,
-/// early-abandoned over all subspaces. With `ranker` null the scan is flat:
-/// one partition, `blocked` (required then), in row order. Every scan is
-/// early-abandoned; SearchMode::kHeap is the one whose check interval spans
-/// all accumulated subspaces, so it never abandons a row.
-/// `params.visit_fraction` is validated but read only by the ranker.
-Status SearchEncoded(const VaqEncoder& encoder, size_t num_rows,
-                     const BlockedCodes* blocked,
-                     const PartitionRanker* ranker, const float* query,
-                     const SearchParams& params, SearchScratch* scratch,
-                     std::vector<Neighbor>* out, SearchStats* stats);
+/// With a plan the scan visits the partitions it ranks (RankPartitions,
+/// inside the partition_rank trace span), each a row range of `codes`,
+/// early-abandoned over all subspaces. With `plan` null the scan is flat:
+/// the one range [0, n) in storage order. Every scan is early-abandoned;
+/// SearchMode::kHeap is the one whose check interval spans all accumulated
+/// subspaces, so it never abandons a row. `params.visit_fraction` is
+/// validated here but read only by the caller that sized the plan.
+Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
+                     const Partitioning& parts, const PartitionPlan* plan,
+                     const float* query, const SearchParams& params,
+                     SearchScratch* scratch, std::vector<Neighbor>* out,
+                     SearchStats* stats);
 
 }  // namespace vaq
 

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <utility>
 
 #include "common/io.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/scan.h"
 
 namespace vaq {
 
@@ -52,7 +51,6 @@ Status TiPartition::Build(const CodeMatrix& codes,
                                  &cluster_luts[c]);
   }
 
-  clusters_.assign(num_clusters, Cluster{});
   std::vector<uint32_t> assignment(n);
   std::vector<float> best_dist(n);
   ParallelFor(n, options.num_threads, [&](size_t begin, size_t end) {
@@ -72,23 +70,20 @@ Status TiPartition::Build(const CodeMatrix& codes,
       best_dist[r] = std::sqrt(best);
     }
   });
-  std::vector<std::vector<std::pair<float, uint32_t>>> staged(num_clusters);
-  for (size_t r = 0; r < n; ++r) {
-    staged[assignment[r]].push_back({best_dist[r], static_cast<uint32_t>(r)});
-  }
 
   // Sort each cluster ascending by centroid distance (Section III-D keeps
-  // members ordered from closest to furthest).
+  // members ordered from closest to furthest), ties by row id.
+  members_ = Partitioning::FromAssignment(assignment, num_clusters);
   for (size_t c = 0; c < num_clusters; ++c) {
-    auto& members = staged[c];
-    std::sort(members.begin(), members.end());
-    clusters_[c].ids.reserve(members.size());
-    clusters_[c].distances.reserve(members.size());
-    for (const auto& [dist, id] : members) {
-      clusters_[c].ids.push_back(id);
-      clusters_[c].distances.push_back(dist);
-    }
+    std::sort(members_.ids.begin() + members_.begin(c),
+              members_.ids.begin() + members_.end(c),
+              [&](uint32_t a, uint32_t b) {
+                return std::pair(best_dist[a], a) <
+                       std::pair(best_dist[b], b);
+              });
   }
+  distances_.resize(n);
+  for (size_t i = 0; i < n; ++i) distances_[i] = best_dist[members_.ids[i]];
   built_ = true;
   return Status::OK();
 }
@@ -108,10 +103,12 @@ void TiPartition::Save(std::ostream& os) const {
   WritePod<uint8_t>(os, built_ ? 1 : 0);
   WritePod<uint64_t>(os, prefix_subspaces_);
   WriteMatrix(os, centroids_);
-  WritePod<uint64_t>(os, clusters_.size());
-  for (const auto& cluster : clusters_) {
-    WriteVector(os, cluster.ids);
-    WriteVector(os, cluster.distances);
+  WritePod<uint64_t>(os, num_clusters());
+  for (size_t c = 0; c < num_clusters(); ++c) {
+    const size_t begin = members_.begin(c);
+    const size_t count = members_.end(c) - begin;
+    WriteArray(os, members_.ids.data() + begin, count);
+    WriteArray(os, distances_.data() + begin, count);
   }
 }
 
@@ -124,20 +121,25 @@ Status TiPartition::Load(std::istream& is) {
   uint64_t num = 0;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &num));
   // Every cluster costs at least 16 payload bytes (two vector headers);
-  // bound the resize on seekable streams.
+  // bound the loop on seekable streams.
   const int64_t remaining = RemainingBytes(is);
   if (remaining >= 0 && num > static_cast<uint64_t>(remaining) / 16) {
     return Status::IoError("TI cluster count exceeds remaining payload "
                            "(corrupted file?)");
   }
-  clusters_.assign(num, Cluster{});
-  for (auto& cluster : clusters_) {
-    VAQ_RETURN_IF_ERROR(ReadVector(is, &cluster.ids));
-    VAQ_RETURN_IF_ERROR(ReadVector(is, &cluster.distances));
-    if (cluster.ids.size() != cluster.distances.size()) {
+  members_ = Partitioning{};
+  distances_.clear();
+  std::vector<uint32_t> ids;
+  std::vector<float> distances;
+  for (uint64_t c = 0; c < num; ++c) {
+    VAQ_RETURN_IF_ERROR(ReadVector(is, &ids));
+    VAQ_RETURN_IF_ERROR(ReadVector(is, &distances));
+    if (ids.size() != distances.size()) {
       return Status::IoError("corrupted TI partition: id/distance arrays "
                              "disagree in length");
     }
+    members_.Append(ids);
+    distances_.insert(distances_.end(), distances.begin(), distances.end());
   }
   prefix_subspaces_ = prefix;
   built_ = built != 0;
@@ -154,7 +156,7 @@ Status TiPartition::ValidateInvariants(size_t num_rows, size_t num_subspaces,
     return Status::Internal("TI centroid width disagrees with the layout's "
                             "prefix dimensions");
   }
-  if (centroids_.rows() != clusters_.size() || clusters_.empty()) {
+  if (centroids_.rows() != num_clusters() || num_clusters() == 0) {
     return Status::Internal("TI centroid/cluster counts disagree");
   }
   for (size_t i = 0; i < centroids_.size(); ++i) {
@@ -162,12 +164,14 @@ Status TiPartition::ValidateInvariants(size_t num_rows, size_t num_subspaces,
       return Status::Internal("TI centroids contain non-finite values");
     }
   }
-  for (const Cluster& cluster : clusters_) {
-    if (cluster.ids.size() != cluster.distances.size()) {
-      return Status::Internal("TI id/distance arrays disagree in length");
-    }
+  VAQ_RETURN_IF_ERROR(members_.Validate(num_rows, "TI clusters"));
+  if (distances_.size() != num_rows) {
+    return Status::Internal("TI id/distance arrays disagree in length");
+  }
+  for (size_t c = 0; c < num_clusters(); ++c) {
     float prev = 0.f;
-    for (const float d : cluster.distances) {
+    for (size_t i = members_.begin(c); i < members_.end(c); ++i) {
+      const float d = distances_[i];
       if (!std::isfinite(d) || d < 0.f || d < prev) {
         return Status::Internal("TI cached distances are not sorted "
                                 "non-negative finite values");
@@ -175,12 +179,7 @@ Status TiPartition::ValidateInvariants(size_t num_rows, size_t num_subspaces,
       prev = d;
     }
   }
-  return ValidatePartitionCover(
-      num_rows, clusters_.size(),
-      [this](size_t c) -> const std::vector<uint32_t>& {
-        return clusters_[c].ids;
-      },
-      "TI clusters");
+  return Status::OK();
 }
 
 }  // namespace vaq

@@ -9,6 +9,7 @@
 #include "common/matrix.h"
 #include "common/status.h"
 #include "core/codebook.h"
+#include "core/scan.h"
 
 namespace vaq {
 
@@ -32,17 +33,14 @@ struct TiPartitionOptions {
 /// its (non-squared) prefix distance to the centroid and members are kept
 /// sorted by that distance. At query time, for a best-so-far radius r and
 /// query-to-centroid distance dq, only members with cached distance in
-/// (dq - r, dq + r) can beat the best-so-far — found by binary search —
+/// [dq - r, dq + r] can beat the best-so-far — found by binary search —
 /// because |dq - dx| <= d(query, member) by the triangle inequality.
+///
+/// The clusters are stored as one Partitioning, which is also the storage
+/// order of VaqIndex's codes: cluster c is storage rows [begin(c), end(c)),
+/// its members sorted ascending by (cached distance, row id).
 class TiPartition {
  public:
-  /// One partition: member row ids and their cached centroid distances,
-  /// both sorted ascending by distance.
-  struct Cluster {
-    std::vector<uint32_t> ids;
-    std::vector<float> distances;
-  };
-
   TiPartition() = default;
 
   /// Builds the partition over `codes` using `books` to decode. The
@@ -50,11 +48,13 @@ class TiPartition {
   Status Build(const CodeMatrix& codes, const VariableCodebooks& books,
                const TiPartitionOptions& options);
 
-  bool built() const { return built_; }
-  size_t num_clusters() const { return clusters_.size(); }
+  size_t num_clusters() const { return members_.size(); }
   size_t prefix_subspaces() const { return prefix_subspaces_; }
   size_t prefix_dims() const { return centroids_.cols(); }
-  const Cluster& cluster(size_t c) const { return clusters_[c]; }
+  /// The clusters in CSR form: storage row ranges and storage -> row id.
+  const Partitioning& members() const { return members_; }
+  /// Each stored member's cached centroid distance, in storage order.
+  const std::vector<float>& distances() const { return distances_; }
 
   /// Cluster centroids in decoded (prefix) float space.
   const FloatMatrix& centroids() const { return centroids_; }
@@ -79,7 +79,8 @@ class TiPartition {
   bool built_ = false;
   size_t prefix_subspaces_ = 0;
   FloatMatrix centroids_;
-  std::vector<Cluster> clusters_;
+  Partitioning members_;
+  std::vector<float> distances_;
 };
 
 }  // namespace vaq

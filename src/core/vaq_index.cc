@@ -12,39 +12,7 @@
 
 namespace vaq {
 namespace {
-
 constexpr char kMagic[8] = {'V', 'A', 'Q', 'I', 'D', 'X', '0', '1'};
-
-/// Visits the nearest `visit_fraction` of the TI clusters (RankPartitions
-/// over the prefix centroids), each narrowed to its triangle-inequality
-/// window around dq, the query's prefix distance to the centroid.
-class TiRanker final : public PartitionRanker {
- public:
-  TiRanker(const TiPartition& ti, const std::vector<BlockedCodes>& blocked,
-           double visit_fraction)
-      : ti_(ti), blocked_(blocked), visit_fraction_(visit_fraction) {}
-
-  size_t Rank(const float* projected, SearchScratch* scratch) const override {
-    // At least one: the driver has checked visit_fraction is in (0, 1].
-    const size_t visit = static_cast<size_t>(std::ceil(
-        visit_fraction_ * static_cast<double>(ti_.num_clusters())));
-    RankPartitions(projected, ti_.centroids(), visit, &scratch->ranking);
-    scratch->visits.resize(scratch->ranking.size());
-    for (size_t v = 0; v < scratch->ranking.size(); ++v) {
-      const Neighbor& r = scratch->ranking[v];
-      const TiPartition::Cluster& cluster = ti_.cluster(r.id);
-      scratch->visits[v] = {&blocked_[r.id], cluster.ids.data(),
-                            cluster.distances.data(), std::sqrt(r.distance)};
-    }
-    return ti_.num_clusters();
-  }
-
- private:
-  const TiPartition& ti_;
-  const std::vector<BlockedCodes>& blocked_;
-  double visit_fraction_;
-};
-
 }  // namespace
 
 Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
@@ -103,21 +71,6 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
   return index;
 }
 
-void VaqIndex::BuildScanStructures(const CodeMatrix& codes) {
-  blocked_ = BlockedCodes::Build(codes);
-  ti_blocked_ = BlockPartitions(
-      codes, ti_.num_clusters(),
-      [this](size_t c) -> const std::vector<uint32_t>& {
-        return ti_.cluster(c).ids;
-      });
-}
-
-CodeMatrix VaqIndex::RowCodes(size_t extra_rows) const {
-  CodeMatrix codes(size() + extra_rows, num_subspaces());
-  for (size_t r = 0; r < size(); ++r) blocked_.ReadRow(r, codes.row(r));
-  return codes;
-}
-
 Status VaqIndex::Add(const FloatMatrix& data) {
   if (!encoder_.trained()) {
     return Status::FailedPrecondition("index is not trained");
@@ -163,8 +116,16 @@ Status VaqIndex::Search(const float* query, const SearchParams& params,
   const bool ti = params.mode == SearchMode::kTriangleInequality &&
                   (params.num_subspaces_used == 0 ||
                    params.num_subspaces_used >= num_subspaces());
-  const TiRanker ranker(ti_, ti_blocked_, params.visit_fraction);
-  return SearchEncoded(encoder_, size(), &blocked_, ti ? &ranker : nullptr,
+  // The nearest ceil(visit_fraction · clusters) clusters, each narrowed to
+  // its TI window. The driver rejects a fraction outside (0, 1]; until it
+  // does, the clamp keeps the cast defined.
+  const double clusters = static_cast<double>(ti_.num_clusters());
+  const double visit = std::ceil(params.visit_fraction * clusters);
+  const PartitionPlan plan{
+      &ti_.centroids(),
+      visit >= 1.0 && visit <= clusters ? static_cast<size_t>(visit) : 1,
+      ti_.distances().data()};
+  return SearchEncoded(encoder_, codes_, ti_.members(), ti ? &plan : nullptr,
                        query, params, scratch, out, stats);
 }
 

@@ -37,7 +37,7 @@ class VaqIndex {
   /// rebuilds the TI partition.
   Status Add(const FloatMatrix& data);
 
-  size_t size() const { return blocked_.rows(); }
+  size_t size() const { return codes_.rows(); }
   size_t dim() const { return encoder_.dim(); }
   size_t num_subspaces() const { return encoder_.num_subspaces(); }
   const std::vector<int>& bits_per_subspace() const {
@@ -57,7 +57,8 @@ class VaqIndex {
   size_t balance_swaps() const { return encoder_.balance_swaps(); }
 
   /// Bytes of the codes as saved, n·m·2 (perfbench's
-  /// scan.code_bytes_per_vector); the padded blocked layouts take more.
+  /// scan.code_bytes_per_vector). The one blocked store in memory adds
+  /// only the padding of its last 64-row block.
   size_t code_bytes() const {
     return size() * num_subspaces() * sizeof(uint16_t);
   }
@@ -135,19 +136,23 @@ class VaqIndex {
   Status LoadOptionsSection(std::istream& is);
   /// ValidateInvariants against `codes`, the database in row order.
   Status ValidateInvariants(const CodeMatrix& codes) const;
-  /// The codes in row order, read back from blocked_, then `extra_rows`
-  /// rows for Add to fill.
-  CodeMatrix RowCodes(size_t extra_rows = 0) const;
-  /// Builds the layouts from `codes` (row order) and ti_. They gather rows
-  /// through TI cluster ids, so Load validates `codes` first.
-  void BuildScanStructures(const CodeMatrix& codes);
+  /// The codes in row order, then `extra_rows` rows for Add to fill.
+  CodeMatrix RowCodes(size_t extra_rows = 0) const {
+    return codes_.Scatter(ti_.members().ids.data(), extra_rows);
+  }
+  /// Blocks `codes` (row order) into codes_ in ti_'s storage order. It
+  /// gathers rows through the TI ids, so Load validates `codes` first.
+  void BuildScanStructures(const CodeMatrix& codes) {
+    codes_ = BlockedCodes::Build(codes, ti_.members().ids.data(), codes.rows());
+  }
 
   VaqOptions options_;
   VaqEncoder encoder_;
+  /// The TI clusters; their CSR ids are the one storage -> row id map.
   TiPartition ti_;
-  // The only copy of the codes: the layouts the scan kernels consume.
-  BlockedCodes blocked_;                 ///< whole database, row order
-  std::vector<BlockedCodes> ti_blocked_; ///< one per TI cluster, member order
+  /// The only copy of the codes, in TI cluster order with no padding
+  /// between clusters. A flat scan reads it start to end.
+  BlockedCodes codes_;
 };
 
 }  // namespace vaq

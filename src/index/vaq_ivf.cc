@@ -12,33 +12,6 @@
 namespace vaq {
 namespace {
 
-/// Visits the `nprobe` coarse cells nearest the query (RankPartitions over
-/// the coarse centroids), each list whole.
-class CellRanker final : public PartitionRanker {
- public:
-  CellRanker(const KMeans& coarse, const std::vector<BlockedCodes>& blocked,
-             const std::vector<std::vector<uint32_t>>& lists, size_t nprobe)
-      : coarse_(coarse), blocked_(blocked), lists_(lists), nprobe_(nprobe) {}
-
-  size_t Rank(const float* projected, SearchScratch* scratch) const override {
-    RankPartitions(projected, coarse_.centroids(), nprobe_,
-                   &scratch->ranking);
-    scratch->visits.resize(scratch->ranking.size());
-    for (size_t v = 0; v < scratch->ranking.size(); ++v) {
-      const Neighbor& r = scratch->ranking[v];
-      scratch->visits[v] = {&blocked_[r.id], lists_[r.id].data(), nullptr,
-                            r.distance};
-    }
-    return coarse_.k();
-  }
-
- private:
-  const KMeans& coarse_;
-  const std::vector<BlockedCodes>& blocked_;
-  const std::vector<std::vector<uint32_t>>& lists_;
-  size_t nprobe_;
-};
-
 /// The driver's parameters for an IVF query: early abandon inside the
 /// lists, with the configured scan kernel.
 SearchParams DriverParams(size_t k, const QueryControl& control,
@@ -85,12 +58,8 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
     kopts.max_iters = vopts.kmeans_iters;
     kopts.seed = vopts.seed ^ 0x51F15EEDULL;
     VAQ_RETURN_IF_ERROR(index.coarse_.Train(rows.projected, kopts));
-    index.lists_.assign(index.coarse_.k(), {});
-    const std::vector<uint32_t> assign =
-        index.coarse_.AssignAll(rows.projected);
-    for (size_t r = 0; r < data.rows(); ++r) {
-      index.lists_[assign[r]].push_back(static_cast<uint32_t>(r));
-    }
+    index.lists_ = Partitioning::FromAssignment(
+        index.coarse_.AssignAll(rows.projected), index.coarse_.k());
   }
   {
     StageTimer st(
@@ -108,23 +77,6 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
           rows.subspace_us, rows.allocation_us, rows.codebook_us,
           rows.encode_us, coarse_us, scan_us);
   return index;
-}
-
-void VaqIvfIndex::BuildScanStructures(const CodeMatrix& codes) {
-  num_rows_ = codes.rows();
-  list_blocked_ = BlockPartitions(
-      codes, lists_.size(),
-      [this](size_t c) -> const std::vector<uint32_t>& { return lists_[c]; });
-}
-
-CodeMatrix VaqIvfIndex::RowCodes() const {
-  CodeMatrix codes(num_rows_, encoder_.num_subspaces());
-  for (size_t c = 0; c < lists_.size(); ++c) {
-    for (size_t i = 0; i < lists_[c].size(); ++i) {
-      list_blocked_[c].ReadRow(i, codes.row(lists_[c][i]));
-    }
-  }
-  return codes;
 }
 
 namespace {
@@ -154,23 +106,27 @@ Status VaqIvfIndex::LoadOptionsSection(std::istream& is) {
 
 void VaqIvfIndex::SaveListsSection(std::ostream& os) const {
   WritePod<uint64_t>(os, lists_.size());
-  for (const auto& list : lists_) WriteVector(os, list);
+  for (size_t c = 0; c < lists_.size(); ++c) {
+    WriteArray(os, lists_.ids.data() + lists_.begin(c),
+               lists_.end(c) - lists_.begin(c));
+  }
 }
 
 Status VaqIvfIndex::LoadListsSection(std::istream& is) {
   uint64_t num = 0;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &num));
-  // Every list costs at least an 8-byte length header; bound the resize
-  // on seekable streams so a corrupted count cannot drive a huge
-  // allocation.
+  // Every list costs at least an 8-byte length header; bound the loop on
+  // seekable streams so a corrupted count cannot drive a huge allocation.
   const int64_t remaining = RemainingBytes(is);
   if (remaining >= 0 && num > static_cast<uint64_t>(remaining) / 8) {
     return Status::IoError("inverted list count exceeds remaining payload "
                            "(corrupted file?)");
   }
-  lists_.assign(num, {});
-  for (auto& list : lists_) {
+  lists_ = Partitioning{};
+  std::vector<uint32_t> list;
+  for (uint64_t c = 0; c < num; ++c) {
     VAQ_RETURN_IF_ERROR(ReadVector(is, &list));
+    lists_.Append(list);
   }
   return Status::OK();
 }
@@ -195,10 +151,7 @@ Status VaqIvfIndex::ValidateInvariants(const CodeMatrix& codes) const {
     return Status::Internal("inverted list count disagrees with the coarse "
                             "partition size");
   }
-  return ValidatePartitionCover(
-      n, lists_.size(),
-      [this](size_t c) -> const std::vector<uint32_t>& { return lists_[c]; },
-      "inverted lists");
+  return lists_.Validate(n, "inverted lists");
 }
 
 Status VaqIvfIndex::Save(const std::string& path) const {
@@ -276,8 +229,9 @@ Status VaqIvfIndex::SearchProbed(const float* query,
                                  std::vector<Neighbor>* out,
                                  SearchStats* stats) const {
   if (nprobe == 0) nprobe = options_.default_nprobe;
-  const CellRanker ranker(coarse_, list_blocked_, lists_, nprobe);
-  return SearchEncoded(encoder_, num_rows_, nullptr, &ranker, query, params,
+  // The nprobe nearest coarse cells, each list whole.
+  const PartitionPlan plan{&coarse_.centroids(), nprobe};
+  return SearchEncoded(encoder_, codes_, lists_, &plan, query, params,
                        scratch, out, stats);
 }
 

@@ -37,7 +37,7 @@ class VaqIvfIndex {
   static Result<VaqIvfIndex> Train(const FloatMatrix& data,
                                    const VaqIvfOptions& options);
 
-  size_t size() const { return num_rows_; }
+  size_t size() const { return codes_.rows(); }
   size_t dim() const { return encoder_.dim(); }
   size_t coarse_k() const { return coarse_.k(); }
   const std::vector<int>& bits_per_subspace() const {
@@ -99,19 +99,20 @@ class VaqIvfIndex {
                       std::vector<Neighbor>* out, SearchStats* stats) const;
   /// ValidateInvariants against `codes`, the database in row order.
   Status ValidateInvariants(const CodeMatrix& codes) const;
-  /// The codes in row order, read back from the per-list layouts.
-  CodeMatrix RowCodes() const;
-  /// Adopts `codes` (row order) as the database: builds the per-list
-  /// layouts, which gather rows through lists_, so Load validates first.
-  void BuildScanStructures(const CodeMatrix& codes);
+  /// The codes in row order.
+  CodeMatrix RowCodes() const { return codes_.Scatter(lists_.ids.data()); }
+  /// Adopts `codes` (row order) as the database: blocks it into codes_ in
+  /// list order, gathering rows through lists_, so Load validates first.
+  void BuildScanStructures(const CodeMatrix& codes) {
+    codes_ = BlockedCodes::Build(codes, lists_.ids.data(), codes.rows());
+  }
 
   VaqIvfOptions options_;
   VaqEncoder encoder_;
-  size_t num_rows_ = 0;                      ///< database size
-  KMeans coarse_;                            ///< over projected vectors
-  std::vector<std::vector<uint32_t>> lists_; ///< ids per coarse cell
-  /// One layout per list, member order: the only copy of the codes.
-  std::vector<BlockedCodes> list_blocked_;
+  KMeans coarse_;         ///< over projected vectors
+  Partitioning lists_;    ///< inverted lists in CSR form, ascending ids
+  /// The only copy of the codes, list after list with no padding between.
+  BlockedCodes codes_;
 };
 
 }  // namespace vaq

@@ -226,13 +226,17 @@ TEST_F(SearchDeadlineTest, MidScanExpiryReturnsExactPrefixTopK) {
     EXPECT_TRUE(stats.truncated);
     ASSERT_EQ(stats.rows_scanned, 5u * kScanBlockSize);
 
-    // Expected: the k best of rows [0, rows_scanned) under the full
-    // ranking's distances — the heap must hold exactly the prefix top-k.
+    // Expected: the k best of the first rows_scanned rows in storage
+    // order (the flat scan walks the TI cluster order of the one code
+    // store) under the full ranking's distances — the heap must hold
+    // exactly the prefix top-k.
+    const std::vector<uint32_t>& stored = index_->ti_partition().members().ids;
+    ASSERT_GE(stored.size(), stats.rows_scanned);
+    std::vector<bool> scanned(base_->rows(), false);
+    for (size_t i = 0; i < stats.rows_scanned; ++i) scanned[stored[i]] = true;
     std::vector<Neighbor> expected;
     for (const Neighbor& nb : ranking) {
-      if (nb.id < static_cast<int64_t>(stats.rows_scanned)) {
-        expected.push_back(nb);
-      }
+      if (scanned[nb.id]) expected.push_back(nb);
     }
     ASSERT_GE(expected.size(), params.k);
     expected.resize(params.k);

@@ -131,9 +131,10 @@ TEST(BlockedCodesTest, SubsetBuildFollowsIdOrder) {
 }
 
 TEST(BlockedCodesTest, ReadRowInvertsBuild) {
-  // The blocked layouts are an index's only copy of its codes, so reading
+  // The one packed store is an index's only copy of its codes, so reading
   // a row back must reproduce the row-major codes exactly: for the whole
-  // matrix and for partitions of 0, 1, 63, 64 and 65 members.
+  // matrix and for partitions of 0, 1, 63, 64 and 65 members packed in one
+  // store at offsets that are not block-aligned.
   RawAdcProblem p = RawAdcProblem::Make(/*n=*/300, {13, 1, 8, 5, 16, 3}, 29);
   const size_t m = p.bits.size();
   std::vector<uint16_t> row(m);
@@ -147,37 +148,46 @@ TEST(BlockedCodesTest, ReadRowInvertsBuild) {
   }
 
   // Partitions draw their members out of row order, so a read-back that
-  // ignored the member order would fail.
+  // ignored the storage -> row id map would fail. A leading partition of 7
+  // rows (and the rows after the last) keeps every offset off the block
+  // grid.
   Rng rng(31);
-  std::vector<uint32_t> order(p.codes.rows());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<uint32_t>(i);
-  }
-  for (size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.NextIndex(i)]);
-  }
-  const std::vector<size_t> sizes = {0, 1, 63, 64, 65};
-  std::vector<std::vector<uint32_t>> members;
+  std::vector<uint32_t> assignment(p.codes.rows());
+  const std::vector<size_t> sizes = {7, 0, 1, 63, 64, 65};
   size_t next = 0;
-  for (size_t size : sizes) {
-    members.emplace_back(order.begin() + next, order.begin() + next + size);
-    next += size;
+  for (size_t part = 0; part < sizes.size(); ++part) {
+    for (size_t i = 0; i < sizes[part]; ++i) {
+      assignment[next++] = static_cast<uint32_t>(part);
+    }
   }
-  const std::vector<BlockedCodes> parts = BlockPartitions(
-      p.codes, members.size(),
-      [&](size_t c) -> const std::vector<uint32_t>& { return members[c]; });
-  ASSERT_EQ(parts.size(), sizes.size());
-  for (size_t c = 0; c < parts.size(); ++c) {
-    ASSERT_EQ(parts[c].rows(), sizes[c]);
-    EXPECT_EQ(parts[c].empty(), sizes[c] == 0);
-    for (size_t i = 0; i < sizes[c]; ++i) {
-      parts[c].ReadRow(i, row.data());
+  const size_t rest = sizes.size();
+  for (; next < assignment.size(); ++next) {
+    assignment[next] = static_cast<uint32_t>(rest);
+  }
+  for (size_t i = assignment.size(); i > 1; --i) {
+    std::swap(assignment[i - 1], assignment[rng.NextIndex(i)]);
+  }
+  const Partitioning parts = Partitioning::FromAssignment(assignment, rest + 1);
+  ASSERT_TRUE(parts.Validate(p.codes.rows(), "partitions").ok());
+  const BlockedCodes store =
+      BlockedCodes::Build(p.codes, parts.ids.data(), parts.ids.size());
+  ASSERT_EQ(store.rows(), p.codes.rows());
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    ASSERT_EQ(parts.end(c) - parts.begin(c), sizes[c]);
+    if (c > 0) {
+      EXPECT_NE(parts.begin(c) % kScanBlockSize, 0u) << "partition " << c;
+    }
+    for (size_t i = parts.begin(c); i < parts.end(c); ++i) {
+      ASSERT_EQ(assignment[parts.ids[i]], c);
+      store.ReadRow(i, row.data());
       for (size_t s = 0; s < m; ++s) {
-        ASSERT_EQ(row[s], p.codes(members[c][i], s))
+        ASSERT_EQ(row[s], p.codes(parts.ids[i], s))
             << "partition of " << sizes[c] << " i=" << i << " s=" << s;
       }
     }
   }
+  // Scatter through the ids is the inverse of the packed Build.
+  EXPECT_TRUE(store.Scatter(parts.ids.data()) == p.codes);
 }
 
 class KernelEquivalenceTest
@@ -249,6 +259,61 @@ TEST(KernelEquivalenceTest, ScalarAndSimdAgreeOnEaScanIncludingStats) {
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].id, b[i].id);
       EXPECT_EQ(a[i].distance, b[i].distance);
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, LaneGroupRangesMatchAcrossKernels) {
+  // Every range [g0, g1) of 8-lane groups: the kernels write exactly those
+  // lanes, bit-identically to each other and to the row oracle, and a
+  // BlockedEaScan over the range's rows reports identical stats.
+  RawAdcProblem p = RawAdcProblem::Make(200, {8, 6, 5, 4, 3, 2, 1, 1}, 41);
+  const BlockedCodes bc = BlockedCodes::Build(p.codes);
+  const size_t m = p.bits.size();
+  const size_t groups = kScanBlockSize / kScanLaneGroup;
+  const size_t b = 1;  // a full block in the middle of the store
+  for (size_t g0 = 0; g0 < groups; ++g0) {
+    for (size_t g1 = g0 + 1; g1 <= groups; ++g1) {
+      std::vector<std::vector<float>> accs;
+      std::vector<SearchStats> stats;
+      std::vector<std::vector<Neighbor>> tops;
+      for (ScanKernelType type : BlockedKernels()) {
+        const ScanKernel& kernel = GetScanKernel(type);
+        std::vector<float> acc(kScanBlockSize, -1.f);
+        for (size_t i = g0 * kScanLaneGroup; i < g1 * kScanLaneGroup; ++i) {
+          acc[i] = 0.f;
+        }
+        // Two calls, as the early-abandon loop makes them.
+        kernel.accumulate(bc.block(b), p.lut.data(), p.lut_offsets.data(),
+                          0, 3, g0, g1, acc.data());
+        kernel.accumulate(bc.block(b), p.lut.data(), p.lut_offsets.data(),
+                          3, m, g0, g1, acc.data());
+        for (size_t i = 0; i < kScanBlockSize; ++i) {
+          const bool inside =
+              i >= g0 * kScanLaneGroup && i < g1 * kScanLaneGroup;
+          EXPECT_EQ(acc[i], inside ? p.RowDistance(b * kScanBlockSize + i, m)
+                                   : -1.f)
+              << kernel.name << " g=[" << g0 << "," << g1 << ") i=" << i;
+        }
+        accs.push_back(acc);
+
+        TopKHeap heap(3);
+        SearchStats st;
+        float scan_acc[kScanBlockSize];
+        BlockedEaScan(bc, b * kScanBlockSize + g0 * kScanLaneGroup + 1,
+                      b * kScanBlockSize + g1 * kScanLaneGroup, nullptr,
+                      p.lut.data(), p.lut_offsets.data(), m, 2, kernel,
+                      scan_acc, &heap, &st);
+        stats.push_back(st);
+        tops.push_back(heap.TakeSorted());
+      }
+      for (size_t k = 1; k < accs.size(); ++k) {
+        EXPECT_EQ(accs[k], accs[0]);
+        EXPECT_EQ(stats[k].codes_visited, stats[0].codes_visited);
+        EXPECT_EQ(stats[k].lut_adds, stats[0].lut_adds);
+        EXPECT_EQ(stats[k].rows_scanned, stats[0].rows_scanned);
+        EXPECT_EQ(tops[k], tops[0]);
+      }
     }
   }
 }

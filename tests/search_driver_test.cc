@@ -1,7 +1,8 @@
 // The partition ranking shared by TI clusters and IVF cells
 // (RankPartitions, core/search_driver.h): nearest first by squared
 // distance, exact ties in ascending partition id, exactly `visit` entries,
-// over only the centroids' width of the query.
+// over only the centroids' width of the query. And the query driver's
+// top-k over one packed code store: independent of the storage order.
 
 #include "core/search_driver.h"
 
@@ -13,6 +14,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/ti_partition.h"
+#include "core/vaq_encoder.h"
 #include "core/vaq_index.h"
 #include "datasets/synthetic.h"
 
@@ -158,6 +161,111 @@ TEST(RankPartitionsTest, MatchesTiPrefixDistances) {
     ASSERT_EQ(ranking.size(), ti.num_clusters());
     for (const Neighbor& r : ranking) {
       EXPECT_EQ(std::sqrt(r.distance), dq[r.id]);
+    }
+  }
+}
+
+TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
+  // Every vector is stored three times, at ids r, r + 200 and r + 400, so
+  // the ADC distances come in exact tie groups of a multiple of three and
+  // the k-th place (k = 5) always cuts through one.
+  const size_t unique = 200;
+  const FloatMatrix base = GenerateSpectrumMixture(
+      unique, 16, PowerLawSpectrum(16, 1.0), 4, 1.0, 19);
+  FloatMatrix data(3 * unique, base.cols());
+  for (size_t r = 0; r < data.rows(); ++r) {
+    std::copy_n(base.row(r % unique), base.cols(), data.row(r));
+  }
+  VaqOptions opts;
+  opts.num_subspaces = 4;
+  opts.total_bits = 24;
+  opts.kmeans_iters = 5;
+  VaqEncoder encoder;
+  VaqEncoder::TrainedRows rows;
+  ASSERT_TRUE(encoder.Train(data, opts, &rows).ok());
+  TiPartition ti;
+  TiPartitionOptions topts;
+  topts.num_clusters = 12;
+  topts.prefix_subspaces = 2;
+  ASSERT_TRUE(ti.Build(rows.codes, encoder.codebooks(), topts).ok());
+
+  // Two storage orders of the same clusters and cached distances: TI's,
+  // where equal distances are in ascending id, and the same with every run
+  // of equal distances reversed, so each copy group is stored largest id
+  // first.
+  const Partitioning& ascending = ti.members();
+  Partitioning descending = ascending;
+  const std::vector<float>& cached = ti.distances();
+  size_t reversed_runs = 0;
+  for (size_t c = 0; c < ti.num_clusters(); ++c) {
+    size_t i = descending.begin(c);
+    while (i < descending.end(c)) {
+      size_t j = i + 1;
+      while (j < descending.end(c) && cached[j] == cached[i]) ++j;
+      std::reverse(descending.ids.begin() + i, descending.ids.begin() + j);
+      reversed_runs += j - i > 1;
+      i = j;
+    }
+  }
+  ASSERT_GT(reversed_runs, unique / 2);
+  const size_t n = data.rows();
+  const BlockedCodes store_ascending =
+      BlockedCodes::Build(rows.codes, ascending.ids.data(), n);
+  const BlockedCodes store_descending =
+      BlockedCodes::Build(rows.codes, descending.ids.data(), n);
+
+  // TI at visit 1.0: every cluster, nearest first, each in its window.
+  const PartitionPlan all_clusters{&ti.centroids(), ti.num_clusters(),
+                                   cached.data()};
+  const size_t k = 5;
+  SearchScratch scratch;
+  for (size_t q = 0; q < 20; ++q) {
+    const float* query = data.row(q * 7);
+    // The oracle: every row's distance from a full scan, sorted by
+    // (distance, id), cut at k.
+    SearchParams full;
+    full.k = n;
+    full.mode = SearchMode::kHeap;
+    full.kernel = ScanKernelType::kReference;
+    std::vector<Neighbor> ranking;
+    ASSERT_TRUE(SearchEncoded(encoder, store_ascending, ascending, nullptr,
+                              query, full, &scratch, &ranking, nullptr)
+                    .ok());
+    ASSERT_EQ(ranking.size(), n);
+    ASSERT_EQ(ranking[k - 1].distance, ranking[k].distance)
+        << "q=" << q << ": the k-th place must straddle a tie";
+    const std::vector<Neighbor> want(ranking.begin(), ranking.begin() + k);
+
+    for (const bool reversed : {false, true}) {
+      const Partitioning& parts = reversed ? descending : ascending;
+      const BlockedCodes& store =
+          reversed ? store_descending : store_ascending;
+      for (const SearchMode mode :
+           {SearchMode::kHeap, SearchMode::kEarlyAbandon,
+            SearchMode::kTriangleInequality}) {
+        for (const ScanKernelType kernel :
+             {ScanKernelType::kReference, ScanKernelType::kScalar,
+              ScanKernelType::kAuto}) {
+          SearchParams params;
+          params.k = k;
+          params.mode = mode;
+          params.kernel = kernel;
+          // Flat for kHeap and EA, every TI cluster (visit 1.0) for TI.
+          const bool ti_mode = mode == SearchMode::kTriangleInequality;
+          std::vector<Neighbor> got;
+          ASSERT_TRUE(SearchEncoded(encoder, store, parts,
+                                    ti_mode ? &all_clusters : nullptr, query,
+                                    params, &scratch, &got, nullptr)
+                          .ok());
+          EXPECT_EQ(Ids(got), Ids(want))
+              << "q=" << q << " reversed=" << reversed
+              << " mode=" << static_cast<int>(mode)
+              << " kernel=" << static_cast<int>(kernel);
+          for (size_t i = 0; i < got.size() && i < k; ++i) {
+            EXPECT_EQ(got[i].distance, want[i].distance);
+          }
+        }
+      }
     }
   }
 }

@@ -42,11 +42,14 @@ class TiPartitionTest : public ::testing::Test {
 };
 
 TEST_F(TiPartitionTest, EveryIdAppearsExactlyOnce) {
+  const Partitioning& members = ti_.members();
+  ASSERT_EQ(members.size(), ti_.num_clusters());
   std::set<uint32_t> seen;
   size_t total = 0;
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    for (uint32_t id : ti_.cluster(c).ids) {
-      EXPECT_TRUE(seen.insert(id).second) << "duplicate id " << id;
+    for (size_t i = members.begin(c); i < members.end(c); ++i) {
+      EXPECT_TRUE(seen.insert(members.ids[i]).second)
+          << "duplicate id " << members.ids[i];
       ++total;
     }
   }
@@ -54,12 +57,13 @@ TEST_F(TiPartitionTest, EveryIdAppearsExactlyOnce) {
 }
 
 TEST_F(TiPartitionTest, ClusterDistancesSortedAscending) {
+  const Partitioning& members = ti_.members();
+  const std::vector<float>& dists = ti_.distances();
+  EXPECT_EQ(dists.size(), members.ids.size());
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    const auto& dists = ti_.cluster(c).distances;
-    for (size_t i = 1; i < dists.size(); ++i) {
+    for (size_t i = members.begin(c) + 1; i < members.end(c); ++i) {
       EXPECT_LE(dists[i - 1], dists[i]);
     }
-    EXPECT_EQ(dists.size(), ti_.cluster(c).ids.size());
   }
 }
 
@@ -68,14 +72,16 @@ TEST_F(TiPartitionTest, MembersAssignedToNearestCentroid) {
   // distance to its own centroid, and no other centroid is closer.
   std::vector<float> decoded(books_.dim());
   const size_t pd = ti_.prefix_dims();
+  const Partitioning& members = ti_.members();
   for (size_t c = 0; c < std::min<size_t>(4, ti_.num_clusters()); ++c) {
-    const auto& cluster = ti_.cluster(c);
-    for (size_t i = 0; i < std::min<size_t>(5, cluster.ids.size()); ++i) {
-      const uint32_t id = cluster.ids[i];
+    const size_t end =
+        std::min<size_t>(members.begin(c) + 5, members.end(c));
+    for (size_t i = members.begin(c); i < end; ++i) {
+      const uint32_t id = members.ids[i];
       books_.DecodeRow(codes_.row(id), decoded.data());
       const float own = std::sqrt(
           SquaredL2(decoded.data(), ti_.centroids().row(c), pd));
-      EXPECT_NEAR(cluster.distances[i], own, 1e-3f);
+      EXPECT_NEAR(ti_.distances()[i], own, 1e-3f);
       for (size_t other = 0; other < ti_.num_clusters(); ++other) {
         const float dist = std::sqrt(
             SquaredL2(decoded.data(), ti_.centroids().row(other), pd));
@@ -108,13 +114,13 @@ TEST_F(TiPartitionTest, TriangleInequalityBoundHolds) {
   std::vector<float> qdists;
   ti_.QueryDistances(query.data(), &qdists);
   std::vector<float> decoded(books_.dim());
+  const Partitioning& members = ti_.members();
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    const auto& cluster = ti_.cluster(c);
-    for (size_t i = 0; i < cluster.ids.size(); ++i) {
-      books_.DecodeRow(codes_.row(cluster.ids[i]), decoded.data());
+    for (size_t i = members.begin(c); i < members.end(c); ++i) {
+      books_.DecodeRow(codes_.row(members.ids[i]), decoded.data());
       const float prefix_dist = std::sqrt(SquaredL2(
           query.data(), decoded.data(), ti_.prefix_dims()));
-      const float bound = std::fabs(qdists[c] - cluster.distances[i]);
+      const float bound = std::fabs(qdists[c] - ti_.distances()[i]);
       EXPECT_LE(bound, prefix_dist + 1e-2f);
       const float full_dist =
           std::sqrt(SquaredL2(query.data(), decoded.data(), books_.dim()));
@@ -131,8 +137,14 @@ TEST_F(TiPartitionTest, SaveLoadRoundtrip) {
   EXPECT_EQ(loaded.num_clusters(), ti_.num_clusters());
   EXPECT_EQ(loaded.prefix_subspaces(), ti_.prefix_subspaces());
   EXPECT_TRUE(loaded.centroids() == ti_.centroids());
+  const Partitioning& want = ti_.members();
+  const Partitioning& got = loaded.members();
+  ASSERT_EQ(got.size(), want.size());
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    EXPECT_EQ(loaded.cluster(c).ids, ti_.cluster(c).ids);
+    EXPECT_EQ(std::vector<uint32_t>(got.ids.begin() + got.begin(c),
+                                    got.ids.begin() + got.end(c)),
+              std::vector<uint32_t>(want.ids.begin() + want.begin(c),
+                                    want.ids.begin() + want.end(c)));
   }
 }
 

@@ -47,6 +47,23 @@ TEST(TopKHeapTest, RejectsWorseCandidates) {
   EXPECT_TRUE(heap.Push(0.5f, 3));
 }
 
+TEST(TopKHeapTest, ExactTieAtTheKthPlaceKeepsTheSmallerIdInEitherOrder) {
+  // The k smallest (distance, id) pairs, whatever order they arrive in.
+  TopKHeap first(1);
+  EXPECT_TRUE(first.Push(1.f, 5));
+  EXPECT_TRUE(first.Push(1.f, 3));
+  EXPECT_FALSE(first.Push(1.f, 4));
+  TopKHeap second(1);
+  EXPECT_TRUE(second.Push(1.f, 3));
+  EXPECT_FALSE(second.Push(1.f, 5));
+  for (TopKHeap* heap : {&first, &second}) {
+    const auto result = heap->TakeSorted();
+    ASSERT_EQ(result.size(), 1u);
+    EXPECT_EQ(result[0].id, 3);
+    EXPECT_EQ(result[0].distance, 1.f);
+  }
+}
+
 TEST(TopKHeapTest, FewerItemsThanK) {
   TopKHeap heap(10);
   heap.Push(2.f, 0);

@@ -6,7 +6,8 @@ that were previously only caught by runtime tests (the zero-alloc scan
 suite, the Status-not-abort API tests) into CI build failures:
 
   kernel-no-alloc      The block-scan kernels (ScalarAccumulate,
-                       Avx2Accumulate, BlockedFullScan, BlockedEaScan in
+                       Avx2Accumulate with its Gather8 step,
+                       BlockedFullScan, BlockedEaScan in
                        src/core/scan.cc / scan_avx2.cc), the centroid-
                        distance kernels behind the ADC lookup tables
                        (ScalarCentroidDistances, Avx2CentroidDistances)
@@ -69,6 +70,7 @@ KERNEL_FILES = {
 KERNEL_FUNCTIONS = {
     "ScalarAccumulate",
     "Avx2Accumulate",
+    "Gather8",
     "BlockedFullScan",
     "BlockedEaScan",
     "ScalarCentroidDistances",
