@@ -32,7 +32,7 @@ UcrScores RunUcrSweep(size_t num_datasets,
                       size_t max_queries, bool verbose) {
   UcrScores out;
   for (const UcrConfig& config : configs) {
-    const std::string suffix = "-" + std::to_string(config.budget);
+    const std::string suffix = '-' + std::to_string(config.budget);
     out.method_names.push_back("Bolt" + suffix);
     out.method_names.push_back("PQ" + suffix);
     out.method_names.push_back("OPQ" + suffix);

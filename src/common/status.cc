@@ -33,6 +33,11 @@ const char* CodeName(StatusCode code) {
 
 }  // namespace
 
+const Status& OkStatus() {
+  static const Status ok;
+  return ok;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = CodeName(code_);

@@ -77,6 +77,10 @@ class Status {
   std::string message_;
 };
 
+/// A process-wide OK status, for functions that return a reference to
+/// one (Result::status()).
+const Status& OkStatus();
+
 /// Value-or-error wrapper. Either holds a T or a non-OK Status.
 template <typename T>
 class Result {
@@ -89,8 +93,7 @@ class Result {
   bool ok() const { return std::holds_alternative<T>(data_); }
 
   const Status& status() const {
-    static const Status kOk;
-    if (ok()) return kOk;
+    if (ok()) return OkStatus();
     return std::get<Status>(data_);
   }
 

@@ -89,16 +89,18 @@ Status Partitioning::Validate(size_t num_rows, const char* what) const {
 
 namespace {
 
-void ScalarAccumulate(const uint16_t* block, const float* lut,
-                      const uint32_t* lut_offsets, size_t s_begin,
-                      size_t s_end, size_t g_begin, size_t g_end,
-                      float* acc) {
-  const size_t lane_end = g_end * kScanLaneGroup;
-  for (size_t s = s_begin; s < s_end; ++s) {
+void ScalarAccumulate(const uint16_t* codes, const float* lut,
+                      const uint32_t* lut_offsets, size_t subspaces,
+                      size_t groups, float* acc) {
+  for (size_t s = 0; s < subspaces; ++s) {
     const float* base = lut + lut_offsets[s];
-    const uint16_t* codes = block + s * kScanBlockSize;
-    for (size_t i = g_begin * kScanLaneGroup; i < lane_end; ++i) {
-      acc[i] += base[codes[i]];
+    const uint16_t* stripe = codes + s * kScanBlockSize;
+    // The fixed-width lane loop unrolls: one loop branch per 8 lanes.
+    for (size_t g = 0; g < groups; ++g) {
+      for (size_t j = 0; j < kScanLaneGroup; ++j) {
+        const size_t i = g * kScanLaneGroup + j;
+        acc[i] += base[stripe[i]];
+      }
     }
   }
 }
@@ -154,9 +156,9 @@ constexpr ScanKernel kScalarKernel{&ScalarAccumulate,
 #if defined(VAQ_SCAN_AVX2)
 namespace internal {
 // Defined in scan_avx2.cc, the only translation unit built with -mavx2.
-void Avx2Accumulate(const uint16_t* block, const float* lut,
-                    const uint32_t* lut_offsets, size_t s_begin, size_t s_end,
-                    size_t g_begin, size_t g_end, float* acc);
+void Avx2Accumulate(const uint16_t* codes, const float* lut,
+                    const uint32_t* lut_offsets, size_t subspaces,
+                    size_t groups, float* acc);
 void Avx2CentroidDistances(const float* sub, const float* dict, size_t len,
                            size_t stride, size_t count, float* out);
 }  // namespace internal

@@ -153,7 +153,12 @@ struct Partitioning {
 /// with the per-lane additions performed in ascending subspace order, so
 /// every implementation produces bit-identical float sums. Lanes outside
 /// the groups are neither read nor written, so a partition that covers
-/// part of a block pays only for the groups it touches.
+/// part of a block pays only for the groups it touches. It offsets the
+/// pointers to the first subspace and group and calls `accumulate_groups`,
+/// whose six arguments all travel in registers on x86-64 and AArch64:
+/// `codes` is block + s_begin * 64 + 8 * g_begin, `lut_offsets` starts at
+/// s_begin, `acc` at lane 8 * g_begin, and `groups` counts the 8-lane
+/// groups from there.
 ///
 /// `distances` computes the squared L2 distance from one sub-vector `sub`
 /// (`len` floats) to `count` centroids of a dimension-major dictionary:
@@ -167,16 +172,24 @@ struct Partitioning {
 /// bit-identical to SquaredL2. It builds the ADC lookup tables and the
 /// encoder's candidate distances (DESIGN.md §7.1).
 struct ScanKernel {
-  using AccumulateFn = void (*)(const uint16_t* block, const float* lut,
-                                const uint32_t* lut_offsets, size_t s_begin,
-                                size_t s_end, size_t g_begin, size_t g_end,
-                                float* acc);
+  using AccumulateFn = void (*)(const uint16_t* codes, const float* lut,
+                                const uint32_t* lut_offsets, size_t subspaces,
+                                size_t groups, float* acc);
   using DistancesFn = void (*)(const float* sub, const float* dict,
                                size_t len, size_t stride, size_t count,
                                float* out);
-  AccumulateFn accumulate = nullptr;
+  AccumulateFn accumulate_groups = nullptr;
   DistancesFn distances = nullptr;
   const char* name = "";
+
+  void accumulate(const uint16_t* block, const float* lut,
+                  const uint32_t* lut_offsets, size_t s_begin, size_t s_end,
+                  size_t g_begin, size_t g_end, float* acc) const {
+    const size_t lane = g_begin * kScanLaneGroup;
+    accumulate_groups(block + s_begin * kScanBlockSize + lane, lut,
+                      lut_offsets + s_begin, s_end - s_begin, g_end - g_begin,
+                      acc + lane);
+  }
 };
 
 /// Resolves a kernel choice against what this binary/CPU supports.
@@ -194,7 +207,9 @@ const char* AutoScanKernelName();
 /// One partition of the database (a TI cluster or an IVF cell) as a query
 /// scans it: a range of storage rows of the index's one BlockedCodes,
 /// whose ids the query reads through the index's shared storage -> row id
-/// map. A flat scan is the single range [0, n), in storage order.
+/// map. A flat kHeap scan is the single range [0, n), in storage order; a
+/// flat early-abandon scan is its seeded partitions, then the row ranges
+/// between them (SearchEncoded).
 struct PartitionRef {
   size_t begin = 0;  ///< first storage row
   size_t end = 0;    ///< one past the last storage row
@@ -212,10 +227,10 @@ struct SearchScratch {
   std::vector<float> lut;               ///< ADC lookup table
   std::vector<float> pca_space;         ///< query in PCA space
   std::vector<float> projected;         ///< query in permuted PCA space
-  std::vector<Neighbor> ranking;        ///< visited partitions, nearest first
+  std::vector<Neighbor> ranking;        ///< ranked partitions (distance, id)
   TopKHeap heap{1};                     ///< reused best-so-far structure
   float acc[kScanBlockSize] = {};       ///< per-block partial sums
-  std::vector<PartitionRef> visits;     ///< ranked partitions to scan
+  std::vector<PartitionRef> visits;     ///< row ranges to scan, in order
 };
 
 /// Full blocked scan (SearchMode::kHeap): accumulates all `s_limit`

@@ -50,19 +50,19 @@ inline __m256 Gather8(const float* base, const uint16_t* codes) {
 
 }  // namespace
 
-void Avx2Accumulate(const uint16_t* block, const float* lut,
-                    const uint32_t* lut_offsets, size_t s_begin, size_t s_end,
-                    size_t g_begin, size_t g_end, float* acc) {
+void Avx2Accumulate(const uint16_t* codes, const float* lut,
+                    const uint32_t* lut_offsets, size_t subspaces,
+                    size_t groups, float* acc) {
   static_assert(kScanBlockSize == 8 * kScanLaneGroup,
                 "kernel unrolls 8 vectors of 8 lanes per block");
-  if (g_begin != 0 || g_end != kScanBlockSize / kScanLaneGroup) {
+  if (groups != kScanBlockSize / kScanLaneGroup) {
     // Part of a block: one register per group, subspaces innermost.
-    for (size_t g = g_begin; g < g_end; ++g) {
-      const size_t lane = g * kScanLaneGroup;
+    for (size_t lane = 0; lane < groups * kScanLaneGroup;
+         lane += kScanLaneGroup) {
       __m256 a = _mm256_loadu_ps(acc + lane);
-      for (size_t s = s_begin; s < s_end; ++s) {
+      for (size_t s = 0; s < subspaces; ++s) {
         a = _mm256_add_ps(a, Gather8(lut + lut_offsets[s],
-                                     block + s * kScanBlockSize + lane));
+                                     codes + s * kScanBlockSize + lane));
       }
       _mm256_storeu_ps(acc + lane, a);
     }
@@ -76,17 +76,17 @@ void Avx2Accumulate(const uint16_t* block, const float* lut,
   __m256 a5 = _mm256_loadu_ps(acc + 40);
   __m256 a6 = _mm256_loadu_ps(acc + 48);
   __m256 a7 = _mm256_loadu_ps(acc + 56);
-  for (size_t s = s_begin; s < s_end; ++s) {
+  for (size_t s = 0; s < subspaces; ++s) {
     const float* base = lut + lut_offsets[s];
-    const uint16_t* codes = block + s * kScanBlockSize;
-    a0 = _mm256_add_ps(a0, Gather8(base, codes + 0));
-    a1 = _mm256_add_ps(a1, Gather8(base, codes + 8));
-    a2 = _mm256_add_ps(a2, Gather8(base, codes + 16));
-    a3 = _mm256_add_ps(a3, Gather8(base, codes + 24));
-    a4 = _mm256_add_ps(a4, Gather8(base, codes + 32));
-    a5 = _mm256_add_ps(a5, Gather8(base, codes + 40));
-    a6 = _mm256_add_ps(a6, Gather8(base, codes + 48));
-    a7 = _mm256_add_ps(a7, Gather8(base, codes + 56));
+    const uint16_t* stripe = codes + s * kScanBlockSize;
+    a0 = _mm256_add_ps(a0, Gather8(base, stripe + 0));
+    a1 = _mm256_add_ps(a1, Gather8(base, stripe + 8));
+    a2 = _mm256_add_ps(a2, Gather8(base, stripe + 16));
+    a3 = _mm256_add_ps(a3, Gather8(base, stripe + 24));
+    a4 = _mm256_add_ps(a4, Gather8(base, stripe + 32));
+    a5 = _mm256_add_ps(a5, Gather8(base, stripe + 40));
+    a6 = _mm256_add_ps(a6, Gather8(base, stripe + 48));
+    a7 = _mm256_add_ps(a7, Gather8(base, stripe + 56));
   }
   _mm256_storeu_ps(acc + 0, a0);
   _mm256_storeu_ps(acc + 8, a1);
@@ -165,12 +165,11 @@ void Avx2CentroidDistances(const float* sub, const float* dict, size_t len,
 
 // Defensive fallback: if the build system compiled this TU without AVX2
 // the dispatcher never selects it, but the symbol must still link.
-void Avx2Accumulate(const uint16_t* block, const float* lut,
-                    const uint32_t* lut_offsets, size_t s_begin, size_t s_end,
-                    size_t g_begin, size_t g_end, float* acc) {
+void Avx2Accumulate(const uint16_t* codes, const float* lut,
+                    const uint32_t* lut_offsets, size_t subspaces,
+                    size_t groups, float* acc) {
   GetScanKernel(ScanKernelType::kScalar)
-      .accumulate(block, lut, lut_offsets, s_begin, s_end, g_begin, g_end,
-                  acc);
+      .accumulate_groups(codes, lut, lut_offsets, subspaces, groups, acc);
 }
 
 void Avx2CentroidDistances(const float* sub, const float* dict, size_t len,

@@ -204,6 +204,49 @@ void ScanBlocked(const QueryScan& q, const ScanKernel& kernel) {
   }
 }
 
+/// Rows a flat early-abandon query scans nearest first, per result: enough
+/// that the k-th best-so-far is tight before the sweep begins. Seeding
+/// from more partitions prunes little more and costs partial-block scans
+/// (EXPERIMENTS.md, "Seeding the flat early-abandon scan").
+constexpr size_t kSeedRowsPerResult = 8;
+
+/// The visits of a flat query that can abandon rows. First the
+/// min(C, ceil(kSeedRowsPerResult · k · C / n)) partitions nearest the
+/// query, nearest first: about kSeedRowsPerResult · k rows that tighten
+/// the threshold early. Then every other row in storage order, each run
+/// between two seeded partitions as one range, so the sweep keeps the
+/// whole-block kernel path. Every row is visited once.
+void PlanSeededSweep(const float* projected, const FloatMatrix& centroids,
+                     const Partitioning& parts, size_t k,
+                     SearchScratch* scratch) {
+  const size_t clusters = parts.size();
+  const size_t n = parts.ids.size();
+  const size_t seeds = std::min<size_t>(
+      clusters,
+      static_cast<size_t>(std::ceil(static_cast<double>(kSeedRowsPerResult) *
+                                    static_cast<double>(k) *
+                                    static_cast<double>(clusters) /
+                                    static_cast<double>(n))));
+  std::vector<Neighbor>& ranking = scratch->ranking;
+  RankPartitions(projected, centroids, seeds, &ranking);
+  std::vector<PartitionRef>& visits = scratch->visits;
+  // At most one sweep range before each seed and one after the last:
+  // reserving that up front keeps later queries allocation-free.
+  visits.reserve(2 * seeds + 1);
+  visits.clear();
+  for (const Neighbor& r : ranking) {
+    visits.push_back({parts.begin(r.id), parts.end(r.id)});
+  }
+  std::sort(ranking.begin(), ranking.end(),
+            [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
+  size_t row = 0;
+  for (const Neighbor& r : ranking) {
+    if (row < parts.begin(r.id)) visits.push_back({row, parts.begin(r.id)});
+    row = parts.end(r.id);
+  }
+  if (row < n) visits.push_back({row, n});
+}
+
 }  // namespace
 
 void RankPartitions(const float* projected, const FloatMatrix& centroids,
@@ -222,10 +265,10 @@ void RankPartitions(const float* projected, const FloatMatrix& centroids,
 }
 
 Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
-                     const Partitioning& parts, const PartitionPlan* plan,
-                     const float* query, const SearchParams& params,
-                     SearchScratch* scratch, std::vector<Neighbor>* out,
-                     SearchStats* stats) {
+                     const Partitioning& parts, const FloatMatrix& centroids,
+                     const PartitionPlan* plan, const float* query,
+                     const SearchParams& params, SearchScratch* scratch,
+                     std::vector<Neighbor>* out, SearchStats* stats) {
   WallTimer timer;
   CpuTimer cpu_timer(CpuTimer::Scope::kThread);
   VAQ_RETURN_IF_ERROR(
@@ -256,12 +299,17 @@ Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
                  encoder.lut_offsets32(), m,
                  std::max<size_t>(1, params.ea_check_interval), ranked,
                  scratch, stats, stop, trace};
+  if (!ranked && params.num_subspaces_used != 0) {
+    scan.s_limit = std::min(params.num_subspaces_used, m);
+  }
+  // kHeap is the early-abandon scan that never checks: one interval spans
+  // every accumulated subspace.
+  if (params.mode == SearchMode::kHeap) scan.interval = scan.s_limit;
   // Partitions are counted per query, flat queries included (none).
   if (stats != nullptr) stats->partitions_visited = 0;
   if (ranked) {
     TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
-    RankPartitions(projected, *plan->centroids, plan->visit,
-                   &scratch->ranking);
+    RankPartitions(projected, centroids, plan->visit, &scratch->ranking);
     scratch->visits.resize(scratch->ranking.size());
     for (size_t v = 0; v < scratch->ranking.size(); ++v) {
       const Neighbor& r = scratch->ranking[v];
@@ -273,18 +321,15 @@ Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
     }
     rank_span.Stop();
     if (stats != nullptr) {
-      stats->clusters_total = plan->centroids->rows();
+      stats->clusters_total = centroids.rows();
       stats->clusters_visited = scratch->visits.size();
     }
+  } else if (scan.interval < scan.s_limit) {
+    TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
+    PlanSeededSweep(projected, centroids, parts, params.k, scratch);
   } else {
     scratch->visits.assign(1, PartitionRef{0, codes.rows()});
-    if (params.num_subspaces_used != 0) {
-      scan.s_limit = std::min(params.num_subspaces_used, m);
-    }
   }
-  // kHeap is the early-abandon scan that never checks: one interval spans
-  // every accumulated subspace.
-  if (params.mode == SearchMode::kHeap) scan.interval = scan.s_limit;
   const bool reference = params.kernel == ScanKernelType::kReference;
   // A blocked TI scan traces each chunk of its windows (ScanWindow); every
   // other scan is one span.

@@ -122,11 +122,11 @@ Status VaqIndex::Search(const float* query, const SearchParams& params,
   const double clusters = static_cast<double>(ti_.num_clusters());
   const double visit = std::ceil(params.visit_fraction * clusters);
   const PartitionPlan plan{
-      &ti_.centroids(),
       visit >= 1.0 && visit <= clusters ? static_cast<size_t>(visit) : 1,
       ti_.distances().data()};
-  return SearchEncoded(encoder_, codes_, ti_.members(), ti ? &plan : nullptr,
-                       query, params, scratch, out, stats);
+  return SearchEncoded(encoder_, codes_, ti_.members(), ti_.centroids(),
+                       ti ? &plan : nullptr, query, params, scratch, out,
+                       stats);
 }
 
 Result<std::vector<std::vector<Neighbor>>> VaqIndex::SearchBatch(

@@ -151,7 +151,9 @@ class VaqIndex {
   /// The TI clusters; their CSR ids are the one storage -> row id map.
   TiPartition ti_;
   /// The only copy of the codes, in TI cluster order with no padding
-  /// between clusters. A flat scan reads it start to end.
+  /// between clusters. A flat kHeap scan reads it start to end; a flat
+  /// early-abandon scan reads the clusters nearest the query first, then
+  /// the rest start to end.
   BlockedCodes codes_;
 };
 

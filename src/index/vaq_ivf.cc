@@ -230,9 +230,9 @@ Status VaqIvfIndex::SearchProbed(const float* query,
                                  SearchStats* stats) const {
   if (nprobe == 0) nprobe = options_.default_nprobe;
   // The nprobe nearest coarse cells, each list whole.
-  const PartitionPlan plan{&coarse_.centroids(), nprobe};
-  return SearchEncoded(encoder_, codes_, lists_, &plan, query, params,
-                       scratch, out, stats);
+  const PartitionPlan plan{nprobe};
+  return SearchEncoded(encoder_, codes_, lists_, coarse_.centroids(), &plan,
+                       query, params, scratch, out, stats);
 }
 
 Status VaqIvfIndex::SearchBatchInto(

@@ -195,9 +195,13 @@ INSTANTIATE_TEST_SUITE_P(
     // lambda in a function whose parameter is already named `info`.
     [](const ::testing::TestParamInfo<std::tuple<size_t, size_t, double>>&
            p) {
-      return "m" + std::to_string(std::get<0>(p.param)) + "_b" +
-             std::to_string(std::get<1>(p.param)) + "_d" +
-             std::to_string(static_cast<int>(std::get<2>(p.param) * 100));
+      std::string name = "m";
+      name += std::to_string(std::get<0>(p.param));
+      name += "_b";
+      name += std::to_string(std::get<1>(p.param));
+      name += "_d";
+      name += std::to_string(static_cast<int>(std::get<2>(p.param) * 100));
+      return name;
     });
 
 }  // namespace

@@ -13,12 +13,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/rng.h"
 #include "common/trace.h"
+#include "core/search_driver.h"
 #include "core/vaq_index.h"
 #include "index/vaq_ivf.h"
 
@@ -242,6 +245,108 @@ TEST_F(SearchDeadlineTest, MidScanExpiryReturnsExactPrefixTopK) {
     expected.resize(params.k);
     ASSERT_EQ(partial.size(), params.k);
     for (size_t i = 0; i < params.k; ++i) {
+      EXPECT_EQ(partial[i].id, expected[i].id);
+      EXPECT_FLOAT_EQ(partial[i].distance, expected[i].distance);
+    }
+  }
+}
+
+TEST_F(SearchDeadlineTest, EarlyAbandonMidScanExpiryReturnsSeededPrefixTopK) {
+  const float* query = base_->row(3);
+  const size_t n = base_->rows();
+  // Ground truth, as in MidScanExpiryReturnsExactPrefixTopK.
+  SearchParams full;
+  full.k = n;
+  full.mode = SearchMode::kHeap;
+  full.kernel = ScanKernelType::kReference;
+  std::vector<Neighbor> ranking;
+  ASSERT_TRUE(index_->Search(query, full, &ranking).ok());
+  ASSERT_EQ(ranking.size(), n);
+
+  // The flat early-abandon visit order: the ceil(8 k C / n) TI clusters
+  // nearest the query, nearest first, then every other cluster's rows in
+  // storage order, each run of unseeded clusters as one visit.
+  const size_t k = 10;
+  const TiPartition& ti = index_->ti_partition();
+  const Partitioning& parts = ti.members();
+  const size_t clusters = ti.num_clusters();
+  const auto seeds = static_cast<size_t>(std::ceil(
+      8.0 * static_cast<double>(k * clusters) / static_cast<double>(n)));
+  ASSERT_LT(seeds, clusters);
+  std::vector<float> projected;
+  index_->ProjectQuery(query, &projected);
+  std::vector<Neighbor> nearest;
+  RankPartitions(projected.data(), ti.centroids(), seeds, &nearest);
+  std::vector<std::pair<size_t, size_t>> visits;  // storage row ranges
+  std::vector<bool> seeded(clusters, false);
+  for (const Neighbor& c : nearest) {
+    seeded[c.id] = true;
+    visits.emplace_back(parts.begin(c.id), parts.end(c.id));
+  }
+  bool in_run = false;
+  for (size_t c = 0; c < clusters; ++c) {
+    if (seeded[c]) {
+      in_run = false;
+    } else if (parts.begin(c) < parts.end(c)) {
+      if (in_run) {
+        visits.back().second = parts.end(c);
+      } else {
+        visits.emplace_back(parts.begin(c), parts.end(c));
+        in_run = true;
+      }
+    }
+  }
+  // A stop check runs before the first row of each visit and before each
+  // later row that starts a 64-row block of the store; `checks` passing
+  // checks scan the rows before the next check.
+  const int64_t checks = 7;
+  std::vector<uint32_t> prefix;
+  int64_t seen = 0;
+  for (const auto& [begin, end] : visits) {
+    for (size_t row = begin; row < end; ++row) {
+      if (row == begin || row % kScanBlockSize == 0) ++seen;
+      if (seen > checks) break;
+      prefix.push_back(parts.ids[row]);
+    }
+    if (seen > checks) break;
+  }
+  ASSERT_LT(prefix.size(), n);
+  // The seeded prefix is not the storage-order prefix of the same length.
+  std::vector<uint32_t> sorted_prefix = prefix;
+  std::sort(sorted_prefix.begin(), sorted_prefix.end());
+  std::vector<uint32_t> storage_prefix(parts.ids.begin(),
+                                       parts.ids.begin() + prefix.size());
+  std::sort(storage_prefix.begin(), storage_prefix.end());
+  ASSERT_NE(sorted_prefix, storage_prefix);
+
+  std::vector<bool> scanned(n, false);
+  for (const uint32_t id : prefix) scanned[id] = true;
+  std::vector<Neighbor> expected;
+  for (const Neighbor& nb : ranking) {
+    if (scanned[nb.id]) expected.push_back(nb);
+  }
+  ASSERT_GE(expected.size(), k);
+  expected.resize(k);
+
+  for (ScanKernelType kernel :
+       {ScanKernelType::kAuto, ScanKernelType::kReference}) {
+    SearchParams params;
+    params.k = k;
+    params.mode = SearchMode::kEarlyAbandon;
+    // Two checks per row, so rows can be abandoned: with one interval
+    // spanning all 4 subspaces the flat scan is kHeap's one range.
+    params.ea_check_interval = 2;
+    params.kernel = kernel;
+    params.deadline = BudgetOfChecks(checks);
+    std::vector<Neighbor> partial;
+    SearchStats stats;
+    ASSERT_TRUE(index_->Search(query, params, &partial, &stats).ok());
+    EXPECT_TRUE(stats.truncated);
+    EXPECT_EQ(stats.partitions_visited, 0u);
+    // Every row of the prefix was begun (some abandoned), and no other.
+    ASSERT_EQ(stats.codes_visited, prefix.size());
+    ASSERT_EQ(partial.size(), k);
+    for (size_t i = 0; i < k; ++i) {
       EXPECT_EQ(partial[i].id, expected[i].id);
       EXPECT_FLOAT_EQ(partial[i].distance, expected[i].distance);
     }

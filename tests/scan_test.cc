@@ -229,8 +229,11 @@ INSTANTIATE_TEST_SUITE_P(
     // `p`, not `info`: the INSTANTIATE_TEST_SUITE_P expansion wraps this
     // lambda in a function whose parameter is already named `info`.
     [](const ::testing::TestParamInfo<std::tuple<size_t, size_t>>& p) {
-      return "n" + std::to_string(std::get<0>(p.param)) + "_s" +
-             std::to_string(std::get<1>(p.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(p.param));
+      name += "_s";
+      name += std::to_string(std::get<1>(p.param));
+      return name;
     });
 
 TEST(KernelEquivalenceTest, ScalarAndSimdAgreeOnEaScanIncludingStats) {
@@ -558,7 +561,7 @@ TEST_F(ScanSearchEquivalenceTest, BatchIntoReusesResultBuffers) {
 
 TEST(ScanDispatchTest, AutoResolvesToSupportedKernel) {
   const ScanKernel& kernel = GetScanKernel(ScanKernelType::kAuto);
-  ASSERT_NE(kernel.accumulate, nullptr);
+  ASSERT_NE(kernel.accumulate_groups, nullptr);
   if (Avx2ScanAvailable() &&
       std::getenv("VAQ_SCAN_KERNEL") == nullptr) {
     EXPECT_STREQ(kernel.name, "avx2");
@@ -567,7 +570,7 @@ TEST(ScanDispatchTest, AutoResolvesToSupportedKernel) {
     EXPECT_STREQ(kernel.name, "scalar");
   }
   // Requesting AVX2 must degrade gracefully rather than crash.
-  ASSERT_NE(GetScanKernel(ScanKernelType::kAvx2).accumulate, nullptr);
+  ASSERT_NE(GetScanKernel(ScanKernelType::kAvx2).accumulate_groups, nullptr);
   EXPECT_STREQ(GetScanKernel(ScanKernelType::kScalar).name, "scalar");
 }
 

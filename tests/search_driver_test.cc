@@ -2,7 +2,8 @@
 // (RankPartitions, core/search_driver.h): nearest first by squared
 // distance, exact ties in ascending partition id, exactly `visit` entries,
 // over only the centroids' width of the query. And the query driver's
-// top-k over one packed code store: independent of the storage order.
+// top-k over one packed code store: independent of the storage order, and
+// of the seed-then-sweep order of a flat early-abandon scan.
 
 #include "core/search_driver.h"
 
@@ -215,8 +216,7 @@ TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
       BlockedCodes::Build(rows.codes, descending.ids.data(), n);
 
   // TI at visit 1.0: every cluster, nearest first, each in its window.
-  const PartitionPlan all_clusters{&ti.centroids(), ti.num_clusters(),
-                                   cached.data()};
+  const PartitionPlan all_clusters{ti.num_clusters(), cached.data()};
   const size_t k = 5;
   SearchScratch scratch;
   for (size_t q = 0; q < 20; ++q) {
@@ -228,8 +228,9 @@ TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
     full.mode = SearchMode::kHeap;
     full.kernel = ScanKernelType::kReference;
     std::vector<Neighbor> ranking;
-    ASSERT_TRUE(SearchEncoded(encoder, store_ascending, ascending, nullptr,
-                              query, full, &scratch, &ranking, nullptr)
+    ASSERT_TRUE(SearchEncoded(encoder, store_ascending, ascending,
+                              ti.centroids(), nullptr, query, full, &scratch,
+                              &ranking, nullptr)
                     .ok());
     ASSERT_EQ(ranking.size(), n);
     ASSERT_EQ(ranking[k - 1].distance, ranking[k].distance)
@@ -253,7 +254,7 @@ TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
           // Flat for kHeap and EA, every TI cluster (visit 1.0) for TI.
           const bool ti_mode = mode == SearchMode::kTriangleInequality;
           std::vector<Neighbor> got;
-          ASSERT_TRUE(SearchEncoded(encoder, store, parts,
+          ASSERT_TRUE(SearchEncoded(encoder, store, parts, ti.centroids(),
                                     ti_mode ? &all_clusters : nullptr, query,
                                     params, &scratch, &got, nullptr)
                           .ok());
@@ -262,6 +263,108 @@ TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
               << " mode=" << static_cast<int>(mode)
               << " kernel=" << static_cast<int>(kernel);
           for (size_t i = 0; i < got.size() && i < k; ++i) {
+            EXPECT_EQ(got[i].distance, want[i].distance);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A flat early-abandon query first scans the TI clusters nearest the
+/// query, then sweeps the rest of the store in storage order. The order
+/// must not show in the answer or in the visit counts.
+class SeededSweepTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    data_ = new FloatMatrix(GenerateSpectrumMixture(
+        1200, 16, PowerLawSpectrum(16, 1.0), 6, 1.0, 29));
+    VaqOptions opts;
+    opts.num_subspaces = 8;
+    opts.total_bits = 48;
+    opts.ti_clusters = 24;
+    opts.kmeans_iters = 5;
+    auto trained = VaqIndex::Train(*data_, opts);
+    ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+    index_ = new VaqIndex(std::move(*trained));
+  }
+  static void TearDownTestSuite() {
+    delete index_;
+    delete data_;
+    index_ = nullptr;
+    data_ = nullptr;
+  }
+
+  /// k = 1, a mid k, and k >= n / 8, where the seed is every cluster
+  /// (ceil(8 k C / n) >= C) and the sweep is empty.
+  static std::vector<size_t> Ks() { return {1, 17, data_->rows() / 8 + 1}; }
+
+  static const FloatMatrix* data_;
+  static const VaqIndex* index_;
+};
+
+const FloatMatrix* SeededSweepTest::data_ = nullptr;
+const VaqIndex* SeededSweepTest::index_ = nullptr;
+
+TEST_F(SeededSweepTest, VisitsEveryStorageRowOnceWithNoPartitionCounted) {
+  const size_t n = data_->rows();
+  std::vector<size_t> ks = Ks();
+  ks.push_back(n);  // nothing can be abandoned: every row reaches the heap
+  for (const size_t k : ks) {
+    for (const ScanKernelType kernel :
+         {ScanKernelType::kAuto, ScanKernelType::kReference}) {
+      for (size_t q = 0; q < 10; ++q) {
+        SearchParams params;
+        params.k = k;
+        params.mode = SearchMode::kEarlyAbandon;
+        params.kernel = kernel;
+        std::vector<Neighbor> got;
+        SearchStats stats;
+        ASSERT_TRUE(
+            index_->Search(data_->row(q * 101), params, &got, &stats).ok());
+        EXPECT_EQ(stats.codes_visited, n) << "k=" << k << " q=" << q;
+        EXPECT_FALSE(stats.truncated);
+        EXPECT_EQ(stats.partitions_visited, 0u);
+        EXPECT_EQ(stats.clusters_visited, 0u);
+        EXPECT_EQ(stats.clusters_total, 0u);
+        EXPECT_EQ(stats.codes_skipped_ti, 0u);
+        ASSERT_EQ(got.size(), k);
+        if (k == n) {
+          std::vector<int64_t> ids = Ids(got);
+          std::sort(ids.begin(), ids.end());
+          for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(ids[i], static_cast<int64_t>(i));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SeededSweepTest, MatchesHeapAndReferenceBitForBit) {
+  SearchScratch scratch;
+  for (const size_t subspaces_used : {size_t{0}, size_t{3}}) {
+    for (const size_t k : Ks()) {
+      for (size_t q = 0; q < 20; ++q) {
+        const float* query = data_->row(q * 59 + 7);
+        SearchParams heap;
+        heap.k = k;
+        heap.mode = SearchMode::kHeap;
+        heap.num_subspaces_used = subspaces_used;
+        std::vector<Neighbor> want;
+        ASSERT_TRUE(index_->Search(query, heap, &scratch, &want, nullptr).ok());
+        for (const ScanKernelType kernel :
+             {ScanKernelType::kReference, ScanKernelType::kScalar,
+              ScanKernelType::kAuto}) {
+          SearchParams ea = heap;
+          ea.mode = SearchMode::kEarlyAbandon;
+          ea.kernel = kernel;
+          std::vector<Neighbor> got;
+          ASSERT_TRUE(index_->Search(query, ea, &scratch, &got, nullptr).ok());
+          ASSERT_EQ(Ids(got), Ids(want))
+              << "k=" << k << " q=" << q << " s=" << subspaces_used
+              << " kernel=" << static_cast<int>(kernel);
+          for (size_t i = 0; i < k; ++i) {
             EXPECT_EQ(got[i].distance, want[i].distance);
           }
         }

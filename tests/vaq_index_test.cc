@@ -448,9 +448,12 @@ INSTANTIATE_TEST_SUITE_P(
     // lambda in a function whose parameter is already named `info`.
     [](const ::testing::TestParamInfo<std::tuple<size_t, size_t, bool>>&
            p) {
-      return "m" + std::to_string(std::get<0>(p.param)) + "_b" +
-             std::to_string(std::get<1>(p.param)) +
-             (std::get<2>(p.param) ? "_clustered" : "_uniform");
+      std::string name = "m";
+      name += std::to_string(std::get<0>(p.param));
+      name += "_b";
+      name += std::to_string(std::get<1>(p.param));
+      name += std::get<2>(p.param) ? "_clustered" : "_uniform";
+      return name;
     });
 
 }  // namespace
