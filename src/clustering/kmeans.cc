@@ -7,6 +7,10 @@
 #include "common/rng.h"
 
 namespace vaq {
+namespace {
+/// Relative inertia improvement below which training stops early.
+constexpr double kTol = 1e-4;
+}  // namespace
 
 void KMeans::SeedCentroids(const FloatMatrix& data,
                            const KMeansOptions& options) {
@@ -16,40 +20,33 @@ void KMeans::SeedCentroids(const FloatMatrix& data,
   Rng rng(options.seed);
   centroids_.Resize(options.k, d);
 
-  if (!options.kmeanspp) {
-    const std::vector<size_t> picks = rng.SampleWithoutReplacement(n, k);
-    for (size_t c = 0; c < k; ++c) {
-      std::copy_n(data.row(picks[c]), d, centroids_.row(c));
+  // k-means++: first centroid uniform, the rest D^2-weighted.
+  std::vector<float> min_dist(n, std::numeric_limits<float>::max());
+  size_t first = static_cast<size_t>(rng.NextIndex(n));
+  std::copy_n(data.row(first), d, centroids_.row(0));
+  for (size_t c = 1; c < k; ++c) {
+    const float* last = centroids_.row(c - 1);
+    double total = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const float dist = SquaredL2(data.row(i), last, d);
+      if (dist < min_dist[i]) min_dist[i] = dist;
+      total += min_dist[i];
     }
-  } else {
-    // k-means++: first centroid uniform, the rest D^2-weighted.
-    std::vector<float> min_dist(n, std::numeric_limits<float>::max());
-    size_t first = static_cast<size_t>(rng.NextIndex(n));
-    std::copy_n(data.row(first), d, centroids_.row(0));
-    for (size_t c = 1; c < k; ++c) {
-      const float* last = centroids_.row(c - 1);
-      double total = 0.0;
+    size_t pick = 0;
+    if (total > 0.0) {
+      double target = rng.NextDouble() * total;
+      double acc = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        const float dist = SquaredL2(data.row(i), last, d);
-        if (dist < min_dist[i]) min_dist[i] = dist;
-        total += min_dist[i];
-      }
-      size_t pick = 0;
-      if (total > 0.0) {
-        double target = rng.NextDouble() * total;
-        double acc = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-          acc += min_dist[i];
-          if (acc >= target) {
-            pick = i;
-            break;
-          }
+        acc += min_dist[i];
+        if (acc >= target) {
+          pick = i;
+          break;
         }
-      } else {
-        pick = static_cast<size_t>(rng.NextIndex(n));
       }
-      std::copy_n(data.row(pick), d, centroids_.row(c));
+    } else {
+      pick = static_cast<size_t>(rng.NextIndex(n));
     }
+    std::copy_n(data.row(pick), d, centroids_.row(c));
   }
 
   // Pad with duplicated random points when n < k so that k centroids exist.
@@ -72,7 +69,6 @@ Status KMeans::Train(const FloatMatrix& data, const KMeansOptions& options) {
   const size_t k = options.k;
 
   SeedCentroids(data, options);
-  Rng rng(options.seed ^ 0xA5A5A5A5DEADBEEFULL);
 
   std::vector<uint32_t> assign(n, 0);
   std::vector<float> point_dist(n, 0.f);
@@ -97,7 +93,6 @@ Status KMeans::Train(const FloatMatrix& data, const KMeansOptions& options) {
       point_dist[i] = best;
       inertia += best;
     }
-    inertia_ = inertia;
 
     // Update step.
     std::fill(counts.begin(), counts.end(), size_t{0});
@@ -134,14 +129,13 @@ Status KMeans::Train(const FloatMatrix& data, const KMeansOptions& options) {
     // Convergence check on relative inertia improvement.
     if (prev_inertia < std::numeric_limits<double>::max()) {
       const double denom = std::max(prev_inertia, 1e-30);
-      if ((prev_inertia - inertia) / denom < options.tol &&
+      if ((prev_inertia - inertia) / denom < kTol &&
           inertia <= prev_inertia) {
         break;
       }
     }
     prev_inertia = inertia;
   }
-  (void)rng;
 
   trained_ = true;
   return Status::OK();

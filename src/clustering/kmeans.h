@@ -13,10 +13,6 @@ struct KMeansOptions {
   size_t k = 8;
   int max_iters = 25;
   uint64_t seed = 42;
-  /// Relative inertia improvement below which training stops early.
-  double tol = 1e-4;
-  /// k-means++ seeding when true; uniform random sampling otherwise.
-  bool kmeanspp = true;
 };
 
 /// Lloyd's k-means with k-means++ seeding and empty-cluster repair.
@@ -40,7 +36,6 @@ class KMeans {
 
   /// Cluster centers, one per row.
   const FloatMatrix& centroids() const { return centroids_; }
-  FloatMatrix* mutable_centroids() { return &centroids_; }
 
   /// Restores a trained state from serialized centroids (index Load
   /// paths). Requires a non-empty matrix.
@@ -50,12 +45,8 @@ class KMeans {
     }
     centroids_ = std::move(centroids);
     trained_ = true;
-    inertia_ = 0.0;
     return Status::OK();
   }
-
-  /// Final sum of squared distances of training points to their centroids.
-  double inertia() const { return inertia_; }
 
   /// Index of the nearest centroid to `x` (length dim()).
   uint32_t Assign(const float* x) const;
@@ -68,7 +59,6 @@ class KMeans {
 
   bool trained_ = false;
   FloatMatrix centroids_;
-  double inertia_ = 0.0;
 };
 
 }  // namespace vaq

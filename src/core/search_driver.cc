@@ -307,7 +307,16 @@ Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
   if (params.mode == SearchMode::kHeap) scan.interval = scan.s_limit;
   // Partitions are counted per query, flat queries included (none).
   if (stats != nullptr) stats->partitions_visited = 0;
-  if (ranked) {
+  if (ranked && stats != nullptr) {
+    stats->clusters_total = centroids.rows();
+    stats->clusters_visited = 0;
+  }
+  const bool seeded = !ranked && scan.interval < scan.s_limit;
+  // Ranking is the first step a stop check can skip: a query out of
+  // budget before it plans no visits and returns empty, truncated.
+  if ((ranked || seeded) && stop != nullptr && stop->ShouldStop()) {
+    scratch->visits.clear();
+  } else if (ranked) {
     TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
     RankPartitions(projected, centroids, plan->visit, &scratch->ranking);
     scratch->visits.resize(scratch->ranking.size());
@@ -320,11 +329,8 @@ Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
           std::sqrt(r.distance)};
     }
     rank_span.Stop();
-    if (stats != nullptr) {
-      stats->clusters_total = centroids.rows();
-      stats->clusters_visited = scratch->visits.size();
-    }
-  } else if (scan.interval < scan.s_limit) {
+    if (stats != nullptr) stats->clusters_visited = scratch->visits.size();
+  } else if (seeded) {
     TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
     PlanSeededSweep(projected, centroids, parts, params.k, scratch);
   } else {

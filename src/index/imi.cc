@@ -63,7 +63,7 @@ Status InvertedMultiIndex::SearchWithBudget(const float* query, size_t k,
                                             std::vector<Neighbor>* out) const {
   if (num_rows_ == 0) return Status::FailedPrecondition("IMI is not trained");
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (max_candidates == 0) max_candidates = options_.max_candidates;
+  if (max_candidates == 0) max_candidates = kDefaultMaxCandidates;
 
   const size_t kk = options_.coarse_k;
   // Distances from the query halves to both coarse dictionaries, sorted.

@@ -17,9 +17,6 @@ struct ImiOptions {
   /// Fine PQ configuration for the stored codes.
   size_t num_subspaces = 8;
   size_t bits_per_subspace = 8;
-  /// Default number of candidates pulled from the nearest cells before the
-  /// ADC ranking (the index's speed/recall knob).
-  size_t max_candidates = 10000;
   int kmeans_iters = 20;
   uint64_t seed = 42;
 };
@@ -55,13 +52,15 @@ class InvertedMultiIndex : public Quantizer {
   Status Search(const float* query, size_t k,
                 std::vector<Neighbor>* out) const override;
 
-  /// Search with an explicit candidate budget (0 = options default).
+  /// Search with an explicit candidate budget: the number of candidates
+  /// pulled from the nearest cells before the ADC ranking (the index's
+  /// speed/recall knob). 0 means 10000.
   Status SearchWithBudget(const float* query, size_t k,
                           size_t max_candidates,
                           std::vector<Neighbor>* out) const;
 
  private:
-  size_t half_dim() const { return half_dim_; }
+  static constexpr size_t kDefaultMaxCandidates = 10000;
 
   ImiOptions options_;
   size_t half_dim_ = 0;

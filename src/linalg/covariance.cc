@@ -30,12 +30,11 @@ std::vector<double> ColumnVariances(const FloatMatrix& x) {
   return vars;
 }
 
-DoubleMatrix Covariance(const FloatMatrix& x, bool center) {
+DoubleMatrix Covariance(const FloatMatrix& x) {
   const size_t n = x.rows();
   const size_t d = x.cols();
   VAQ_CHECK(n > 0);
-  std::vector<double> means(d, 0.0);
-  if (center) means = ColumnMeans(x);
+  const std::vector<double> means = ColumnMeans(x);
 
   DoubleMatrix cov(d, d, 0.0);
   std::vector<double> centered(d);

@@ -13,12 +13,10 @@ std::vector<double> ColumnMeans(const FloatMatrix& x);
 /// Per-dimension variance of X (population variance, Eq. 4 of the paper).
 std::vector<double> ColumnVariances(const FloatMatrix& x);
 
-/// Covariance (or scatter) matrix of X.
-///
-/// When `center` is true, returns (1/n) (X - mu)^T (X - mu); when false,
-/// returns (1/n) X^T X, matching the paper's C = X^T X up to scale (the
-/// 1/n factor does not change eigenvectors or eigenvalue ratios).
-DoubleMatrix Covariance(const FloatMatrix& x, bool center = true);
+/// Covariance matrix of X: (1/n) (X - mu)^T (X - mu). On the paper's
+/// z-normalized data this is its C = X^T X up to scale (the 1/n factor
+/// does not change eigenvectors or eigenvalue ratios).
+DoubleMatrix Covariance(const FloatMatrix& x);
 
 }  // namespace vaq
 

@@ -53,10 +53,11 @@ DoubleMatrix Transpose(const DoubleMatrix& a) {
   return t;
 }
 
-void RowTimesMatrix(const float* x, const FloatMatrix& a, float* out) {
+void RowTimesMatrix(const float* x, const FloatMatrix& a, float* out,
+                    const float* means) {
   for (size_t j = 0; j < a.cols(); ++j) out[j] = 0.f;
   for (size_t k = 0; k < a.rows(); ++k) {
-    const float xk = x[k];
+    const float xk = means != nullptr ? x[k] - means[k] : x[k];
     if (xk == 0.f) continue;
     const float* arow = a.row(k);
     for (size_t j = 0; j < a.cols(); ++j) out[j] += xk * arow[j];

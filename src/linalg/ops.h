@@ -15,8 +15,13 @@ FloatMatrix MatMulTransposed(const FloatMatrix& a, const FloatMatrix& b);
 FloatMatrix Transpose(const FloatMatrix& a);
 DoubleMatrix Transpose(const DoubleMatrix& a);
 
-/// y = x * A for a single row vector x (length k) and A (k x m).
-void RowTimesMatrix(const float* x, const FloatMatrix& a, float* out);
+/// out = (x - means) * A for a single row vector x (length k) and A
+/// (k x m); `means` (length k) may be null for no centering. This is the
+/// one row projection: PCA, OPQ's rotation and ITQ's projection and
+/// rotation all run it. Coordinates that center to exactly zero are
+/// skipped, so sparse inputs cost less.
+void RowTimesMatrix(const float* x, const FloatMatrix& a, float* out,
+                    const float* means = nullptr);
 
 /// Frobenius norm of the difference A - B. Matrices must agree in shape.
 double FrobeniusDistance(const FloatMatrix& a, const FloatMatrix& b);

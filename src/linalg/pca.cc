@@ -4,17 +4,18 @@
 
 #include "linalg/covariance.h"
 #include "linalg/eigen.h"
+#include "linalg/ops.h"
 
 namespace vaq {
 
-Status Pca::Fit(const FloatMatrix& x, const Options& options) {
+Status Pca::Fit(const FloatMatrix& x) {
   if (x.rows() < 2) {
     return Status::InvalidArgument("PCA requires at least 2 samples");
   }
   if (x.cols() == 0) {
     return Status::InvalidArgument("PCA requires at least 1 dimension");
   }
-  auto eig = JacobiEigenSymmetric(Covariance(x, options.center));
+  auto eig = JacobiEigenSymmetric(Covariance(x));
   if (!eig.ok()) return eig.status();
 
   const size_t d = x.cols();
@@ -29,11 +30,9 @@ Status Pca::Fit(const FloatMatrix& x, const Options& options) {
       components_(i, j) = static_cast<float>(eig->vectors(i, j));
     }
   }
-  means_.assign(d, 0.f);
-  if (options.center) {
-    const std::vector<double> mu = ColumnMeans(x);
-    for (size_t i = 0; i < d; ++i) means_[i] = static_cast<float>(mu[i]);
-  }
+  const std::vector<double> mu = ColumnMeans(x);
+  means_.resize(d);
+  for (size_t i = 0; i < d; ++i) means_[i] = static_cast<float>(mu[i]);
   fitted_ = true;
   return Status::OK();
 }
@@ -76,14 +75,7 @@ Status Pca::Restore(std::vector<double> eigenvalues, std::vector<float> means,
 }
 
 void Pca::TransformRow(const float* x, float* out) const {
-  const size_t d = dim();
-  for (size_t j = 0; j < d; ++j) out[j] = 0.f;
-  for (size_t i = 0; i < d; ++i) {
-    const float centered = x[i] - means_[i];
-    if (centered == 0.f) continue;
-    const float* vrow = components_.row(i);
-    for (size_t j = 0; j < d; ++j) out[j] += centered * vrow[j];
-  }
+  RowTimesMatrix(x, components_, out, means_.data());
 }
 
 }  // namespace vaq

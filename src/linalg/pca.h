@@ -16,18 +16,13 @@ namespace vaq {
 /// Transform() projects data onto the components: Z = (X - mu) V.
 class Pca {
  public:
-  struct Options {
-    /// Mean-center before computing the covariance. The paper operates on
-    /// z-normalized data where centering is a no-op; we default to true so
-    /// the eigenvalues are true variances for arbitrary inputs.
-    bool center = true;
-  };
-
   Pca() = default;
 
   /// Learns the components from training data (n x d). Requires n >= 2.
-  Status Fit(const FloatMatrix& x, const Options& options);
-  Status Fit(const FloatMatrix& x) { return Fit(x, Options{}); }
+  /// The data is always mean-centered first. The paper operates on
+  /// z-normalized data where centering is a no-op; centering keeps the
+  /// eigenvalues true variances for arbitrary inputs.
+  Status Fit(const FloatMatrix& x);
 
   bool fitted() const { return fitted_; }
   size_t dim() const { return components_.rows(); }

@@ -6,35 +6,19 @@
 #include "common/macros.h"
 #include "common/rng.h"
 #include "linalg/covariance.h"
+#include "linalg/ops.h"
 #include "linalg/pca.h"
 #include "linalg/rotation.h"
 #include "linalg/svd.h"
 
 namespace vaq {
 
-void ItqLsh::ProjectRow(const float* x, float* out) const {
-  const size_t d = projection_.rows();
-  const size_t b = projection_.cols();
-  for (size_t j = 0; j < b; ++j) out[j] = 0.f;
-  for (size_t i = 0; i < d; ++i) {
-    const float centered = x[i] - means_[i];
-    if (centered == 0.f) continue;
-    const float* prow = projection_.row(i);
-    for (size_t j = 0; j < b; ++j) out[j] += centered * prow[j];
-  }
-}
-
 void ItqLsh::EncodeRow(const float* x, uint64_t* words) const {
   const size_t b = options_.num_bits;
   std::vector<float> projected(b);
-  ProjectRow(x, projected.data());
-  std::vector<float> rotated(b, 0.f);
-  for (size_t i = 0; i < b; ++i) {
-    const float v = projected[i];
-    if (v == 0.f) continue;
-    const float* rrow = rotation_.row(i);
-    for (size_t j = 0; j < b; ++j) rotated[j] += v * rrow[j];
-  }
+  RowTimesMatrix(x, projection_, projected.data(), means_.data());
+  std::vector<float> rotated(b);
+  RowTimesMatrix(projected.data(), rotation_, rotated.data());
   for (size_t w = 0; w < words_per_code_; ++w) words[w] = 0;
   for (size_t j = 0; j < b; ++j) {
     if (rotated[j] >= 0.f) {
@@ -57,7 +41,7 @@ Status ItqLsh::Train(const FloatMatrix& data) {
   for (size_t i = 0; i < d; ++i) means_[i] = static_cast<float>(mu[i]);
   if (b <= d) {
     Pca pca;
-    VAQ_RETURN_IF_ERROR(pca.Fit(data, Pca::Options{}));
+    VAQ_RETURN_IF_ERROR(pca.Fit(data));
     projection_.Resize(d, b);
     for (size_t i = 0; i < d; ++i) {
       for (size_t j = 0; j < b; ++j) {
@@ -77,32 +61,18 @@ Status ItqLsh::Train(const FloatMatrix& data) {
   // Projected training data V (n x b).
   FloatMatrix v(data.rows(), b);
   for (size_t r = 0; r < data.rows(); ++r) {
-    ProjectRow(data.row(r), v.row(r));
+    RowTimesMatrix(data.row(r), projection_, v.row(r), means_.data());
   }
 
   // ITQ alternating minimization of ||B - V R||_F.
   rotation_ = RandomRotation(b, options_.seed ^ 0x1234567ULL);
-  FloatMatrix rotated(data.rows(), b);
   FloatMatrix binary(data.rows(), b);
   for (int iter = 0; iter < options_.itq_iters; ++iter) {
-    // rotated = V R.
-    for (size_t r = 0; r < data.rows(); ++r) {
-      const float* src = v.row(r);
-      float* dst = rotated.row(r);
-      for (size_t j = 0; j < b; ++j) dst[j] = 0.f;
-      for (size_t i = 0; i < b; ++i) {
-        const float val = src[i];
-        if (val == 0.f) continue;
-        const float* rrow = rotation_.row(i);
-        for (size_t j = 0; j < b; ++j) dst[j] += val * rrow[j];
-      }
-    }
+    const FloatMatrix rotated = MatMul(v, rotation_);
     for (size_t i = 0; i < binary.size(); ++i) {
       binary.data()[i] = rotated.data()[i] >= 0.f ? 1.f : -1.f;
     }
-    auto new_rotation = OrthogonalProcrustes(v, binary);
-    if (!new_rotation.ok()) return new_rotation.status();
-    rotation_ = std::move(*new_rotation);
+    VAQ_ASSIGN_OR_RETURN(rotation_, OrthogonalProcrustes(v, binary));
   }
 
   // Encode the database.

@@ -43,8 +43,6 @@ class ItqLsh : public Quantizer {
   void EncodeRow(const float* x, uint64_t* words) const;
 
  private:
-  void ProjectRow(const float* x, float* out) const;
-
   ItqOptions options_;
   std::vector<float> means_;
   FloatMatrix projection_;  ///< (d x num_bits): PCA components or Gaussian

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 
 #include "common/io.h"
 #include "common/macros.h"
 #include "common/serialize.h"
-#include "linalg/covariance.h"
 #include "linalg/pca.h"
 #include "linalg/svd.h"
 
@@ -44,17 +41,6 @@ std::vector<size_t> EigenvalueAllocation(const std::vector<double>& evals,
 
 }  // namespace
 
-void OptimizedProductQuantizer::RotateRow(const float* x, float* out) const {
-  const size_t d = rotation_.rows();
-  for (size_t j = 0; j < d; ++j) out[j] = 0.f;
-  for (size_t i = 0; i < d; ++i) {
-    const float centered = x[i] - means_[i];
-    if (centered == 0.f) continue;
-    const float* rrow = rotation_.row(i);
-    for (size_t j = 0; j < d; ++j) out[j] += centered * rrow[j];
-  }
-}
-
 Status OptimizedProductQuantizer::Train(const FloatMatrix& data) {
   if (options_.bits_per_subspace < 1 || options_.bits_per_subspace > 16) {
     return Status::InvalidArgument("bits_per_subspace must be in [1, 16]");
@@ -65,9 +51,7 @@ Status OptimizedProductQuantizer::Train(const FloatMatrix& data) {
 
   // Parametric initialization: PCA + eigenvalue allocation.
   Pca pca;
-  Pca::Options popts;
-  popts.center = options_.center;
-  VAQ_RETURN_IF_ERROR(pca.Fit(data, popts));
+  VAQ_RETURN_IF_ERROR(pca.Fit(data));
   std::vector<size_t> capacity(options_.num_subspaces);
   for (size_t s = 0; s < options_.num_subspaces; ++s) {
     capacity[s] = layout.span(s).length;
@@ -90,10 +74,7 @@ Status OptimizedProductQuantizer::Train(const FloatMatrix& data) {
       rotation_(i, j) = pca.components()(i, perm[j]);
     }
   }
-  means_.assign(d, 0.f);
-  if (options_.center) {
-    means_ = pca.means();
-  }
+  means_ = pca.means();
 
   // Centered data, rotated.
   FloatMatrix centered(data.rows(), d);
@@ -102,64 +83,29 @@ Status OptimizedProductQuantizer::Train(const FloatMatrix& data) {
     float* dst = centered.row(r);
     for (size_t j = 0; j < d; ++j) dst[j] = src[j] - means_[j];
   }
+  FloatMatrix rotated = MatMul(centered, rotation_);
 
+  // Non-parametric refinement (OPQ_NP): alternate encoding with scratch
+  // dictionaries and Procrustes rotation updates.
   CodebookOptions copts;
   copts.kmeans_iters = options_.kmeans_iters;
-  std::vector<int> bits(options_.num_subspaces,
-                        static_cast<int>(options_.bits_per_subspace));
-
-  FloatMatrix rotated(data.rows(), d);
-  auto rotate_all = [&]() {
-    for (size_t r = 0; r < data.rows(); ++r) {
-      const float* src = centered.row(r);
-      float* dst = rotated.row(r);
-      for (size_t j = 0; j < d; ++j) dst[j] = 0.f;
-      for (size_t i = 0; i < d; ++i) {
-        const float v = src[i];
-        if (v == 0.f) continue;
-        const float* rrow = rotation_.row(i);
-        for (size_t j = 0; j < d; ++j) dst[j] += v * rrow[j];
-      }
-    }
-  };
-  rotate_all();
-  copts.seed = options_.seed;
-  VAQ_RETURN_IF_ERROR(books_.Train(rotated, layout, bits, copts));
-
-  // Non-parametric refinement (OPQ_NP): alternate encoding and Procrustes
-  // rotation updates.
+  const std::vector<int> bits(options_.num_subspaces,
+                              static_cast<int>(options_.bits_per_subspace));
   for (int iter = 0; iter < options_.refine_iters; ++iter) {
-    VAQ_ASSIGN_OR_RETURN(CodeMatrix codes, books_.Encode(rotated));
+    VariableCodebooks books;
+    copts.seed = options_.seed + iter;
+    VAQ_RETURN_IF_ERROR(books.Train(rotated, layout, bits, copts));
+    VAQ_ASSIGN_OR_RETURN(CodeMatrix codes, books.Encode(rotated));
     FloatMatrix decoded(data.rows(), d);
     for (size_t r = 0; r < data.rows(); ++r) {
-      books_.DecodeRow(codes.row(r), decoded.row(r));
+      books.DecodeRow(codes.row(r), decoded.row(r));
     }
-    auto new_rotation = OrthogonalProcrustes(centered, decoded);
-    if (!new_rotation.ok()) return new_rotation.status();
-    rotation_ = std::move(*new_rotation);
-    rotate_all();
-    copts.seed = options_.seed + iter + 1;
-    VAQ_RETURN_IF_ERROR(books_.Train(rotated, layout, bits, copts));
+    VAQ_ASSIGN_OR_RETURN(rotation_, OrthogonalProcrustes(centered, decoded));
+    rotated = MatMul(centered, rotation_);
   }
 
-  VAQ_ASSIGN_OR_RETURN(codes_, books_.Encode(rotated));
-  VAQ_ASSIGN_OR_RETURN(train_error_, books_.ReconstructionError(rotated));
-
-  // Subspace importance ranking from the rotated training variance.
-  const std::vector<double> dim_vars = ColumnVariances(rotated);
-  subspace_variances_ = layout.SubspaceVariances(dim_vars);
-  const double total = std::accumulate(subspace_variances_.begin(),
-                                       subspace_variances_.end(), 0.0);
-  if (total > 0.0) {
-    for (double& v : subspace_variances_) v /= total;
-  }
-  subspace_order_.resize(options_.num_subspaces);
-  std::iota(subspace_order_.begin(), subspace_order_.end(), size_t{0});
-  std::sort(subspace_order_.begin(), subspace_order_.end(),
-            [this](size_t a, size_t b) {
-              return subspace_variances_[a] > subspace_variances_[b];
-            });
-  return Status::OK();
+  pq_ = ProductQuantizer(pq_options());
+  return pq_.Train(rotated);
 }
 
 Status OptimizedProductQuantizer::Search(const float* query, size_t k,
@@ -183,7 +129,8 @@ void OptimizedProductQuantizer::SaveOptionsSection(std::ostream& os) const {
   WritePod<int32_t>(os, options_.refine_iters);
   WritePod<int32_t>(os, options_.kmeans_iters);
   WritePod<uint64_t>(os, options_.seed);
-  WritePod<uint8_t>(os, options_.center ? 1 : 0);
+  // Retired centering slot: OPQ always centers, so always 1.
+  WritePod<uint8_t>(os, 1);
 }
 
 Status OptimizedProductQuantizer::LoadOptionsSection(std::istream& is) {
@@ -200,8 +147,8 @@ Status OptimizedProductQuantizer::LoadOptionsSection(std::istream& is) {
   options_.kmeans_iters = i32;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u64));
   options_.seed = u64;
-  VAQ_RETURN_IF_ERROR(ReadPod(is, &u8));
-  options_.center = u8 != 0;
+  VAQ_RETURN_IF_ERROR(ReadPod(is, &u8));  // retired centering slot
+  pq_.options_ = pq_options();
   return Status::OK();
 }
 
@@ -216,36 +163,9 @@ Status OptimizedProductQuantizer::LoadRotationSection(std::istream& is) {
   return Status::OK();
 }
 
-void OptimizedProductQuantizer::SaveStatsSection(std::ostream& os) const {
-  WriteVector(os, subspace_variances_);
-  WriteVector(os, std::vector<uint64_t>(subspace_order_.begin(),
-                                        subspace_order_.end()));
-  WritePod<double>(os, train_error_);
-}
-
-Status OptimizedProductQuantizer::LoadStatsSection(std::istream& is) {
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &subspace_variances_));
-  std::vector<uint64_t> order64;
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &order64));
-  subspace_order_.assign(order64.begin(), order64.end());
-  VAQ_RETURN_IF_ERROR(ReadPod(is, &train_error_));
-  return Status::OK();
-}
-
 Status OptimizedProductQuantizer::ValidateInvariants() const {
-  VAQ_RETURN_IF_ERROR(books_.ValidateInvariants());
-  const size_t m = books_.num_subspaces();
-  const size_t d = books_.dim();
-  if (m != options_.num_subspaces) {
-    return Status::Internal("codebook subspace count disagrees with "
-                            "options");
-  }
-  for (int b : books_.bits()) {
-    if (static_cast<size_t>(b) != options_.bits_per_subspace) {
-      return Status::Internal("codebook bits disagree with the uniform "
-                              "bits_per_subspace option");
-    }
-  }
+  VAQ_RETURN_IF_ERROR(pq_.ValidateInvariants());
+  const size_t d = pq_.codebooks().dim();
   if (rotation_.rows() != d || rotation_.cols() != d) {
     return Status::Internal("rotation matrix is not square in the codebook "
                             "dimension");
@@ -264,55 +184,38 @@ Status OptimizedProductQuantizer::ValidateInvariants() const {
       return Status::Internal("centering means contain non-finite values");
     }
   }
-  VAQ_RETURN_IF_ERROR(books_.ValidateCodes(codes_));
-  if (subspace_variances_.size() != m) {
-    return Status::Internal("subspace variance profile length disagrees "
-                            "with subspace count");
-  }
-  for (double v : subspace_variances_) {
-    if (!std::isfinite(v) || v < 0.0) {
-      return Status::Internal("subspace variances contain invalid values");
-    }
-  }
-  if (subspace_order_.size() != m || !IsPermutation(subspace_order_)) {
-    return Status::Internal("subspace ranking is not a permutation of "
-                            "[0, m)");
-  }
-  if (!std::isfinite(train_error_) || train_error_ < 0.0) {
-    return Status::Internal("training error is not a non-negative finite "
-                            "value");
-  }
   return Status::OK();
 }
 
 Status OptimizedProductQuantizer::Save(const std::string& path) const {
-  if (!books_.trained()) {
+  if (!pq_.codebooks().trained()) {
     return Status::FailedPrecondition("OPQ is not trained");
   }
   VAQ_RETURN_IF_ERROR(ValidateInvariants());
   ContainerWriter writer(kOpqMagic, kOpqFormatVersion);
   SaveOptionsSection(writer.AddSection(kSecOptions));
   SaveRotationSection(writer.AddSection(kSecRotation));
-  books_.Save(writer.AddSection(kSecBooks));
-  WriteMatrix(writer.AddSection(kSecCodes), codes_);
-  SaveStatsSection(writer.AddSection(kSecStats));
+  pq_.books_.Save(writer.AddSection(kSecBooks));
+  WriteMatrix(writer.AddSection(kSecCodes), pq_.codes_);
+  pq_.SaveStatsSection(writer.AddSection(kSecStats));
   return writer.Commit(path);
 }
 
 Result<OptimizedProductQuantizer> OptimizedProductQuantizer::Load(
     const std::string& path) {
   OptimizedProductQuantizer opq;
+  ProductQuantizer& pq = opq.pq_;
   VAQ_RETURN_IF_ERROR(LoadSections(
       path, kOpqMagic, kOpqFormatVersion,
       {{kSecOptions,
         [&](std::istream& is) { return opq.LoadOptionsSection(is); }},
        {kSecRotation,
         [&](std::istream& is) { return opq.LoadRotationSection(is); }},
-       {kSecBooks, [&](std::istream& is) { return opq.books_.Load(is); }},
+       {kSecBooks, [&](std::istream& is) { return pq.books_.Load(is); }},
        {kSecCodes,
-        [&](std::istream& is) { return ReadMatrix(is, &opq.codes_); }},
+        [&](std::istream& is) { return ReadMatrix(is, &pq.codes_); }},
        {kSecStats,
-        [&](std::istream& is) { return opq.LoadStatsSection(is); }}}));
+        [&](std::istream& is) { return pq.LoadStatsSection(is); }}}));
   VAQ_RETURN_IF_ERROR(opq.ValidateInvariants());
   return opq;
 }
@@ -320,40 +223,12 @@ Result<OptimizedProductQuantizer> OptimizedProductQuantizer::Load(
 Status OptimizedProductQuantizer::SearchSubset(
     const float* query, size_t k, size_t num_subspaces_used,
     std::vector<Neighbor>* out) const {
-  if (!books_.trained()) {
+  if (!pq_.codebooks().trained()) {
     return Status::FailedPrecondition("OPQ is not trained");
   }
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-
   std::vector<float> rotated(rotation_.rows());
-  RotateRow(query, rotated.data());
-  std::vector<float> lut;
-  books_.BuildLookupTable(rotated.data(), &lut);
-
-  const size_t m = books_.num_subspaces();
-  const size_t used = num_subspaces_used == 0
-                          ? m
-                          : std::min(num_subspaces_used, m);
-  TopKHeap heap(k);
-  if (used == m) {
-    for (size_t r = 0; r < codes_.rows(); ++r) {
-      heap.Push(books_.AdcDistance(codes_.row(r), lut.data()),
-                static_cast<int64_t>(r));
-    }
-  } else {
-    for (size_t r = 0; r < codes_.rows(); ++r) {
-      const uint16_t* code = codes_.row(r);
-      float acc = 0.f;
-      for (size_t i = 0; i < used; ++i) {
-        const size_t s = subspace_order_[i];
-        acc += lut[books_.lut_offset(s) + code[s]];
-      }
-      heap.Push(acc, static_cast<int64_t>(r));
-    }
-  }
-  *out = heap.TakeSorted();
-  for (Neighbor& nb : *out) nb.distance = std::sqrt(std::max(0.f, nb.distance));
-  return Status::OK();
+  Project(query, rotated.data());
+  return pq_.SearchSubset(rotated.data(), k, num_subspaces_used, out);
 }
 
 }  // namespace vaq

@@ -74,6 +74,10 @@ class ProductQuantizer : public Quantizer {
   Status ValidateInvariants() const;
 
  private:
+  /// OPQ is this quantizer run in a rotated space; it stores these same
+  /// sections after its own rotation section.
+  friend class OptimizedProductQuantizer;
+
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
   void SaveStatsSection(std::ostream& os) const;

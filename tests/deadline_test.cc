@@ -296,12 +296,12 @@ TEST_F(SearchDeadlineTest, EarlyAbandonMidScanExpiryReturnsSeededPrefixTopK) {
       }
     }
   }
-  // A stop check runs before the first row of each visit and before each
-  // later row that starts a 64-row block of the store; `checks` passing
-  // checks scan the rows before the next check.
+  // A stop check runs before the seed ranking, before the first row of
+  // each visit and before each later row that starts a 64-row block of the
+  // store; `checks` passing checks scan the rows before the next check.
   const int64_t checks = 7;
   std::vector<uint32_t> prefix;
-  int64_t seen = 0;
+  int64_t seen = 1;  // the check before the seed ranking
   for (const auto& [begin, end] : visits) {
     for (size_t row = begin; row < end; ++row) {
       if (row == begin || row % kScanBlockSize == 0) ++seen;
@@ -472,6 +472,38 @@ TEST_F(SearchDeadlineTest, BatchSharesOneDeadline) {
   }
 }
 
+TEST_F(SearchDeadlineTest, ExpiryBeforeRankingPlansNothing) {
+  // One stop check runs before partition ranking, TI's and the flat
+  // early-abandon scan's seed ranking alike. A query out of budget there
+  // skips ranking and begins no row; with one check to spare it ranks and
+  // stops at the scan's first check, still before any row.
+  SetTracingEnabled(true);
+  for (SearchMode mode :
+       {SearchMode::kEarlyAbandon, SearchMode::kTriangleInequality}) {
+    for (int64_t checks : {0, 1}) {
+      SearchParams params;
+      params.k = 10;
+      params.mode = mode;
+      // Two checks per row, so the flat scan can abandon rows and seeds.
+      params.ea_check_interval = 2;
+      params.deadline = BudgetOfChecks(checks);
+      QueryTrace trace;
+      params.trace = &trace;
+      std::vector<Neighbor> result(1);
+      SearchStats stats;
+      ASSERT_TRUE(index_->Search(base_->row(0), params, &result, &stats).ok());
+      EXPECT_TRUE(stats.truncated);
+      EXPECT_TRUE(result.empty());
+      EXPECT_EQ(stats.partitions_visited, 0u);
+      EXPECT_EQ(stats.codes_visited, 0u);
+      EXPECT_TRUE(trace.HasPhase(QueryPhase::kLutBuild));
+      EXPECT_EQ(trace.HasPhase(QueryPhase::kPartitionRank), checks == 1)
+          << "checks " << checks;
+    }
+  }
+  SetTracingEnabled(false);
+}
+
 TEST_F(SearchDeadlineTest, TruncationReportDescribesPartitionProgress) {
   SearchParams params;
   params.k = 10;
@@ -545,6 +577,29 @@ TEST_F(IvfDeadlineTest, ZeroBudgetTruncates) {
   EXPECT_TRUE(result.empty());
   EXPECT_EQ(stats.partitions_visited, 0u);
   EXPECT_EQ(stats.clusters_total, 32u);
+}
+
+TEST_F(IvfDeadlineTest, ExpiryBeforeRankingPlansNothing) {
+  SetTracingEnabled(true);
+  for (int64_t checks : {0, 1}) {
+    QueryControl control;
+    control.deadline = BudgetOfChecks(checks);
+    QueryTrace trace;
+    control.trace = &trace;
+    SearchScratch scratch;
+    std::vector<Neighbor> result(1);
+    SearchStats stats;
+    ASSERT_TRUE(index_->Search(base_->row(0), 10, 8, control, &scratch,
+                               &result, &stats).ok());
+    EXPECT_TRUE(stats.truncated);
+    EXPECT_TRUE(result.empty());
+    EXPECT_EQ(stats.partitions_visited, 0u);
+    EXPECT_EQ(stats.codes_visited, 0u);
+    EXPECT_EQ(stats.clusters_total, 32u);
+    EXPECT_EQ(trace.HasPhase(QueryPhase::kPartitionRank), checks == 1)
+        << "checks " << checks;
+  }
+  SetTracingEnabled(false);
 }
 
 TEST_F(IvfDeadlineTest, PartialBudgetVisitsSomeCellsAndStaysExact) {

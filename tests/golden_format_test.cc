@@ -224,6 +224,100 @@ TEST(GoldenFormatTest, RetiredOptionSlotsAreReadAndIgnored) {
   std::remove(tmp.c_str());
 }
 
+TEST(GoldenFormatTest, OpqRetiredCenteringSlotIsReadAndIgnored) {
+  // The v0 OPTS payload follows the 8-byte magic: num_subspaces and
+  // bits_per_subspace (uint64, bytes 8-23), refine_iters and kmeans_iters
+  // (int32, 24-31), seed (uint64, 32-39), then the retired centering byte
+  // (40). The golden holds 1; 0 must neither fail Load nor change answers,
+  // and a re-save writes the fixed value back.
+  std::string bytes = ReadWhole(GoldenPath("opq_v0.bin"));
+  ASSERT_GT(bytes.size(), 41u);
+  ASSERT_EQ(bytes[40], 1);
+  bytes[40] = 0;
+  const std::string edited = "/tmp/vaq_golden_opq_retired_slot.bin";
+  {
+    std::ofstream os(edited, std::ios::binary);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto opq = OptimizedProductQuantizer::Load(edited);
+  std::remove(edited.c_str());
+  ASSERT_TRUE(opq.ok()) << opq.status().message();
+  auto golden = OptimizedProductQuantizer::Load(GoldenPath("opq_v0.bin"));
+  ASSERT_TRUE(golden.ok());
+
+  const FloatMatrix data = GoldenData();
+  for (size_t q : {0, 3, 17, 64, 119}) {
+    std::vector<Neighbor> a, b;
+    ASSERT_TRUE(opq->Search(data.row(q), 5, &a).ok());
+    ASSERT_TRUE(golden->Search(data.row(q), 5, &b).ok());
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(a[i].distance, b[i].distance);
+    }
+  }
+
+  const std::string tmp = "/tmp/vaq_golden_opq_retired_slot_resave.bin";
+  ASSERT_TRUE(opq->Save(tmp).ok());
+  EXPECT_EQ(ReadWhole(tmp), ReadWhole(GoldenPath("opq_v1.bin")))
+      << "re-save did not write the retired slot's fixed value";
+  std::remove(tmp.c_str());
+}
+
+/// Saves `index` to a scratch file and returns the bytes written.
+template <typename T>
+std::string SavedBytes(const T& index, const std::string& tmp) {
+  EXPECT_TRUE(index.Save(tmp).ok());
+  std::string bytes = ReadWhole(tmp);
+  std::remove(tmp.c_str());
+  return bytes;
+}
+
+TEST(GoldenFormatTest, TrainingReproducesCommittedV1Bytes) {
+  // Retraining with the settings in golden/README.md must write the
+  // committed v1 files byte for byte, so a change to any training step
+  // (PCA, allocation, k-means, OPQ refinement) shows here, not only a
+  // change to the file layout.
+  const FloatMatrix data = GoldenData();
+  VaqOptions vopts;
+  vopts.num_subspaces = 4;
+  vopts.total_bits = 16;
+  vopts.ti_clusters = 8;
+  vopts.kmeans_iters = 5;
+  auto vaq = VaqIndex::Train(data, vopts);
+  ASSERT_TRUE(vaq.ok()) << vaq.status().message();
+  EXPECT_EQ(SavedBytes(*vaq, "/tmp/vaq_golden_train_vaq.bin"),
+            ReadWhole(GoldenPath("vaq_index_v1.bin")));
+
+  VaqIvfOptions iopts;
+  iopts.vaq = vopts;
+  iopts.coarse_k = 8;
+  iopts.default_nprobe = 4;
+  auto ivf = VaqIvfIndex::Train(data, iopts);
+  ASSERT_TRUE(ivf.ok()) << ivf.status().message();
+  EXPECT_EQ(SavedBytes(*ivf, "/tmp/vaq_golden_train_ivf.bin"),
+            ReadWhole(GoldenPath("vaq_ivf_v1.bin")));
+
+  PqOptions popts;
+  popts.num_subspaces = 4;
+  popts.bits_per_subspace = 4;
+  popts.kmeans_iters = 5;
+  ProductQuantizer pq(popts);
+  ASSERT_TRUE(pq.Train(data).ok());
+  EXPECT_EQ(SavedBytes(pq, "/tmp/vaq_golden_train_pq.bin"),
+            ReadWhole(GoldenPath("pq_v1.bin")));
+
+  OpqOptions oopts;
+  oopts.num_subspaces = 4;
+  oopts.bits_per_subspace = 4;
+  oopts.kmeans_iters = 5;
+  oopts.refine_iters = 2;
+  OptimizedProductQuantizer opq(oopts);
+  ASSERT_TRUE(opq.Train(data).ok());
+  EXPECT_EQ(SavedBytes(opq, "/tmp/vaq_golden_train_opq.bin"),
+            ReadWhole(GoldenPath("opq_v1.bin")));
+}
+
 TEST(GoldenFormatTest, LegacyAndV1GoldenAgreeOnSearchResults) {
   // The two generations encode the same trained index; loading either
   // must answer queries identically.

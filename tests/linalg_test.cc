@@ -53,6 +53,12 @@ TEST(OpsTest, RowTimesMatrix) {
   EXPECT_FLOAT_EQ(out[0], -2.f);
   EXPECT_FLOAT_EQ(out[1], -1.f);
   EXPECT_FLOAT_EQ(out[2], 0.f);
+  // With means, the row is centered first: (3, 1) - (1, 2) is x above.
+  const float raw[] = {3.f, 1.f};
+  const float means[] = {1.f, 2.f};
+  float centered_out[3];
+  RowTimesMatrix(raw, a, centered_out, means);
+  for (size_t j = 0; j < 3; ++j) EXPECT_EQ(centered_out[j], out[j]);
 }
 
 TEST(OpsTest, IdentityIsOrthonormal) {
@@ -71,17 +77,11 @@ TEST(CovarianceTest, ColumnMeansAndVariances) {
 
 TEST(CovarianceTest, DiagonalMatchesVariance) {
   const FloatMatrix m = RandomMatrix(200, 5, 7);
-  const DoubleMatrix cov = Covariance(m, true);
+  const DoubleMatrix cov = Covariance(m);
   const auto vars = ColumnVariances(m);
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_NEAR(cov(i, i), vars[i], 1e-6);
   }
-}
-
-TEST(CovarianceTest, UncenteredIsScatter) {
-  FloatMatrix m(2, 1, std::vector<float>{1.f, 3.f});
-  const DoubleMatrix cov = Covariance(m, false);
-  EXPECT_NEAR(cov(0, 0), (1.0 + 9.0) / 2.0, 1e-9);
 }
 
 TEST(CovarianceTest, SymmetricResult) {
