@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the hot kernels behind every
 // table/figure: distance computation, lookup-table builds and encoding per
-// subspace width, ADC scans with and without the pruning cascade, and
-// k-means assignment.
+// subspace width, the centroid kernel's distances and fused nearest entry,
+// ADC scans with and without the pruning cascade, and k-means assignment.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "clustering/centroid_kernel.h"
 #include "clustering/kmeans.h"
 #include "common/rng.h"
 #include "core/codebook.h"
@@ -38,6 +39,8 @@ void BM_SquaredL2(benchmark::State& state) {
 }
 BENCHMARK(BM_SquaredL2)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
 
+// One assignment pass of Lloyd's k-means (AssignAll transposes the
+// centroids once, then runs the fused nearest-centroid kernel per row).
 void BM_KMeansAssign(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const FloatMatrix data = RandomData(4096, 16, 2);
@@ -46,11 +49,11 @@ void BM_KMeansAssign(benchmark::State& state) {
   opts.k = k;
   opts.max_iters = 5;
   VAQ_CHECK(km.Train(data, opts).ok());
-  size_t row = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(km.Assign(data.row(row)));
-    row = (row + 1) & 4095;
+    benchmark::DoNotOptimize(km.AssignAll(data).data());
   }
+  state.SetLabel(GetCentroidKernel().name);
+  state.SetItemsProcessed(state.iterations() * data.rows());
 }
 BENCHMARK(BM_KMeansAssign)->Arg(16)->Arg(256)->Arg(1024);
 
@@ -261,7 +264,7 @@ void BM_VaqEncodeRow(benchmark::State& state) {
     benchmark::ClobberMemory();
     q = (q + 1) & 63;
   }
-  state.SetLabel(AutoScanKernelName());
+  state.SetLabel(GetCentroidKernel().name);
 }
 BENCHMARK(BM_VaqEncodeRow)->ArgName("width")->Arg(3)->Arg(4);
 
@@ -276,15 +279,16 @@ void BM_BuildLookupTable(benchmark::State& state) {
     benchmark::ClobberMemory();
     q = (q + 1) & 63;
   }
-  state.SetLabel(AutoScanKernelName());
+  state.SetLabel(GetCentroidKernel().name);
   state.SetItemsProcessed(state.iterations() * f.books.lut_entries());
 }
 BENCHMARK(BM_BuildLookupTable)->ArgName("width")->Arg(3)->Arg(4);
 
-void CentroidDistancesBenchmark(benchmark::State& state, ScanKernelType type) {
+void CentroidDistancesBenchmark(benchmark::State& state,
+                                CentroidKernelType type) {
   const CodebookFixture& f =
       CodebookFixture::Get(static_cast<size_t>(state.range(0)));
-  const ScanKernel& kernel = GetScanKernel(type);
+  const CentroidKernel& kernel = GetCentroidKernel(type);
   std::vector<float> lut(f.books.lut_entries());
   size_t q = 0;
   for (auto _ : state) {
@@ -304,17 +308,51 @@ void CentroidDistancesBenchmark(benchmark::State& state, ScanKernelType type) {
 }
 
 void BM_CentroidDistancesScalar(benchmark::State& state) {
-  CentroidDistancesBenchmark(state, ScanKernelType::kScalar);
+  CentroidDistancesBenchmark(state, CentroidKernelType::kScalar);
 }
 void BM_CentroidDistancesSimd(benchmark::State& state) {
-  if (!Avx2ScanAvailable()) {
+  if (!Avx2CentroidKernelAvailable()) {
     state.SkipWithError("AVX2 kernels not available on this machine");
     return;
   }
-  CentroidDistancesBenchmark(state, ScanKernelType::kAvx2);
+  CentroidDistancesBenchmark(state, CentroidKernelType::kAvx2);
 }
 BENCHMARK(BM_CentroidDistancesScalar)->ArgName("width")->Arg(3)->Arg(4);
 BENCHMARK(BM_CentroidDistancesSimd)->ArgName("width")->Arg(3)->Arg(4);
+
+// The fused nearest-centroid entry (distances + strict first minimum) over
+// one 256-entry dictionary of `len` dims: the inner step of k-means
+// assignment and of encoding.
+void CentroidNearestBenchmark(benchmark::State& state,
+                              CentroidKernelType type) {
+  constexpr size_t kCentroids = 256;
+  const size_t len = static_cast<size_t>(state.range(0));
+  const FloatMatrix table = RandomData(len, kCentroids, 7 + len);
+  const FloatMatrix queries = RandomData(64, len, 8 + len);
+  const CentroidKernel& kernel = GetCentroidKernel(type);
+  size_t q = 0;
+  for (auto _ : state) {
+    float distance = 0.f;
+    benchmark::DoNotOptimize(kernel.nearest(queries.row(q), table.data(), len,
+                                            kCentroids, kCentroids, &distance));
+    q = (q + 1) & 63;
+  }
+  state.SetLabel(kernel.name);
+  state.SetItemsProcessed(state.iterations() * kCentroids);
+}
+
+void BM_CentroidNearestScalar(benchmark::State& state) {
+  CentroidNearestBenchmark(state, CentroidKernelType::kScalar);
+}
+void BM_CentroidNearestSimd(benchmark::State& state) {
+  if (!Avx2CentroidKernelAvailable()) {
+    state.SkipWithError("AVX2 kernels not available on this machine");
+    return;
+  }
+  CentroidNearestBenchmark(state, CentroidKernelType::kAvx2);
+}
+BENCHMARK(BM_CentroidNearestScalar)->ArgName("len")->Arg(3)->Arg(4)->Arg(8);
+BENCHMARK(BM_CentroidNearestSimd)->ArgName("len")->Arg(3)->Arg(4)->Arg(8);
 
 }  // namespace
 }  // namespace vaq

@@ -4,12 +4,55 @@
 #include <cmath>
 #include <limits>
 
+#include "clustering/centroid_kernel.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace vaq {
 namespace {
 /// Relative inertia improvement below which training stops early.
 constexpr double kTol = 1e-4;
+
+/// Row pitch, in floats, of the dimension-major table of k centroids: whole
+/// 64-byte lines, an odd number of them. With a power-of-two pitch every
+/// row of a 96-d table of 256 centroids maps to the same few L1 sets, and
+/// the kernel's walk down the rows misses L1 on nearly every load.
+size_t TablePitch(size_t k) {
+  size_t lines = (k + 15) / 16;
+  if (lines % 2 == 0) ++lines;
+  return lines * 16;
+}
+
+/// Writes `centroids` (k x d) dimension-major into `table` (d rows of
+/// TablePitch(k) floats), the layout the centroid kernel reads.
+void DimensionMajor(const FloatMatrix& centroids, FloatMatrix* table) {
+  const size_t k = centroids.rows();
+  const size_t d = centroids.cols();
+  const size_t pitch = TablePitch(k);
+  if (table->rows() != d || table->cols() != pitch) table->Resize(d, pitch);
+  for (size_t c = 0; c < k; ++c) {
+    const float* src = centroids.row(c);
+    for (size_t j = 0; j < d; ++j) (*table)(j, c) = src[j];
+  }
+}
+
+/// Nearest of the `k` centroids in `table` (DimensionMajor's output) for
+/// every row of `data` into `assign`, and its squared distance into `dist`
+/// when not null; rows split over `num_threads` as in ParallelFor.
+void AssignRows(const FloatMatrix& data, const FloatMatrix& table, size_t k,
+                size_t num_threads, uint32_t* assign, float* dist) {
+  const CentroidKernel::NearestFn nearest = GetCentroidKernel().nearest;
+  const size_t d = table.rows();
+  const size_t pitch = table.cols();
+  ParallelFor(data.rows(), num_threads, [&](size_t begin, size_t end) {
+    float best = 0.f;
+    for (size_t i = begin; i < end; ++i) {
+      assign[i] = nearest(data.row(i), table.data(), d, pitch, k,
+                          dist != nullptr ? &dist[i] : &best);
+    }
+  });
+}
+
 }  // namespace
 
 void KMeans::SeedCentroids(const FloatMatrix& data,
@@ -56,7 +99,8 @@ void KMeans::SeedCentroids(const FloatMatrix& data,
   }
 }
 
-Status KMeans::Train(const FloatMatrix& data, const KMeansOptions& options) {
+Status KMeans::Train(const FloatMatrix& data, const KMeansOptions& options,
+                     size_t num_threads) {
   if (options.k == 0) return Status::InvalidArgument("k must be >= 1");
   if (data.rows() == 0) {
     return Status::InvalidArgument("k-means requires at least one sample");
@@ -73,26 +117,16 @@ Status KMeans::Train(const FloatMatrix& data, const KMeansOptions& options) {
   std::vector<uint32_t> assign(n, 0);
   std::vector<float> point_dist(n, 0.f);
   std::vector<size_t> counts(k, 0);
+  FloatMatrix table;
   double prev_inertia = std::numeric_limits<double>::max();
 
   for (int iter = 0; iter < options.max_iters; ++iter) {
-    // Assignment step.
+    // Assignment step, then the inertia summed serially in row order so
+    // that it does not depend on the thread count.
+    DimensionMajor(centroids_, &table);
+    AssignRows(data, table, k, num_threads, assign.data(), point_dist.data());
     double inertia = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const float* x = data.row(i);
-      float best = std::numeric_limits<float>::max();
-      uint32_t best_c = 0;
-      for (size_t c = 0; c < k; ++c) {
-        const float dist = SquaredL2(x, centroids_.row(c), d);
-        if (dist < best) {
-          best = dist;
-          best_c = static_cast<uint32_t>(c);
-        }
-      }
-      assign[i] = best_c;
-      point_dist[i] = best;
-      inertia += best;
-    }
+    for (size_t i = 0; i < n; ++i) inertia += point_dist[i];
 
     // Update step.
     std::fill(counts.begin(), counts.end(), size_t{0});
@@ -143,23 +177,20 @@ Status KMeans::Train(const FloatMatrix& data, const KMeansOptions& options) {
 
 uint32_t KMeans::Assign(const float* x) const {
   VAQ_DCHECK(trained_);
-  const size_t d = dim();
-  float best = std::numeric_limits<float>::max();
-  uint32_t best_c = 0;
-  for (size_t c = 0; c < k(); ++c) {
-    const float dist = SquaredL2(x, centroids_.row(c), d);
-    if (dist < best) {
-      best = dist;
-      best_c = static_cast<uint32_t>(c);
-    }
-  }
-  return best_c;
+  FloatMatrix table;
+  DimensionMajor(centroids_, &table);
+  float distance = 0.f;
+  return GetCentroidKernel().nearest(x, table.data(), dim(), table.cols(),
+                                     k(), &distance);
 }
 
-std::vector<uint32_t> KMeans::AssignAll(const FloatMatrix& data) const {
+std::vector<uint32_t> KMeans::AssignAll(const FloatMatrix& data,
+                                        size_t num_threads) const {
   VAQ_CHECK(data.cols() == dim());
+  FloatMatrix table;
+  DimensionMajor(centroids_, &table);
   std::vector<uint32_t> out(data.rows());
-  for (size_t i = 0; i < data.rows(); ++i) out[i] = Assign(data.row(i));
+  AssignRows(data, table, k(), num_threads, out.data(), nullptr);
   return out;
 }
 

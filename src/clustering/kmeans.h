@@ -27,8 +27,11 @@ class KMeans {
   /// Trains on `data` (n x d). Requires k >= 1 and n >= 1. When n < k the
   /// centroid set is padded with duplicated points so that exactly k
   /// centroids always exist (encoded ids then simply never reference the
-  /// padded entries).
-  Status Train(const FloatMatrix& data, const KMeansOptions& options);
+  /// padded entries). `num_threads` > 1 splits each assignment step over
+  /// rows (0 picks the hardware concurrency); the centroids do not depend
+  /// on it.
+  Status Train(const FloatMatrix& data, const KMeansOptions& options,
+               size_t num_threads = 1);
 
   bool trained() const { return trained_; }
   size_t k() const { return centroids_.rows(); }
@@ -48,11 +51,15 @@ class KMeans {
     return Status::OK();
   }
 
-  /// Index of the nearest centroid to `x` (length dim()).
+  /// Index of the nearest centroid to `x` (length dim()): the lowest
+  /// index among equally near ones. Transposes the centroids on every
+  /// call; assign many rows with AssignAll.
   uint32_t Assign(const float* x) const;
 
-  /// Nearest centroid for every row of `data`.
-  std::vector<uint32_t> AssignAll(const FloatMatrix& data) const;
+  /// Nearest centroid for every row of `data`, as Assign picks it.
+  /// `num_threads` as in Train.
+  std::vector<uint32_t> AssignAll(const FloatMatrix& data,
+                                  size_t num_threads = 1) const;
 
  private:
   void SeedCentroids(const FloatMatrix& data, const KMeansOptions& options);

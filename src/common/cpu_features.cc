@@ -1,5 +1,8 @@
 #include "common/cpu_features.h"
 
+#include <cstdlib>
+#include <cstring>
+
 #if (defined(__x86_64__) || defined(__i386__) || defined(_M_X64)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define VAQ_CPU_PROBE_X86 1
@@ -16,6 +19,18 @@ bool CpuHasAvx2() {
 #else
   return false;
 #endif
+}
+
+bool ScalarKernelForcedByEnv() {
+  static const bool forced = [] {
+    // getenv is mt-unsafe only against concurrent setenv; this read
+    // happens once under the static-local guard and the process never
+    // mutates its environment.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe)
+    const char* env = std::getenv("VAQ_SCAN_KERNEL");
+    return env != nullptr && std::strcmp(env, "scalar") == 0;
+  }();
+  return forced;
 }
 
 }  // namespace vaq

@@ -9,6 +9,11 @@ namespace vaq {
 /// builtin, so callers can branch unconditionally.
 bool CpuHasAvx2();
 
+/// True when the environment sets VAQ_SCAN_KERNEL=scalar, which makes
+/// every kAuto kernel dispatch (the ADC scan and the centroid kernels)
+/// pick the scalar kernel. Read once and cached.
+bool ScalarKernelForcedByEnv();
+
 }  // namespace vaq
 
 #endif  // VAQ_COMMON_CPU_FEATURES_H_

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 namespace vaq {
@@ -21,6 +22,21 @@ void ParallelFor(size_t n, size_t num_threads,
     workers.emplace_back(body, begin, std::min(n, begin + chunk));
   }
   for (std::thread& worker : workers) worker.join();
+}
+
+void ParallelForEach(size_t n, size_t num_threads,
+                     const std::function<void(size_t)>& body) {
+  if (num_threads == 0) {
+    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
+  }
+  const size_t workers = std::min(num_threads, n);
+  std::atomic<size_t> next{0};
+  ParallelFor(workers, workers, [&](size_t, size_t) {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+    }
+  });
 }
 
 ThreadPool::ThreadPool() : ThreadPool(Options()) {}

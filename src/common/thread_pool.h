@@ -89,6 +89,14 @@ class ThreadPool {
 void ParallelFor(size_t n, size_t num_threads,
                  const std::function<void(size_t, size_t)>& body);
 
+/// Runs body(i) for every i in [0, n) on t fresh std::threads (t as in
+/// ParallelFor) that each claim the next unclaimed index until none is
+/// left, and joins them. Unlike ParallelFor's contiguous chunks, uneven
+/// items spread over the threads: list the heaviest first. t <= 1 runs
+/// every item inline in index order.
+void ParallelForEach(size_t n, size_t num_threads,
+                     const std::function<void(size_t)>& body);
+
 /// Completion latch for a set of tasks submitted to a ThreadPool. The
 /// submitting thread calls Add() per task and Wait() once; each task
 /// calls Done() exactly once (use a scope guard or call it on every exit

@@ -1,16 +1,16 @@
 #include "core/codebook.h"
 
-#include <cmath>
-#include <limits>
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <vector>
 
+#include "clustering/centroid_kernel.h"
 #include "clustering/hierarchical.h"
 #include "clustering/kmeans.h"
 #include "common/io.h"
 #include "common/macros.h"
 #include "common/thread_pool.h"
-#include "core/scan.h"
 #include "linalg/ops.h"
 
 namespace vaq {
@@ -21,16 +21,21 @@ namespace {
 /// III-D fixes 2^10).
 constexpr int kHierarchicalThresholdBits = 10;
 
-/// Candidate distances EncodeRow computes per kernel call; a dictionary
-/// larger than this is scanned in tiles (1 KiB of stack).
-constexpr size_t kEncodeTile = 256;
+/// Relative cost of training one dictionary of 2^bits centroids: Lloyd
+/// work grows with k, while a hierarchical dictionary costs its 64-way
+/// coarse pass plus fine passes of about k/64 centroids each.
+size_t TrainingCost(int bits) {
+  const size_t k = size_t{1} << bits;
+  return bits > kHierarchicalThresholdBits ? 64 + k / 64 : k;
+}
 
 }  // namespace
 
 Status VariableCodebooks::Train(const FloatMatrix& projected,
                                 const SubspaceLayout& layout,
                                 const std::vector<int>& bits,
-                                const CodebookOptions& options) {
+                                const CodebookOptions& options,
+                                size_t num_threads) {
   if (projected.rows() == 0) {
     return Status::InvalidArgument("codebook training requires data");
   }
@@ -46,35 +51,54 @@ Status VariableCodebooks::Train(const FloatMatrix& projected,
     }
   }
 
-  layout_ = layout;
-  bits_ = bits;
-  dictionaries_.clear();
-  dictionaries_.reserve(bits.size());
-
-  for (size_t s = 0; s < layout.num_subspaces(); ++s) {
+  const size_t m = layout.num_subspaces();
+  std::vector<FloatMatrix> dictionaries(m);
+  std::vector<Status> status(m);
+  // Each dictionary depends only on its column slice and its seed, so the
+  // subspaces train in any order on any thread with identical results.
+  // Threads claim them one at a time, heaviest first: the allocation sorts
+  // bits descending, so contiguous chunks would hand every large
+  // dictionary to one thread.
+  std::vector<size_t> order(m);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const size_t cost_a = TrainingCost(bits[a]);
+    const size_t cost_b = TrainingCost(bits[b]);
+    return cost_a != cost_b ? cost_a > cost_b : a < b;
+  });
+  ParallelForEach(m, num_threads, [&](size_t i) {
+    const size_t s = order[i];
     const SubspaceSpan& span = layout.span(s);
     const FloatMatrix sub = projected.SliceColumns(span.offset, span.length);
     const size_t k = size_t{1} << bits[s];
+    const uint64_t seed = options.seed + 31 * s;
     if (bits[s] > kHierarchicalThresholdBits) {
       HierarchicalKMeansOptions hopts;
       hopts.k = k;
       hopts.coarse_k = 64;
       hopts.max_iters = options.kmeans_iters;
-      hopts.seed = options.seed + 31 * s;
+      hopts.seed = seed;
       auto centroids = HierarchicalKMeans(sub, hopts);
-      if (!centroids.ok()) return centroids.status();
-      dictionaries_.push_back(Transpose(*centroids));
+      if (!centroids.ok()) {
+        status[s] = centroids.status();
+        return;
+      }
+      dictionaries[s] = Transpose(*centroids);
     } else {
       KMeans km;
       KMeansOptions kopts;
       kopts.k = k;
       kopts.max_iters = options.kmeans_iters;
-      kopts.seed = options.seed + 31 * s;
-      VAQ_RETURN_IF_ERROR(km.Train(sub, kopts));
-      dictionaries_.push_back(Transpose(km.centroids()));
+      kopts.seed = seed;
+      status[s] = km.Train(sub, kopts);
+      if (status[s].ok()) dictionaries[s] = Transpose(km.centroids());
     }
-  }
+  });
+  for (const Status& st : status) VAQ_RETURN_IF_ERROR(st);
 
+  layout_ = layout;
+  bits_ = bits;
+  dictionaries_ = std::move(dictionaries);
   lut_offsets_.resize(bits.size());
   lut_entries_ = 0;
   for (size_t s = 0; s < bits.size(); ++s) {
@@ -87,28 +111,14 @@ Status VariableCodebooks::Train(const FloatMatrix& projected,
 
 void VariableCodebooks::EncodeRow(const float* x, uint16_t* code) const {
   VAQ_DCHECK(trained_);
-  const ScanKernel::DistancesFn distances =
-      GetScanKernel(ScanKernelType::kAuto).distances;
-  float tile[kEncodeTile] = {};
+  const CentroidKernel::NearestFn nearest = GetCentroidKernel().nearest;
   for (size_t s = 0; s < layout_.num_subspaces(); ++s) {
     const SubspaceSpan& span = layout_.span(s);
     const FloatMatrix& dict = dictionaries_[s];
     const size_t k = dict.cols();
-    float best = std::numeric_limits<float>::max();
-    uint16_t best_code = 0;
-    for (size_t c0 = 0; c0 < k; c0 += kEncodeTile) {
-      const size_t count = std::min(kEncodeTile, k - c0);
-      distances(x + span.offset, dict.data() + c0, span.length, k, count,
-                tile);
-      // Strict '<': the first of equal minima wins.
-      for (size_t i = 0; i < count; ++i) {
-        if (tile[i] < best) {
-          best = tile[i];
-          best_code = static_cast<uint16_t>(c0 + i);
-        }
-      }
-    }
-    code[s] = best_code;
+    float distance = 0.f;
+    code[s] = static_cast<uint16_t>(
+        nearest(x + span.offset, dict.data(), span.length, k, k, &distance));
   }
 }
 
@@ -147,8 +157,7 @@ void VariableCodebooks::BuildPrefixLookupTable(const float* prefix,
   VAQ_DCHECK(trained_);
   VAQ_DCHECK(prefix_subspaces <= layout_.num_subspaces());
   lut->resize(lut_entries_);
-  const ScanKernel::DistancesFn distances =
-      GetScanKernel(ScanKernelType::kAuto).distances;
+  const CentroidKernel::DistancesFn distances = GetCentroidKernel().distances;
   for (size_t s = 0; s < prefix_subspaces; ++s) {
     const SubspaceSpan& span = layout_.span(s);
     const FloatMatrix& dict = dictionaries_[s];

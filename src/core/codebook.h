@@ -30,9 +30,12 @@ class VariableCodebooks {
 
   /// Trains one k-means dictionary per subspace of `projected`
   /// (n x layout.dim(), already PCA-projected and permuted). `bits[i]` in
-  /// [1, 16].
+  /// [1, 16]. `num_threads` > 1 trains that many subspaces at a time (0
+  /// picks the hardware concurrency); the dictionaries do not depend on
+  /// it.
   Status Train(const FloatMatrix& projected, const SubspaceLayout& layout,
-               const std::vector<int>& bits, const CodebookOptions& options);
+               const std::vector<int>& bits, const CodebookOptions& options,
+               size_t num_threads = 1);
 
   bool trained() const { return trained_; }
   size_t num_subspaces() const { return layout_.num_subspaces(); }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/cpu_features.h"
@@ -105,51 +103,7 @@ void ScalarAccumulate(const uint16_t* codes, const float* lut,
   }
 }
 
-// SquaredL2 (common/matrix.h) for a tile of up to kLanes centroids at a
-// time, one dictionary row (one dimension of consecutive centroids) per
-// step. Each lane performs SquaredL2's operations in SquaredL2's order, so
-// the lane loops vectorize on any SIMD width without changing a bit.
-void ScalarCentroidDistances(const float* sub, const float* dict, size_t len,
-                             size_t stride, size_t count, float* out) {
-  constexpr size_t kLanes = 16;
-  for (size_t c0 = 0; c0 < count; c0 += kLanes) {
-    const size_t lanes = std::min(kLanes, count - c0);
-    const float* col = dict + c0;
-    float acc0[kLanes] = {}, acc1[kLanes] = {}, acc2[kLanes] = {},
-          acc3[kLanes] = {};
-    size_t i = 0;
-    for (; i + 4 <= len; i += 4) {
-      const float* r0 = col + i * stride;
-      const float* r1 = r0 + stride;
-      const float* r2 = r1 + stride;
-      const float* r3 = r2 + stride;
-      for (size_t l = 0; l < lanes; ++l) {
-        const float d0 = sub[i] - r0[l];
-        const float d1 = sub[i + 1] - r1[l];
-        const float d2 = sub[i + 2] - r2[l];
-        const float d3 = sub[i + 3] - r3[l];
-        acc0[l] += d0 * d0;
-        acc1[l] += d1 * d1;
-        acc2[l] += d2 * d2;
-        acc3[l] += d3 * d3;
-      }
-    }
-    float* acc = out + c0;
-    for (size_t l = 0; l < lanes; ++l) {
-      acc[l] = acc0[l] + acc1[l] + acc2[l] + acc3[l];
-    }
-    for (; i < len; ++i) {
-      const float* r = col + i * stride;
-      for (size_t l = 0; l < lanes; ++l) {
-        const float diff = sub[i] - r[l];
-        acc[l] += diff * diff;
-      }
-    }
-  }
-}
-
-constexpr ScanKernel kScalarKernel{&ScalarAccumulate,
-                                   &ScalarCentroidDistances, "scalar"};
+constexpr ScanKernel kScalarKernel{&ScalarAccumulate, "scalar"};
 
 }  // namespace
 
@@ -159,13 +113,10 @@ namespace internal {
 void Avx2Accumulate(const uint16_t* codes, const float* lut,
                     const uint32_t* lut_offsets, size_t subspaces,
                     size_t groups, float* acc);
-void Avx2CentroidDistances(const float* sub, const float* dict, size_t len,
-                           size_t stride, size_t count, float* out);
 }  // namespace internal
 
 namespace {
-constexpr ScanKernel kAvx2Kernel{&internal::Avx2Accumulate,
-                                 &internal::Avx2CentroidDistances, "avx2"};
+constexpr ScanKernel kAvx2Kernel{&internal::Avx2Accumulate, "avx2"};
 }  // namespace
 #endif
 
@@ -177,28 +128,13 @@ bool Avx2ScanAvailable() {
 #endif
 }
 
-namespace {
-
-bool ScalarForcedByEnv() {
-  static const bool forced = [] {
-    // getenv is mt-unsafe only against concurrent setenv; this read
-    // happens once under the static-local guard and the process never
-    // mutates its environment.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    const char* env = std::getenv("VAQ_SCAN_KERNEL");
-    return env != nullptr && std::strcmp(env, "scalar") == 0;
-  }();
-  return forced;
-}
-
-}  // namespace
-
 const ScanKernel& GetScanKernel(ScanKernelType type) {
 #if defined(VAQ_SCAN_AVX2)
   switch (type) {
     case ScanKernelType::kAuto:
-      return (Avx2ScanAvailable() && !ScalarForcedByEnv()) ? kAvx2Kernel
-                                                           : kScalarKernel;
+      return (Avx2ScanAvailable() && !ScalarKernelForcedByEnv())
+                 ? kAvx2Kernel
+                 : kScalarKernel;
     case ScanKernelType::kAvx2:
       return Avx2ScanAvailable() ? kAvx2Kernel : kScalarKernel;
     default:

@@ -141,7 +141,8 @@ struct Partitioning {
   Status Validate(size_t num_rows, const char* what) const;
 };
 
-/// The kernels of one instruction set.
+/// The ADC scan kernel of one instruction set. (Distances to centroids,
+/// for lookup tables and encoding, are clustering/centroid_kernel.h.)
 ///
 /// `accumulate` adds, for every lane i of the 8-lane groups
 /// [g_begin, g_end) (lanes [8 * g_begin, 8 * g_end) of the block), the LUT
@@ -159,27 +160,11 @@ struct Partitioning {
 /// `codes` is block + s_begin * 64 + 8 * g_begin, `lut_offsets` starts at
 /// s_begin, `acc` at lane 8 * g_begin, and `groups` counts the 8-lane
 /// groups from there.
-///
-/// `distances` computes the squared L2 distance from one sub-vector `sub`
-/// (`len` floats) to `count` centroids of a dimension-major dictionary:
-/// dimension j of centroid i is `dict[j * stride + i]`.
-///
-///   out[i] = SquaredL2(sub, centroid i, len)   for i in [0, count)
-///
-/// Every implementation repeats SquaredL2's float operation order (four
-/// partial sums over groups of four dims, then their left-to-right sum,
-/// then the serial tail; separate mul and add, no FMA), so each entry is
-/// bit-identical to SquaredL2. It builds the ADC lookup tables and the
-/// encoder's candidate distances (DESIGN.md §7.1).
 struct ScanKernel {
   using AccumulateFn = void (*)(const uint16_t* codes, const float* lut,
                                 const uint32_t* lut_offsets, size_t subspaces,
                                 size_t groups, float* acc);
-  using DistancesFn = void (*)(const float* sub, const float* dict,
-                               size_t len, size_t stride, size_t count,
-                               float* out);
   AccumulateFn accumulate_groups = nullptr;
-  DistancesFn distances = nullptr;
   const char* name = "";
 
   void accumulate(const uint16_t* block, const float* lut,

@@ -128,7 +128,8 @@ Status VaqEncoder::Train(const FloatMatrix& data, const VaqOptions& options,
     CodebookOptions copts;
     copts.kmeans_iters = options.kmeans_iters;
     copts.seed = options.seed;
-    VAQ_RETURN_IF_ERROR(books_.Train(rows->projected, layout, bits, copts));
+    VAQ_RETURN_IF_ERROR(books_.Train(rows->projected, layout, bits, copts,
+                                     options.train_threads));
   }
   CacheLutOffsets();
   StageTimer st(reg.GetCounter("vaq_build_encode_us_total",

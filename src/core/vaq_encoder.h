@@ -39,8 +39,11 @@ struct VaqOptions {
   size_t ti_prefix_subspaces = 0;
   int kmeans_iters = 25;
   uint64_t seed = 42;
-  /// Threads used for the embarrassingly-parallel training steps (data
-  /// encoding and TI cluster assignment). 0 = hardware concurrency.
+  /// Threads used for the parallel training steps: codebook training (one
+  /// subspace per thread at a time), data encoding, TI cluster assignment
+  /// and VaqIvfIndex's coarse k-means (its assignment steps split over
+  /// rows). 0 = hardware concurrency. The trained index, and so its saved
+  /// bytes, do not depend on it.
   /// Query execution is always single-threaded per query, matching the
   /// paper's CPU-time reporting.
   size_t train_threads = 1;

@@ -57,9 +57,11 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
     kopts.k = std::min(options.coarse_k, data.rows());
     kopts.max_iters = vopts.kmeans_iters;
     kopts.seed = vopts.seed ^ 0x51F15EEDULL;
-    VAQ_RETURN_IF_ERROR(index.coarse_.Train(rows.projected, kopts));
+    VAQ_RETURN_IF_ERROR(
+        index.coarse_.Train(rows.projected, kopts, vopts.train_threads));
     index.lists_ = Partitioning::FromAssignment(
-        index.coarse_.AssignAll(rows.projected), index.coarse_.k());
+        index.coarse_.AssignAll(rows.projected, vopts.train_threads),
+        index.coarse_.k());
   }
   {
     StageTimer st(

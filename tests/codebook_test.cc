@@ -7,9 +7,9 @@
 #include <limits>
 #include <sstream>
 
+#include "clustering/centroid_kernel.h"
 #include "common/io.h"
 #include "common/rng.h"
-#include "core/scan.h"
 
 namespace vaq {
 namespace {
@@ -186,22 +186,26 @@ TEST_F(CodebookTest, HierarchicalPathForLargeDictionaries) {
   EXPECT_EQ(books.dictionary(0).cols(), 2048u);
 }
 
-std::vector<ScanKernelType> DistanceKernels() {
-  std::vector<ScanKernelType> kernels{ScanKernelType::kScalar};
-  if (Avx2ScanAvailable()) kernels.push_back(ScanKernelType::kAvx2);
+std::vector<CentroidKernelType> DistanceKernels() {
+  std::vector<CentroidKernelType> kernels{CentroidKernelType::kScalar};
+  if (Avx2CentroidKernelAvailable()) {
+    kernels.push_back(CentroidKernelType::kAvx2);
+  }
   return kernels;
 }
 
 // Every kernel entry must be the exact bits of SquaredL2 against the
-// row-major centroid. Widths 1-9 cover the serial tail alone (< 4), one
-// group of four (4-7) and several groups whose partial-sum order differs
-// from a sequential sum (>= 8); bits 1-12 include dictionaries of fewer
-// than 8 entries, i.e. the SIMD lane remainder.
+// row-major centroid, and `nearest` the first strict minimum of those
+// distances. Widths 1-9 cover the serial tail alone (< 4), one group of
+// four (4-7) and several groups whose partial-sum order differs from a
+// sequential sum (>= 8); bits 1-12 include dictionaries of fewer than 8
+// entries, i.e. the SIMD lane remainder.
 TEST(CentroidDistanceKernelTest, BitIdenticalToSquaredL2) {
   Rng rng(2024);
-  for (ScanKernelType type : DistanceKernels()) {
-    const ScanKernel& kernel = GetScanKernel(type);
+  for (CentroidKernelType type : DistanceKernels()) {
+    const CentroidKernel& kernel = GetCentroidKernel(type);
     ASSERT_NE(kernel.distances, nullptr);
+    ASSERT_NE(kernel.nearest, nullptr);
     for (size_t len = 1; len <= 9; ++len) {
       for (size_t bits = 1; bits <= 12; ++bits) {
         const size_t k = size_t{1} << bits;
@@ -213,7 +217,7 @@ TEST(CentroidDistanceKernelTest, BitIdenticalToSquaredL2) {
         }
         for (float& v : sub) v = scale * static_cast<float>(rng.Gaussian());
         // The full dictionary, then a sub-range starting mid-vector (the
-        // shape of an encoder tile over a dictionary row of pitch k).
+        // shape of a tile over a dictionary row of pitch k).
         const size_t first = k > 3 ? 3 : 0;
         for (size_t begin : {size_t{0}, first}) {
           const size_t count = k - begin;
@@ -221,14 +225,29 @@ TEST(CentroidDistanceKernelTest, BitIdenticalToSquaredL2) {
           kernel.distances(sub.data(), dict.data() + begin, len, k, count,
                            out.data());
           size_t mismatches = 0;
+          float best = std::numeric_limits<float>::max();
+          uint32_t best_c = 0;
           for (size_t c = 0; c < count; ++c) {
             const float expect = SquaredL2(
                 sub.data(), Centroid(dict, begin + c).data(), len);
             if (std::memcmp(&out[c], &expect, sizeof(float)) != 0) {
               ++mismatches;
             }
+            if (expect < best) {
+              best = expect;
+              best_c = static_cast<uint32_t>(c);
+            }
           }
           EXPECT_EQ(mismatches, 0u)
+              << kernel.name << " len=" << len << " bits=" << bits
+              << " begin=" << begin;
+          float nearest = -1.f;
+          const uint32_t got = kernel.nearest(sub.data(), dict.data() + begin,
+                                              len, k, count, &nearest);
+          EXPECT_EQ(got, best_c)
+              << kernel.name << " len=" << len << " bits=" << bits
+              << " begin=" << begin;
+          EXPECT_EQ(std::memcmp(&nearest, &best, sizeof(float)), 0)
               << kernel.name << " len=" << len << " bits=" << bits
               << " begin=" << begin;
         }
@@ -239,7 +258,7 @@ TEST(CentroidDistanceKernelTest, BitIdenticalToSquaredL2) {
 
 TEST(CentroidDistanceKernelTest, LookupTablesAndCodesMatchRowMajorReference) {
   // Spans of 3 and 4 dims (96-d and 128-d at m=32) plus a ragged layout;
-  // 9 bits = 512 entries spans two encoder tiles.
+  // 9 bits = 512 entries, 2 bits = fewer than one SIMD vector.
   for (size_t dim : {size_t{12}, size_t{16}, size_t{19}}) {
     const FloatMatrix data = RandomData(700, dim, 50 + dim);
     auto layout = SubspaceLayout::Uniform(dim, 4);
@@ -295,8 +314,8 @@ VariableCodebooks OneSubspaceBooks(const FloatMatrix& centroids, int bits) {
 
 TEST(CentroidDistanceKernelTest, DuplicatedCentroidsEncodeToLowestIndex) {
   // 3 dims and 10 bits: every centroid sits far away except exact copies
-  // of one point at indices 100, 700 (another encoder tile) and 1023. The
-  // lowest index must win.
+  // of one point at indices 100, 700 (another SIMD lane and kernel tile)
+  // and 1023. The lowest index must win.
   constexpr size_t kLen = 3;
   FloatMatrix centroids(1024, kLen);
   for (size_t c = 0; c < centroids.rows(); ++c) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -42,6 +43,30 @@ std::string ReadWhole(const std::string& path) {
   EXPECT_TRUE(is.good()) << "missing golden file " << path;
   return std::string((std::istreambuf_iterator<char>(is)),
                      std::istreambuf_iterator<char>());
+}
+
+/// Passes exactly when `actual == expected`. A mismatch reports both
+/// sizes and the first differing offset with its two byte values, not the
+/// two files as escaped text.
+::testing::AssertionResult SameBytes(const std::string& actual,
+                                     const std::string& expected) {
+  if (actual == expected) return ::testing::AssertionSuccess();
+  const size_t common = std::min(actual.size(), expected.size());
+  size_t at = 0;
+  while (at < common && actual[at] == expected[at]) ++at;
+  ::testing::AssertionResult failure = ::testing::AssertionFailure();
+  failure << "sizes " << actual.size() << " (actual) vs " << expected.size()
+          << " (expected); first difference at offset " << at;
+  if (at < common) {
+    char bytes[32];
+    std::snprintf(bytes, sizeof(bytes), ": 0x%02x vs 0x%02x",
+                  static_cast<unsigned char>(actual[at]),
+                  static_cast<unsigned char>(expected[at]));
+    failure << bytes;
+  } else {
+    failure << " (one is a prefix of the other)";
+  }
+  return failure;
 }
 
 FloatMatrix GoldenData() {
@@ -115,7 +140,7 @@ void ExpectStableRoundTrip(const T& index, const LoadFn& load,
   auto reloaded = load(tmp);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().message();
   ASSERT_TRUE(reloaded->Save(tmp).ok());
-  EXPECT_EQ(ReadWhole(tmp), first)
+  EXPECT_TRUE(SameBytes(ReadWhole(tmp), first))
       << "save→load→save did not reproduce identical bytes";
   std::remove(tmp.c_str());
 }
@@ -134,7 +159,7 @@ TEST(GoldenFormatTest, V1VaqIndexMatchesCommittedBytes) {
   ASSERT_TRUE(index.ok()) << index.status().message();
   const std::string tmp = "/tmp/vaq_golden_v1_resave.bin";
   ASSERT_TRUE(index->Save(tmp).ok());
-  EXPECT_EQ(ReadWhole(tmp), ReadWhole(path))
+  EXPECT_TRUE(SameBytes(ReadWhole(tmp), ReadWhole(path)))
       << "current writer no longer reproduces the committed v1 format";
   std::remove(tmp.c_str());
 
@@ -152,7 +177,7 @@ TEST(GoldenFormatTest, V1VaqIvfMatchesCommittedBytes) {
   ASSERT_TRUE(index.ok()) << index.status().message();
   const std::string tmp = "/tmp/vaq_golden_ivf_resave.bin";
   ASSERT_TRUE(index->Save(tmp).ok());
-  EXPECT_EQ(ReadWhole(tmp), ReadWhole(path));
+  EXPECT_TRUE(SameBytes(ReadWhole(tmp), ReadWhole(path)));
   std::remove(tmp.c_str());
 }
 
@@ -162,7 +187,7 @@ TEST(GoldenFormatTest, V1PqMatchesCommittedBytes) {
   ASSERT_TRUE(pq.ok()) << pq.status().message();
   const std::string tmp = "/tmp/vaq_golden_pq_resave.bin";
   ASSERT_TRUE(pq->Save(tmp).ok());
-  EXPECT_EQ(ReadWhole(tmp), ReadWhole(path));
+  EXPECT_TRUE(SameBytes(ReadWhole(tmp), ReadWhole(path)));
   std::remove(tmp.c_str());
 }
 
@@ -172,7 +197,7 @@ TEST(GoldenFormatTest, V1OpqMatchesCommittedBytes) {
   ASSERT_TRUE(opq.ok()) << opq.status().message();
   const std::string tmp = "/tmp/vaq_golden_opq_resave.bin";
   ASSERT_TRUE(opq->Save(tmp).ok());
-  EXPECT_EQ(ReadWhole(tmp), ReadWhole(path));
+  EXPECT_TRUE(SameBytes(ReadWhole(tmp), ReadWhole(path)));
   std::remove(tmp.c_str());
 }
 
@@ -219,7 +244,8 @@ TEST(GoldenFormatTest, RetiredOptionSlotsAreReadAndIgnored) {
 
   const std::string tmp = "/tmp/vaq_golden_retired_slots_resave.bin";
   ASSERT_TRUE(index->Save(tmp).ok());
-  EXPECT_EQ(ReadWhole(tmp), ReadWhole(GoldenPath("vaq_index_v1.bin")))
+  EXPECT_TRUE(
+      SameBytes(ReadWhole(tmp), ReadWhole(GoldenPath("vaq_index_v1.bin"))))
       << "re-save did not write the retired slots' fixed values";
   std::remove(tmp.c_str());
 }
@@ -259,7 +285,7 @@ TEST(GoldenFormatTest, OpqRetiredCenteringSlotIsReadAndIgnored) {
 
   const std::string tmp = "/tmp/vaq_golden_opq_retired_slot_resave.bin";
   ASSERT_TRUE(opq->Save(tmp).ok());
-  EXPECT_EQ(ReadWhole(tmp), ReadWhole(GoldenPath("opq_v1.bin")))
+  EXPECT_TRUE(SameBytes(ReadWhole(tmp), ReadWhole(GoldenPath("opq_v1.bin"))))
       << "re-save did not write the retired slot's fixed value";
   std::remove(tmp.c_str());
 }
@@ -316,6 +342,32 @@ TEST(GoldenFormatTest, TrainingReproducesCommittedV1Bytes) {
   ASSERT_TRUE(opq.Train(data).ok());
   EXPECT_EQ(SavedBytes(opq, "/tmp/vaq_golden_train_opq.bin"),
             ReadWhole(GoldenPath("opq_v1.bin")));
+}
+
+TEST(GoldenFormatTest, TrainingOnFourThreadsReproducesCommittedV1Bytes) {
+  // The same retraining with train_threads = 4: codebooks train several
+  // subspaces at a time and IVF's coarse k-means splits its assignment
+  // steps over rows, and the files must still match byte for byte.
+  const FloatMatrix data = GoldenData();
+  VaqOptions vopts;
+  vopts.num_subspaces = 4;
+  vopts.total_bits = 16;
+  vopts.ti_clusters = 8;
+  vopts.kmeans_iters = 5;
+  vopts.train_threads = 4;
+  auto vaq = VaqIndex::Train(data, vopts);
+  ASSERT_TRUE(vaq.ok()) << vaq.status().message();
+  EXPECT_TRUE(SameBytes(SavedBytes(*vaq, "/tmp/vaq_golden_train4_vaq.bin"),
+                        ReadWhole(GoldenPath("vaq_index_v1.bin"))));
+
+  VaqIvfOptions iopts;
+  iopts.vaq = vopts;
+  iopts.coarse_k = 8;
+  iopts.default_nprobe = 4;
+  auto ivf = VaqIvfIndex::Train(data, iopts);
+  ASSERT_TRUE(ivf.ok()) << ivf.status().message();
+  EXPECT_TRUE(SameBytes(SavedBytes(*ivf, "/tmp/vaq_golden_train4_ivf.bin"),
+                        ReadWhole(GoldenPath("vaq_ivf_v1.bin"))));
 }
 
 TEST(GoldenFormatTest, LegacyAndV1GoldenAgreeOnSearchResults) {

@@ -31,13 +31,4 @@ void BlockedFullScan(const float* lut, float* acc) {
   acc[0] = lut[0];
 }
 
-void ScalarCentroidDistances(const float* sub, const float* dict, size_t len,
-                             size_t stride, size_t count, float* out) {
-  std::vector<float> column(len);  // seed: kernel-no-alloc
-  (void)sub;
-  (void)dict;
-  (void)stride;
-  for (size_t c = 0; c < count; ++c) out[c] = column[0];
-}
-
 }  // namespace vaq

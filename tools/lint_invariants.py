@@ -8,11 +8,16 @@ suite, the Status-not-abort API tests) into CI build failures:
   kernel-no-alloc      The block-scan kernels (ScalarAccumulate,
                        Avx2Accumulate with its Gather8 step,
                        BlockedFullScan, BlockedEaScan in
-                       src/core/scan.cc / scan_avx2.cc), the centroid-
-                       distance kernels behind the ADC lookup tables
-                       (ScalarCentroidDistances, Avx2CentroidDistances)
-                       and the per-row encoder (EncodeRow in
-                       src/core/codebook.cc) must not allocate: no
+                       src/core/scan.cc / scan_avx2.cc), the centroid
+                       kernels behind the ADC lookup tables, k-means
+                       assignment and encoding (ScalarCentroidDistances,
+                       ScalarCentroidNearest and their DistanceTile step,
+                       Avx2CentroidDistances, Avx2CentroidNearest and
+                       their Distances8/Distances16 steps, in
+                       src/clustering/centroid_kernel.cc /
+                       centroid_kernel_avx2.cc) and the per-row encoder
+                       (EncodeRow in src/core/codebook.cc) must not
+                       allocate: no
                        new/malloc, no container growth. The paper's
                        speed claims (Sec. III-E) rest on these loops
                        touching nothing but caller-owned buffers.
@@ -66,6 +71,8 @@ KERNEL_FILES = {
     "src/core/scan.cc",
     "src/core/scan_avx2.cc",
     "src/core/codebook.cc",
+    "src/clustering/centroid_kernel.cc",
+    "src/clustering/centroid_kernel_avx2.cc",
 }
 KERNEL_FUNCTIONS = {
     "ScalarAccumulate",
@@ -73,8 +80,13 @@ KERNEL_FUNCTIONS = {
     "Gather8",
     "BlockedFullScan",
     "BlockedEaScan",
+    "DistanceTile",
     "ScalarCentroidDistances",
+    "ScalarCentroidNearest",
+    "Distances8",
+    "Distances16",
     "Avx2CentroidDistances",
+    "Avx2CentroidNearest",
     "EncodeRow",
 }
 
