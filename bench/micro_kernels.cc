@@ -80,14 +80,12 @@ struct ScanFixture {
   }
 };
 
-void ScanBenchmark(benchmark::State& state, SearchMode mode, double visit,
-                   ScanKernelType kernel = ScanKernelType::kAuto) {
+void ScanBenchmark(benchmark::State& state, SearchMode mode, double visit) {
   const ScanFixture& fixture = ScanFixture::Get();
   SearchParams params;
   params.k = 100;
   params.mode = mode;
   params.visit_fraction = visit;
-  params.kernel = kernel;
   SearchScratch scratch;
   std::vector<Neighbor> out;
   size_t q = 0;
@@ -104,15 +102,8 @@ void ScanBenchmark(benchmark::State& state, SearchMode mode, double visit,
 void BM_VaqScanHeap(benchmark::State& state) {
   ScanBenchmark(state, SearchMode::kHeap, 1.0);
 }
-void BM_VaqScanHeapReference(benchmark::State& state) {
-  ScanBenchmark(state, SearchMode::kHeap, 1.0, ScanKernelType::kReference);
-}
 void BM_VaqScanEarlyAbandon(benchmark::State& state) {
   ScanBenchmark(state, SearchMode::kEarlyAbandon, 1.0);
-}
-void BM_VaqScanEarlyAbandonReference(benchmark::State& state) {
-  ScanBenchmark(state, SearchMode::kEarlyAbandon, 1.0,
-                ScanKernelType::kReference);
 }
 void BM_VaqScanTiEa25(benchmark::State& state) {
   ScanBenchmark(state, SearchMode::kTriangleInequality, 0.25);
@@ -121,9 +112,7 @@ void BM_VaqScanTiEa10(benchmark::State& state) {
   ScanBenchmark(state, SearchMode::kTriangleInequality, 0.10);
 }
 BENCHMARK(BM_VaqScanHeap);
-BENCHMARK(BM_VaqScanHeapReference);
 BENCHMARK(BM_VaqScanEarlyAbandon);
-BENCHMARK(BM_VaqScanEarlyAbandonReference);
 BENCHMARK(BM_VaqScanTiEa25);
 BENCHMARK(BM_VaqScanTiEa10);
 

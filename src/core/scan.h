@@ -52,14 +52,13 @@ struct SearchStats {
   void Reset() { *this = SearchStats{}; }
 };
 
-/// Which ADC scan implementation answers a query.
+/// Which blocked kernel accumulates a query's scan; all return bit-identical
+/// results. A query with any other value fails with InvalidArgument.
 enum class ScanKernelType {
-  kAuto,       ///< best blocked kernel the CPU supports (the default)
-  kScalar,     ///< blocked scalar kernel (always available)
-  kAvx2,       ///< blocked AVX2 gather kernel; falls back to kScalar when
-               ///< the binary or CPU lacks AVX2
-  kReference,  ///< original row-at-a-time scan, kept as the equivalence
-               ///< oracle for tests and benchmarks
+  kAuto,    ///< best blocked kernel the CPU supports (the default)
+  kScalar,  ///< blocked scalar kernel (always available)
+  kAvx2,    ///< blocked AVX2 gather kernel; falls back to kScalar when
+            ///< the binary or CPU lacks AVX2
 };
 
 /// Subspace-major, cache-blocked copy of an encoded dataset.
@@ -72,8 +71,8 @@ enum class ScanKernelType {
 ///
 /// A kernel therefore streams one subspace stripe at a time, turning the
 /// per-row LUT gather into a vectorizable inner loop while every row still
-/// accumulates its subspaces in ascending order — bit-identical to the
-/// row-major reference scan. The last block is padded with code 0 (always
+/// accumulates its subspaces in ascending order — bit-identical to a
+/// row-at-a-time ADC sum. The last block is padded with code 0 (always
 /// a valid dictionary index); padded lanes are computed and discarded.
 ///
 /// An index holds exactly one of these, in the storage order of its
@@ -177,9 +176,9 @@ struct ScanKernel {
   }
 };
 
-/// Resolves a kernel choice against what this binary/CPU supports.
-/// kReference resolves to the scalar block kernel (the reference row-wise
-/// loop lives in the query driver, core/search_driver.cc).
+/// Resolves a kernel choice against what this binary/CPU supports. A
+/// value outside the enum resolves to the scalar kernel; the query driver
+/// rejects one before it gets here.
 const ScanKernel& GetScanKernel(ScanKernelType type);
 
 /// True when the AVX2 kernel was compiled in and the CPU supports it.
@@ -239,8 +238,8 @@ void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,
 /// minimum partial sum over its active lanes already exceeds that
 /// threshold (no lane can improve the heap, even on a tie broken by id).
 /// Only fully-accumulated rows are ever pushed, so an abandoned partial
-/// sum is never mistaken for a distance — the same invariant as the
-/// reference per-row early abandon, and therefore the same final top-k.
+/// sum is never mistaken for a distance, and the final top-k is the
+/// exact top-k of the range by (distance, id).
 ///
 /// `stop` (optional) is consulted once per 64-row block; when it fires
 /// the scan returns immediately with the heap holding the best-so-far

@@ -42,7 +42,6 @@ Status ValidateSearchParams(const VaqEncoder& encoder, size_t n,
     case ScanKernelType::kAuto:
     case ScanKernelType::kScalar:
     case ScanKernelType::kAvx2:
-    case ScanKernelType::kReference:
       break;
     default:
       return Status::InvalidArgument("unknown ScanKernelType value");
@@ -66,74 +65,6 @@ struct QueryScan {
   QueryTrace* trace;
 };
 
-/// Entering a ranked partition is a stop check and counts it as visited;
-/// entering the flat scan's one partition is neither. Returns false when
-/// the query must stop, with the best-so-far of every partition completed.
-bool EnterPartition(const QueryScan& q) {
-  if (!q.ranked) return true;
-  if (q.stop != nullptr && q.stop->ShouldStop()) return false;
-  if (q.stats != nullptr) ++q.stats->partitions_visited;
-  return true;
-}
-
-/// Row-at-a-time reference scan (ScanKernelType::kReference), kept as the
-/// correctness oracle for the blocked kernels. It walks the same visits as
-/// ScanBlocked, with TI's window tested row by row, reads each row back
-/// from the same store, and checks for a stop at the first row of a
-/// visit and at every 64-row block boundary of the store, as the blocked
-/// scan does.
-void ScanReference(const QueryScan& q) {
-  TopKHeap& heap = q.scratch->heap;
-  SearchStats* stats = q.stats;
-  std::vector<uint16_t> code(q.codes->num_subspaces());  // may allocate
-  for (const PartitionRef& p : q.scratch->visits) {
-    if (!EnterPartition(q)) return;
-    const float* cached = p.sorted_distances;
-    for (size_t row = p.begin; row < p.end; ++row) {
-      if (q.stop != nullptr &&
-          (row == p.begin || row % kScanBlockSize == 0) &&
-          q.stop->ShouldStop()) {
-        return;
-      }
-      const float threshold = heap.Threshold();
-      if (cached != nullptr && heap.full()) {
-        // TI's window, as in ScanWindow.
-        const float r = std::sqrt(threshold);
-        const float dx = cached[row - p.begin];
-        if (dx > p.query_distance + r) {
-          // Sorted ascending: every later member is also out of range.
-          if (stats != nullptr) stats->codes_skipped_ti += p.end - row;
-          break;
-        }
-        if (dx < p.query_distance - r) {
-          if (stats != nullptr) ++stats->codes_skipped_ti;
-          continue;
-        }
-      }
-      // Early abandoning (Algorithm 4 lines 38-41), checked after every
-      // `interval` subspaces but the last, as in BlockedEaScan; a full sum
-      // is offered to the heap, which keeps it only if it improves the
-      // top-k in (distance, id) order.
-      q.codes->ReadRow(row, code.data());
-      float acc = 0.f;
-      size_t s = 0;
-      for (;;) {
-        for (const size_t s_end = std::min(s + q.interval, q.s_limit);
-             s < s_end; ++s) {
-          acc += q.lut[q.lut_offsets[s] + code[s]];
-        }
-        if (s == q.s_limit || acc > threshold) break;
-      }
-      if (s == q.s_limit) heap.Push(acc, q.ids[row]);
-      if (stats != nullptr) {
-        stats->lut_adds += s;
-        if (s == q.s_limit) ++stats->rows_scanned;
-        ++stats->codes_visited;
-      }
-    }
-  }
-}
-
 /// Triangle-inequality cascade through one TI partition (Algorithm 4),
 /// block-wise: the sorted cached distances bound a candidate window that
 /// is re-tightened from the live threshold before each block of the store
@@ -154,6 +85,7 @@ void ScanWindow(const QueryScan& q, const PartitionRef& p,
       // i.e. d(x, centroid) in [dq - r, dq + r]. The bounds are inclusive:
       // a member at exactly the radius ties the k-th distance and may
       // still enter on a smaller id. The first window is the prune phase.
+      // vaq-lint: allow(kernel-no-clock) -- reads the clock only if traced
       TraceSpan prune_span(i == 0 ? q.trace : nullptr, QueryPhase::kTiPrune);
       const float r = std::sqrt(heap.Threshold());
       const size_t from = i;
@@ -172,6 +104,7 @@ void ScanWindow(const QueryScan& q, const PartitionRef& p,
     const size_t chunk_end = std::min(
         stop_row, (row / kScanBlockSize + 1) * kScanBlockSize - p.begin);
     {
+      // vaq-lint: allow(kernel-no-clock) -- reads the clock only if traced
       TraceSpan span(q.trace, QueryPhase::kBlockScan);
       BlockedEaScan(*q.codes, row, p.begin + chunk_end, q.ids, q.lut,
                     q.lut_offsets, q.s_limit, q.interval, kernel,
@@ -186,14 +119,16 @@ void ScanWindow(const QueryScan& q, const PartitionRef& p,
   }
 }
 
-/// Blocked scan through a runtime-selected kernel. Accumulation order per
-/// row is identical to ScanReference, so neighbors and distances match it
-/// bit for bit; only the work counters reflect the block-granular (rather
-/// than row-granular) abandoning decisions.
+/// The one scan of a query: every visit in order, a TI visit inside its
+/// window. Entering a ranked partition is a stop check and counts it as
+/// visited; the flat scan's visits are neither.
 void ScanBlocked(const QueryScan& q, const ScanKernel& kernel) {
   TopKHeap& heap = q.scratch->heap;
   for (const PartitionRef& p : q.scratch->visits) {
-    if (!EnterPartition(q)) return;
+    if (q.ranked) {
+      if (q.stop != nullptr && q.stop->ShouldStop()) return;
+      if (q.stats != nullptr) ++q.stats->partitions_visited;
+    }
     if (p.sorted_distances != nullptr) {
       ScanWindow(q, p, kernel);
     } else {
@@ -305,11 +240,12 @@ Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
   // kHeap is the early-abandon scan that never checks: one interval spans
   // every accumulated subspace.
   if (params.mode == SearchMode::kHeap) scan.interval = scan.s_limit;
-  // Partitions are counted per query, flat queries included (none).
-  if (stats != nullptr) stats->partitions_visited = 0;
-  if (ranked && stats != nullptr) {
-    stats->clusters_total = centroids.rows();
+  // Partitions are planned and counted per query, so a flat query reports
+  // none of none even in stats a ranked query used before.
+  if (stats != nullptr) {
+    stats->partitions_visited = 0;
     stats->clusters_visited = 0;
+    stats->clusters_total = ranked ? centroids.rows() : 0;
   }
   const bool seeded = !ranked && scan.interval < scan.s_limit;
   // Ranking is the first step a stop check can skip: a query out of
@@ -336,19 +272,12 @@ Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
   } else {
     scratch->visits.assign(1, PartitionRef{0, codes.rows()});
   }
-  const bool reference = params.kernel == ScanKernelType::kReference;
-  // A blocked TI scan traces each chunk of its windows (ScanWindow); every
-  // other scan is one span.
-  const bool windowed =
-      ranked && params.mode == SearchMode::kTriangleInequality;
   {
-    TraceSpan scan_span(reference || !windowed ? trace : nullptr,
-                        QueryPhase::kBlockScan);
-    if (reference) {
-      ScanReference(scan);
-    } else {
-      ScanBlocked(scan, GetScanKernel(params.kernel));
-    }
+    // A TI scan traces each chunk of its windows (ScanWindow); every other
+    // scan is one span.
+    const bool windowed = plan != nullptr && plan->distances != nullptr;
+    TraceSpan scan_span(windowed ? nullptr : trace, QueryPhase::kBlockScan);
+    ScanBlocked(scan, GetScanKernel(params.kernel));
   }
 
   const double wall_us = timer.ElapsedMicros();

@@ -35,10 +35,10 @@ struct SearchParams {
   /// amortize the branch). The blocked scan checks once per block after
   /// every `ea_check_interval` subspaces.
   size_t ea_check_interval = 4;
-  /// Which ADC scan implementation runs the accumulation. kAuto picks the
-  /// fastest blocked kernel for this CPU; kReference is the original
-  /// row-at-a-time loop, kept as the correctness oracle. All choices
-  /// return bit-identical neighbors and distances.
+  /// Which blocked kernel runs the accumulation. kAuto picks the fastest
+  /// one for this CPU; kScalar and kAvx2 force one, for A/B runs. All
+  /// choices return bit-identical neighbors and distances; any other value
+  /// fails with InvalidArgument.
   ScanKernelType kernel = ScanKernelType::kAuto;
   /// Wall-clock budget for this query (absolute expiry; a copy handed to
   /// every query of a batch enforces one shared batch deadline). The

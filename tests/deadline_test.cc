@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "adc_oracle.h"
 #include "common/deadline.h"
 #include "common/rng.h"
 #include "common/trace.h"
@@ -186,7 +187,7 @@ TEST_F(SearchDeadlineTest, ZeroBudgetReturnsImmediatelyTruncated) {
   for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
                           SearchMode::kTriangleInequality}) {
     for (ScanKernelType kernel :
-         {ScanKernelType::kAuto, ScanKernelType::kReference}) {
+         {ScanKernelType::kAuto, ScanKernelType::kScalar}) {
       SearchParams params;
       params.k = 10;
       params.mode = mode;
@@ -204,18 +205,17 @@ TEST_F(SearchDeadlineTest, ZeroBudgetReturnsImmediatelyTruncated) {
 }
 
 TEST_F(SearchDeadlineTest, MidScanExpiryReturnsExactPrefixTopK) {
-  // Ground truth: a full kHeap scan with k = n ranks every row by its ADC
-  // distance (nothing is abandoned, so all distances are exact).
+  // Ground truth: the exact ADC oracle with k = n ranks every row by its
+  // ADC distance.
   SearchParams full;
   full.k = base_->rows();
   full.mode = SearchMode::kHeap;
-  full.kernel = ScanKernelType::kReference;
-  std::vector<Neighbor> ranking;
-  ASSERT_TRUE(index_->Search(base_->row(3), full, &ranking).ok());
+  const std::vector<Neighbor> ranking =
+      OracleSearch(*index_, base_->row(3), full);
   ASSERT_EQ(ranking.size(), base_->rows());
 
   for (ScanKernelType kernel :
-       {ScanKernelType::kAuto, ScanKernelType::kReference}) {
+       {ScanKernelType::kAuto, ScanKernelType::kScalar}) {
     SearchParams params;
     params.k = 10;
     params.mode = SearchMode::kHeap;
@@ -258,9 +258,7 @@ TEST_F(SearchDeadlineTest, EarlyAbandonMidScanExpiryReturnsSeededPrefixTopK) {
   SearchParams full;
   full.k = n;
   full.mode = SearchMode::kHeap;
-  full.kernel = ScanKernelType::kReference;
-  std::vector<Neighbor> ranking;
-  ASSERT_TRUE(index_->Search(query, full, &ranking).ok());
+  const std::vector<Neighbor> ranking = OracleSearch(*index_, query, full);
   ASSERT_EQ(ranking.size(), n);
 
   // The flat early-abandon visit order: the ceil(8 k C / n) TI clusters
@@ -329,7 +327,7 @@ TEST_F(SearchDeadlineTest, EarlyAbandonMidScanExpiryReturnsSeededPrefixTopK) {
   expected.resize(k);
 
   for (ScanKernelType kernel :
-       {ScanKernelType::kAuto, ScanKernelType::kReference}) {
+       {ScanKernelType::kAuto, ScanKernelType::kScalar}) {
     SearchParams params;
     params.k = k;
     params.mode = SearchMode::kEarlyAbandon;

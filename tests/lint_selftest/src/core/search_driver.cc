@@ -1,6 +1,7 @@
 // Seeded-violation fixture (NOT compiled). Path mirrors the shared query
 // driver, where both index families' Search bodies run, so
-// entrypoint-no-check must arm here too.
+// entrypoint-no-check must arm here too; its scan loops are kernels, so
+// kernel-no-alloc must arm in ScanBlocked.
 
 namespace vaq {
 
@@ -11,6 +12,7 @@ Status SearchEncoded(const float* query, size_t k) {
 
 void ScanBlocked(size_t rows) {
   VAQ_CHECK(rows > 0);  // scan helper, not an entry point: legal
+  std::vector<uint16_t> code(rows);  // seed: kernel-no-alloc
 }
 
 void RankPartitions(const float* projected, size_t visit) {

@@ -1,8 +1,9 @@
 // Tests for the blocked, SIMD-dispatched ADC scan layer: kernel-level
-// equivalence against a hand-rolled row-wise oracle, end-to-end
-// equivalence of every kernel across all three SearchModes (neighbors,
-// distances, and SearchStats), odd bit allocations, block-remainder
-// sizes, subspace prefixes, and the allocation-free scratch reuse
+// equivalence against a hand-rolled row-wise oracle, end-to-end agreement
+// of every kernel with the exact ADC oracle (adc_oracle.h) across all
+// three SearchModes (neighbors, distances, and SearchStats), odd bit
+// allocations, block-remainder sizes, subspace prefixes, the rejection of
+// kernel values outside the enum, and the allocation-free scratch reuse
 // contract of the steady-state query path.
 
 #include "core/scan.h"
@@ -17,6 +18,7 @@
 #include <tuple>
 #include <vector>
 
+#include "adc_oracle.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
 #include "core/vaq_index.h"
@@ -323,7 +325,7 @@ TEST(KernelEquivalenceTest, LaneGroupRangesMatchAcrossKernels) {
 
 // ---------------------------------------------------------------------------
 // End-to-end equivalence on a trained index: every kernel must return the
-// reference path's neighbors and distances bit for bit, in all modes.
+// exact ADC oracle's neighbors and distances bit for bit, in all modes.
 // ---------------------------------------------------------------------------
 
 class ScanSearchEquivalenceTest : public ::testing::Test {
@@ -347,14 +349,12 @@ class ScanSearchEquivalenceTest : public ::testing::Test {
     index_ = std::move(*index);
   }
 
-  void ExpectSameResults(const SearchParams& reference_params,
-                         const SearchParams& candidate_params) {
+  void ExpectOracleResults(const SearchParams& params) {
     for (size_t q = 0; q < queries_.rows(); ++q) {
-      std::vector<Neighbor> want, got;
-      ASSERT_TRUE(
-          index_.Search(queries_.row(q), reference_params, &want).ok());
-      ASSERT_TRUE(
-          index_.Search(queries_.row(q), candidate_params, &got).ok());
+      const std::vector<Neighbor> want =
+          OracleSearch(index_, queries_.row(q), params);
+      std::vector<Neighbor> got;
+      ASSERT_TRUE(index_.Search(queries_.row(q), params, &got).ok());
       ASSERT_EQ(want.size(), got.size());
       for (size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(want[i].id, got[i].id) << "q=" << q << " i=" << i;
@@ -372,17 +372,15 @@ TEST_F(ScanSearchEquivalenceTest, AllKernelsMatchReferenceInAllModes) {
   for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
                           SearchMode::kTriangleInequality}) {
     for (double visit : {0.25, 1.0}) {
-      SearchParams reference;
-      reference.k = 15;
-      reference.mode = mode;
-      reference.visit_fraction = visit;
-      reference.kernel = ScanKernelType::kReference;
       for (ScanKernelType type :
            {ScanKernelType::kScalar, ScanKernelType::kAvx2,
             ScanKernelType::kAuto}) {
-        SearchParams candidate = reference;
-        candidate.kernel = type;
-        ExpectSameResults(reference, candidate);
+        SearchParams params;
+        params.k = 15;
+        params.mode = mode;
+        params.visit_fraction = visit;
+        params.kernel = type;
+        ExpectOracleResults(params);
       }
     }
   }
@@ -393,14 +391,12 @@ TEST_F(ScanSearchEquivalenceTest, SubspacePrefixesMatchReference) {
     for (SearchMode mode :
          {SearchMode::kHeap, SearchMode::kEarlyAbandon,
           SearchMode::kTriangleInequality /* falls back to EA */}) {
-      SearchParams reference;
-      reference.k = 10;
-      reference.mode = mode;
-      reference.num_subspaces_used = used;
-      reference.kernel = ScanKernelType::kReference;
-      SearchParams candidate = reference;
-      candidate.kernel = ScanKernelType::kAuto;
-      ExpectSameResults(reference, candidate);
+      SearchParams params;
+      params.k = 10;
+      params.mode = mode;
+      params.num_subspaces_used = used;
+      params.kernel = ScanKernelType::kAuto;
+      ExpectOracleResults(params);
     }
   }
 }
@@ -466,41 +462,52 @@ TEST_F(ScanSearchEquivalenceTest, AddRebuildsBlockedLayout) {
   const FloatMatrix extra = GenerateSpectrumMixture(
       100, 32, PowerLawSpectrum(32, 1.2), 8, 1.0, 555);
   ASSERT_TRUE(index_.Add(extra).ok());
-  SearchParams reference;
-  reference.k = 10;
-  reference.mode = SearchMode::kHeap;
-  reference.kernel = ScanKernelType::kReference;
-  SearchParams candidate = reference;
-  candidate.kernel = ScanKernelType::kAuto;
-  ExpectSameResults(reference, candidate);
+  SearchParams params;
+  params.k = 10;
+  params.mode = SearchMode::kHeap;
+  params.kernel = ScanKernelType::kAuto;
+  ExpectOracleResults(params);
 }
 
 // ---------------------------------------------------------------------------
 // IVF reuse of the scan kernels.
 // ---------------------------------------------------------------------------
 
-TEST(VaqIvfScanTest, BlockedKernelsMatchReferenceScan) {
-  const FloatMatrix data = GenerateSpectrumMixture(
+struct IvfProblem {
+  FloatMatrix data = GenerateSpectrumMixture(
       900, 24, PowerLawSpectrum(24, 1.1), 6, 1.0, 31);
-  const FloatMatrix queries = GenerateSpectrumMixture(
+  FloatMatrix queries = GenerateSpectrumMixture(
       8, 24, PowerLawSpectrum(24, 1.1), 6, 1.0, 131);
-  VaqIvfOptions opts;
-  opts.vaq.num_subspaces = 6;
-  opts.vaq.total_bits = 36;
-  opts.vaq.kmeans_iters = 8;
-  opts.coarse_k = 16;
-  opts.default_nprobe = 16;  // all lists: results must be exhaustive-exact
-  opts.scan_kernel = ScanKernelType::kReference;
-  auto reference = VaqIvfIndex::Train(data, opts);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  VaqIvfOptions opts = [] {
+    VaqIvfOptions o;
+    o.vaq.num_subspaces = 6;
+    o.vaq.total_bits = 36;
+    o.vaq.kmeans_iters = 8;
+    o.coarse_k = 16;
+    o.default_nprobe = 16;  // all lists: results must be exhaustive-exact
+    return o;
+  }();
+};
+
+TEST(VaqIvfScanTest, BlockedKernelsMatchReferenceScan) {
+  // At nprobe = coarse_k the IVF index sees every row. A VaqIndex trained
+  // with the same VaqOptions has the same encoder and codes, so the
+  // oracle's flat kHeap over it is the exact answer.
+  IvfProblem p;
+  auto flat = VaqIndex::Train(p.data, p.opts.vaq);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  SearchParams heap;
+  heap.k = 10;
+  heap.mode = SearchMode::kHeap;
   for (ScanKernelType type : {ScanKernelType::kScalar, ScanKernelType::kAuto}) {
-    opts.scan_kernel = type;
-    auto candidate = VaqIvfIndex::Train(data, opts);
+    p.opts.scan_kernel = type;
+    auto candidate = VaqIvfIndex::Train(p.data, p.opts);
     ASSERT_TRUE(candidate.ok());
-    for (size_t q = 0; q < queries.rows(); ++q) {
-      std::vector<Neighbor> want, got;
-      ASSERT_TRUE(reference->Search(queries.row(q), 10, 0, &want).ok());
-      ASSERT_TRUE(candidate->Search(queries.row(q), 10, 0, &got).ok());
+    for (size_t q = 0; q < p.queries.rows(); ++q) {
+      const std::vector<Neighbor> want =
+          OracleSearch(*flat, p.queries.row(q), heap);
+      std::vector<Neighbor> got;
+      ASSERT_TRUE(candidate->Search(p.queries.row(q), 10, 0, &got).ok());
       ASSERT_EQ(want.size(), got.size());
       for (size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(want[i].id, got[i].id) << "q=" << q << " i=" << i;
@@ -510,37 +517,93 @@ TEST(VaqIvfScanTest, BlockedKernelsMatchReferenceScan) {
   }
 }
 
+// Value 3 was the retired row-at-a-time scan; 255 was never a kernel.
+// Both reach the driver through VaqIvfOptions and fail the query.
+TEST(VaqIvfScanTest, RetiredAndUnknownKernelValuesAreInvalidArgument) {
+  IvfProblem p;
+  for (const int value : {3, 255}) {
+    p.opts.scan_kernel = static_cast<ScanKernelType>(value);
+    auto index = VaqIvfIndex::Train(p.data, p.opts);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    std::vector<Neighbor> out(1);
+    EXPECT_EQ(index->Search(p.queries.row(0), 10, 0, &out).code(),
+              StatusCode::kInvalidArgument)
+        << "kernel=" << value;
+    EXPECT_EQ(index->Search(p.queries.row(0), 10, 4, &out).code(),
+              StatusCode::kInvalidArgument)
+        << "kernel=" << value;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Scratch reuse: the steady-state query path must not touch the heap.
 // ---------------------------------------------------------------------------
 
 TEST_F(ScanSearchEquivalenceTest, ScratchReuseMakesSearchAllocationFree) {
-  for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
-                          SearchMode::kTriangleInequality}) {
-    SearchParams params;
-    params.k = 20;
-    params.mode = mode;
-    SearchScratch scratch;
-    std::vector<Neighbor> out;
-    SearchStats stats;
-    // Warmup grows every scratch vector to its high-water size.
-    for (size_t q = 0; q < 4; ++q) {
-      ASSERT_TRUE(
-          index_.Search(queries_.row(q), params, &scratch, &out, &stats)
-              .ok());
-    }
-    const size_t before = AllocCount();
-    for (size_t rep = 0; rep < 3; ++rep) {
-      for (size_t q = 0; q < queries_.rows(); ++q) {
-        stats.Reset();
+  for (ScanKernelType kernel : {ScanKernelType::kAuto, ScanKernelType::kScalar,
+                                ScanKernelType::kAvx2}) {
+    for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
+                            SearchMode::kTriangleInequality}) {
+      SearchParams params;
+      params.k = 20;
+      params.mode = mode;
+      params.kernel = kernel;
+      SearchScratch scratch;
+      std::vector<Neighbor> out;
+      SearchStats stats;
+      // Warmup grows every scratch vector to its high-water size.
+      for (size_t q = 0; q < 4; ++q) {
         ASSERT_TRUE(
             index_.Search(queries_.row(q), params, &scratch, &out, &stats)
                 .ok());
       }
+      const size_t before = AllocCount();
+      for (size_t rep = 0; rep < 3; ++rep) {
+        for (size_t q = 0; q < queries_.rows(); ++q) {
+          stats.Reset();
+          ASSERT_TRUE(
+              index_.Search(queries_.row(q), params, &scratch, &out, &stats)
+                  .ok());
+        }
+      }
+      EXPECT_EQ(AllocCount() - before, 0u)
+          << "kernel=" << static_cast<int>(kernel)
+          << " mode=" << static_cast<int>(mode)
+          << ": steady-state Search allocated";
     }
-    EXPECT_EQ(AllocCount() - before, 0u)
-        << "mode=" << static_cast<int>(mode)
-        << ": steady-state Search allocated";
+  }
+}
+
+TEST(VaqIvfScanTest, ScratchReuseMakesSearchAllocationFree) {
+  IvfProblem p;
+  for (ScanKernelType kernel : {ScanKernelType::kAuto, ScanKernelType::kScalar,
+                                ScanKernelType::kAvx2}) {
+    p.opts.scan_kernel = kernel;
+    auto index = VaqIvfIndex::Train(p.data, p.opts);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    for (const size_t nprobe : {size_t{1}, size_t{4}, size_t{16}}) {
+      SearchScratch scratch;
+      std::vector<Neighbor> out;
+      SearchStats stats;
+      for (size_t q = 0; q < 4; ++q) {
+        ASSERT_TRUE(
+            index->Search(p.queries.row(q), 10, nprobe, &scratch, &out, &stats)
+                .ok());
+      }
+      const size_t before = AllocCount();
+      for (size_t rep = 0; rep < 3; ++rep) {
+        for (size_t q = 0; q < p.queries.rows(); ++q) {
+          stats.Reset();
+          ASSERT_TRUE(index
+                          ->Search(p.queries.row(q), 10, nprobe, &scratch,
+                                   &out, &stats)
+                          .ok());
+        }
+      }
+      EXPECT_EQ(AllocCount() - before, 0u)
+          << "kernel=" << static_cast<int>(kernel) << " nprobe=" << nprobe
+          << ": steady-state VaqIvfIndex::Search allocated";
+    }
   }
 }
 
@@ -557,6 +620,24 @@ TEST_F(ScanSearchEquivalenceTest, BatchIntoReusesResultBuffers) {
   // batch (a handful of vectors), independent of the query count.
   EXPECT_LT(per_batch, 16u) << "per-batch allocations should not scale "
                                "with the number of queries";
+}
+
+// Value 3 was the retired row-at-a-time scan; 255 was never a kernel.
+TEST_F(ScanSearchEquivalenceTest,
+       RetiredAndUnknownKernelValuesAreInvalidArgument) {
+  for (const int value : {3, 255}) {
+    for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
+                            SearchMode::kTriangleInequality}) {
+      SearchParams params;
+      params.k = 10;
+      params.mode = mode;
+      params.kernel = static_cast<ScanKernelType>(value);
+      std::vector<Neighbor> out(1);
+      EXPECT_EQ(index_.Search(queries_.row(0), params, &out).code(),
+                StatusCode::kInvalidArgument)
+          << "kernel=" << value << " mode=" << static_cast<int>(mode);
+    }
+  }
 }
 
 TEST(ScanDispatchTest, AutoResolvesToSupportedKernel) {

@@ -2,8 +2,10 @@
 // (RankPartitions, core/search_driver.h): nearest first by squared
 // distance, exact ties in ascending partition id, exactly `visit` entries,
 // over only the centroids' width of the query. And the query driver's
-// top-k over one packed code store: independent of the storage order, and
-// of the seed-then-sweep order of a flat early-abandon scan.
+// top-k over one packed code store: the exact ADC oracle's (adc_oracle.h),
+// independent of the storage order and of the seed-then-sweep order of a
+// flat early-abandon scan. And the plan a reused SearchStats reports is
+// the last query's own.
 
 #include "core/search_driver.h"
 
@@ -14,11 +16,13 @@
 #include <limits>
 #include <vector>
 
+#include "adc_oracle.h"
 #include "common/rng.h"
 #include "core/ti_partition.h"
 #include "core/vaq_encoder.h"
 #include "core/vaq_index.h"
 #include "datasets/synthetic.h"
+#include "index/vaq_ivf.h"
 
 namespace vaq {
 namespace {
@@ -219,19 +223,18 @@ TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
   const PartitionPlan all_clusters{ti.num_clusters(), cached.data()};
   const size_t k = 5;
   SearchScratch scratch;
+  std::vector<float> pca_space, projected;
   for (size_t q = 0; q < 20; ++q) {
     const float* query = data.row(q * 7);
-    // The oracle: every row's distance from a full scan, sorted by
-    // (distance, id), cut at k.
+    // The oracle: every row's exact ADC distance, sorted by (distance,
+    // id), cut at k.
     SearchParams full;
     full.k = n;
     full.mode = SearchMode::kHeap;
-    full.kernel = ScanKernelType::kReference;
-    std::vector<Neighbor> ranking;
-    ASSERT_TRUE(SearchEncoded(encoder, store_ascending, ascending,
-                              ti.centroids(), nullptr, query, full, &scratch,
-                              &ranking, nullptr)
-                    .ok());
+    encoder.ProjectQuery(query, &pca_space, &projected);
+    const std::vector<Neighbor> ranking =
+        OracleSearch(encoder.codebooks(), projected.data(), store_ascending,
+                     ascending, ti.centroids(), nullptr, full);
     ASSERT_EQ(ranking.size(), n);
     ASSERT_EQ(ranking[k - 1].distance, ranking[k].distance)
         << "q=" << q << ": the k-th place must straddle a tie";
@@ -245,7 +248,7 @@ TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
            {SearchMode::kHeap, SearchMode::kEarlyAbandon,
             SearchMode::kTriangleInequality}) {
         for (const ScanKernelType kernel :
-             {ScanKernelType::kReference, ScanKernelType::kScalar,
+             {ScanKernelType::kScalar, ScanKernelType::kAvx2,
               ScanKernelType::kAuto}) {
           SearchParams params;
           params.k = k;
@@ -312,7 +315,7 @@ TEST_F(SeededSweepTest, VisitsEveryStorageRowOnceWithNoPartitionCounted) {
   ks.push_back(n);  // nothing can be abandoned: every row reaches the heap
   for (const size_t k : ks) {
     for (const ScanKernelType kernel :
-         {ScanKernelType::kAuto, ScanKernelType::kReference}) {
+         {ScanKernelType::kAuto, ScanKernelType::kScalar}) {
       for (size_t q = 0; q < 10; ++q) {
         SearchParams params;
         params.k = k;
@@ -353,9 +356,10 @@ TEST_F(SeededSweepTest, MatchesHeapAndReferenceBitForBit) {
         heap.num_subspaces_used = subspaces_used;
         std::vector<Neighbor> want;
         ASSERT_TRUE(index_->Search(query, heap, &scratch, &want, nullptr).ok());
+        ASSERT_EQ(OracleSearch(*index_, query, heap), want)
+            << "k=" << k << " q=" << q << " s=" << subspaces_used;
         for (const ScanKernelType kernel :
-             {ScanKernelType::kReference, ScanKernelType::kScalar,
-              ScanKernelType::kAuto}) {
+             {ScanKernelType::kScalar, ScanKernelType::kAuto}) {
           SearchParams ea = heap;
           ea.mode = SearchMode::kEarlyAbandon;
           ea.kernel = kernel;
@@ -371,6 +375,52 @@ TEST_F(SeededSweepTest, MatchesHeapAndReferenceBitForBit) {
       }
     }
   }
+}
+
+TEST(SearchEncodedTest, ReusedStatsReportEachQuerysOwnPlan) {
+  // A TI query, then a flat one, then an IVF one, all on one SearchStats:
+  // each reports its own planned partitions, a flat query none of none.
+  const FloatMatrix data = GenerateSpectrumMixture(
+      1200, 16, PowerLawSpectrum(16, 1.0), 6, 1.0, 29);
+  VaqOptions opts;
+  opts.num_subspaces = 8;
+  opts.total_bits = 48;
+  opts.ti_clusters = 24;
+  opts.kmeans_iters = 5;
+  auto index = VaqIndex::Train(data, opts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  VaqIvfOptions ivf_opts;
+  ivf_opts.vaq = opts;
+  ivf_opts.coarse_k = 16;
+  auto ivf = VaqIvfIndex::Train(data, ivf_opts);
+  ASSERT_TRUE(ivf.ok()) << ivf.status().ToString();
+
+  const float* query = data.row(5);
+  std::vector<Neighbor> out;
+  SearchStats stats;
+  SearchParams ti;
+  ti.k = 10;
+  ti.mode = SearchMode::kTriangleInequality;
+  ti.visit_fraction = 0.25;
+  ASSERT_TRUE(index->Search(query, ti, &out, &stats).ok());
+  EXPECT_EQ(stats.clusters_visited, 6u);
+  EXPECT_EQ(stats.clusters_total, 24u);
+  EXPECT_EQ(stats.partitions_visited, 6u);
+
+  for (const SearchMode mode :
+       {SearchMode::kEarlyAbandon, SearchMode::kHeap}) {
+    SearchParams flat = ti;
+    flat.mode = mode;
+    ASSERT_TRUE(index->Search(query, flat, &out, &stats).ok());
+    EXPECT_EQ(stats.clusters_visited, 0u) << static_cast<int>(mode);
+    EXPECT_EQ(stats.clusters_total, 0u) << static_cast<int>(mode);
+    EXPECT_EQ(stats.partitions_visited, 0u) << static_cast<int>(mode);
+  }
+
+  ASSERT_TRUE(ivf->Search(query, 10, 4, &out, &stats).ok());
+  EXPECT_EQ(stats.clusters_visited, 4u);
+  EXPECT_EQ(stats.clusters_total, 16u);
+  EXPECT_EQ(stats.partitions_visited, 4u);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@ suite, the Status-not-abort API tests) into CI build failures:
   kernel-no-alloc      The block-scan kernels (ScalarAccumulate,
                        Avx2Accumulate with its Gather8 step,
                        BlockedFullScan, BlockedEaScan in
-                       src/core/scan.cc / scan_avx2.cc), the centroid
+                       src/core/scan.cc / scan_avx2.cc, and the query
+                       driver's scan loops ScanBlocked and ScanWindow in
+                       src/core/search_driver.cc), the centroid
                        kernels behind the ADC lookup tables, k-means
                        assignment and encoding (ScalarCentroidDistances,
                        ScalarCentroidNearest and their DistanceTile step,
@@ -70,6 +72,7 @@ import sys
 KERNEL_FILES = {
     "src/core/scan.cc",
     "src/core/scan_avx2.cc",
+    "src/core/search_driver.cc",
     "src/core/codebook.cc",
     "src/clustering/centroid_kernel.cc",
     "src/clustering/centroid_kernel_avx2.cc",
@@ -80,6 +83,8 @@ KERNEL_FUNCTIONS = {
     "Gather8",
     "BlockedFullScan",
     "BlockedEaScan",
+    "ScanBlocked",
+    "ScanWindow",
     "DistanceTile",
     "ScalarCentroidDistances",
     "ScalarCentroidNearest",
