@@ -1,6 +1,7 @@
 #include "clustering/kmeans.h"
 
 #include <algorithm>
+#include <barrier>
 #include <cmath>
 #include <limits>
 
@@ -24,7 +25,8 @@ size_t TablePitch(size_t k) {
 }
 
 /// Writes `centroids` (k x d) dimension-major into `table` (d rows of
-/// TablePitch(k) floats), the layout the centroid kernel reads.
+/// TablePitch(k) floats), the layout the centroid kernel reads. Seeding
+/// lays the data rows out the same way.
 void DimensionMajor(const FloatMatrix& centroids, FloatMatrix* table) {
   const size_t k = centroids.rows();
   const size_t d = centroids.cols();
@@ -56,7 +58,7 @@ void AssignRows(const FloatMatrix& data, const FloatMatrix& table, size_t k,
 }  // namespace
 
 void KMeans::SeedCentroids(const FloatMatrix& data,
-                           const KMeansOptions& options) {
+                           const KMeansOptions& options, size_t num_threads) {
   const size_t n = data.rows();
   const size_t d = data.cols();
   const size_t k = std::min(options.k, n);
@@ -64,32 +66,57 @@ void KMeans::SeedCentroids(const FloatMatrix& data,
   centroids_.Resize(options.k, d);
 
   // k-means++: first centroid uniform, the rest D^2-weighted.
-  std::vector<float> min_dist(n, std::numeric_limits<float>::max());
   size_t first = static_cast<size_t>(rng.NextIndex(n));
   std::copy_n(data.row(first), d, centroids_.row(0));
-  for (size_t c = 1; c < k; ++c) {
-    const float* last = centroids_.row(c - 1);
-    double total = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const float dist = SquaredL2(data.row(i), last, d);
-      if (dist < min_dist[i]) min_dist[i] = dist;
-      total += min_dist[i];
-    }
-    size_t pick = 0;
-    if (total > 0.0) {
-      double target = rng.NextDouble() * total;
-      double acc = 0.0;
+  if (k > 1) {
+    // Each round, every row's squared distance to the newest centroid is
+    // one `distances` call per thread over the rows laid out as a
+    // dimension-major table. The kernel repeats SquaredL2's operations and
+    // (a - b)^2 == (b - a)^2, so each equals SquaredL2(row, centroid). The
+    // threads start once and meet at a barrier per round, whose completion
+    // step runs the rest serially in row order: the min update, the D^2
+    // total and the draw. The random stream and the centroids therefore do
+    // not depend on the thread count.
+    FloatMatrix table;
+    DimensionMajor(data, &table);
+    const CentroidKernel::DistancesFn distances =
+        GetCentroidKernel().distances;
+    std::vector<float> dist(n);
+    std::vector<float> min_dist(n, std::numeric_limits<float>::max());
+    size_t next = 1;
+    auto draw = [&]() noexcept {
+      double total = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        acc += min_dist[i];
-        if (acc >= target) {
-          pick = i;
-          break;
-        }
+        if (dist[i] < min_dist[i]) min_dist[i] = dist[i];
+        total += min_dist[i];
       }
-    } else {
-      pick = static_cast<size_t>(rng.NextIndex(n));
-    }
-    std::copy_n(data.row(pick), d, centroids_.row(c));
+      size_t pick = 0;
+      if (total > 0.0) {
+        double target = rng.NextDouble() * total;
+        double acc = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+          acc += min_dist[i];
+          if (acc >= target) {
+            pick = i;
+            break;
+          }
+        }
+      } else {
+        pick = static_cast<size_t>(rng.NextIndex(n));
+      }
+      std::copy_n(data.row(pick), d, centroids_.row(next++));
+    };
+    const size_t workers = WorkerCount(n, num_threads);
+    std::barrier round(static_cast<std::ptrdiff_t>(workers), draw);
+    ParallelFor(workers, workers, [&](size_t w, size_t) {
+      const size_t begin = w * n / workers;
+      const size_t end = (w + 1) * n / workers;
+      for (size_t c = 1; c < k; ++c) {
+        distances(centroids_.row(c - 1), table.data() + begin, d,
+                  table.cols(), end - begin, dist.data() + begin);
+        round.arrive_and_wait();
+      }
+    });
   }
 
   // Pad with duplicated random points when n < k so that k centroids exist.
@@ -112,7 +139,7 @@ Status KMeans::Train(const FloatMatrix& data, const KMeansOptions& options,
   const size_t d = data.cols();
   const size_t k = options.k;
 
-  SeedCentroids(data, options);
+  SeedCentroids(data, options, num_threads);
 
   std::vector<uint32_t> assign(n, 0);
   std::vector<float> point_dist(n, 0.f);

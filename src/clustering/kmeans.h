@@ -27,9 +27,9 @@ class KMeans {
   /// Trains on `data` (n x d). Requires k >= 1 and n >= 1. When n < k the
   /// centroid set is padded with duplicated points so that exactly k
   /// centroids always exist (encoded ids then simply never reference the
-  /// padded entries). `num_threads` > 1 splits each assignment step over
-  /// rows (0 picks the hardware concurrency); the centroids do not depend
-  /// on it.
+  /// padded entries). `num_threads` > 1 splits the seeding's distance
+  /// passes and each assignment step over rows (0 picks the hardware
+  /// concurrency); the centroids do not depend on it.
   Status Train(const FloatMatrix& data, const KMeansOptions& options,
                size_t num_threads = 1);
 
@@ -62,7 +62,10 @@ class KMeans {
                                   size_t num_threads = 1) const;
 
  private:
-  void SeedCentroids(const FloatMatrix& data, const KMeansOptions& options);
+  /// k-means++ seeding; `num_threads` as in Train (the rows of each
+  /// round's distance pass are split over them).
+  void SeedCentroids(const FloatMatrix& data, const KMeansOptions& options,
+                     size_t num_threads);
 
   bool trained_ = false;
   FloatMatrix centroids_;

@@ -6,12 +6,16 @@
 
 namespace vaq {
 
-void ParallelFor(size_t n, size_t num_threads,
-                 const std::function<void(size_t, size_t)>& body) {
+size_t WorkerCount(size_t n, size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
-  num_threads = std::min(num_threads, n);
+  return std::min(num_threads, n);
+}
+
+void ParallelFor(size_t n, size_t num_threads,
+                 const std::function<void(size_t, size_t)>& body) {
+  num_threads = WorkerCount(n, num_threads);
   if (num_threads <= 1) {
     body(0, n);
     return;
@@ -26,10 +30,7 @@ void ParallelFor(size_t n, size_t num_threads,
 
 void ParallelForEach(size_t n, size_t num_threads,
                      const std::function<void(size_t)>& body) {
-  if (num_threads == 0) {
-    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  const size_t workers = std::min(num_threads, n);
+  const size_t workers = WorkerCount(n, num_threads);
   std::atomic<size_t> next{0};
   ParallelFor(workers, workers, [&](size_t, size_t) {
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;

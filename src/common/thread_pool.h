@@ -81,9 +81,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// The t of ParallelFor: `num_threads` (0 = hardware concurrency) capped
+/// at n.
+size_t WorkerCount(size_t n, size_t num_threads);
+
 /// Runs body(begin, end) over [0, n) in ceil(n / t) contiguous chunks, one
-/// fresh std::thread each, and joins them. t is `num_threads` (0 = hardware
-/// concurrency) capped at n; t <= 1 runs body(0, n) inline. The build steps
+/// fresh std::thread each, and joins them. t is WorkerCount(n,
+/// num_threads); t <= 1 runs body(0, n) inline. The build steps
 /// use plain threads rather than ThreadPool::Shared(): a build called from
 /// a pool task would otherwise wait on its own pool.
 void ParallelFor(size_t n, size_t num_threads,

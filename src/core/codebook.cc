@@ -156,7 +156,7 @@ void VariableCodebooks::BuildPrefixLookupTable(const float* prefix,
                                                std::vector<float>* lut) const {
   VAQ_DCHECK(trained_);
   VAQ_DCHECK(prefix_subspaces <= layout_.num_subspaces());
-  lut->resize(lut_entries_);
+  lut->resize(prefix_lut_entries(prefix_subspaces));
   const CentroidKernel::DistancesFn distances = GetCentroidKernel().distances;
   for (size_t s = 0; s < prefix_subspaces; ++s) {
     const SubspaceSpan& span = layout_.span(s);
@@ -164,16 +164,6 @@ void VariableCodebooks::BuildPrefixLookupTable(const float* prefix,
     distances(prefix + span.offset, dict.data(), span.length, dict.cols(),
               dict.cols(), lut->data() + lut_offsets_[s]);
   }
-}
-
-float VariableCodebooks::PrefixAdcDistance(const uint16_t* code,
-                                           const float* lut,
-                                           size_t prefix_subspaces) const {
-  float acc = 0.f;
-  for (size_t s = 0; s < prefix_subspaces; ++s) {
-    acc += lut[lut_offsets_[s] + code[s]];
-  }
-  return acc;
 }
 
 float VariableCodebooks::AdcDistance(const uint16_t* code,

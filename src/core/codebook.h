@@ -75,15 +75,20 @@ class VariableCodebooks {
   void BuildLookupTable(const float* query, std::vector<float>* lut) const;
 
   /// Same as BuildLookupTable but only for the first `prefix_subspaces`
-  /// subspaces; `prefix` holds the leading prefix dims of a projected
-  /// vector. Entries of later subspaces are left untouched. Used by the
-  /// triangle-inequality partitioner to assign codes to clusters cheaply.
+  /// subspaces: `lut` is resized to prefix_lut_entries(prefix_subspaces),
+  /// the leading entries of the full table, and `prefix` holds the leading
+  /// prefix dims of a projected vector. Used by the triangle-inequality
+  /// partitioner, which assigns codes to clusters on the scan kernel.
   void BuildPrefixLookupTable(const float* prefix, size_t prefix_subspaces,
                               std::vector<float>* lut) const;
 
-  /// ADC accumulation restricted to the first `prefix_subspaces` subspaces.
-  float PrefixAdcDistance(const uint16_t* code, const float* lut,
-                          size_t prefix_subspaces) const;
+  /// Entries of the first `prefix_subspaces` subspaces' tables:
+  /// lut_offset(prefix_subspaces), or lut_entries() for all of them.
+  size_t prefix_lut_entries(size_t prefix_subspaces) const {
+    return prefix_subspaces < lut_offsets_.size()
+               ? lut_offsets_[prefix_subspaces]
+               : lut_entries_;
+  }
 
   /// Full ADC accumulation over all subspaces (squared distance).
   float AdcDistance(const uint16_t* code, const float* lut) const;

@@ -146,6 +146,16 @@ const ScanKernel& GetScanKernel(ScanKernelType type) {
 #endif
 }
 
+bool IsScanKernelType(ScanKernelType type) {
+  switch (type) {
+    case ScanKernelType::kAuto:
+    case ScanKernelType::kScalar:
+    case ScanKernelType::kAvx2:
+      return true;
+  }
+  return false;
+}
+
 const char* AutoScanKernelName() {
   return GetScanKernel(ScanKernelType::kAuto).name;
 }

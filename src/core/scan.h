@@ -53,7 +53,8 @@ struct SearchStats {
 };
 
 /// Which blocked kernel accumulates a query's scan; all return bit-identical
-/// results. A query with any other value fails with InvalidArgument.
+/// results. A query with any other value fails with InvalidArgument
+/// (IsScanKernelType).
 enum class ScanKernelType {
   kAuto,    ///< best blocked kernel the CPU supports (the default)
   kScalar,  ///< blocked scalar kernel (always available)
@@ -180,6 +181,10 @@ struct ScanKernel {
 /// value outside the enum resolves to the scalar kernel; the query driver
 /// rejects one before it gets here.
 const ScanKernel& GetScanKernel(ScanKernelType type);
+
+/// True for the three values of the enum. A query or a VaqIvfIndex trained
+/// with any other value fails with InvalidArgument.
+bool IsScanKernelType(ScanKernelType type);
 
 /// True when the AVX2 kernel was compiled in and the CPU supports it.
 bool Avx2ScanAvailable();

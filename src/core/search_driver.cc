@@ -38,13 +38,8 @@ Status ValidateSearchParams(const VaqEncoder& encoder, size_t n,
     default:
       return Status::InvalidArgument("unknown SearchMode value");
   }
-  switch (params.kernel) {
-    case ScanKernelType::kAuto:
-    case ScanKernelType::kScalar:
-    case ScanKernelType::kAvx2:
-      break;
-    default:
-      return Status::InvalidArgument("unknown ScanKernelType value");
+  if (!IsScanKernelType(params.kernel)) {
+    return Status::InvalidArgument("unknown ScanKernelType value");
   }
   return Status::OK();
 }

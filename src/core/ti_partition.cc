@@ -10,6 +10,50 @@
 #include "common/thread_pool.h"
 
 namespace vaq {
+namespace {
+
+/// Blocks per tile of the assignment pass: each cluster's prefix lookup
+/// table is read for a whole tile of rows before the next one's, so it is
+/// reused while it sits in L1/L2. Block at a time (1), assigning 55k
+/// SALD-like rows to 500 clusters (64 KB tables) took 0.11 s on 4 AVX2
+/// cores; tiles of 16 took 0.05 s, the best of 4, 8, 16, 32 and 64.
+constexpr size_t kTileBlocks = 16;
+
+/// Nearest of `num_clusters` clusters for each row of blocks
+/// [first, first + count) of `codes`, by the prefix lookup tables in
+/// `luts` (`lut_size` floats per cluster, back to back): `nearest[r]` is
+/// tile row r's first strict minimum over the clusters in ascending order
+/// (the lowest index among exact ties; 0 when no sum is below FLT_MAX) and
+/// `best[r]` that sum. Each sum starts at 0.f and adds subspaces
+/// [0, prefix) in ascending order, as a row-at-a-time prefix ADC sum does,
+/// so both are bit-identical to it.
+void NearestClusters(const BlockedCodes& codes, size_t first, size_t count,
+                     const float* luts, size_t lut_size, size_t num_clusters,
+                     const uint32_t* lut_offsets, size_t prefix,
+                     const ScanKernel& kernel, float* best,
+                     uint32_t* nearest) {
+  float acc[kScanBlockSize];
+  std::fill_n(best, count * kScanBlockSize, std::numeric_limits<float>::max());
+  std::fill_n(nearest, count * kScanBlockSize, 0u);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    const float* lut = luts + c * lut_size;
+    for (size_t t = 0; t < count; ++t) {
+      std::fill_n(acc, kScanBlockSize, 0.f);
+      kernel.accumulate(codes.block(first + t), lut, lut_offsets, 0, prefix,
+                        0, kScanBlockSize / kScanLaneGroup, acc);
+      float* tile_best = best + t * kScanBlockSize;
+      uint32_t* tile_nearest = nearest + t * kScanBlockSize;
+      for (size_t i = 0; i < kScanBlockSize; ++i) {
+        if (acc[i] < tile_best[i]) {
+          tile_best[i] = acc[i];
+          tile_nearest[i] = static_cast<uint32_t>(c);
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
 
 Status TiPartition::Build(const CodeMatrix& codes,
                           const VariableCodebooks& books,
@@ -42,32 +86,45 @@ Status TiPartition::Build(const CodeMatrix& codes,
     std::copy_n(decoded.data(), prefix_dims, centroids_.row(c));
   }
 
-  // Assign every code to its nearest centroid. Distances between decoded
-  // codes and centroids decompose over subspaces, so one lookup table per
-  // centroid turns each assignment into prefix_subspaces_ table adds.
-  std::vector<std::vector<float>> cluster_luts(num_clusters);
-  for (size_t c = 0; c < num_clusters; ++c) {
-    books.BuildPrefixLookupTable(centroids_.row(c), prefix_subspaces_,
-                                 &cluster_luts[c]);
+  // Assign every code to its nearest centroid (Algorithm 3 lines 33-48).
+  // Distances between decoded codes and centroids decompose over
+  // subspaces, so with one prefix lookup table per centroid an assignment
+  // is prefix_subspaces_ table adds: the query scan's accumulation, run on
+  // its kernel over the codes blocked in row order.
+  const size_t lut_size = books.prefix_lut_entries(prefix_subspaces_);
+  std::vector<float> luts(num_clusters * lut_size);
+  ParallelFor(num_clusters, options.num_threads, [&](size_t begin,
+                                                      size_t end) {
+    std::vector<float> lut;
+    for (size_t c = begin; c < end; ++c) {
+      books.BuildPrefixLookupTable(centroids_.row(c), prefix_subspaces_, &lut);
+      std::copy(lut.begin(), lut.end(), luts.begin() + c * lut_size);
+    }
+  });
+  std::vector<uint32_t> lut_offsets(prefix_subspaces_);
+  for (size_t s = 0; s < prefix_subspaces_; ++s) {
+    lut_offsets[s] = static_cast<uint32_t>(books.lut_offset(s));
   }
-
+  const BlockedCodes blocked = BlockedCodes::Build(codes);
+  const ScanKernel& kernel = GetScanKernel(ScanKernelType::kAuto);
   std::vector<uint32_t> assignment(n);
   std::vector<float> best_dist(n);
-  ParallelFor(n, options.num_threads, [&](size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      const uint16_t* code = codes.row(r);
-      float best = std::numeric_limits<float>::max();
-      size_t best_c = 0;
-      for (size_t c = 0; c < num_clusters; ++c) {
-        const float dist = books.PrefixAdcDistance(
-            code, cluster_luts[c].data(), prefix_subspaces_);
-        if (dist < best) {
-          best = dist;
-          best_c = c;
-        }
+  ParallelFor(blocked.num_blocks(), options.num_threads,
+              [&](size_t begin, size_t end) {
+    float best[kTileBlocks * kScanBlockSize];
+    uint32_t nearest[kTileBlocks * kScanBlockSize];
+    for (size_t first = begin; first < end; first += kTileBlocks) {
+      const size_t count = std::min(kTileBlocks, end - first);
+      NearestClusters(blocked, first, count, luts.data(), lut_size,
+                      num_clusters, lut_offsets.data(), prefix_subspaces_,
+                      kernel, best, nearest);
+      // The last block's padded lanes are discarded.
+      const size_t row0 = first * kScanBlockSize;
+      const size_t rows = std::min(n - row0, count * kScanBlockSize);
+      for (size_t r = 0; r < rows; ++r) {
+        assignment[row0 + r] = nearest[r];
+        best_dist[row0 + r] = std::sqrt(best[r]);
       }
-      assignment[r] = static_cast<uint32_t>(best_c);
-      best_dist[r] = std::sqrt(best);
     }
   });
 

@@ -22,7 +22,9 @@ struct TiPartitionOptions {
   /// applied in this prefix space, which lower-bounds the full distance.
   size_t prefix_subspaces = 4;
   uint64_t seed = 42;
-  /// Threads for the assignment pass (0 = hardware concurrency).
+  /// Threads for the centroid lookup tables and the assignment pass, which
+  /// split the clusters and the 64-row code blocks between them (0 =
+  /// hardware concurrency). The partition does not depend on it.
   size_t num_threads = 1;
 };
 

@@ -37,6 +37,9 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
   if (options.default_nprobe == 0) {
     return Status::InvalidArgument("default_nprobe must be >= 1");
   }
+  if (!IsScanKernelType(options.scan_kernel)) {
+    return Status::InvalidArgument("unknown ScanKernelType value");
+  }
   VaqIvfIndex index;
   index.options_ = options;
   const VaqOptions& vopts = options.vaq;

@@ -19,7 +19,8 @@ struct VaqIvfOptions {
   /// Default number of lists probed per query (>= 1).
   size_t default_nprobe = 8;
   /// ADC scan implementation for the in-list scans (shared with VaqIndex;
-  /// see ScanKernelType). All choices return identical results.
+  /// see ScanKernelType). All choices return identical results; Train
+  /// rejects a value outside the enum.
   ScanKernelType scan_kernel = ScanKernelType::kAuto;
 };
 

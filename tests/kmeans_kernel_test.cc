@@ -5,7 +5,9 @@
 // widths with and without a serial tail, dictionary sizes below, at and
 // across one SIMD vector and one 16-centroid tile, fewer rows than
 // centroids (padding) and duplicated rows (exact ties, where the lowest
-// index must win).
+// index must win). The k-means++ seeding, which runs on the kernel's
+// `distances` over rows split across threads, is compared on its own with
+// the one-thread SquaredL2 loop it replaced.
 //
 // KMeans itself dispatches to the best kernel the CPU supports; the ctest
 // entry kmeans_kernel_scalar runs this suite again with
@@ -26,11 +28,11 @@
 namespace vaq {
 namespace {
 
-/// The Lloyd loop KMeans::Train ran before the centroid kernel: k-means++
-/// seeding, per-centroid SquaredL2 assignment, mean update with
-/// empty-cluster repair, relative-inertia stop.
-FloatMatrix ReferenceKMeans(const FloatMatrix& data,
-                            const KMeansOptions& options) {
+/// The k-means++ seeding KMeans::Train ran before the centroid kernel: one
+/// SquaredL2 call per row and round, all on one thread; padded with
+/// duplicated random rows when there are fewer rows than centroids.
+FloatMatrix ReferenceSeeding(const FloatMatrix& data,
+                             const KMeansOptions& options) {
   const size_t n = data.rows();
   const size_t d = data.cols();
   const size_t k = options.k;
@@ -69,6 +71,18 @@ FloatMatrix ReferenceKMeans(const FloatMatrix& data,
     std::copy_n(data.row(static_cast<size_t>(rng.NextIndex(n))), d,
                 centroids.row(c));
   }
+  return centroids;
+}
+
+/// The Lloyd loop KMeans::Train ran before the centroid kernel: reference
+/// seeding, per-centroid SquaredL2 assignment, mean update with
+/// empty-cluster repair, relative-inertia stop.
+FloatMatrix ReferenceKMeans(const FloatMatrix& data,
+                            const KMeansOptions& options) {
+  const size_t n = data.rows();
+  const size_t d = data.cols();
+  const size_t k = options.k;
+  FloatMatrix centroids = ReferenceSeeding(data, options);
 
   std::vector<uint32_t> assign(n, 0);
   std::vector<float> point_dist(n, 0.f);
@@ -235,6 +249,37 @@ TEST(KMeansKernelTest, TrainAndAssignMatchReferenceLloyd) {
           EXPECT_EQ(mismatches, 0u) << "assignments differ: d=" << d
                                     << " k=" << k << " n=" << n
                                     << " tied=" << tied;
+        }
+      }
+    }
+  }
+}
+
+TEST(KMeansKernelTest, SeedingMatchesReferenceSquaredL2Loop) {
+  SCOPED_TRACE(std::string("dispatched kernel: ") + GetCentroidKernel().name);
+  for (size_t d : {size_t{1}, size_t{3}, size_t{4}, size_t{96}}) {
+    // 30 rows < k = 50 takes the padding path; 700 rows split unevenly
+    // over 4 threads; identical rows make every D^2 total 0, so each
+    // round draws uniformly instead.
+    for (size_t n : {size_t{30}, size_t{700}}) {
+      for (int kind = 0; kind < 3; ++kind) {
+        FloatMatrix data = TestRows(kind == 1, n, d, 40 + d + n);
+        if (kind == 2) {
+          for (size_t r = 1; r < n; ++r) {
+            std::copy_n(data.row(0), d, data.row(r));
+          }
+        }
+        KMeansOptions opts;
+        opts.k = 50;
+        opts.max_iters = 0;
+        opts.seed = 11 + d;
+        const FloatMatrix expect = ReferenceSeeding(data, opts);
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          KMeans km;
+          ASSERT_TRUE(km.Train(data, opts, threads).ok());
+          EXPECT_TRUE(SameBits(km.centroids(), expect))
+              << "d=" << d << " n=" << n << " kind=" << kind
+              << " threads=" << threads;
         }
       }
     }

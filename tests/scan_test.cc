@@ -520,16 +520,12 @@ TEST(VaqIvfScanTest, BlockedKernelsMatchReferenceScan) {
 // Value 3 was the retired row-at-a-time scan; 255 was never a kernel.
 // Both reach the driver through VaqIvfOptions and fail the query.
 TEST(VaqIvfScanTest, RetiredAndUnknownKernelValuesAreInvalidArgument) {
+  // Rejected before any training, as coarse_k = 0 is: an index with such
+  // a kernel could answer no query.
   IvfProblem p;
   for (const int value : {3, 255}) {
     p.opts.scan_kernel = static_cast<ScanKernelType>(value);
-    auto index = VaqIvfIndex::Train(p.data, p.opts);
-    ASSERT_TRUE(index.ok()) << index.status().ToString();
-    std::vector<Neighbor> out(1);
-    EXPECT_EQ(index->Search(p.queries.row(0), 10, 0, &out).code(),
-              StatusCode::kInvalidArgument)
-        << "kernel=" << value;
-    EXPECT_EQ(index->Search(p.queries.row(0), 10, 4, &out).code(),
+    EXPECT_EQ(VaqIvfIndex::Train(p.data, p.opts).status().code(),
               StatusCode::kInvalidArgument)
         << "kernel=" << value;
   }

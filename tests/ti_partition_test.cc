@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -88,6 +91,91 @@ TEST_F(TiPartitionTest, MembersAssignedToNearestCentroid) {
         EXPECT_GE(dist, own - 1e-3f);
       }
     }
+  }
+}
+
+TEST_F(TiPartitionTest, AssignmentMatchesPrefixSumOracle) {
+  // 1037 rows (the last 64-row block is padded) that repeat 150 distinct
+  // rows, so many of the 64 sampled centroids decode identically and tie
+  // exactly for every row: the lowest cluster index must win.
+  Rng rng(21);
+  FloatMatrix distinct(150, data_.cols());
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    distinct.data()[i] = static_cast<float>(rng.Gaussian());
+  }
+  FloatMatrix data(1037, data_.cols());
+  for (size_t r = 0; r < data.rows(); ++r) {
+    std::copy_n(distinct.row((r * 7) % distinct.rows()), data.cols(),
+                data.row(r));
+  }
+  auto encoded = books_.Encode(data);
+  ASSERT_TRUE(encoded.ok());
+  const CodeMatrix& codes = *encoded;
+  const size_t n = codes.rows();
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    TiPartitionOptions topts;
+    topts.num_clusters = 64;
+    topts.prefix_subspaces = 2;
+    topts.seed = 4;
+    topts.num_threads = threads;
+    TiPartition ti;
+    ASSERT_TRUE(ti.Build(codes, books_, topts).ok());
+    const size_t clusters = ti.num_clusters();
+    const size_t p = ti.prefix_subspaces();
+
+    // The oracle: each centroid's full lookup table (zero beyond the
+    // prefix dims), its first p subspaces summed from 0.f in ascending
+    // order, and the first strict minimum over the clusters.
+    std::vector<std::vector<float>> luts(clusters);
+    std::vector<float> padded(books_.dim(), 0.f);
+    size_t tied_pairs = 0;
+    for (size_t c = 0; c < clusters; ++c) {
+      std::copy_n(ti.centroids().row(c), ti.prefix_dims(), padded.data());
+      books_.BuildLookupTable(padded.data(), &luts[c]);
+      for (size_t other = 0; other < c; ++other) {
+        if (std::equal(ti.centroids().row(c),
+                       ti.centroids().row(c) + ti.prefix_dims(),
+                       ti.centroids().row(other))) {
+          ++tied_pairs;
+        }
+      }
+    }
+    ASSERT_GT(tied_pairs, 0u) << "no two centroids tie; the test lost its "
+                                 "tie case";
+    std::vector<uint32_t> want_cluster(n);
+    std::vector<float> want_distance(n);
+    for (size_t r = 0; r < n; ++r) {
+      float best = std::numeric_limits<float>::max();
+      uint32_t best_c = 0;
+      for (size_t c = 0; c < clusters; ++c) {
+        float acc = 0.f;
+        for (size_t s = 0; s < p; ++s) {
+          acc += luts[c][books_.lut_offset(s) + codes.at(r, s)];
+        }
+        if (acc < best) {
+          best = acc;
+          best_c = static_cast<uint32_t>(c);
+        }
+      }
+      want_cluster[r] = best_c;
+      want_distance[r] = std::sqrt(best);
+    }
+
+    const Partitioning& members = ti.members();
+    ASSERT_EQ(members.ids.size(), n);
+    size_t mismatches = 0;
+    for (size_t c = 0; c < clusters; ++c) {
+      for (size_t i = members.begin(c); i < members.end(c); ++i) {
+        const uint32_t id = members.ids[i];
+        if (want_cluster[id] != c ||
+            std::memcmp(&ti.distances()[i], &want_distance[id],
+                        sizeof(float)) != 0) {
+          ++mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "threads=" << threads;
   }
 }
 

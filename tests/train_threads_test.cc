@@ -1,7 +1,8 @@
 // Training must not depend on VaqOptions::train_threads: codebooks train
-// one subspace per thread and IVF's coarse k-means splits its assignment
-// steps over rows, and either way the saved file is the same, byte for
-// byte, at 1, 4 and "hardware concurrency" (0) threads.
+// one subspace per thread, IVF's coarse k-means splits its seeding and
+// assignment steps over rows and the TI build its code blocks, and either
+// way the saved file is the same, byte for byte, at 1, 4 and "hardware
+// concurrency" (0) threads.
 
 #include <gtest/gtest.h>
 

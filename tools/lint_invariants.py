@@ -17,9 +17,10 @@ suite, the Status-not-abort API tests) into CI build failures:
                        Avx2CentroidDistances, Avx2CentroidNearest and
                        their Distances8/Distances16 steps, in
                        src/clustering/centroid_kernel.cc /
-                       centroid_kernel_avx2.cc) and the per-row encoder
-                       (EncodeRow in src/core/codebook.cc) must not
-                       allocate: no
+                       centroid_kernel_avx2.cc), the per-row encoder
+                       (EncodeRow in src/core/codebook.cc) and the TI
+                       build's assignment loop (NearestClusters in
+                       src/core/ti_partition.cc) must not allocate: no
                        new/malloc, no container growth. The paper's
                        speed claims (Sec. III-E) rest on these loops
                        touching nothing but caller-owned buffers.
@@ -74,6 +75,7 @@ KERNEL_FILES = {
     "src/core/scan_avx2.cc",
     "src/core/search_driver.cc",
     "src/core/codebook.cc",
+    "src/core/ti_partition.cc",
     "src/clustering/centroid_kernel.cc",
     "src/clustering/centroid_kernel_avx2.cc",
 }
@@ -93,6 +95,7 @@ KERNEL_FUNCTIONS = {
     "Avx2CentroidDistances",
     "Avx2CentroidNearest",
     "EncodeRow",
+    "NearestClusters",
 }
 
 ENTRYPOINT_FILES = {
