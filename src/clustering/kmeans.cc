@@ -14,6 +14,11 @@ namespace {
 /// Relative inertia improvement below which training stops early.
 constexpr double kTol = 1e-4;
 
+/// Floats of rows (rows x dims) each seeding worker needs per round to
+/// repay its wait at the round's barrier. Seeding 8000 x 24 rows took
+/// longer on 2 threads than on 1; 4000 x 96 rows took 40% less.
+constexpr size_t kMinSeedFloatsPerWorker = size_t{1} << 17;
+
 /// Row pitch, in floats, of the dimension-major table of k centroids: whole
 /// 64-byte lines, an odd number of them. With a power-of-two pitch every
 /// row of a 96-d table of 256 centroids maps to the same few L1 sets, and
@@ -106,7 +111,8 @@ void KMeans::SeedCentroids(const FloatMatrix& data,
       }
       std::copy_n(data.row(pick), d, centroids_.row(next++));
     };
-    const size_t workers = WorkerCount(n, num_threads);
+    const size_t workers = std::clamp<size_t>(
+        n * d / kMinSeedFloatsPerWorker, 1, WorkerCount(n, num_threads));
     std::barrier round(static_cast<std::ptrdiff_t>(workers), draw);
     ParallelFor(workers, workers, [&](size_t w, size_t) {
       const size_t begin = w * n / workers;

@@ -2,6 +2,7 @@
 #define VAQ_CLUSTERING_KMEANS_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
@@ -28,8 +29,9 @@ class KMeans {
   /// centroid set is padded with duplicated points so that exactly k
   /// centroids always exist (encoded ids then simply never reference the
   /// padded entries). `num_threads` > 1 splits the seeding's distance
-  /// passes and each assignment step over rows (0 picks the hardware
-  /// concurrency); the centroids do not depend on it.
+  /// passes (fewer workers when the rows are few or narrow) and each
+  /// assignment step over rows (0 picks the hardware concurrency); the
+  /// centroids do not depend on it.
   Status Train(const FloatMatrix& data, const KMeansOptions& options,
                size_t num_threads = 1);
 
@@ -40,15 +42,11 @@ class KMeans {
   /// Cluster centers, one per row.
   const FloatMatrix& centroids() const { return centroids_; }
 
-  /// Restores a trained state from serialized centroids (index Load
-  /// paths). Requires a non-empty matrix.
-  Status Restore(FloatMatrix centroids) {
-    if (centroids.rows() == 0 || centroids.cols() == 0) {
-      return Status::InvalidArgument("empty centroid matrix");
-    }
-    centroids_ = std::move(centroids);
-    trained_ = true;
-    return Status::OK();
+  /// Moves the centroids out (an index adopting them as its partitions'
+  /// centroids), leaving the model untrained.
+  FloatMatrix TakeCentroids() {
+    trained_ = false;
+    return std::move(centroids_);
   }
 
   /// Index of the nearest centroid to `x` (length dim()): the lowest

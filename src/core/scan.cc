@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/cpu_features.h"
+#include "common/io.h"
 #include "common/log.h"
 #include "common/macros.h"
 #include "common/metrics.h"
@@ -65,11 +67,6 @@ Partitioning Partitioning::FromAssignment(
   return parts;
 }
 
-void Partitioning::Append(const std::vector<uint32_t>& members) {
-  ids.insert(ids.end(), members.begin(), members.end());
-  offsets.push_back(static_cast<uint32_t>(ids.size()));
-}
-
 Status Partitioning::Validate(size_t num_rows, const char* what) const {
   // num_rows distinct ids below num_rows are a permutation of [0, num_rows).
   bool ok = ids.size() == num_rows && offsets.front() == 0 &&
@@ -83,6 +80,103 @@ Status Partitioning::Validate(size_t num_rows, const char* what) const {
   if (ok) return Status::OK();
   return Status::Internal(std::string(what) +
                           " do not hold every database row exactly once");
+}
+
+PartitionedCodes::PartitionedCodes(const CodeMatrix& codes,
+                                   Partitioning members,
+                                   FloatMatrix centroids,
+                                   std::vector<float> distances)
+    : members_(std::move(members)),
+      centroids_(std::move(centroids)),
+      distances_(std::move(distances)) {
+  BlockCodes(codes);
+}
+
+void PartitionedCodes::BlockCodes(const CodeMatrix& codes) {
+  StageTimer timer(MetricsRegistry::Global().GetCounter(
+      "vaq_build_scan_layout_us_total",
+      "Cumulative blocked scan-layout build time (us)"));
+  codes_ = BlockedCodes::Build(codes, members_.ids.data(), codes.rows());
+}
+
+Status PartitionedCodes::Validate(size_t num_rows, size_t centroid_dims,
+                                  const char* what) const {
+  const std::string name(what);
+  if (num_partitions() == 0 || centroids_.rows() != num_partitions()) {
+    return Status::Internal(name + " and their centroids disagree in count");
+  }
+  if (centroids_.cols() != centroid_dims) {
+    return Status::Internal(name + ": centroid width disagrees with the "
+                                   "index");
+  }
+  for (size_t i = 0; i < centroids_.size(); ++i) {
+    if (!std::isfinite(centroids_.data()[i])) {
+      return Status::Internal(name + ": centroids contain non-finite values");
+    }
+  }
+  VAQ_RETURN_IF_ERROR(members_.Validate(num_rows, what));
+  if (distances_.empty()) return Status::OK();
+  if (distances_.size() != num_rows) {
+    return Status::Internal(name + ": one cached distance per row expected");
+  }
+  for (size_t p = 0; p < num_partitions(); ++p) {
+    float prev = 0.f;
+    for (size_t i = members_.begin(p); i < members_.end(p); ++i) {
+      const float d = distances_[i];
+      if (!std::isfinite(d) || d < prev) {
+        return Status::Internal(name + ": cached distances are not sorted "
+                                       "non-negative finite values");
+      }
+      prev = d;
+    }
+  }
+  return Status::OK();
+}
+
+void PartitionedCodes::SavePartitions(std::ostream& os) const {
+  WritePod<uint64_t>(os, num_partitions());
+  for (size_t p = 0; p < num_partitions(); ++p) {
+    const size_t begin = members_.begin(p);
+    const size_t count = members_.end(p) - begin;
+    WriteArray(os, members_.ids.data() + begin, count);
+    if (!distances_.empty()) WriteArray(os, distances_.data() + begin, count);
+  }
+}
+
+Status PartitionedCodes::LoadPartitions(std::istream& is,
+                                        bool with_distances) {
+  uint64_t num = 0;
+  VAQ_RETURN_IF_ERROR(ReadPod(is, &num));
+  // Every partition costs at least one 8-byte length header per array;
+  // bound the loop on seekable streams so a corrupted count cannot drive
+  // a huge allocation.
+  const uint64_t min_bytes = with_distances ? 16 : 8;
+  const int64_t remaining = RemainingBytes(is);
+  if (remaining >= 0 && num > static_cast<uint64_t>(remaining) / min_bytes) {
+    return Status::IoError("partition count exceeds remaining payload "
+                           "(corrupted file?)");
+  }
+  members_ = Partitioning{};
+  distances_.clear();
+  std::vector<uint32_t> ids;
+  std::vector<float> distances;
+  for (uint64_t p = 0; p < num; ++p) {
+    VAQ_RETURN_IF_ERROR(ReadVector(is, &ids));
+    members_.ids.insert(members_.ids.end(), ids.begin(), ids.end());
+    members_.offsets.push_back(static_cast<uint32_t>(members_.ids.size()));
+    if (!with_distances) continue;
+    VAQ_RETURN_IF_ERROR(ReadVector(is, &distances));
+    if (distances.size() != ids.size()) {
+      return Status::IoError("corrupted partition: id/distance arrays "
+                             "disagree in length");
+    }
+    distances_.insert(distances_.end(), distances.begin(), distances.end());
+  }
+  return Status::OK();
+}
+
+Status PartitionedCodes::LoadCentroids(std::istream& is) {
+  return ReadMatrix(is, &centroids_);
 }
 
 namespace {

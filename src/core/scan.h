@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <istream>
+#include <ostream>
 #include <vector>
 
 #include "common/deadline.h"
@@ -76,9 +78,9 @@ enum class ScanKernelType {
 /// row-at-a-time ADC sum. The last block is padded with code 0 (always
 /// a valid dictionary index); padded lanes are computed and discarded.
 ///
-/// An index holds exactly one of these, in the storage order of its
-/// Partitioning: partitions are packed back to back with no padding, so a
-/// block may hold the tail of one partition and the head of the next.
+/// An index holds exactly one of these, in its PartitionedCodes: partitions
+/// are packed back to back with no padding, so a block may hold the tail of
+/// one partition and the head of the next.
 class BlockedCodes {
  public:
   BlockedCodes() = default;
@@ -116,7 +118,7 @@ class BlockedCodes {
 };
 
 /// Rows [0, n) split into partitions (TI clusters, IVF lists) in CSR form,
-/// which is also the storage order of the index's one BlockedCodes:
+/// which is also the storage order of a PartitionedCodes' BlockedCodes:
 /// partition p is storage rows [begin(p), end(p)), and ids[i] is the row
 /// id stored at position i.
 struct Partitioning {
@@ -132,13 +134,67 @@ struct Partitioning {
   static Partitioning FromAssignment(const std::vector<uint32_t>& assignment,
                                      size_t count);
 
-  /// Appends a partition holding `members` in order (Load's path).
-  void Append(const std::vector<uint32_t>& members);
-
   /// Checks that `ids` stores every row of [0, num_rows) exactly once, as
   /// TI clusters and IVF lists must. Internal, naming the partitions
   /// `what`, otherwise.
   Status Validate(size_t num_rows, const char* what) const;
+};
+
+/// An index's one encoded database: the TI clusters of a VaqIndex
+/// (TiPartition builds them) or the inverted lists of a VaqIvfIndex (its
+/// coarse k-means builds them). It holds the one BlockedCodes in the
+/// storage order of its Partitioning, one centroid row per partition
+/// (which the query driver ranks) and, for TI only, each stored member's
+/// cached centroid distance, sorted within its partition (which bound the
+/// triangle-inequality window of a visit; empty otherwise).
+class PartitionedCodes {
+ public:
+  PartitionedCodes() = default;
+
+  /// Adopts the partitions, their centroids and (TI) the members' sorted
+  /// distances, all moved in, and blocks `codes` (row order) (BlockCodes).
+  PartitionedCodes(const CodeMatrix& codes, Partitioning members,
+                   FloatMatrix centroids, std::vector<float> distances = {});
+
+  const BlockedCodes& codes() const { return codes_; }
+  const Partitioning& members() const { return members_; }
+  const FloatMatrix& centroids() const { return centroids_; }
+  const std::vector<float>& distances() const { return distances_; }
+  size_t rows() const { return codes_.rows(); }
+  size_t num_partitions() const { return members_.size(); }
+
+  /// The codes in row order, then `extra_rows` zero rows for Add to fill.
+  CodeMatrix RowCodes(size_t extra_rows = 0) const {
+    return codes_.Scatter(members_.ids.data(), extra_rows);
+  }
+
+  /// Blocks `codes` (row order) in storage order, timed by the
+  /// vaq_build_scan_layout_us_total counter. It gathers rows through
+  /// members().ids, so Load runs Validate first.
+  void BlockCodes(const CodeMatrix& codes);
+
+  /// The partition half of an index's validation: at least one partition,
+  /// holding every row of [0, num_rows) exactly once; one finite centroid
+  /// of width `centroid_dims` per partition; and, when there are distances,
+  /// one per row, finite, non-negative and sorted within each partition.
+  /// Internal, naming the partitions `what`, otherwise.
+  Status Validate(size_t num_rows, size_t centroid_dims,
+                  const char* what) const;
+
+  /// Writes the partition count, then per partition its ids and, if the
+  /// store has distances, theirs: the shared body of the TIPT and LIST
+  /// sections. LoadPartitions reads it back; `with_distances` says whether
+  /// the section has them.
+  void SavePartitions(std::ostream& os) const;
+  Status LoadPartitions(std::istream& is, bool with_distances);
+  /// Reads centroids that WriteMatrix wrote.
+  Status LoadCentroids(std::istream& is);
+
+ protected:
+  BlockedCodes codes_;
+  Partitioning members_;
+  FloatMatrix centroids_;
+  std::vector<float> distances_;
 };
 
 /// The ADC scan kernel of one instruction set. (Distances to centroids,
@@ -194,9 +250,9 @@ bool Avx2ScanAvailable();
 const char* AutoScanKernelName();
 
 /// One partition of the database (a TI cluster or an IVF cell) as a query
-/// scans it: a range of storage rows of the index's one BlockedCodes,
-/// whose ids the query reads through the index's shared storage -> row id
-/// map. A flat kHeap scan is the single range [0, n), in storage order; a
+/// scans it: a range of storage rows of the index's PartitionedCodes,
+/// whose ids the query reads through the store's storage -> row id map.
+/// A flat kHeap scan is the single range [0, n), in storage order; a
 /// flat early-abandon scan is its seeded partitions, then the row ranges
 /// between them (SearchEncoded).
 struct PartitionRef {

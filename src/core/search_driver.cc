@@ -47,13 +47,12 @@ Status ValidateSearchParams(const VaqEncoder& encoder, size_t n,
 /// Everything the scan of one query reads or writes, fixed before the
 /// first row.
 struct QueryScan {
-  const BlockedCodes* codes;  ///< the index's one store, storage order
-  const uint32_t* ids;        ///< storage row -> row id
+  const PartitionedCodes* store;  ///< the index's one code store
   const float* lut;
   const uint32_t* lut_offsets;
   size_t s_limit;   ///< subspaces accumulated per row
   size_t interval;  ///< subspaces between early-abandon checks
-  bool ranked;      ///< the visits come from a PartitionPlan
+  bool ranked;      ///< the visits are ranked partitions
   SearchScratch* scratch;
   SearchStats* stats;
   StopController* stop;
@@ -101,9 +100,10 @@ void ScanWindow(const QueryScan& q, const PartitionRef& p,
     {
       // vaq-lint: allow(kernel-no-clock) -- reads the clock only if traced
       TraceSpan span(q.trace, QueryPhase::kBlockScan);
-      BlockedEaScan(*q.codes, row, p.begin + chunk_end, q.ids, q.lut,
-                    q.lut_offsets, q.s_limit, q.interval, kernel,
-                    q.scratch->acc, &heap, stats, q.stop);
+      BlockedEaScan(q.store->codes(), row, p.begin + chunk_end,
+                    q.store->members().ids.data(), q.lut, q.lut_offsets,
+                    q.s_limit, q.interval, kernel, q.scratch->acc, &heap,
+                    stats, q.stop);
     }
     if (q.stop != nullptr && q.stop->stopped()) return;
     if (chunk_end == stop_row && stop_row < end) {
@@ -127,7 +127,8 @@ void ScanBlocked(const QueryScan& q, const ScanKernel& kernel) {
     if (p.sorted_distances != nullptr) {
       ScanWindow(q, p, kernel);
     } else {
-      BlockedEaScan(*q.codes, p.begin, p.end, q.ids, q.lut, q.lut_offsets,
+      BlockedEaScan(q.store->codes(), p.begin, p.end,
+                    q.store->members().ids.data(), q.lut, q.lut_offsets,
                     q.s_limit, q.interval, kernel, q.scratch->acc, &heap,
                     q.stats, q.stop);
     }
@@ -146,9 +147,9 @@ constexpr size_t kSeedRowsPerResult = 8;
 /// the threshold early. Then every other row in storage order, each run
 /// between two seeded partitions as one range, so the sweep keeps the
 /// whole-block kernel path. Every row is visited once.
-void PlanSeededSweep(const float* projected, const FloatMatrix& centroids,
-                     const Partitioning& parts, size_t k,
-                     SearchScratch* scratch) {
+void PlanSeededSweep(const float* projected, const PartitionedCodes& store,
+                     size_t k, SearchScratch* scratch) {
+  const Partitioning& parts = store.members();
   const size_t clusters = parts.size();
   const size_t n = parts.ids.size();
   const size_t seeds = std::min<size_t>(
@@ -158,7 +159,7 @@ void PlanSeededSweep(const float* projected, const FloatMatrix& centroids,
                                     static_cast<double>(clusters) /
                                     static_cast<double>(n))));
   std::vector<Neighbor>& ranking = scratch->ranking;
-  RankPartitions(projected, centroids, seeds, &ranking);
+  RankPartitions(projected, store.centroids(), seeds, &ranking);
   std::vector<PartitionRef>& visits = scratch->visits;
   // At most one sweep range before each seed and one after the last:
   // reserving that up front keeps later queries allocation-free.
@@ -194,15 +195,14 @@ void RankPartitions(const float* projected, const FloatMatrix& centroids,
   ranking->erase(nearest_end, ranking->end());
 }
 
-Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
-                     const Partitioning& parts, const FloatMatrix& centroids,
-                     const PartitionPlan* plan, const float* query,
+Status SearchEncoded(const VaqEncoder& encoder, const PartitionedCodes& store,
+                     size_t visit, const float* query,
                      const SearchParams& params, SearchScratch* scratch,
                      std::vector<Neighbor>* out, SearchStats* stats) {
   WallTimer timer;
   CpuTimer cpu_timer(CpuTimer::Scope::kThread);
   VAQ_RETURN_IF_ERROR(
-      ValidateSearchParams(encoder, codes.rows(), query, params));
+      ValidateSearchParams(encoder, store.rows(), query, params));
   StopController stop_state(params.deadline, params.cancel_token);
   StopController* stop = stop_state.armed() ? &stop_state : nullptr;
 
@@ -224,9 +224,10 @@ Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
   scratch->heap.Reset(params.k);
 
   const size_t m = encoder.num_subspaces();
-  const bool ranked = plan != nullptr;
-  QueryScan scan{&codes, parts.ids.data(), scratch->lut.data(),
-                 encoder.lut_offsets32(), m,
+  const bool ranked = visit != 0;
+  // A TI store's distances window every ranked visit.
+  const bool windowed = ranked && !store.distances().empty();
+  QueryScan scan{&store, scratch->lut.data(), encoder.lut_offsets32(), m,
                  std::max<size_t>(1, params.ea_check_interval), ranked,
                  scratch, stats, stop, trace};
   if (!ranked && params.num_subspaces_used != 0) {
@@ -240,7 +241,7 @@ Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
   if (stats != nullptr) {
     stats->partitions_visited = 0;
     stats->clusters_visited = 0;
-    stats->clusters_total = ranked ? centroids.rows() : 0;
+    stats->clusters_total = ranked ? store.num_partitions() : 0;
   }
   const bool seeded = !ranked && scan.interval < scan.s_limit;
   // Ranking is the first step a stop check can skip: a query out of
@@ -249,28 +250,28 @@ Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
     scratch->visits.clear();
   } else if (ranked) {
     TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
-    RankPartitions(projected, centroids, plan->visit, &scratch->ranking);
+    RankPartitions(projected, store.centroids(), visit, &scratch->ranking);
+    const Partitioning& parts = store.members();
     scratch->visits.resize(scratch->ranking.size());
     for (size_t v = 0; v < scratch->ranking.size(); ++v) {
       const Neighbor& r = scratch->ranking[v];
       const size_t begin = parts.begin(r.id);
       scratch->visits[v] = {
           begin, parts.end(r.id),
-          plan->distances != nullptr ? plan->distances + begin : nullptr,
+          windowed ? store.distances().data() + begin : nullptr,
           std::sqrt(r.distance)};
     }
     rank_span.Stop();
     if (stats != nullptr) stats->clusters_visited = scratch->visits.size();
   } else if (seeded) {
     TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
-    PlanSeededSweep(projected, centroids, parts, params.k, scratch);
+    PlanSeededSweep(projected, store, params.k, scratch);
   } else {
-    scratch->visits.assign(1, PartitionRef{0, codes.rows()});
+    scratch->visits.assign(1, PartitionRef{0, store.rows()});
   }
   {
     // A TI scan traces each chunk of its windows (ScanWindow); every other
     // scan is one span.
-    const bool windowed = plan != nullptr && plan->distances != nullptr;
     TraceSpan scan_span(windowed ? nullptr : trace, QueryPhase::kBlockScan);
     ScanBlocked(scan, GetScanKernel(params.kernel));
   }

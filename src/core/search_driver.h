@@ -62,16 +62,6 @@ struct SearchParams {
   QueryTrace* trace = nullptr;
 };
 
-/// What a ranked query (TI clusters, IVF cells) visits: the `visit`
-/// partitions whose centroids are nearest the projected query, nearest
-/// first. With `distances` (TI: each stored member's cached centroid
-/// distance, in storage order) every visit is scanned inside its
-/// triangle-inequality window.
-struct PartitionPlan {
-  size_t visit = 0;                  ///< partitions to visit
-  const float* distances = nullptr;  ///< TI only, else null
-};
-
 /// Algorithm 4's partition ranking, for TI clusters and IVF cells alike:
 /// writes the min(visit, centroids.rows()) centroids nearest the first
 /// `centroids.cols()` dims of `projected` to `ranking` as (squared
@@ -81,14 +71,14 @@ void RankPartitions(const float* projected, const FloatMatrix& centroids,
 
 /// The one query driver under VaqIndex and VaqIvfIndex: validate, project,
 /// build the LUT, scan, finalize (FinalizeSearchResult) and record the
-/// query's telemetry. `codes` is the index's one store, in the storage
-/// order of `parts`, whose ids map each storage row to its row id;
-/// `centroids` holds one row per partition of `parts`.
+/// query's telemetry. `store` is the index's one code store.
 ///
-/// With a plan the scan visits the partitions it ranks (RankPartitions,
-/// inside the partition_rank trace span), each a row range of `codes`,
-/// early-abandoned over all subspaces. With `plan` null the scan is flat
-/// and visits every row once. A flat scan that can abandon rows
+/// With `visit` > 0 the query is ranked: the scan visits the `visit`
+/// partitions whose centroids are nearest the projected query, nearest
+/// first (RankPartitions, inside the partition_rank trace span), each a row
+/// range of the store, early-abandoned over all subspaces; when the store
+/// has distances (TI) each visit is scanned inside its triangle-inequality
+/// window. With `visit` == 0 the scan is flat and visits every row once. A flat scan that can abandon rows
 /// (SearchMode::kEarlyAbandon) first seeds its threshold from the
 /// partitions nearest the query, the fewest expected to hold 8k rows
 /// (ranked inside the partition_rank span), then sweeps every other row in
@@ -96,10 +86,9 @@ void RankPartitions(const float* projected, const FloatMatrix& centroids,
 /// early-abandoned; SearchMode::kHeap is the one whose check interval
 /// spans all accumulated subspaces, so it never abandons a row. The visit
 /// order never changes the result. `params.visit_fraction` is validated
-/// here but read only by the caller that sized the plan.
-Status SearchEncoded(const VaqEncoder& encoder, const BlockedCodes& codes,
-                     const Partitioning& parts, const FloatMatrix& centroids,
-                     const PartitionPlan* plan, const float* query,
+/// here but read only by the caller that chose `visit`.
+Status SearchEncoded(const VaqEncoder& encoder, const PartitionedCodes& store,
+                     size_t visit, const float* query,
                      const SearchParams& params, SearchScratch* scratch,
                      std::vector<Neighbor>* out, SearchStats* stats);
 

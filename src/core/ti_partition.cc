@@ -141,102 +141,46 @@ Status TiPartition::Build(const CodeMatrix& codes,
   }
   distances_.resize(n);
   for (size_t i = 0; i < n; ++i) distances_[i] = best_dist[members_.ids[i]];
-  built_ = true;
+  BlockCodes(codes);
   return Status::OK();
 }
 
 void TiPartition::QueryDistances(const float* projected_query,
                                  std::vector<float>* out) const {
-  VAQ_DCHECK(built_);
   const size_t pd = prefix_dims();
-  out->resize(num_clusters());
-  for (size_t c = 0; c < num_clusters(); ++c) {
+  out->resize(num_partitions());
+  for (size_t c = 0; c < num_partitions(); ++c) {
     (*out)[c] =
         std::sqrt(SquaredL2(projected_query, centroids_.row(c), pd));
   }
 }
 
 void TiPartition::Save(std::ostream& os) const {
-  WritePod<uint8_t>(os, built_ ? 1 : 0);
+  WritePod<uint8_t>(os, num_partitions() != 0 ? 1 : 0);
   WritePod<uint64_t>(os, prefix_subspaces_);
   WriteMatrix(os, centroids_);
-  WritePod<uint64_t>(os, num_clusters());
-  for (size_t c = 0; c < num_clusters(); ++c) {
-    const size_t begin = members_.begin(c);
-    const size_t count = members_.end(c) - begin;
-    WriteArray(os, members_.ids.data() + begin, count);
-    WriteArray(os, distances_.data() + begin, count);
-  }
+  SavePartitions(os);
 }
 
 Status TiPartition::Load(std::istream& is) {
   uint8_t built = 0;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &built));
+  if (built == 0) return Status::IoError("TI partition was saved unbuilt");
   uint64_t prefix = 0;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &prefix));
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &centroids_));
-  uint64_t num = 0;
-  VAQ_RETURN_IF_ERROR(ReadPod(is, &num));
-  // Every cluster costs at least 16 payload bytes (two vector headers);
-  // bound the loop on seekable streams.
-  const int64_t remaining = RemainingBytes(is);
-  if (remaining >= 0 && num > static_cast<uint64_t>(remaining) / 16) {
-    return Status::IoError("TI cluster count exceeds remaining payload "
-                           "(corrupted file?)");
-  }
-  members_ = Partitioning{};
-  distances_.clear();
-  std::vector<uint32_t> ids;
-  std::vector<float> distances;
-  for (uint64_t c = 0; c < num; ++c) {
-    VAQ_RETURN_IF_ERROR(ReadVector(is, &ids));
-    VAQ_RETURN_IF_ERROR(ReadVector(is, &distances));
-    if (ids.size() != distances.size()) {
-      return Status::IoError("corrupted TI partition: id/distance arrays "
-                             "disagree in length");
-    }
-    members_.Append(ids);
-    distances_.insert(distances_.end(), distances.begin(), distances.end());
-  }
+  VAQ_RETURN_IF_ERROR(LoadCentroids(is));
+  VAQ_RETURN_IF_ERROR(LoadPartitions(is, /*with_distances=*/true));
   prefix_subspaces_ = prefix;
-  built_ = built != 0;
   return Status::OK();
 }
 
-Status TiPartition::ValidateInvariants(size_t num_rows, size_t num_subspaces,
-                                       size_t expected_prefix_dims) const {
-  if (!built_) return Status::FailedPrecondition("TI partition is not built");
-  if (prefix_subspaces_ == 0 || prefix_subspaces_ > num_subspaces) {
+Status TiPartition::ValidateInvariants(size_t num_rows,
+                                       const SubspaceLayout& layout) const {
+  if (prefix_subspaces_ == 0 || prefix_subspaces_ > layout.num_subspaces()) {
     return Status::Internal("TI prefix_subspaces outside [1, m]");
   }
-  if (centroids_.cols() != expected_prefix_dims) {
-    return Status::Internal("TI centroid width disagrees with the layout's "
-                            "prefix dimensions");
-  }
-  if (centroids_.rows() != num_clusters() || num_clusters() == 0) {
-    return Status::Internal("TI centroid/cluster counts disagree");
-  }
-  for (size_t i = 0; i < centroids_.size(); ++i) {
-    if (!std::isfinite(centroids_.data()[i])) {
-      return Status::Internal("TI centroids contain non-finite values");
-    }
-  }
-  VAQ_RETURN_IF_ERROR(members_.Validate(num_rows, "TI clusters"));
-  if (distances_.size() != num_rows) {
-    return Status::Internal("TI id/distance arrays disagree in length");
-  }
-  for (size_t c = 0; c < num_clusters(); ++c) {
-    float prev = 0.f;
-    for (size_t i = members_.begin(c); i < members_.end(c); ++i) {
-      const float d = distances_[i];
-      if (!std::isfinite(d) || d < 0.f || d < prev) {
-        return Status::Internal("TI cached distances are not sorted "
-                                "non-negative finite values");
-      }
-      prev = d;
-    }
-  }
-  return Status::OK();
+  const SubspaceSpan& last = layout.span(prefix_subspaces_ - 1);
+  return Validate(num_rows, last.offset + last.length, "TI clusters");
 }
 
 }  // namespace vaq

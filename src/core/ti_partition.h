@@ -38,51 +38,42 @@ struct TiPartitionOptions {
 /// [dq - r, dq + r] can beat the best-so-far — found by binary search —
 /// because |dq - dx| <= d(query, member) by the triangle inequality.
 ///
-/// The clusters are stored as one Partitioning, which is also the storage
-/// order of VaqIndex's codes: cluster c is storage rows [begin(c), end(c)),
-/// its members sorted ascending by (cached distance, row id).
-class TiPartition {
+/// The clusters are a PartitionedCodes, the store VaqIndex scans: cluster
+/// c is storage rows [begin(c), end(c)) of members(), its members sorted
+/// ascending by (cached distance, row id), with the codes blocked in that
+/// order, the prefix centroids as the partitions' centroids and the cached
+/// distances as distances().
+class TiPartition : public PartitionedCodes {
  public:
-  TiPartition() = default;
-
-  /// Builds the partition over `codes` using `books` to decode. The
-  /// cluster count is capped at the number of rows.
+  /// Builds the partition over `codes` using `books` to decode, then
+  /// blocks `codes` in cluster order. The cluster count is capped at the
+  /// number of rows.
   Status Build(const CodeMatrix& codes, const VariableCodebooks& books,
                const TiPartitionOptions& options);
 
-  size_t num_clusters() const { return members_.size(); }
   size_t prefix_subspaces() const { return prefix_subspaces_; }
   size_t prefix_dims() const { return centroids_.cols(); }
-  /// The clusters in CSR form: storage row ranges and storage -> row id.
-  const Partitioning& members() const { return members_; }
-  /// Each stored member's cached centroid distance, in storage order.
-  const std::vector<float>& distances() const { return distances_; }
-
-  /// Cluster centroids in decoded (prefix) float space.
-  const FloatMatrix& centroids() const { return centroids_; }
 
   /// Non-squared prefix distances from a projected query to every cluster
   /// centroid.
   void QueryDistances(const float* projected_query,
                       std::vector<float>* out) const;
 
+  /// Writes the TIPT section: a built flag, the prefix, the centroids and
+  /// the clusters (SavePartitions). The codes are not part of it.
   void Save(std::ostream& os) const;
+  /// Reads what Save wrote; the caller validates, then blocks the codes.
   Status Load(std::istream& is);
 
   /// Post-load semantic validation against the index the partition serves:
-  /// prefix bounds, centroid width, sorted finite cached distances, and —
-  /// because TI is a *partition* — every row id in [0, num_rows) exactly
-  /// once across clusters. `expected_prefix_dims` is the width of the
-  /// layout's first prefix_subspaces() spans.
-  Status ValidateInvariants(size_t num_rows, size_t num_subspaces,
-                            size_t expected_prefix_dims) const;
+  /// prefix_subspaces() in [1, layout.num_subspaces()], then the store's
+  /// Validate with the width of the layout's first prefix_subspaces()
+  /// spans.
+  Status ValidateInvariants(size_t num_rows,
+                            const SubspaceLayout& layout) const;
 
  private:
-  bool built_ = false;
   size_t prefix_subspaces_ = 0;
-  FloatMatrix centroids_;
-  Partitioning members_;
-  std::vector<float> distances_;
 };
 
 }  // namespace vaq

@@ -23,8 +23,9 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
   VAQ_RETURN_IF_ERROR(index.encoder_.Train(data, options, &rows));
 
   MetricsRegistry& reg = MetricsRegistry::Global();
-  double ti_us = 0.0, scan_us = 0.0;
-  // Step 6 (Algorithm 3 lines 24-48): TI partition for data skipping.
+  double ti_us = 0.0;
+  // Step 6 (Algorithm 3 lines 24-48): TI partition for data skipping, and
+  // the codes blocked in its cluster order.
   {
     StageTimer st(reg.GetCounter("vaq_build_ti_us_total",
                                  "Cumulative TI partition build time (us)"),
@@ -53,21 +54,14 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
     VAQ_RETURN_IF_ERROR(
         index.ti_.Build(rows.codes, index.codebooks(), topts));
   }
-  {
-    StageTimer st(
-        reg.GetCounter("vaq_build_scan_layout_us_total",
-                       "Cumulative blocked scan-layout build time (us)"),
-        &scan_us);
-    index.BuildScanStructures(rows.codes);
-  }
   reg.GetCounter("vaq_builds_total", "Index builds completed")->Increment();
   VAQ_LOG(LogLevel::kDebug,
           "VaqIndex build report: n=%zu d=%zu m=%zu pca=%.0fus "
           "subspace=%.0fus allocation=%.0fus codebook=%.0fus encode=%.0fus "
-          "ti=%.0fus scan_layout=%.0fus",
+          "ti=%.0fus",
           data.rows(), data.cols(), options.num_subspaces, rows.pca_us,
           rows.subspace_us, rows.allocation_us, rows.codebook_us,
-          rows.encode_us, ti_us, scan_us);
+          rows.encode_us, ti_us);
   return index;
 }
 
@@ -81,7 +75,7 @@ Status VaqIndex::Add(const FloatMatrix& data) {
   VAQ_ASSIGN_OR_RETURN(CodeMatrix fresh,
                        encoder_.Encode(data, options_.train_threads));
 
-  CodeMatrix codes = RowCodes(fresh.rows());
+  CodeMatrix codes = ti_.RowCodes(fresh.rows());
   std::copy_n(fresh.data(), fresh.size(),
               codes.data() + size() * codes.cols());
 
@@ -90,9 +84,7 @@ Status VaqIndex::Add(const FloatMatrix& data) {
   topts.num_threads = options_.train_threads;
   topts.prefix_subspaces = ti_.prefix_subspaces();
   topts.seed = options_.seed ^ 0x7153A9F2ULL;
-  VAQ_RETURN_IF_ERROR(ti_.Build(codes, codebooks(), topts));
-  BuildScanStructures(codes);
-  return Status::OK();
+  return ti_.Build(codes, codebooks(), topts);
 }
 
 void VaqIndex::ProjectQuery(const float* query,
@@ -117,15 +109,15 @@ Status VaqIndex::Search(const float* query, const SearchParams& params,
                   (params.num_subspaces_used == 0 ||
                    params.num_subspaces_used >= num_subspaces());
   // The nearest ceil(visit_fraction · clusters) clusters, each narrowed to
-  // its TI window. The driver rejects a fraction outside (0, 1]; until it
-  // does, the clamp keeps the cast defined.
-  const double clusters = static_cast<double>(ti_.num_clusters());
-  const double visit = std::ceil(params.visit_fraction * clusters);
-  const PartitionPlan plan{
-      visit >= 1.0 && visit <= clusters ? static_cast<size_t>(visit) : 1,
-      ti_.distances().data()};
-  return SearchEncoded(encoder_, codes_, ti_.members(), ti_.centroids(),
-                       ti ? &plan : nullptr, query, params, scratch, out,
+  // its TI window (0: a flat scan). The driver rejects a fraction outside
+  // (0, 1]; until it does, the clamp keeps the cast defined.
+  const double clusters = static_cast<double>(ti_.num_partitions());
+  const double nearest = std::ceil(params.visit_fraction * clusters);
+  const size_t visit =
+      !ti ? 0
+          : (nearest >= 1.0 && nearest <= clusters ? static_cast<size_t>(nearest)
+                                                   : 1);
+  return SearchEncoded(encoder_, ti_, visit, query, params, scratch, out,
                        stats);
 }
 
@@ -223,12 +215,7 @@ Status VaqIndex::ValidateInvariants(const CodeMatrix& codes) const {
       return Status::Internal("subspace variances contain invalid values");
     }
   }
-  const size_t p = ti_.prefix_subspaces();
-  if (p == 0 || p > m) {
-    return Status::Internal("TI prefix_subspaces outside [1, m]");
-  }
-  const SubspaceSpan& last = layout().span(p - 1);
-  return ti_.ValidateInvariants(codes.rows(), m, last.offset + last.length);
+  return ti_.ValidateInvariants(codes.rows(), layout());
 }
 
 namespace {
@@ -249,7 +236,7 @@ Status VaqIndex::Save(const std::string& path) const {
   }
   // Refuse to persist a broken index: the file would checksum correctly
   // but fail validation on load.
-  const CodeMatrix codes = RowCodes();
+  const CodeMatrix codes = ti_.RowCodes();
   VAQ_RETURN_IF_ERROR(ValidateInvariants(codes));
   ContainerWriter writer(kMagic, kVaqIndexFormatVersion);
   SaveOptionsSection(writer.AddSection(kSecOptions));
@@ -275,7 +262,7 @@ Result<VaqIndex> VaqIndex::Load(const std::string& path) {
        {kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes); }},
        {kSecTi, [&](std::istream& is) { return index.ti_.Load(is); }}}));
   VAQ_RETURN_IF_ERROR(index.ValidateInvariants(codes));
-  index.BuildScanStructures(codes);
+  index.ti_.BlockCodes(codes);
   return index;
 }
 

@@ -37,7 +37,7 @@ class VaqIndex {
   /// rebuilds the TI partition.
   Status Add(const FloatMatrix& data);
 
-  size_t size() const { return codes_.rows(); }
+  size_t size() const { return ti_.rows(); }
   size_t dim() const { return encoder_.dim(); }
   size_t num_subspaces() const { return encoder_.num_subspaces(); }
   const std::vector<int>& bits_per_subspace() const {
@@ -47,9 +47,8 @@ class VaqIndex {
   const VariableCodebooks& codebooks() const {
     return encoder_.codebooks();
   }
+  /// The TI clusters, which are also the index's one code store.
   const TiPartition& ti_partition() const { return ti_; }
-  /// The codes, stored in ti_partition().members() order (read-only).
-  const BlockedCodes& codes() const { return codes_; }
   const VaqOptions& options() const { return options_; }
   /// Normalized variance share of each (importance-ordered) subspace.
   const std::vector<double>& subspace_variances() const {
@@ -131,32 +130,23 @@ class VaqIndex {
   /// code addresses an existing dictionary entry, PCA/codebook/TI
   /// dimensions mutually consistent, TI clusters partition the database.
   /// Run automatically after Load and before Save.
-  Status ValidateInvariants() const { return ValidateInvariants(RowCodes()); }
+  Status ValidateInvariants() const {
+    return ValidateInvariants(ti_.RowCodes());
+  }
 
  private:
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
   /// ValidateInvariants against `codes`, the database in row order.
   Status ValidateInvariants(const CodeMatrix& codes) const;
-  /// The codes in row order, then `extra_rows` rows for Add to fill.
-  CodeMatrix RowCodes(size_t extra_rows = 0) const {
-    return codes_.Scatter(ti_.members().ids.data(), extra_rows);
-  }
-  /// Blocks `codes` (row order) into codes_ in ti_'s storage order. It
-  /// gathers rows through the TI ids, so Load validates `codes` first.
-  void BuildScanStructures(const CodeMatrix& codes) {
-    codes_ = BlockedCodes::Build(codes, ti_.members().ids.data(), codes.rows());
-  }
 
   VaqOptions options_;
   VaqEncoder encoder_;
-  /// The TI clusters; their CSR ids are the one storage -> row id map.
+  /// The TI clusters over the only copy of the codes, in cluster order
+  /// with no padding between clusters. A flat kHeap scan reads it start to
+  /// end; a flat early-abandon scan reads the clusters nearest the query
+  /// first, then the rest start to end.
   TiPartition ti_;
-  /// The only copy of the codes, in TI cluster order with no padding
-  /// between clusters. A flat kHeap scan reads it start to end; a flat
-  /// early-abandon scan reads the clusters nearest the query first, then
-  /// the rest start to end.
-  BlockedCodes codes_;
 };
 
 }  // namespace vaq

@@ -1,8 +1,9 @@
 #include "index/vaq_ivf.h"
 
 #include <algorithm>
-#include <cmath>
+#include <utility>
 
+#include "clustering/kmeans.h"
 #include "common/io.h"
 #include "common/log.h"
 #include "common/metrics.h"
@@ -50,7 +51,9 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
   // of VaqIndex's random-sample TI centroids), with the same build
   // accounting as the encoder stages (DESIGN.md §10).
   MetricsRegistry& reg = MetricsRegistry::Global();
-  double coarse_us = 0.0, scan_us = 0.0;
+  double coarse_us = 0.0;
+  KMeans coarse;
+  Partitioning lists;
   {
     StageTimer st(
         reg.GetCounter("vaq_build_coarse_us_total",
@@ -61,26 +64,20 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
     kopts.max_iters = vopts.kmeans_iters;
     kopts.seed = vopts.seed ^ 0x51F15EEDULL;
     VAQ_RETURN_IF_ERROR(
-        index.coarse_.Train(rows.projected, kopts, vopts.train_threads));
-    index.lists_ = Partitioning::FromAssignment(
-        index.coarse_.AssignAll(rows.projected, vopts.train_threads),
-        index.coarse_.k());
+        coarse.Train(rows.projected, kopts, vopts.train_threads));
+    lists = Partitioning::FromAssignment(
+        coarse.AssignAll(rows.projected, vopts.train_threads), coarse.k());
   }
-  {
-    StageTimer st(
-        reg.GetCounter("vaq_build_scan_layout_us_total",
-                       "Cumulative blocked scan-layout build time (us)"),
-        &scan_us);
-    index.BuildScanStructures(rows.codes);
-  }
+  index.lists_ = PartitionedCodes(rows.codes, std::move(lists),
+                                  coarse.TakeCentroids());
   reg.GetCounter("vaq_builds_total", "Index builds completed")->Increment();
   VAQ_LOG(LogLevel::kDebug,
           "VaqIvfIndex build report: n=%zu d=%zu m=%zu pca=%.0fus "
           "subspace=%.0fus allocation=%.0fus codebook=%.0fus encode=%.0fus "
-          "coarse=%.0fus scan_layout=%.0fus",
+          "coarse=%.0fus",
           data.rows(), data.cols(), vopts.num_subspaces, rows.pca_us,
           rows.subspace_us, rows.allocation_us, rows.codebook_us,
-          rows.encode_us, coarse_us, scan_us);
+          rows.encode_us, coarse_us);
   return index;
 }
 
@@ -109,61 +106,19 @@ Status VaqIvfIndex::LoadOptionsSection(std::istream& is) {
   return Status::OK();
 }
 
-void VaqIvfIndex::SaveListsSection(std::ostream& os) const {
-  WritePod<uint64_t>(os, lists_.size());
-  for (size_t c = 0; c < lists_.size(); ++c) {
-    WriteArray(os, lists_.ids.data() + lists_.begin(c),
-               lists_.end(c) - lists_.begin(c));
-  }
-}
-
-Status VaqIvfIndex::LoadListsSection(std::istream& is) {
-  uint64_t num = 0;
-  VAQ_RETURN_IF_ERROR(ReadPod(is, &num));
-  // Every list costs at least an 8-byte length header; bound the loop on
-  // seekable streams so a corrupted count cannot drive a huge allocation.
-  const int64_t remaining = RemainingBytes(is);
-  if (remaining >= 0 && num > static_cast<uint64_t>(remaining) / 8) {
-    return Status::IoError("inverted list count exceeds remaining payload "
-                           "(corrupted file?)");
-  }
-  lists_ = Partitioning{};
-  std::vector<uint32_t> list;
-  for (uint64_t c = 0; c < num; ++c) {
-    VAQ_RETURN_IF_ERROR(ReadVector(is, &list));
-    lists_.Append(list);
-  }
-  return Status::OK();
-}
-
 Status VaqIvfIndex::ValidateInvariants(const CodeMatrix& codes) const {
-  const size_t d = dim();
-  const size_t n = codes.rows();
   VAQ_RETURN_IF_ERROR(encoder_.ValidateInvariants(codes));
   if (options_.default_nprobe == 0) {
     return Status::Internal("default nprobe must be >= 1");
   }
-  if (coarse_.k() == 0 || coarse_.centroids().cols() != d) {
-    return Status::Internal("coarse centroid shape disagrees with the "
-                            "projected dimension");
-  }
-  for (size_t i = 0; i < coarse_.centroids().size(); ++i) {
-    if (!std::isfinite(coarse_.centroids().data()[i])) {
-      return Status::Internal("coarse centroids contain non-finite values");
-    }
-  }
-  if (lists_.size() != coarse_.k()) {
-    return Status::Internal("inverted list count disagrees with the coarse "
-                            "partition size");
-  }
-  return lists_.Validate(n, "inverted lists");
+  return lists_.Validate(codes.rows(), dim(), "inverted lists");
 }
 
 Status VaqIvfIndex::Save(const std::string& path) const {
   if (!encoder_.trained()) {
     return Status::FailedPrecondition("index is not trained");
   }
-  const CodeMatrix codes = RowCodes();
+  const CodeMatrix codes = lists_.RowCodes();
   VAQ_RETURN_IF_ERROR(ValidateInvariants(codes));
   ContainerWriter writer(kIvfMagic, kIvfFormatVersion);
   SaveOptionsSection(writer.AddSection(kSecOptions));
@@ -173,8 +128,8 @@ Status VaqIvfIndex::Save(const std::string& path) const {
   encoder_.SavePermutation(pca);
   encoder_.SaveBooks(writer.AddSection(kSecBooks));
   WriteMatrix(writer.AddSection(kSecCodes), codes);
-  WriteMatrix(writer.AddSection(kSecCoarse), coarse_.centroids());
-  SaveListsSection(writer.AddSection(kSecLists));
+  WriteMatrix(writer.AddSection(kSecCoarse), lists_.centroids());
+  lists_.SavePartitions(writer.AddSection(kSecLists));
   return writer.Commit(path);
 }
 
@@ -194,16 +149,13 @@ Result<VaqIvfIndex> VaqIvfIndex::Load(const std::string& path) {
        {kSecBooks, [&](std::istream& is) { return enc.LoadBooks(is); }},
        {kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes); }},
        {kSecCoarse,
-        [&](std::istream& is) {
-          FloatMatrix centroids;
-          const Status read = ReadMatrix(is, &centroids);
-          return read.ok() ? index.coarse_.Restore(std::move(centroids))
-                           : read;
-        }},
+        [&](std::istream& is) { return index.lists_.LoadCentroids(is); }},
        {kSecLists,
-        [&](std::istream& is) { return index.LoadListsSection(is); }}}));
+        [&](std::istream& is) {
+          return index.lists_.LoadPartitions(is, /*with_distances=*/false);
+        }}}));
   VAQ_RETURN_IF_ERROR(index.ValidateInvariants(codes));
-  index.BuildScanStructures(codes);
+  index.lists_.BlockCodes(codes);
   return index;
 }
 
@@ -224,20 +176,10 @@ Status VaqIvfIndex::Search(const float* query, size_t k, size_t nprobe,
                            const QueryControl& control,
                            SearchScratch* scratch, std::vector<Neighbor>* out,
                            SearchStats* stats) const {
-  return SearchProbed(query, DriverParams(k, control, options_.scan_kernel),
-                      nprobe, scratch, out, stats);
-}
-
-Status VaqIvfIndex::SearchProbed(const float* query,
-                                 const SearchParams& params, size_t nprobe,
-                                 SearchScratch* scratch,
-                                 std::vector<Neighbor>* out,
-                                 SearchStats* stats) const {
-  if (nprobe == 0) nprobe = options_.default_nprobe;
   // The nprobe nearest coarse cells, each list whole.
-  const PartitionPlan plan{nprobe};
-  return SearchEncoded(encoder_, codes_, lists_, coarse_.centroids(), &plan,
-                       query, params, scratch, out, stats);
+  return SearchEncoded(encoder_, lists_, Probes(nprobe), query,
+                       DriverParams(k, control, options_.scan_kernel),
+                       scratch, out, stats);
 }
 
 Status VaqIvfIndex::SearchBatchInto(
@@ -249,10 +191,12 @@ Status VaqIvfIndex::SearchBatchInto(
   return RunSearchBatch(
       queries, dim(), DriverParams(k, control, options_.scan_kernel),
       num_threads,
-      [this, nprobe](const float* query, const SearchParams& params,
-                     SearchScratch* scratch, std::vector<Neighbor>* out,
-                     SearchStats* stats) {
-        return SearchProbed(query, params, nprobe, scratch, out, stats);
+      [this, visit = Probes(nprobe)](
+          const float* query, const SearchParams& params,
+          SearchScratch* scratch, std::vector<Neighbor>* out,
+          SearchStats* stats) {
+        return SearchEncoded(encoder_, lists_, visit, query, params, scratch,
+                             out, stats);
       },
       results, statuses, query_stats);
 }

@@ -5,14 +5,13 @@
 #include <string>
 #include <vector>
 
-#include "clustering/kmeans.h"
 #include "core/vaq_index.h"
 
 namespace vaq {
 
 struct VaqIvfOptions {
   /// Underlying VAQ encoder configuration (its TI partition is replaced by
-  /// the IVF lists, so ti_clusters is ignored).
+  /// the IVF lists, so ti_clusters and ti_prefix_subspaces are ignored).
   VaqOptions vaq;
   /// Number of coarse k-means partitions (inverted lists).
   size_t coarse_k = 256;
@@ -38,9 +37,9 @@ class VaqIvfIndex {
   static Result<VaqIvfIndex> Train(const FloatMatrix& data,
                                    const VaqIvfOptions& options);
 
-  size_t size() const { return codes_.rows(); }
+  size_t size() const { return lists_.rows(); }
   size_t dim() const { return encoder_.dim(); }
-  size_t coarse_k() const { return coarse_.k(); }
+  size_t coarse_k() const { return lists_.num_partitions(); }
   const std::vector<int>& bits_per_subspace() const {
     return encoder_.bits();
   }
@@ -87,33 +86,26 @@ class VaqIvfIndex {
   /// Semantic consistency: permutation, codebook/code agreement, coarse
   /// centroid shape, a default nprobe of at least 1, and the inverted
   /// lists covering every row exactly once.
-  Status ValidateInvariants() const { return ValidateInvariants(RowCodes()); }
+  Status ValidateInvariants() const {
+    return ValidateInvariants(lists_.RowCodes());
+  }
 
  private:
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
-  void SaveListsSection(std::ostream& os) const;
-  Status LoadListsSection(std::istream& is);
-  /// The Search overloads' shared body over the driver's parameters.
-  Status SearchProbed(const float* query, const SearchParams& params,
-                      size_t nprobe, SearchScratch* scratch,
-                      std::vector<Neighbor>* out, SearchStats* stats) const;
   /// ValidateInvariants against `codes`, the database in row order.
   Status ValidateInvariants(const CodeMatrix& codes) const;
-  /// The codes in row order.
-  CodeMatrix RowCodes() const { return codes_.Scatter(lists_.ids.data()); }
-  /// Adopts `codes` (row order) as the database: blocks it into codes_ in
-  /// list order, gathering rows through lists_, so Load validates first.
-  void BuildScanStructures(const CodeMatrix& codes) {
-    codes_ = BlockedCodes::Build(codes, lists_.ids.data(), codes.rows());
+  /// `nprobe`, or the configured default for 0.
+  size_t Probes(size_t nprobe) const {
+    return nprobe != 0 ? nprobe : options_.default_nprobe;
   }
 
   VaqIvfOptions options_;
   VaqEncoder encoder_;
-  KMeans coarse_;         ///< over projected vectors
-  Partitioning lists_;    ///< inverted lists in CSR form, ascending ids
-  /// The only copy of the codes, list after list with no padding between.
-  BlockedCodes codes_;
+  /// The inverted lists, each in ascending row id, with their coarse
+  /// centroids in the projected space, over the only copy of the codes:
+  /// list after list with no padding between.
+  PartitionedCodes lists_;
 };
 
 }  // namespace vaq

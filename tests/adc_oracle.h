@@ -32,23 +32,22 @@
 
 namespace vaq {
 
-/// The oracle of SearchEncoded(encoder, codes, parts, centroids, plan,
-/// query, params) for an encoder with `books`, given the query projected
-/// into code space: the exact top-k sorted by (distance, id), with
-/// distances non-squared. Fewer than k visible rows give all of them.
+/// The oracle of SearchEncoded(encoder, store, visit, query, params) for an
+/// encoder with `books`, given the query projected into code space: the
+/// exact top-k sorted by (distance, id), with distances non-squared. Fewer
+/// than k visible rows give all of them.
 inline std::vector<Neighbor> OracleSearch(const VariableCodebooks& books,
                                           const float* projected,
-                                          const BlockedCodes& codes,
-                                          const Partitioning& parts,
-                                          const FloatMatrix& centroids,
-                                          const PartitionPlan* plan,
+                                          const PartitionedCodes& store,
+                                          size_t visit,
                                           const SearchParams& params) {
   const size_t m = books.num_subspaces();
+  const Partitioning& parts = store.members();
   std::vector<size_t> partitions;
   size_t s_limit = m;
-  if (plan != nullptr) {
+  if (visit != 0) {
     std::vector<Neighbor> ranking;
-    RankPartitions(projected, centroids, plan->visit, &ranking);
+    RankPartitions(projected, store.centroids(), visit, &ranking);
     for (const Neighbor& r : ranking) {
       partitions.push_back(static_cast<size_t>(r.id));
     }
@@ -65,7 +64,7 @@ inline std::vector<Neighbor> OracleSearch(const VariableCodebooks& books,
   std::vector<Neighbor> all;
   for (const size_t p : partitions) {
     for (size_t row = parts.begin(p); row < parts.end(p); ++row) {
-      codes.ReadRow(row, code.data());
+      store.codes().ReadRow(row, code.data());
       float acc = 0.f;
       for (size_t s = 0; s < s_limit; ++s) {
         acc += lut[books.lut_offset(s) + code[s]];
@@ -92,11 +91,10 @@ inline std::vector<Neighbor> OracleSearch(const VaqIndex& index,
   const bool ranked = params.mode == SearchMode::kTriangleInequality &&
                       (params.num_subspaces_used == 0 ||
                        params.num_subspaces_used >= index.num_subspaces());
-  const PartitionPlan plan{static_cast<size_t>(std::ceil(
-      params.visit_fraction * static_cast<double>(ti.num_clusters())))};
-  return OracleSearch(index.codebooks(), projected.data(), index.codes(),
-                      ti.members(), ti.centroids(), ranked ? &plan : nullptr,
-                      params);
+  const auto visit = static_cast<size_t>(std::ceil(
+      params.visit_fraction * static_cast<double>(ti.num_partitions())));
+  return OracleSearch(index.codebooks(), projected.data(), ti,
+                      ranked ? visit : 0, params);
 }
 
 }  // namespace vaq

@@ -267,7 +267,7 @@ TEST_F(SearchDeadlineTest, EarlyAbandonMidScanExpiryReturnsSeededPrefixTopK) {
   const size_t k = 10;
   const TiPartition& ti = index_->ti_partition();
   const Partitioning& parts = ti.members();
-  const size_t clusters = ti.num_clusters();
+  const size_t clusters = ti.num_partitions();
   const auto seeds = static_cast<size_t>(std::ceil(
       8.0 * static_cast<double>(k * clusters) / static_cast<double>(n)));
   ASSERT_LT(seeds, clusters);

@@ -59,21 +59,6 @@ TEST(VaqIvfPersistenceTest, RejectsCorruptedAndMissing) {
   std::remove(path.c_str());
 }
 
-TEST(KMeansRestoreTest, RestoredModelAssignsIdentically) {
-  const FloatMatrix data = MixtureData(500, 77);
-  KMeans km;
-  KMeansOptions opts;
-  opts.k = 8;
-  ASSERT_TRUE(km.Train(data, opts).ok());
-  KMeans restored;
-  ASSERT_TRUE(restored.Restore(km.centroids()).ok());
-  EXPECT_TRUE(restored.trained());
-  for (size_t r = 0; r < 50; ++r) {
-    EXPECT_EQ(restored.Assign(data.row(r)), km.Assign(data.row(r)));
-  }
-  EXPECT_FALSE(KMeans().Restore(FloatMatrix()).ok());
-}
-
 }  // namespace
 }  // namespace vaq
 

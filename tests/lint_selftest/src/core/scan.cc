@@ -1,6 +1,6 @@
 // Seeded-violation fixture (NOT compiled; see ../../README.md). Path
-// mirrors src/core/scan.cc so the kernel rules of lint_invariants.py
-// arm on this file.
+// mirrors src/core/scan.cc so the kernel and entry-point rules of
+// lint_invariants.py arm on this file.
 
 #include <chrono>
 #include <vector>
@@ -29,6 +29,19 @@ void BlockedFullScan(const float* lut, float* acc) {
   (void)quiet;
   (void)doc;
   acc[0] = lut[0];
+}
+
+// The code store's partition reader parses untrusted file bytes.
+Status PartitionedCodes::LoadPartitions(std::istream& is, bool distances) {
+  VAQ_CHECK(distances);  // seed: entrypoint-no-check
+  (void)is;
+  return Status::OK();
+}
+
+// "Search" inside a longer name is not an entry point: legal.
+Status FinalizeSearchResult(const StopController* stop) {
+  VAQ_CHECK(stop != nullptr);
+  return Status::OK();
 }
 
 }  // namespace vaq

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <string>
 #include <tuple>
@@ -190,6 +191,157 @@ TEST(BlockedCodesTest, ReadRowInvertsBuild) {
   }
   // Scatter through the ids is the inverse of the packed Build.
   EXPECT_TRUE(store.Scatter(parts.ids.data()) == p.codes);
+}
+
+/// Partitions of rows [0, n): a random permutation cut into pieces of
+/// `sizes`, then one partition of the rest. Also fills one random
+/// `dims`-wide centroid per partition and, per stored row, a distance
+/// ascending within its partition.
+Partitioning RandomPartitions(size_t n, const std::vector<size_t>& sizes,
+                              size_t dims, uint64_t seed,
+                              FloatMatrix* centroids,
+                              std::vector<float>* distances) {
+  Rng rng(seed);
+  std::vector<uint32_t> rows(n);
+  for (size_t r = 0; r < n; ++r) rows[r] = static_cast<uint32_t>(r);
+  for (size_t i = n; i > 1; --i) {
+    std::swap(rows[i - 1], rows[rng.NextIndex(i)]);
+  }
+  std::vector<uint32_t> assignment(n);
+  size_t next = 0;
+  for (size_t part = 0; part <= sizes.size(); ++part) {
+    const size_t end = part < sizes.size() ? next + sizes[part] : n;
+    for (; next < end; ++next) {
+      assignment[rows[next]] = static_cast<uint32_t>(part);
+    }
+  }
+  const Partitioning parts =
+      Partitioning::FromAssignment(assignment, sizes.size() + 1);
+  centroids->Resize(parts.size(), dims);
+  for (size_t i = 0; i < centroids->size(); ++i) {
+    centroids->data()[i] = static_cast<float>(rng.Gaussian());
+  }
+  distances->resize(n);
+  for (size_t p = 0; p < parts.size(); ++p) {
+    float d = 0.f;
+    for (size_t i = parts.begin(p); i < parts.end(p); ++i) {
+      d += rng.NextFloat();
+      (*distances)[i] = d;
+    }
+  }
+  return parts;
+}
+
+TEST(PartitionedCodesTest, RowCodesReturnTheRowsBlockedInStorageOrder) {
+  // n = 1037 is not a multiple of 64; partitions of 0 rows sit between
+  // and after others, so no offset is block-aligned.
+  const RawAdcProblem p = RawAdcProblem::Make(1037, {9, 1, 16, 4, 7}, 41);
+  const size_t n = p.codes.rows();
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    FloatMatrix centroids;
+    std::vector<float> distances;
+    const Partitioning parts = RandomPartitions(
+        n, {0, 5, 0, 64, 1, 500, 0}, 3, seed, &centroids, &distances);
+    const PartitionedCodes store(p.codes, parts, centroids, distances);
+    ASSERT_TRUE(store.Validate(n, 3, "partitions").ok());
+    ASSERT_EQ(store.rows(), n);
+    ASSERT_EQ(store.num_partitions(), 8u);
+    EXPECT_TRUE(store.RowCodes() == p.codes) << "seed=" << seed;
+    const CodeMatrix extended = store.RowCodes(3);
+    ASSERT_EQ(extended.rows(), n + 3);
+    EXPECT_TRUE(extended.GatherRows({0, 500, 1036}) ==
+                p.codes.GatherRows({0, 500, 1036}));
+    for (size_t r = n; r < n + 3; ++r) {
+      for (size_t s = 0; s < extended.cols(); ++s) {
+        EXPECT_EQ(extended(r, s), 0u);
+      }
+    }
+    // Stored row i is row members().ids[i].
+    std::vector<uint16_t> row(p.codes.cols());
+    for (size_t i = 0; i < n; i += 97) {
+      store.codes().ReadRow(i, row.data());
+      EXPECT_EQ(row, std::vector<uint16_t>(
+                         p.codes.row(parts.ids[i]),
+                         p.codes.row(parts.ids[i]) + p.codes.cols()));
+    }
+  }
+}
+
+TEST(PartitionedCodesTest, ValidateRejectsBrokenPartitionsAndDistances) {
+  // Validation runs before any code is blocked (Load's order), so each
+  // store is built over no codes.
+  const size_t n = 300;
+  const size_t dims = 4;
+  FloatMatrix centroids;
+  std::vector<float> distances;
+  const Partitioning parts = RandomPartitions(n, {0, 1, 40, 0, 100}, dims,
+                                              7, &centroids, &distances);
+  for (const bool with_distances : {false, true}) {
+    const std::vector<float> sorted =
+        with_distances ? distances : std::vector<float>{};
+    auto validate = [&](const Partitioning& members, const FloatMatrix& cents,
+                        const std::vector<float>& dists) {
+      return PartitionedCodes(CodeMatrix(), members, cents, dists)
+          .Validate(n, dims, "partitions");
+    };
+    SCOPED_TRACE(with_distances ? "with distances" : "without distances");
+    ASSERT_TRUE(validate(parts, centroids, sorted).ok());
+
+    Partitioning duplicate = parts;
+    duplicate.ids[1] = duplicate.ids[0];
+    EXPECT_EQ(validate(duplicate, centroids, sorted).code(),
+              StatusCode::kInternal);
+
+    // The last partition loses its last row, and its distance with it.
+    Partitioning missing = parts;
+    missing.ids.pop_back();
+    --missing.offsets.back();
+    std::vector<float> missing_dists = sorted;
+    if (with_distances) missing_dists.pop_back();
+    EXPECT_EQ(validate(missing, centroids, missing_dists).code(),
+              StatusCode::kInternal);
+    // Every row present, but one more expected.
+    EXPECT_FALSE(PartitionedCodes(CodeMatrix(), parts, centroids, sorted)
+                     .Validate(n + 1, dims, "partitions")
+                     .ok());
+
+    FloatMatrix fewer(centroids.rows() - 1, dims);
+    EXPECT_EQ(validate(parts, fewer, sorted).code(), StatusCode::kInternal);
+    FloatMatrix more(centroids.rows() + 1, dims);
+    EXPECT_EQ(validate(parts, more, sorted).code(), StatusCode::kInternal);
+    EXPECT_FALSE(PartitionedCodes(CodeMatrix(), parts, centroids, sorted)
+                     .Validate(n, dims + 1, "partitions")
+                     .ok());
+
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+      FloatMatrix non_finite = centroids;
+      non_finite(2, 3) = bad;
+      EXPECT_EQ(validate(parts, non_finite, sorted).code(),
+                StatusCode::kInternal);
+    }
+    if (!with_distances) continue;
+
+    // Partition 2 holds 40 rows, ascending: swap two of them.
+    std::vector<float> unsorted = distances;
+    std::swap(unsorted[parts.begin(2)], unsorted[parts.begin(2) + 1]);
+    EXPECT_EQ(validate(parts, centroids, unsorted).code(),
+              StatusCode::kInternal);
+    std::vector<float> negative = distances;
+    negative[parts.begin(2)] = -1.f;
+    EXPECT_EQ(validate(parts, centroids, negative).code(),
+              StatusCode::kInternal);
+    std::vector<float> nan = distances;
+    nan[parts.begin(4) + 7] = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(validate(parts, centroids, nan).code(), StatusCode::kInternal);
+    for (const size_t length : {n - 1, n + 1}) {
+      std::vector<float> wrong_length = distances;
+      wrong_length.resize(length, wrong_length.back() + 1.f);
+      EXPECT_EQ(validate(parts, centroids, wrong_length).code(),
+                StatusCode::kInternal)
+          << "length=" << length;
+    }
+  }
 }
 
 class KernelEquivalenceTest

@@ -161,9 +161,9 @@ TEST(RankPartitionsTest, MatchesTiPrefixDistances) {
   for (size_t q = 0; q < 5; ++q) {
     index->ProjectQuery(data.row(q * 100), &projected);
     ti.QueryDistances(projected.data(), &dq);
-    RankPartitions(projected.data(), ti.centroids(), ti.num_clusters(),
+    RankPartitions(projected.data(), ti.centroids(), ti.num_partitions(),
                    &ranking);
-    ASSERT_EQ(ranking.size(), ti.num_clusters());
+    ASSERT_EQ(ranking.size(), ti.num_partitions());
     for (const Neighbor& r : ranking) {
       EXPECT_EQ(std::sqrt(r.distance), dq[r.id]);
     }
@@ -202,7 +202,7 @@ TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
   Partitioning descending = ascending;
   const std::vector<float>& cached = ti.distances();
   size_t reversed_runs = 0;
-  for (size_t c = 0; c < ti.num_clusters(); ++c) {
+  for (size_t c = 0; c < ti.num_partitions(); ++c) {
     size_t i = descending.begin(c);
     while (i < descending.end(c)) {
       size_t j = i + 1;
@@ -214,13 +214,12 @@ TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
   }
   ASSERT_GT(reversed_runs, unique / 2);
   const size_t n = data.rows();
-  const BlockedCodes store_ascending =
-      BlockedCodes::Build(rows.codes, ascending.ids.data(), n);
-  const BlockedCodes store_descending =
-      BlockedCodes::Build(rows.codes, descending.ids.data(), n);
+  const PartitionedCodes& store_ascending = ti;
+  const PartitionedCodes store_descending(rows.codes, descending,
+                                          ti.centroids(), cached);
 
   // TI at visit 1.0: every cluster, nearest first, each in its window.
-  const PartitionPlan all_clusters{ti.num_clusters(), cached.data()};
+  const size_t all_clusters = ti.num_partitions();
   const size_t k = 5;
   SearchScratch scratch;
   std::vector<float> pca_space, projected;
@@ -234,15 +233,14 @@ TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
     encoder.ProjectQuery(query, &pca_space, &projected);
     const std::vector<Neighbor> ranking =
         OracleSearch(encoder.codebooks(), projected.data(), store_ascending,
-                     ascending, ti.centroids(), nullptr, full);
+                     0, full);
     ASSERT_EQ(ranking.size(), n);
     ASSERT_EQ(ranking[k - 1].distance, ranking[k].distance)
         << "q=" << q << ": the k-th place must straddle a tie";
     const std::vector<Neighbor> want(ranking.begin(), ranking.begin() + k);
 
     for (const bool reversed : {false, true}) {
-      const Partitioning& parts = reversed ? descending : ascending;
-      const BlockedCodes& store =
+      const PartitionedCodes& store =
           reversed ? store_descending : store_ascending;
       for (const SearchMode mode :
            {SearchMode::kHeap, SearchMode::kEarlyAbandon,
@@ -257,9 +255,8 @@ TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
           // Flat for kHeap and EA, every TI cluster (visit 1.0) for TI.
           const bool ti_mode = mode == SearchMode::kTriangleInequality;
           std::vector<Neighbor> got;
-          ASSERT_TRUE(SearchEncoded(encoder, store, parts, ti.centroids(),
-                                    ti_mode ? &all_clusters : nullptr, query,
-                                    params, &scratch, &got, nullptr)
+          ASSERT_TRUE(SearchEncoded(encoder, store, ti_mode ? all_clusters : 0,
+                                    query, params, &scratch, &got, nullptr)
                           .ok());
           EXPECT_EQ(Ids(got), Ids(want))
               << "q=" << q << " reversed=" << reversed

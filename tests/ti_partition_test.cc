@@ -46,10 +46,10 @@ class TiPartitionTest : public ::testing::Test {
 
 TEST_F(TiPartitionTest, EveryIdAppearsExactlyOnce) {
   const Partitioning& members = ti_.members();
-  ASSERT_EQ(members.size(), ti_.num_clusters());
+  ASSERT_EQ(members.size(), ti_.num_partitions());
   std::set<uint32_t> seen;
   size_t total = 0;
-  for (size_t c = 0; c < ti_.num_clusters(); ++c) {
+  for (size_t c = 0; c < ti_.num_partitions(); ++c) {
     for (size_t i = members.begin(c); i < members.end(c); ++i) {
       EXPECT_TRUE(seen.insert(members.ids[i]).second)
           << "duplicate id " << members.ids[i];
@@ -63,7 +63,7 @@ TEST_F(TiPartitionTest, ClusterDistancesSortedAscending) {
   const Partitioning& members = ti_.members();
   const std::vector<float>& dists = ti_.distances();
   EXPECT_EQ(dists.size(), members.ids.size());
-  for (size_t c = 0; c < ti_.num_clusters(); ++c) {
+  for (size_t c = 0; c < ti_.num_partitions(); ++c) {
     for (size_t i = members.begin(c) + 1; i < members.end(c); ++i) {
       EXPECT_LE(dists[i - 1], dists[i]);
     }
@@ -76,7 +76,7 @@ TEST_F(TiPartitionTest, MembersAssignedToNearestCentroid) {
   std::vector<float> decoded(books_.dim());
   const size_t pd = ti_.prefix_dims();
   const Partitioning& members = ti_.members();
-  for (size_t c = 0; c < std::min<size_t>(4, ti_.num_clusters()); ++c) {
+  for (size_t c = 0; c < std::min<size_t>(4, ti_.num_partitions()); ++c) {
     const size_t end =
         std::min<size_t>(members.begin(c) + 5, members.end(c));
     for (size_t i = members.begin(c); i < end; ++i) {
@@ -85,7 +85,7 @@ TEST_F(TiPartitionTest, MembersAssignedToNearestCentroid) {
       const float own = std::sqrt(
           SquaredL2(decoded.data(), ti_.centroids().row(c), pd));
       EXPECT_NEAR(ti_.distances()[i], own, 1e-3f);
-      for (size_t other = 0; other < ti_.num_clusters(); ++other) {
+      for (size_t other = 0; other < ti_.num_partitions(); ++other) {
         const float dist = std::sqrt(
             SquaredL2(decoded.data(), ti_.centroids().row(other), pd));
         EXPECT_GE(dist, own - 1e-3f);
@@ -121,7 +121,7 @@ TEST_F(TiPartitionTest, AssignmentMatchesPrefixSumOracle) {
     topts.num_threads = threads;
     TiPartition ti;
     ASSERT_TRUE(ti.Build(codes, books_, topts).ok());
-    const size_t clusters = ti.num_clusters();
+    const size_t clusters = ti.num_partitions();
     const size_t p = ti.prefix_subspaces();
 
     // The oracle: each centroid's full lookup table (zero beyond the
@@ -185,8 +185,8 @@ TEST_F(TiPartitionTest, QueryDistancesMatchDirectComputation) {
   for (auto& v : query) v = static_cast<float>(rng.Gaussian());
   std::vector<float> dists;
   ti_.QueryDistances(query.data(), &dists);
-  ASSERT_EQ(dists.size(), ti_.num_clusters());
-  for (size_t c = 0; c < ti_.num_clusters(); ++c) {
+  ASSERT_EQ(dists.size(), ti_.num_partitions());
+  for (size_t c = 0; c < ti_.num_partitions(); ++c) {
     const float direct = std::sqrt(SquaredL2(
         query.data(), ti_.centroids().row(c), ti_.prefix_dims()));
     EXPECT_NEAR(dists[c], direct, 1e-4f);
@@ -203,7 +203,7 @@ TEST_F(TiPartitionTest, TriangleInequalityBoundHolds) {
   ti_.QueryDistances(query.data(), &qdists);
   std::vector<float> decoded(books_.dim());
   const Partitioning& members = ti_.members();
-  for (size_t c = 0; c < ti_.num_clusters(); ++c) {
+  for (size_t c = 0; c < ti_.num_partitions(); ++c) {
     for (size_t i = members.begin(c); i < members.end(c); ++i) {
       books_.DecodeRow(codes_.row(members.ids[i]), decoded.data());
       const float prefix_dist = std::sqrt(SquaredL2(
@@ -222,13 +222,13 @@ TEST_F(TiPartitionTest, SaveLoadRoundtrip) {
   ti_.Save(ss);
   TiPartition loaded;
   ASSERT_TRUE(loaded.Load(ss).ok());
-  EXPECT_EQ(loaded.num_clusters(), ti_.num_clusters());
+  EXPECT_EQ(loaded.num_partitions(), ti_.num_partitions());
   EXPECT_EQ(loaded.prefix_subspaces(), ti_.prefix_subspaces());
   EXPECT_TRUE(loaded.centroids() == ti_.centroids());
   const Partitioning& want = ti_.members();
   const Partitioning& got = loaded.members();
   ASSERT_EQ(got.size(), want.size());
-  for (size_t c = 0; c < ti_.num_clusters(); ++c) {
+  for (size_t c = 0; c < ti_.num_partitions(); ++c) {
     EXPECT_EQ(std::vector<uint32_t>(got.ids.begin() + got.begin(c),
                                     got.ids.begin() + got.end(c)),
               std::vector<uint32_t>(want.ids.begin() + want.begin(c),
@@ -243,7 +243,7 @@ TEST_F(TiPartitionTest, ClusterCountCappedByRows) {
   topts.num_clusters = 100;
   topts.prefix_subspaces = 2;
   ASSERT_TRUE(small.Build(tiny, books_, topts).ok());
-  EXPECT_EQ(small.num_clusters(), 3u);
+  EXPECT_EQ(small.num_partitions(), 3u);
 }
 
 TEST_F(TiPartitionTest, RejectsBadInputs) {

@@ -40,10 +40,11 @@ suite, the Status-not-abort API tests) into CI build failures:
                        src/quant/opq.cc), the shared query driver
                        (src/core/search_driver.cc) and its partition
                        ranking (Rank*, run on the user's visit_fraction
-                       and nprobe), and the shared file reader every Load
+                       and nprobe), the shared file reader every Load
                        runs through (LoadSections and ContainerReader's
-                       Parse/Section in src/common/serialize.cc) must not
-                       VAQ_CHECK:
+                       Parse/Section in src/common/serialize.cc) and the
+                       code store's TIPT/LIST reader (PartitionedCodes'
+                       Load* in src/core/scan.cc) must not VAQ_CHECK:
                        user-reachable misuse and untrusted files return
                        Status, never abort the process. (VAQ_DCHECK
                        stays legal: debug-only, compiled out of release
@@ -99,6 +100,7 @@ KERNEL_FUNCTIONS = {
 }
 
 ENTRYPOINT_FILES = {
+    "src/core/scan.cc",
     "src/core/vaq_index.cc",
     "src/core/search_driver.cc",
     "src/index/vaq_ivf.cc",
