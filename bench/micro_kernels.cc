@@ -195,7 +195,7 @@ void BM_AdcFullScanBlockedScalar(benchmark::State& state) {
   AdcBlockedScanBenchmark(state, ScanKernelType::kScalar);
 }
 void BM_AdcFullScanBlockedSimd(benchmark::State& state) {
-  if (!Avx2ScanAvailable()) {
+  if (!Avx2KernelsAvailable()) {
     state.SkipWithError("AVX2 scan kernel not available on this machine");
     return;
   }
@@ -274,7 +274,7 @@ void BM_BuildLookupTable(benchmark::State& state) {
 BENCHMARK(BM_BuildLookupTable)->ArgName("width")->Arg(3)->Arg(4);
 
 void CentroidDistancesBenchmark(benchmark::State& state,
-                                CentroidKernelType type) {
+                                ScanKernelType type) {
   const CodebookFixture& f =
       CodebookFixture::Get(static_cast<size_t>(state.range(0)));
   const CentroidKernel& kernel = GetCentroidKernel(type);
@@ -297,14 +297,14 @@ void CentroidDistancesBenchmark(benchmark::State& state,
 }
 
 void BM_CentroidDistancesScalar(benchmark::State& state) {
-  CentroidDistancesBenchmark(state, CentroidKernelType::kScalar);
+  CentroidDistancesBenchmark(state, ScanKernelType::kScalar);
 }
 void BM_CentroidDistancesSimd(benchmark::State& state) {
-  if (!Avx2CentroidKernelAvailable()) {
+  if (!Avx2KernelsAvailable()) {
     state.SkipWithError("AVX2 kernels not available on this machine");
     return;
   }
-  CentroidDistancesBenchmark(state, CentroidKernelType::kAvx2);
+  CentroidDistancesBenchmark(state, ScanKernelType::kAvx2);
 }
 BENCHMARK(BM_CentroidDistancesScalar)->ArgName("width")->Arg(3)->Arg(4);
 BENCHMARK(BM_CentroidDistancesSimd)->ArgName("width")->Arg(3)->Arg(4);
@@ -313,7 +313,7 @@ BENCHMARK(BM_CentroidDistancesSimd)->ArgName("width")->Arg(3)->Arg(4);
 // one 256-entry dictionary of `len` dims: the inner step of k-means
 // assignment and of encoding.
 void CentroidNearestBenchmark(benchmark::State& state,
-                              CentroidKernelType type) {
+                              ScanKernelType type) {
   constexpr size_t kCentroids = 256;
   const size_t len = static_cast<size_t>(state.range(0));
   const FloatMatrix table = RandomData(len, kCentroids, 7 + len);
@@ -331,14 +331,14 @@ void CentroidNearestBenchmark(benchmark::State& state,
 }
 
 void BM_CentroidNearestScalar(benchmark::State& state) {
-  CentroidNearestBenchmark(state, CentroidKernelType::kScalar);
+  CentroidNearestBenchmark(state, ScanKernelType::kScalar);
 }
 void BM_CentroidNearestSimd(benchmark::State& state) {
-  if (!Avx2CentroidKernelAvailable()) {
+  if (!Avx2KernelsAvailable()) {
     state.SkipWithError("AVX2 kernels not available on this machine");
     return;
   }
-  CentroidNearestBenchmark(state, CentroidKernelType::kAvx2);
+  CentroidNearestBenchmark(state, ScanKernelType::kAvx2);
 }
 BENCHMARK(BM_CentroidNearestScalar)->ArgName("len")->Arg(3)->Arg(4)->Arg(8);
 BENCHMARK(BM_CentroidNearestSimd)->ArgName("len")->Arg(3)->Arg(4)->Arg(8);

@@ -3,9 +3,17 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/cpu_features.h"
-
 namespace vaq {
+namespace internal {
+// Defined in centroid_kernel_avx2.cc, the only clustering translation unit
+// built with -mavx2, and linked only where the compiler has it
+// (src/CMakeLists.txt).
+void Avx2CentroidDistances(const float* x, const float* table, size_t len,
+                           size_t stride, size_t count, float* out);
+uint32_t Avx2CentroidNearest(const float* x, const float* table, size_t len,
+                             size_t stride, size_t count, float* distance);
+}  // namespace internal
+
 namespace {
 
 constexpr size_t kLanes = 16;
@@ -77,49 +85,18 @@ uint32_t ScalarCentroidNearest(const float* x, const float* table, size_t len,
 
 constexpr CentroidKernel kScalarKernel{&ScalarCentroidDistances,
                                        &ScalarCentroidNearest, "scalar"};
-
-}  // namespace
-
-#if defined(VAQ_CENTROID_AVX2)
-namespace internal {
-// Defined in centroid_kernel_avx2.cc, the only clustering translation unit
-// built with -mavx2.
-void Avx2CentroidDistances(const float* x, const float* table, size_t len,
-                           size_t stride, size_t count, float* out);
-uint32_t Avx2CentroidNearest(const float* x, const float* table, size_t len,
-                             size_t stride, size_t count, float* distance);
-}  // namespace internal
-
-namespace {
+#if defined(VAQ_AVX2_KERNELS)
 constexpr CentroidKernel kAvx2Kernel{&internal::Avx2CentroidDistances,
                                      &internal::Avx2CentroidNearest, "avx2"};
+#else
+// Never picked: without AVX2 kernels UseAvx2Kernels is always false.
+constexpr CentroidKernel kAvx2Kernel = kScalarKernel;
+#endif
+
 }  // namespace
-#endif
 
-bool Avx2CentroidKernelAvailable() {
-#if defined(VAQ_CENTROID_AVX2)
-  return CpuHasAvx2();
-#else
-  return false;
-#endif
-}
-
-const CentroidKernel& GetCentroidKernel(CentroidKernelType type) {
-#if defined(VAQ_CENTROID_AVX2)
-  switch (type) {
-    case CentroidKernelType::kAuto:
-      return (Avx2CentroidKernelAvailable() && !ScalarKernelForcedByEnv())
-                 ? kAvx2Kernel
-                 : kScalarKernel;
-    case CentroidKernelType::kAvx2:
-      return Avx2CentroidKernelAvailable() ? kAvx2Kernel : kScalarKernel;
-    default:
-      return kScalarKernel;
-  }
-#else
-  (void)type;
-  return kScalarKernel;
-#endif
+const CentroidKernel& GetCentroidKernel(ScanKernelType type) {
+  return UseAvx2Kernels(type) ? kAvx2Kernel : kScalarKernel;
 }
 
 }  // namespace vaq

@@ -4,15 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 
-namespace vaq {
+#include "common/cpu_features.h"
 
-/// Which instruction set computes centroid distances.
-enum class CentroidKernelType {
-  kAuto,    ///< AVX2 when compiled in and supported, unless the
-            ///< VAQ_SCAN_KERNEL=scalar environment override is set
-  kScalar,  ///< always available
-  kAvx2,    ///< falls back to kScalar when the binary or CPU lacks AVX2
-};
+namespace vaq {
 
 /// Distances from one vector to the centroids of a dimension-major table,
 /// the layout of the VAQ dictionaries and of k-means' centroids while it
@@ -48,13 +42,10 @@ struct CentroidKernel {
   const char* name = "";
 };
 
-/// Resolves a kernel choice against what this binary/CPU supports.
+/// The centroid kernel of `type` by UseAvx2Kernels (common/cpu_features.h),
+/// the same ISA the scan kernel of `type` runs on.
 const CentroidKernel& GetCentroidKernel(
-    CentroidKernelType type = CentroidKernelType::kAuto);
-
-/// True when the AVX2 centroid kernel was compiled in and the CPU
-/// supports it.
-bool Avx2CentroidKernelAvailable();
+    ScanKernelType type = ScanKernelType::kAuto);
 
 }  // namespace vaq
 

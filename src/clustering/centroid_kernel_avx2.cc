@@ -1,7 +1,7 @@
 // AVX2 centroid kernels. This is the only clustering translation unit
-// compiled with -mavx2 (see src/clustering/CMakeLists.txt); callers reach
-// it through the runtime dispatch in centroid_kernel.cc, so the binary
-// stays safe on CPUs without AVX2.
+// compiled with -mavx2 (see src/CMakeLists.txt); callers reach it through
+// the runtime dispatch in centroid_kernel.cc, so the binary stays safe on
+// CPUs without AVX2.
 //
 // Both entries compute 8 centroids per vector: one row of a
 // dimension-major table holds one dimension of consecutive centroids, so a
@@ -17,16 +17,12 @@
 #include <cstdint>
 #include <limits>
 
-#if defined(__AVX2__)
 #include <immintrin.h>
-#endif
 
 #include "clustering/centroid_kernel.h"
 
 namespace vaq {
 namespace internal {
-
-#if defined(__AVX2__)
 
 namespace {
 
@@ -220,24 +216,6 @@ uint32_t Avx2CentroidNearest(const float* x, const float* table, size_t len,
   *distance = _mm256_cvtss_f32(m);
   return static_cast<uint32_t>(_mm256_cvtsi256_si32(cand));
 }
-
-#else
-
-// Defensive fallback: if the build system compiled this TU without AVX2
-// the dispatcher never selects it, but the symbols must still link.
-void Avx2CentroidDistances(const float* x, const float* table, size_t len,
-                           size_t stride, size_t count, float* out) {
-  GetCentroidKernel(CentroidKernelType::kScalar)
-      .distances(x, table, len, stride, count, out);
-}
-
-uint32_t Avx2CentroidNearest(const float* x, const float* table, size_t len,
-                             size_t stride, size_t count, float* distance) {
-  return GetCentroidKernel(CentroidKernelType::kScalar)
-      .nearest(x, table, len, stride, count, distance);
-}
-
-#endif  // __AVX2__
 
 }  // namespace internal
 }  // namespace vaq

@@ -21,8 +21,26 @@ bool CpuHasAvx2() {
 #endif
 }
 
-bool ScalarKernelForcedByEnv() {
-  static const bool forced = [] {
+bool IsScanKernelType(ScanKernelType type) {
+  switch (type) {
+    case ScanKernelType::kAuto:
+    case ScanKernelType::kScalar:
+    case ScanKernelType::kAvx2:
+      return true;
+  }
+  return false;
+}
+
+bool Avx2KernelsAvailable() {
+#if defined(VAQ_AVX2_KERNELS)
+  return CpuHasAvx2();
+#else
+  return false;
+#endif
+}
+
+bool UseAvx2Kernels(ScanKernelType type) {
+  static const bool scalar_forced = [] {
     // getenv is mt-unsafe only against concurrent setenv; this read
     // happens once under the static-local guard and the process never
     // mutates its environment.
@@ -30,7 +48,14 @@ bool ScalarKernelForcedByEnv() {
     const char* env = std::getenv("VAQ_SCAN_KERNEL");
     return env != nullptr && std::strcmp(env, "scalar") == 0;
   }();
-  return forced;
+  switch (type) {
+    case ScanKernelType::kAuto:
+      return Avx2KernelsAvailable() && !scalar_forced;
+    case ScanKernelType::kAvx2:
+      return Avx2KernelsAvailable();
+    default:
+      return false;
+  }
 }
 
 }  // namespace vaq

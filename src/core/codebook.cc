@@ -99,14 +99,18 @@ Status VariableCodebooks::Train(const FloatMatrix& projected,
   layout_ = layout;
   bits_ = bits;
   dictionaries_ = std::move(dictionaries);
-  lut_offsets_.resize(bits.size());
-  lut_entries_ = 0;
-  for (size_t s = 0; s < bits.size(); ++s) {
-    lut_offsets_[s] = lut_entries_;
-    lut_entries_ += size_t{1} << bits[s];
-  }
+  SetLutOffsets();
   trained_ = true;
   return Status::OK();
+}
+
+void VariableCodebooks::SetLutOffsets() {
+  lut_offsets_.resize(bits_.size());
+  lut_entries_ = 0;
+  for (size_t s = 0; s < bits_.size(); ++s) {
+    lut_offsets_[s] = static_cast<uint32_t>(lut_entries_);
+    lut_entries_ += size_t{1} << bits_[s];
+  }
 }
 
 void VariableCodebooks::EncodeRow(const float* x, uint16_t* code) const {
@@ -259,12 +263,7 @@ Status VariableCodebooks::Load(std::istream& is) {
   layout_ = SubspaceLayout(std::move(spans));
   bits_.assign(bits32.begin(), bits32.end());
   dictionaries_ = std::move(dictionaries);
-  lut_offsets_.resize(m);
-  lut_entries_ = 0;
-  for (size_t s = 0; s < m; ++s) {
-    lut_offsets_[s] = lut_entries_;
-    lut_entries_ += size_t{1} << bits_[s];
-  }
+  SetLutOffsets();
   trained_ = trained != 0;
   return Status::OK();
 }

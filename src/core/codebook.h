@@ -68,6 +68,8 @@ class VariableCodebooks {
 
   /// Start of subspace s's block inside a flat lookup table.
   size_t lut_offset(size_t s) const { return lut_offsets_[s]; }
+  /// The num_subspaces() starts, as the scan kernels read them.
+  const uint32_t* lut_offsets() const { return lut_offsets_.data(); }
 
   /// Fills `lut` (resized to lut_entries()) with squared distances from the
   /// query's subvectors to every dictionary item — the ADC table of
@@ -117,11 +119,14 @@ class VariableCodebooks {
   Status ValidateCodes(const CodeMatrix& codes) const;
 
  private:
+  /// Sets lut_offsets_ and lut_entries_ from bits_.
+  void SetLutOffsets();
+
   bool trained_ = false;
   SubspaceLayout layout_;
   std::vector<int> bits_;
   std::vector<FloatMatrix> dictionaries_;  ///< dimension-major, see above
-  std::vector<size_t> lut_offsets_;
+  std::vector<uint32_t> lut_offsets_;
   size_t lut_entries_ = 0;
 };
 

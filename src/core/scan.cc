@@ -179,6 +179,14 @@ Status PartitionedCodes::LoadCentroids(std::istream& is) {
   return ReadMatrix(is, &centroids_);
 }
 
+namespace internal {
+// Defined in scan_avx2.cc, the only core translation unit built with
+// -mavx2, and linked only where the compiler has it (src/CMakeLists.txt).
+void Avx2Accumulate(const uint16_t* codes, const float* lut,
+                    const uint32_t* lut_offsets, size_t subspaces,
+                    size_t groups, float* acc);
+}  // namespace internal
+
 namespace {
 
 void ScalarAccumulate(const uint16_t* codes, const float* lut,
@@ -198,60 +206,17 @@ void ScalarAccumulate(const uint16_t* codes, const float* lut,
 }
 
 constexpr ScanKernel kScalarKernel{&ScalarAccumulate, "scalar"};
-
-}  // namespace
-
-#if defined(VAQ_SCAN_AVX2)
-namespace internal {
-// Defined in scan_avx2.cc, the only translation unit built with -mavx2.
-void Avx2Accumulate(const uint16_t* codes, const float* lut,
-                    const uint32_t* lut_offsets, size_t subspaces,
-                    size_t groups, float* acc);
-}  // namespace internal
-
-namespace {
+#if defined(VAQ_AVX2_KERNELS)
 constexpr ScanKernel kAvx2Kernel{&internal::Avx2Accumulate, "avx2"};
-}  // namespace
+#else
+// Never picked: without AVX2 kernels UseAvx2Kernels is always false.
+constexpr ScanKernel kAvx2Kernel = kScalarKernel;
 #endif
 
-bool Avx2ScanAvailable() {
-#if defined(VAQ_SCAN_AVX2)
-  return CpuHasAvx2();
-#else
-  return false;
-#endif
-}
+}  // namespace
 
 const ScanKernel& GetScanKernel(ScanKernelType type) {
-#if defined(VAQ_SCAN_AVX2)
-  switch (type) {
-    case ScanKernelType::kAuto:
-      return (Avx2ScanAvailable() && !ScalarKernelForcedByEnv())
-                 ? kAvx2Kernel
-                 : kScalarKernel;
-    case ScanKernelType::kAvx2:
-      return Avx2ScanAvailable() ? kAvx2Kernel : kScalarKernel;
-    default:
-      return kScalarKernel;
-  }
-#else
-  (void)type;
-  return kScalarKernel;
-#endif
-}
-
-bool IsScanKernelType(ScanKernelType type) {
-  switch (type) {
-    case ScanKernelType::kAuto:
-    case ScanKernelType::kScalar:
-    case ScanKernelType::kAvx2:
-      return true;
-  }
-  return false;
-}
-
-const char* AutoScanKernelName() {
-  return GetScanKernel(ScanKernelType::kAuto).name;
+  return UseAvx2Kernels(type) ? kAvx2Kernel : kScalarKernel;
 }
 
 void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,

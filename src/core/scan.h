@@ -7,6 +7,7 @@
 #include <ostream>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/deadline.h"
 #include "common/matrix.h"
 #include "common/status.h"
@@ -52,16 +53,6 @@ struct SearchStats {
   double cpu_micros = 0.0;        ///< thread CPU time of the Search() call
 
   void Reset() { *this = SearchStats{}; }
-};
-
-/// Which blocked kernel accumulates a query's scan; all return bit-identical
-/// results. A query with any other value fails with InvalidArgument
-/// (IsScanKernelType).
-enum class ScanKernelType {
-  kAuto,    ///< best blocked kernel the CPU supports (the default)
-  kScalar,  ///< blocked scalar kernel (always available)
-  kAvx2,    ///< blocked AVX2 gather kernel; falls back to kScalar when
-            ///< the binary or CPU lacks AVX2
 };
 
 /// Subspace-major, cache-blocked copy of an encoded dataset.
@@ -233,21 +224,10 @@ struct ScanKernel {
   }
 };
 
-/// Resolves a kernel choice against what this binary/CPU supports. A
+/// The scan kernel of `type` by UseAvx2Kernels (common/cpu_features.h). A
 /// value outside the enum resolves to the scalar kernel; the query driver
 /// rejects one before it gets here.
 const ScanKernel& GetScanKernel(ScanKernelType type);
-
-/// True for the three values of the enum. A query or a VaqIvfIndex trained
-/// with any other value fails with InvalidArgument.
-bool IsScanKernelType(ScanKernelType type);
-
-/// True when the AVX2 kernel was compiled in and the CPU supports it.
-bool Avx2ScanAvailable();
-
-/// Name of the kernel kAuto resolves to ("avx2" or "scalar"); honors the
-/// VAQ_SCAN_KERNEL=scalar environment override.
-const char* AutoScanKernelName();
 
 /// One partition of the database (a TI cluster or an IVF cell) as a query
 /// scans it: a range of storage rows of the index's PartitionedCodes,

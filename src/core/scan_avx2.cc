@@ -1,7 +1,6 @@
 // AVX2 scan kernel. This is the only core translation unit compiled with
-// -mavx2 (see src/core/CMakeLists.txt); callers reach it through the
-// runtime dispatch in scan.cc, so the binary stays safe on CPUs without
-// AVX2. The centroid-distance kernels live in
+// -mavx2 (see src/CMakeLists.txt); callers reach it through the runtime
+// dispatch in scan.cc, so the binary stays safe on CPUs without AVX2. The centroid-distance kernels live in
 // src/clustering/centroid_kernel_avx2.cc.
 //
 // The ADC accumulation kernel is gather-bound: for each subspace stripe it
@@ -16,16 +15,12 @@
 #include <cstddef>
 #include <cstdint>
 
-#if defined(__AVX2__)
 #include <immintrin.h>
-#endif
 
 #include "core/scan.h"
 
 namespace vaq {
 namespace internal {
-
-#if defined(__AVX2__)
 
 namespace {
 
@@ -93,19 +88,6 @@ void Avx2Accumulate(const uint16_t* codes, const float* lut,
   _mm256_storeu_ps(acc + 48, a6);
   _mm256_storeu_ps(acc + 56, a7);
 }
-
-#else
-
-// Defensive fallback: if the build system compiled this TU without AVX2
-// the dispatcher never selects it, but the symbol must still link.
-void Avx2Accumulate(const uint16_t* codes, const float* lut,
-                    const uint32_t* lut_offsets, size_t subspaces,
-                    size_t groups, float* acc) {
-  GetScanKernel(ScanKernelType::kScalar)
-      .accumulate_groups(codes, lut, lut_offsets, subspaces, groups, acc);
-}
-
-#endif  // __AVX2__
 
 }  // namespace internal
 }  // namespace vaq

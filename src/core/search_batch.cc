@@ -1,7 +1,6 @@
 #include "core/search_batch.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/thread_pool.h"
 
@@ -41,10 +40,7 @@ Status RunSearchBatch(const FloatMatrix& queries, size_t dim,
     if (statuses != nullptr) statuses->clear();
     return Status::OK();
   }
-  if (num_threads == 0) {
-    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, num_queries);
+  num_threads = WorkerCount(num_queries, num_threads);
 
   if (num_threads <= 1) {
     if (statuses != nullptr) statuses->assign(num_queries, Status::OK());

@@ -227,7 +227,8 @@ Status SearchEncoded(const VaqEncoder& encoder, const PartitionedCodes& store,
   const bool ranked = visit != 0;
   // A TI store's distances window every ranked visit.
   const bool windowed = ranked && !store.distances().empty();
-  QueryScan scan{&store, scratch->lut.data(), encoder.lut_offsets32(), m,
+  QueryScan scan{&store, scratch->lut.data(),
+                 encoder.codebooks().lut_offsets(), m,
                  std::max<size_t>(1, params.ea_check_interval), ranked,
                  scratch, stats, stop, trace};
   if (!ranked && params.num_subspaces_used != 0) {

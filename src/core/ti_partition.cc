@@ -101,10 +101,6 @@ Status TiPartition::Build(const CodeMatrix& codes,
       std::copy(lut.begin(), lut.end(), luts.begin() + c * lut_size);
     }
   });
-  std::vector<uint32_t> lut_offsets(prefix_subspaces_);
-  for (size_t s = 0; s < prefix_subspaces_; ++s) {
-    lut_offsets[s] = static_cast<uint32_t>(books.lut_offset(s));
-  }
   const BlockedCodes blocked = BlockedCodes::Build(codes);
   const ScanKernel& kernel = GetScanKernel(ScanKernelType::kAuto);
   std::vector<uint32_t> assignment(n);
@@ -116,7 +112,7 @@ Status TiPartition::Build(const CodeMatrix& codes,
     for (size_t first = begin; first < end; first += kTileBlocks) {
       const size_t count = std::min(kTileBlocks, end - first);
       NearestClusters(blocked, first, count, luts.data(), lut_size,
-                      num_clusters, lut_offsets.data(), prefix_subspaces_,
+                      num_clusters, books.lut_offsets(), prefix_subspaces_,
                       kernel, best, nearest);
       // The last block's padded lanes are discarded.
       const size_t row0 = first * kScanBlockSize;

@@ -131,7 +131,6 @@ Status VaqEncoder::Train(const FloatMatrix& data, const VaqOptions& options,
     VAQ_RETURN_IF_ERROR(books_.Train(rows->projected, layout, bits, copts,
                                      options.train_threads));
   }
-  CacheLutOffsets();
   StageTimer st(reg.GetCounter("vaq_build_encode_us_total",
                                "Cumulative database encoding time (us)"),
                 &rows->encode_us);
@@ -160,13 +159,6 @@ void VaqEncoder::ProjectQuery(const float* query,
   projected->resize(dim());
   for (size_t p = 0; p < dim(); ++p) {
     (*projected)[p] = (*pca_space)[permutation_[p]];
-  }
-}
-
-void VaqEncoder::CacheLutOffsets() {
-  lut_offsets32_.resize(num_subspaces());
-  for (size_t s = 0; s < num_subspaces(); ++s) {
-    lut_offsets32_[s] = static_cast<uint32_t>(books_.lut_offset(s));
   }
 }
 
@@ -230,12 +222,6 @@ Status VaqEncoder::LoadLayout(std::istream& is) {
   uint64_t u64 = 0;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u64));
   balance_swaps_ = u64;
-  return Status::OK();
-}
-
-Status VaqEncoder::LoadBooks(std::istream& is) {
-  VAQ_RETURN_IF_ERROR(books_.Load(is));
-  CacheLutOffsets();
   return Status::OK();
 }
 

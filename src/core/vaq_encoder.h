@@ -84,8 +84,6 @@ class VaqEncoder {
   void BuildLut(const float* projected, std::vector<float>* lut) const {
     books_.BuildLookupTable(projected, lut);
   }
-  /// Start of each subspace's block in the LUT, narrowed for the kernels.
-  const uint32_t* lut_offsets32() const { return lut_offsets32_.data(); }
 
   bool trained() const { return books_.trained(); }
   size_t dim() const { return pca_.dim(); }
@@ -115,18 +113,16 @@ class VaqEncoder {
   void SaveLayout(std::ostream& os) const;
   Status LoadLayout(std::istream& is);
   void SaveBooks(std::ostream& os) const { books_.Save(os); }
-  Status LoadBooks(std::istream& is);
+  Status LoadBooks(std::istream& is) { return books_.Load(is); }
 
  private:
   Result<FloatMatrix> Project(const FloatMatrix& rows) const;
-  void CacheLutOffsets();
 
   Pca pca_;
   std::vector<size_t> permutation_;  ///< layout position -> PCA component
   std::vector<double> subspace_variances_;
   size_t balance_swaps_ = 0;
   VariableCodebooks books_;  ///< also holds the subspace layout and bits
-  std::vector<uint32_t> lut_offsets32_;  ///< books_.lut_offset as uint32
 };
 
 }  // namespace vaq

@@ -13,6 +13,18 @@
 namespace vaq {
 namespace {
 constexpr char kMagic[8] = {'V', 'A', 'Q', 'I', 'D', 'X', '0', '1'};
+
+// The TI build of `options` over `prefix` subspaces: Train and Add must
+// cluster alike, so both take it from here.
+TiPartitionOptions TiOptions(const VaqOptions& options, size_t prefix) {
+  TiPartitionOptions topts;
+  topts.num_clusters = options.ti_clusters;
+  topts.prefix_subspaces = prefix;
+  topts.seed = options.seed ^ 0x7153A9F2ULL;
+  topts.num_threads = options.train_threads;
+  return topts;
+}
+
 }  // namespace
 
 Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
@@ -30,18 +42,13 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
     StageTimer st(reg.GetCounter("vaq_build_ti_us_total",
                                  "Cumulative TI partition build time (us)"),
                   &ti_us);
-    TiPartitionOptions topts;
-    topts.num_clusters = options.ti_clusters;
-    topts.num_threads = options.train_threads;
-    topts.seed = options.seed ^ 0x7153A9F2ULL;
-    if (options.ti_prefix_subspaces > 0) {
-      topts.prefix_subspaces = options.ti_prefix_subspaces;
-    } else {
+    size_t prefix = options.ti_prefix_subspaces;
+    if (prefix == 0) {
       // Auto: smallest prefix explaining >= 90% of the variance.
       const std::vector<double>& vars = index.subspace_variances();
       const double total = std::accumulate(vars.begin(), vars.end(), 0.0);
       double acc = 0.0;
-      size_t prefix = vars.size();
+      prefix = vars.size();
       for (size_t s = 0; s < vars.size(); ++s) {
         acc += vars[s];
         if (total > 0.0 && acc >= 0.9 * total) {
@@ -49,10 +56,9 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
           break;
         }
       }
-      topts.prefix_subspaces = prefix;
     }
-    VAQ_RETURN_IF_ERROR(
-        index.ti_.Build(rows.codes, index.codebooks(), topts));
+    VAQ_RETURN_IF_ERROR(index.ti_.Build(rows.codes, index.codebooks(),
+                                        TiOptions(options, prefix)));
   }
   reg.GetCounter("vaq_builds_total", "Index builds completed")->Increment();
   VAQ_LOG(LogLevel::kDebug,
@@ -79,12 +85,8 @@ Status VaqIndex::Add(const FloatMatrix& data) {
   std::copy_n(fresh.data(), fresh.size(),
               codes.data() + size() * codes.cols());
 
-  TiPartitionOptions topts;
-  topts.num_clusters = options_.ti_clusters;
-  topts.num_threads = options_.train_threads;
-  topts.prefix_subspaces = ti_.prefix_subspaces();
-  topts.seed = options_.seed ^ 0x7153A9F2ULL;
-  return ti_.Build(codes, codebooks(), topts);
+  return ti_.Build(codes, codebooks(),
+                   TiOptions(options_, ti_.prefix_subspaces()));
 }
 
 void VaqIndex::ProjectQuery(const float* query,

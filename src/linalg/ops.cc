@@ -21,22 +21,6 @@ FloatMatrix MatMul(const FloatMatrix& a, const FloatMatrix& b) {
   return c;
 }
 
-FloatMatrix MatMulTransposed(const FloatMatrix& a, const FloatMatrix& b) {
-  VAQ_CHECK(a.cols() == b.cols());
-  FloatMatrix c(a.rows(), b.rows(), 0.f);
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    float* crow = c.row(i);
-    for (size_t j = 0; j < b.rows(); ++j) {
-      const float* brow = b.row(j);
-      float acc = 0.f;
-      for (size_t k = 0; k < a.cols(); ++k) acc += arow[k] * brow[k];
-      crow[j] = acc;
-    }
-  }
-  return c;
-}
-
 FloatMatrix Transpose(const FloatMatrix& a) {
   FloatMatrix t(a.cols(), a.rows());
   for (size_t i = 0; i < a.rows(); ++i) {

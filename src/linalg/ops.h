@@ -8,9 +8,6 @@ namespace vaq {
 /// Dense matrix product C = A * B. A is (n x k), B is (k x m).
 FloatMatrix MatMul(const FloatMatrix& a, const FloatMatrix& b);
 
-/// C = A * B^T. A is (n x k), B is (m x k); result is (n x m).
-FloatMatrix MatMulTransposed(const FloatMatrix& a, const FloatMatrix& b);
-
 /// Matrix transpose.
 FloatMatrix Transpose(const FloatMatrix& a);
 DoubleMatrix Transpose(const DoubleMatrix& a);

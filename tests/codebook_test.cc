@@ -188,10 +188,10 @@ TEST_F(CodebookTest, HierarchicalPathForLargeDictionaries) {
   EXPECT_EQ(books.dictionary(0).cols(), 2048u);
 }
 
-std::vector<CentroidKernelType> DistanceKernels() {
-  std::vector<CentroidKernelType> kernels{CentroidKernelType::kScalar};
-  if (Avx2CentroidKernelAvailable()) {
-    kernels.push_back(CentroidKernelType::kAvx2);
+std::vector<ScanKernelType> DistanceKernels() {
+  std::vector<ScanKernelType> kernels{ScanKernelType::kScalar};
+  if (Avx2KernelsAvailable()) {
+    kernels.push_back(ScanKernelType::kAvx2);
   }
   return kernels;
 }
@@ -204,7 +204,7 @@ std::vector<CentroidKernelType> DistanceKernels() {
 // entries, i.e. the SIMD lane remainder.
 TEST(CentroidDistanceKernelTest, BitIdenticalToSquaredL2) {
   Rng rng(2024);
-  for (CentroidKernelType type : DistanceKernels()) {
+  for (ScanKernelType type : DistanceKernels()) {
     const CentroidKernel& kernel = GetCentroidKernel(type);
     ASSERT_NE(kernel.distances, nullptr);
     ASSERT_NE(kernel.nearest, nullptr);

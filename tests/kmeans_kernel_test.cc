@@ -197,10 +197,10 @@ FloatMatrix TestRows(bool tied, size_t n, size_t d, uint64_t seed) {
   return tied ? TiedData(n, d, seed) : DuplicatedGaussian(n, d, seed);
 }
 
-std::vector<CentroidKernelType> Kernels() {
-  std::vector<CentroidKernelType> kernels{CentroidKernelType::kScalar};
-  if (Avx2CentroidKernelAvailable()) {
-    kernels.push_back(CentroidKernelType::kAvx2);
+std::vector<ScanKernelType> Kernels() {
+  std::vector<ScanKernelType> kernels{ScanKernelType::kScalar};
+  if (Avx2KernelsAvailable()) {
+    kernels.push_back(ScanKernelType::kAvx2);
   }
   return kernels;
 }
@@ -287,7 +287,7 @@ TEST(KMeansKernelTest, SeedingMatchesReferenceSquaredL2Loop) {
 }
 
 TEST(KMeansKernelTest, NearestMatchesReferenceOnEveryKernel) {
-  for (CentroidKernelType type : Kernels()) {
+  for (ScanKernelType type : Kernels()) {
     const CentroidKernel& kernel = GetCentroidKernel(type);
     for (size_t d : kWidths) {
       for (size_t k : kCentroidCounts) {
@@ -340,7 +340,7 @@ TEST(KMeansKernelTest, NearestOfNoFiniteDistanceIsZero) {
     table(1, c) = 0.f;
   }
   const float x[kLen] = {-3e38f, 0.f};
-  for (CentroidKernelType type : Kernels()) {
+  for (ScanKernelType type : Kernels()) {
     const CentroidKernel& kernel = GetCentroidKernel(type);
     float distance = 0.f;
     const uint32_t got =

@@ -32,14 +32,6 @@ TEST(OpsTest, MatMulKnown) {
   EXPECT_FLOAT_EQ(c(1, 1), 50.f);
 }
 
-TEST(OpsTest, MatMulTransposedMatchesMatMul) {
-  const FloatMatrix a = RandomMatrix(4, 6, 1);
-  const FloatMatrix b = RandomMatrix(5, 6, 2);
-  const FloatMatrix direct = MatMulTransposed(a, b);
-  const FloatMatrix via_transpose = MatMul(a, Transpose(b));
-  EXPECT_LT(FrobeniusDistance(direct, via_transpose), 1e-5);
-}
-
 TEST(OpsTest, TransposeInvolution) {
   const FloatMatrix a = RandomMatrix(3, 7, 3);
   EXPECT_TRUE(Transpose(Transpose(a)) == a);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "adc_oracle.h"
+#include "clustering/centroid_kernel.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
 #include "core/vaq_index.h"
@@ -95,7 +96,7 @@ struct RawAdcProblem {
 
 std::vector<ScanKernelType> BlockedKernels() {
   std::vector<ScanKernelType> kernels{ScanKernelType::kScalar};
-  if (Avx2ScanAvailable()) kernels.push_back(ScanKernelType::kAvx2);
+  if (Avx2KernelsAvailable()) kernels.push_back(ScanKernelType::kAvx2);
   return kernels;
 }
 
@@ -391,7 +392,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(KernelEquivalenceTest, ScalarAndSimdAgreeOnEaScanIncludingStats) {
-  if (!Avx2ScanAvailable()) GTEST_SKIP() << "no AVX2 kernel in this build";
+  if (!Avx2KernelsAvailable()) GTEST_SKIP() << "no AVX2 kernel in this build";
   RawAdcProblem p = RawAdcProblem::Make(777, {8, 6, 5, 4, 3, 2, 1, 1}, 23);
   const BlockedCodes bc = BlockedCodes::Build(p.codes);
   for (size_t interval : {1, 4, 7}) {
@@ -554,7 +555,7 @@ TEST_F(ScanSearchEquivalenceTest, SubspacePrefixesMatchReference) {
 }
 
 TEST_F(ScanSearchEquivalenceTest, ScalarAndSimdReportIdenticalStats) {
-  if (!Avx2ScanAvailable()) GTEST_SKIP() << "no AVX2 kernel in this build";
+  if (!Avx2KernelsAvailable()) GTEST_SKIP() << "no AVX2 kernel in this build";
   for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
                           SearchMode::kTriangleInequality}) {
     SearchParams params;
@@ -791,7 +792,7 @@ TEST_F(ScanSearchEquivalenceTest,
 TEST(ScanDispatchTest, AutoResolvesToSupportedKernel) {
   const ScanKernel& kernel = GetScanKernel(ScanKernelType::kAuto);
   ASSERT_NE(kernel.accumulate_groups, nullptr);
-  if (Avx2ScanAvailable() &&
+  if (Avx2KernelsAvailable() &&
       std::getenv("VAQ_SCAN_KERNEL") == nullptr) {
     EXPECT_STREQ(kernel.name, "avx2");
     EXPECT_TRUE(CpuHasAvx2());
@@ -801,6 +802,12 @@ TEST(ScanDispatchTest, AutoResolvesToSupportedKernel) {
   // Requesting AVX2 must degrade gracefully rather than crash.
   ASSERT_NE(GetScanKernel(ScanKernelType::kAvx2).accumulate_groups, nullptr);
   EXPECT_STREQ(GetScanKernel(ScanKernelType::kScalar).name, "scalar");
+  // The centroid kernels follow the same ISA rule.
+  for (ScanKernelType type : {ScanKernelType::kAuto, ScanKernelType::kScalar,
+                              ScanKernelType::kAvx2}) {
+    EXPECT_STREQ(GetCentroidKernel(type).name, GetScanKernel(type).name)
+        << "type=" << static_cast<int>(type);
+  }
 }
 
 }  // namespace
