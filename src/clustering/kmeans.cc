@@ -19,6 +19,13 @@ constexpr double kTol = 1e-4;
 /// longer on 2 threads than on 1; 4000 x 96 rows took 40% less.
 constexpr size_t kMinSeedFloatsPerWorker = size_t{1} << 17;
 
+/// What splitting a round's distance pass costs per row, in floats of that
+/// pass: the serial step then reads every row's distance back from the
+/// workers' caches. Seeding (k = 256, 4 cores, medians of 11) 16000 x 24
+/// rows took 17-25 ms on 1 thread and no less on 2-4; 16000 x 32 took
+/// 30-35 ms on 1 and 22 on 3; 32000 x 24 took 47-49 ms on 1 and 34 on 4.
+constexpr size_t kSeedSplitFloatsPerRow = 16;
+
 /// Row pitch, in floats, of the dimension-major table of k centroids: whole
 /// 64-byte lines, an odd number of them. With a power-of-two pitch every
 /// row of a 96-d table of 256 centroids maps to the same few L1 sets, and
@@ -61,6 +68,14 @@ void AssignRows(const FloatMatrix& data, const FloatMatrix& table, size_t k,
 }
 
 }  // namespace
+
+size_t SeedWorkerCount(size_t n, size_t d, size_t num_threads) {
+  const size_t t = std::clamp<size_t>(n * d / kMinSeedFloatsPerWorker, 1,
+                                      WorkerCount(n, num_threads));
+  // t workers save n * d * (1 - 1/t) floats of the distance pass a round
+  // and pay kSeedSplitFloatsPerRow * n for the split.
+  return d * (t - 1) > kSeedSplitFloatsPerRow * t ? t : 1;
+}
 
 void KMeans::SeedCentroids(const FloatMatrix& data,
                            const KMeansOptions& options, size_t num_threads) {
@@ -111,8 +126,7 @@ void KMeans::SeedCentroids(const FloatMatrix& data,
       }
       std::copy_n(data.row(pick), d, centroids_.row(next++));
     };
-    const size_t workers = std::clamp<size_t>(
-        n * d / kMinSeedFloatsPerWorker, 1, WorkerCount(n, num_threads));
+    const size_t workers = SeedWorkerCount(n, d, num_threads);
     std::barrier round(static_cast<std::ptrdiff_t>(workers), draw);
     ParallelFor(workers, workers, [&](size_t w, size_t) {
       const size_t begin = w * n / workers;

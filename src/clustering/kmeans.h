@@ -1,6 +1,7 @@
 #ifndef VAQ_CLUSTERING_KMEANS_H_
 #define VAQ_CLUSTERING_KMEANS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -15,6 +16,14 @@ struct KMeansOptions {
   int max_iters = 25;
   uint64_t seed = 42;
 };
+
+/// Workers for the k-means++ seeding of `n` x `d` rows on up to
+/// `num_threads` (0: hardware concurrency). Each round splits a distance
+/// pass of n * d floats over them, then runs a serial step over the n
+/// rows; more than one worker only when every worker gets at least 2^17
+/// floats of rows and the floats saved outweigh a fixed cost per row of
+/// splitting, so narrow rows seed on one thread.
+size_t SeedWorkerCount(size_t n, size_t d, size_t num_threads);
 
 /// Lloyd's k-means with k-means++ seeding and empty-cluster repair.
 ///

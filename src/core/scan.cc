@@ -25,24 +25,56 @@ BlockedCodes BlockedCodes::Build(const CodeMatrix& codes, const uint32_t* ids,
   bc.num_subspaces_ = codes.cols();
   if (count == 0 || bc.num_subspaces_ == 0) return bc;
   const size_t m = bc.num_subspaces_;
-  const size_t blocks = (count + kScanBlockSize - 1) / kScanBlockSize;
-  bc.data_.assign(blocks * m * kScanBlockSize, 0);
-  for (size_t r = 0; r < count; ++r) {
+  auto source = [&](size_t r) {
     VAQ_DCHECK(ids == nullptr || ids[r] < codes.rows());
-    const uint16_t* src = codes.row(ids != nullptr ? ids[r] : r);
-    const size_t b = r / kScanBlockSize;
-    const size_t lane = r % kScanBlockSize;
-    uint16_t* dst = bc.data_.data() + b * m * kScanBlockSize + lane;
-    for (size_t s = 0; s < m; ++s) dst[s * kScanBlockSize] = src[s];
+    return codes.row(ids != nullptr ? ids[r] : r);
+  };
+  // w is one past the last subspace whose codes, OR-ed, exceed a byte.
+  std::vector<uint16_t> column_or(m, 0);
+  for (size_t r = 0; r < count; ++r) {
+    const uint16_t* src = source(r);
+    for (size_t s = 0; s < m; ++s) column_or[s] |= src[s];
+  }
+  size_t& w = bc.wide_subspaces_;
+  for (size_t s = 0; s < m; ++s) {
+    if (column_or[s] > UINT8_MAX) w = s + 1;
+  }
+  const size_t block_bytes = bc.row_bytes() * kScanBlockSize;
+  const size_t blocks = (count + kScanBlockSize - 1) / kScanBlockSize;
+  bc.data_.assign(blocks * block_bytes, 0);
+  // One block at a time: its rows stay in L1 while each stripe is written
+  // front to back.
+  const uint16_t* rows[kScanBlockSize];
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t lanes = std::min(kScanBlockSize, count - b * kScanBlockSize);
+    for (size_t i = 0; i < lanes; ++i) rows[i] = source(b * kScanBlockSize + i);
+    uint8_t* dst = bc.data_.data() + b * block_bytes;
+    for (size_t s = 0; s < w; ++s) {
+      uint8_t* stripe = dst + 2 * s * kScanBlockSize;
+      for (size_t i = 0; i < lanes; ++i) {
+        StoreAs<uint16_t>(stripe + 2 * i, rows[i][s]);
+      }
+    }
+    for (size_t s = w; s < m; ++s) {
+      uint8_t* stripe = dst + (s + w) * kScanBlockSize;
+      for (size_t i = 0; i < lanes; ++i) {
+        stripe[i] = static_cast<uint8_t>(rows[i][s]);
+      }
+    }
   }
   return bc;
 }
 
 void BlockedCodes::ReadRow(size_t r, uint16_t* out) const {
   VAQ_DCHECK(r < rows_);
-  const uint16_t* src = block(r / kScanBlockSize) + r % kScanBlockSize;
-  for (size_t s = 0; s < num_subspaces_; ++s) {
-    out[s] = src[s * kScanBlockSize];
+  const uint8_t* src = block(r / kScanBlockSize);
+  const size_t lane = r % kScanBlockSize;
+  const size_t w = wide_subspaces_;
+  for (size_t s = 0; s < w; ++s) {
+    out[s] = LoadAs<uint16_t>(src + 2 * (s * kScanBlockSize + lane));
+  }
+  for (size_t s = w; s < num_subspaces_; ++s) {
+    out[s] = src[(s + w) * kScanBlockSize + lane];
   }
 }
 
@@ -181,33 +213,40 @@ Status PartitionedCodes::LoadCentroids(std::istream& is) {
 
 namespace internal {
 // Defined in scan_avx2.cc, the only core translation unit built with
-// -mavx2, and linked only where the compiler has it (src/CMakeLists.txt).
-void Avx2Accumulate(const uint16_t* codes, const float* lut,
+// -mavx2, and linked only where the compiler has it (src/CMakeLists.txt),
+// for Code = uint16_t and uint8_t.
+template <typename Code>
+void Avx2Accumulate(const uint8_t* codes, const float* lut,
                     const uint32_t* lut_offsets, size_t subspaces,
                     size_t groups, float* acc);
 }  // namespace internal
 
 namespace {
 
-void ScalarAccumulate(const uint16_t* codes, const float* lut,
+// Stripes of Code (uint16_t or uint8_t) codes, sizeof(Code) * 64 bytes
+// apart.
+template <typename Code>
+void ScalarAccumulate(const uint8_t* codes, const float* lut,
                       const uint32_t* lut_offsets, size_t subspaces,
                       size_t groups, float* acc) {
   for (size_t s = 0; s < subspaces; ++s) {
     const float* base = lut + lut_offsets[s];
-    const uint16_t* stripe = codes + s * kScanBlockSize;
+    const uint8_t* stripe = codes + s * sizeof(Code) * kScanBlockSize;
     // The fixed-width lane loop unrolls: one loop branch per 8 lanes.
     for (size_t g = 0; g < groups; ++g) {
       for (size_t j = 0; j < kScanLaneGroup; ++j) {
         const size_t i = g * kScanLaneGroup + j;
-        acc[i] += base[stripe[i]];
+        acc[i] += base[LoadAs<Code>(stripe + i * sizeof(Code))];
       }
     }
   }
 }
 
-constexpr ScanKernel kScalarKernel{&ScalarAccumulate, "scalar"};
+constexpr ScanKernel kScalarKernel{&ScalarAccumulate<uint16_t>,
+                                   &ScalarAccumulate<uint8_t>, "scalar"};
 #if defined(VAQ_AVX2_KERNELS)
-constexpr ScanKernel kAvx2Kernel{&internal::Avx2Accumulate, "avx2"};
+constexpr ScanKernel kAvx2Kernel{&internal::Avx2Accumulate<uint16_t>,
+                                 &internal::Avx2Accumulate<uint8_t>, "avx2"};
 #else
 // Never picked: without AVX2 kernels UseAvx2Kernels is always false.
 constexpr ScanKernel kAvx2Kernel = kScalarKernel;
@@ -247,14 +286,13 @@ void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
     // The 8-lane groups holding lanes [lo, hi).
     const size_t g_begin = lo / kScanLaneGroup;
     const size_t g_end = (hi + kScanLaneGroup - 1) / kScanLaneGroup;
-    const uint16_t* block = bc.block(b);
     const float threshold = heap->Threshold();
     std::fill(acc, acc + kScanBlockSize, 0.f);
     size_t s = 0;
     bool abandoned = false;
     while (s < s_limit) {
       const size_t s_stop = std::min(s + interval, s_limit);
-      kernel.accumulate(block, lut, lut_offsets, s, s_stop, g_begin, g_end,
+      kernel.accumulate(bc, b, lut, lut_offsets, s, s_stop, g_begin, g_end,
                         acc);
       s = s_stop;
       if (s >= s_limit) break;

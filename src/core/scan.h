@@ -15,9 +15,10 @@
 
 namespace vaq {
 
-/// Rows per cache block of the transposed code layout. 64 rows x one
-/// uint16 per subspace = 128 bytes (two cache lines) per subspace stripe,
-/// and 64 float accumulators (256 B) stay resident in L1/registers.
+/// Rows per cache block of the transposed code layout. 64 rows give a
+/// subspace stripe of 128 bytes (two cache lines) of uint16 codes or 64
+/// bytes (one line) of uint8 codes, and 64 float accumulators (256 B) stay
+/// resident in L1/registers.
 inline constexpr size_t kScanBlockSize = 64;
 
 /// Lanes per group: the unit in which a kernel accumulates part of a block
@@ -59,15 +60,23 @@ struct SearchStats {
 ///
 /// Rows are grouped into blocks of kScanBlockSize; within a block the
 /// codes are transposed so that the kScanBlockSize codes of one subspace
-/// are contiguous:
+/// are contiguous. The first wide_subspaces() = w stripes of a block hold
+/// uint16 codes (128 B each), the other m - w hold uint8 codes (64 B
+/// each), so a block is 64 * (m + w) bytes and stripe s starts at byte
+/// (s + min(s, w)) * 64 of it:
 ///
-///   data[(block * m + s) * kScanBlockSize + i]  ==  codes(block*64 + i, s)
+///   s <  w:  uint16 at block(b) + 2 * (s * 64 + i)  ==  codes(b*64 + i, s)
+///   s >= w:  block(b)[(s + w) * 64 + i]             ==  codes(b*64 + i, s)
 ///
-/// A kernel therefore streams one subspace stripe at a time, turning the
-/// per-row LUT gather into a vectorizable inner loop while every row still
-/// accumulates its subspaces in ascending order — bit-identical to a
-/// row-at-a-time ADC sum. The last block is padded with code 0 (always
-/// a valid dictionary index); padded lanes are computed and discarded.
+/// Build derives w from the codes: one past the last subspace that holds
+/// a code above 255, or 0. A trained index's bits are sorted descending
+/// (AllocateBits), so w is its number of subspaces wider than 8 bits.
+///
+/// A kernel streams one subspace stripe at a time, turning the per-row LUT
+/// gather into a vectorizable inner loop while every row still accumulates
+/// its subspaces in ascending order — bit-identical to a row-at-a-time ADC
+/// sum. The last block is padded with code 0 (always a valid dictionary
+/// index); padded lanes are computed and discarded.
 ///
 /// An index holds exactly one of these, in its PartitionedCodes: partitions
 /// are packed back to back with no padding, so a block may hold the tail of
@@ -80,11 +89,12 @@ class BlockedCodes {
   static BlockedCodes Build(const CodeMatrix& codes);
 
   /// Blocks the rows `ids[0..count)` (null: rows [0, count)), in that
-  /// order: stored row i is row ids[i] of `codes`.
+  /// order: stored row i is row ids[i] of `codes`. w is derived from the
+  /// stored rows.
   static BlockedCodes Build(const CodeMatrix& codes, const uint32_t* ids,
                             size_t count);
 
-  /// Copies stored row `r`'s codes, one per subspace, into `out`.
+  /// Copies stored row `r`'s codes, one uint16 per subspace, into `out`.
   void ReadRow(size_t r, uint16_t* out) const;
 
   /// The codes in row order: the inverse of Build(codes, ids, rows()) when
@@ -95,17 +105,24 @@ class BlockedCodes {
 
   size_t rows() const { return rows_; }
   size_t num_subspaces() const { return num_subspaces_; }
-  size_t num_blocks() const { return data_.empty() ? 0 : data_.size() / (num_subspaces_ * kScanBlockSize); }
+  /// w: subspaces [0, w) are stored as uint16, the rest as uint8.
+  size_t wide_subspaces() const { return wide_subspaces_; }
+  /// Bytes of codes per row, m + w; a block is 64 rows of them.
+  size_t row_bytes() const { return num_subspaces_ + wide_subspaces_; }
+  size_t num_blocks() const {
+    return data_.empty() ? 0 : data_.size() / (row_bytes() * kScanBlockSize);
+  }
 
-  /// Start of block `b`'s transposed codes (m * kScanBlockSize entries).
-  const uint16_t* block(size_t b) const {
-    return data_.data() + b * num_subspaces_ * kScanBlockSize;
+  /// Start of block `b`'s transposed codes (64 * row_bytes() bytes).
+  const uint8_t* block(size_t b) const {
+    return data_.data() + b * row_bytes() * kScanBlockSize;
   }
 
  private:
   size_t rows_ = 0;
   size_t num_subspaces_ = 0;
-  std::vector<uint16_t> data_;
+  size_t wide_subspaces_ = 0;
+  std::vector<uint8_t> data_;
 };
 
 /// Rows [0, n) split into partitions (TI clusters, IVF lists) in CSR form,
@@ -192,35 +209,49 @@ class PartitionedCodes {
 /// for lookup tables and encoding, are clustering/centroid_kernel.h.)
 ///
 /// `accumulate` adds, for every lane i of the 8-lane groups
-/// [g_begin, g_end) (lanes [8 * g_begin, 8 * g_end) of the block), the LUT
-/// entries of subspaces [s_begin, s_end) selected by the block's
-/// transposed codes:
+/// [g_begin, g_end) (lanes [8 * g_begin, 8 * g_end) of block `b` of
+/// `codes`), the LUT entries of subspaces [s_begin, s_end) selected by the
+/// block's transposed codes:
 ///
-///   acc[i] += sum_{s in [s_begin, s_end)} lut[lut_offsets[s] + block[s*64 + i]]
+///   acc[i] += sum_{s in [s_begin, s_end)} lut[lut_offsets[s] + codes(b*64 + i, s)]
 ///
 /// with the per-lane additions performed in ascending subspace order, so
 /// every implementation produces bit-identical float sums. Lanes outside
 /// the groups are neither read nor written, so a partition that covers
-/// part of a block pays only for the groups it touches. It offsets the
-/// pointers to the first subspace and group and calls `accumulate_groups`,
-/// whose six arguments all travel in registers on x86-64 and AArch64:
-/// `codes` is block + s_begin * 64 + 8 * g_begin, `lut_offsets` starts at
-/// s_begin, `acc` at lane 8 * g_begin, and `groups` counts the 8-lane
-/// groups from there.
+/// part of a block pays only for the groups it touches. It splits the
+/// subspaces at the store's w: the uint16 stripes below it go to
+/// `accumulate_u16`, then the uint8 stripes from it to `accumulate_u8`.
+/// Both take six arguments, which all travel in registers on x86-64 and
+/// AArch64: `codes` points at the first stripe's first lane, `lut_offsets`
+/// starts at that stripe's subspace, `acc` at lane 8 * g_begin, and
+/// `groups` counts the 8-lane groups from there.
 struct ScanKernel {
-  using AccumulateFn = void (*)(const uint16_t* codes, const float* lut,
+  using AccumulateFn = void (*)(const uint8_t* codes, const float* lut,
                                 const uint32_t* lut_offsets, size_t subspaces,
                                 size_t groups, float* acc);
-  AccumulateFn accumulate_groups = nullptr;
+  AccumulateFn accumulate_u16 = nullptr;
+  AccumulateFn accumulate_u8 = nullptr;
   const char* name = "";
 
-  void accumulate(const uint16_t* block, const float* lut,
+  void accumulate(const BlockedCodes& codes, size_t b, const float* lut,
                   const uint32_t* lut_offsets, size_t s_begin, size_t s_end,
                   size_t g_begin, size_t g_end, float* acc) const {
+    const uint8_t* block = codes.block(b);
+    const size_t w = codes.wide_subspaces();
     const size_t lane = g_begin * kScanLaneGroup;
-    accumulate_groups(block + s_begin * kScanBlockSize + lane, lut,
-                      lut_offsets + s_begin, s_end - s_begin, g_end - g_begin,
-                      acc + lane);
+    const size_t groups = g_end - g_begin;
+    if (s_begin < w) {
+      const size_t s_stop = s_end < w ? s_end : w;
+      accumulate_u16(block + 2 * (s_begin * kScanBlockSize + lane), lut,
+                     lut_offsets + s_begin, s_stop - s_begin, groups,
+                     acc + lane);
+      s_begin = s_stop;
+    }
+    if (s_begin < s_end) {
+      accumulate_u8(block + (s_begin + w) * kScanBlockSize + lane, lut,
+                    lut_offsets + s_begin, s_end - s_begin, groups,
+                    acc + lane);
+    }
   }
 };
 

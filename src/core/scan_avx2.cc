@@ -4,13 +4,13 @@
 // src/clustering/centroid_kernel_avx2.cc.
 //
 // The ADC accumulation kernel is gather-bound: for each subspace stripe it
-// widens 8 uint16 codes to lane indices, gathers 8 LUT floats, and adds
-// them into 8 register-resident accumulators covering the 64-row block.
-// A call that covers only some 8-lane groups of the block (a partition
-// that starts or ends inside it) runs one register per group instead.
-// Each lane adds its subspaces in ascending order — the same float addition
-// sequence as the scalar kernel — so the sums are bit-identical, not just
-// close.
+// widens 8 codes (uint16 in the wide stripes, uint8 in the narrow ones) to
+// lane indices, gathers 8 LUT floats, and adds them into 8
+// register-resident accumulators covering the 64-row block. A call that
+// covers only some 8-lane groups of the block (a partition that starts or
+// ends inside it) runs one register per group instead. Each lane adds its
+// subspaces in ascending order — the same float addition sequence as the
+// scalar kernel — so the sums are bit-identical, not just close.
 
 #include <cstddef>
 #include <cstdint>
@@ -24,36 +24,48 @@ namespace internal {
 
 namespace {
 
-// Widens the 8 uint16 codes at `codes` to lane indices and gathers their
-// LUT entries from `base`.
-inline __m256 Gather8(const float* base, const uint16_t* codes) {
+// Widens the 8 codes of type Code at `codes` to lane indices and gathers
+// their LUT entries from `base`.
+template <typename Code>
+inline __m256 Gather8(const float* base, const uint8_t* codes) {
   // reinterpret_cast to const __m128i* is the documented calling
-  // convention of _mm_loadu_si128 — Intel defines the intrinsic to
-  // perform an unaligned, aliasing-safe 128-bit load, so this is the
-  // one place the codebase's no-reinterpret_cast rule does not apply
-  // (everything else goes through common/io.h LoadAs/StoreAs). A
-  // memcpy into a __m128i would be equivalent but obscures that the
-  // pointer never converts to an lvalue of the wrong type.
+  // convention of _mm_loadu_si128 / _mm_loadl_epi64 — Intel defines the
+  // intrinsics to perform unaligned, aliasing-safe loads (of 128 and 64
+  // bits), so this is the one place the codebase's no-reinterpret_cast
+  // rule does not apply (everything else goes through common/io.h
+  // LoadAs/StoreAs). A memcpy into a __m128i would be equivalent but
+  // obscures that the pointer never converts to an lvalue of the wrong
+  // type.
   // NOLINTNEXTLINE(cppcoreguidelines-pro-type-reinterpret-cast)
-  const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes));
-  return _mm256_i32gather_ps(base, _mm256_cvtepu16_epi32(c), 4);
+  const __m128i* p = reinterpret_cast<const __m128i*>(codes);
+  __m256i lanes;
+  if constexpr (sizeof(Code) == 2) {
+    lanes = _mm256_cvtepu16_epi32(_mm_loadu_si128(p));
+  } else {
+    lanes = _mm256_cvtepu8_epi32(_mm_loadl_epi64(p));
+  }
+  return _mm256_i32gather_ps(base, lanes, 4);
 }
 
 }  // namespace
 
-void Avx2Accumulate(const uint16_t* codes, const float* lut,
+template <typename Code>
+void Avx2Accumulate(const uint8_t* codes, const float* lut,
                     const uint32_t* lut_offsets, size_t subspaces,
                     size_t groups, float* acc) {
   static_assert(kScanBlockSize == 8 * kScanLaneGroup,
                 "kernel unrolls 8 vectors of 8 lanes per block");
+  constexpr size_t kStripeBytes = sizeof(Code) * kScanBlockSize;
+  constexpr size_t kGroupBytes = sizeof(Code) * kScanLaneGroup;
   if (groups != kScanBlockSize / kScanLaneGroup) {
     // Part of a block: one register per group, subspaces innermost.
     for (size_t lane = 0; lane < groups * kScanLaneGroup;
          lane += kScanLaneGroup) {
       __m256 a = _mm256_loadu_ps(acc + lane);
       for (size_t s = 0; s < subspaces; ++s) {
-        a = _mm256_add_ps(a, Gather8(lut + lut_offsets[s],
-                                     codes + s * kScanBlockSize + lane));
+        a = _mm256_add_ps(a, Gather8<Code>(lut + lut_offsets[s],
+                                           codes + s * kStripeBytes +
+                                               lane * sizeof(Code)));
       }
       _mm256_storeu_ps(acc + lane, a);
     }
@@ -69,15 +81,15 @@ void Avx2Accumulate(const uint16_t* codes, const float* lut,
   __m256 a7 = _mm256_loadu_ps(acc + 56);
   for (size_t s = 0; s < subspaces; ++s) {
     const float* base = lut + lut_offsets[s];
-    const uint16_t* stripe = codes + s * kScanBlockSize;
-    a0 = _mm256_add_ps(a0, Gather8(base, stripe + 0));
-    a1 = _mm256_add_ps(a1, Gather8(base, stripe + 8));
-    a2 = _mm256_add_ps(a2, Gather8(base, stripe + 16));
-    a3 = _mm256_add_ps(a3, Gather8(base, stripe + 24));
-    a4 = _mm256_add_ps(a4, Gather8(base, stripe + 32));
-    a5 = _mm256_add_ps(a5, Gather8(base, stripe + 40));
-    a6 = _mm256_add_ps(a6, Gather8(base, stripe + 48));
-    a7 = _mm256_add_ps(a7, Gather8(base, stripe + 56));
+    const uint8_t* stripe = codes + s * kStripeBytes;
+    a0 = _mm256_add_ps(a0, Gather8<Code>(base, stripe + 0 * kGroupBytes));
+    a1 = _mm256_add_ps(a1, Gather8<Code>(base, stripe + 1 * kGroupBytes));
+    a2 = _mm256_add_ps(a2, Gather8<Code>(base, stripe + 2 * kGroupBytes));
+    a3 = _mm256_add_ps(a3, Gather8<Code>(base, stripe + 3 * kGroupBytes));
+    a4 = _mm256_add_ps(a4, Gather8<Code>(base, stripe + 4 * kGroupBytes));
+    a5 = _mm256_add_ps(a5, Gather8<Code>(base, stripe + 5 * kGroupBytes));
+    a6 = _mm256_add_ps(a6, Gather8<Code>(base, stripe + 6 * kGroupBytes));
+    a7 = _mm256_add_ps(a7, Gather8<Code>(base, stripe + 7 * kGroupBytes));
   }
   _mm256_storeu_ps(acc + 0, a0);
   _mm256_storeu_ps(acc + 8, a1);
@@ -88,6 +100,14 @@ void Avx2Accumulate(const uint16_t* codes, const float* lut,
   _mm256_storeu_ps(acc + 48, a6);
   _mm256_storeu_ps(acc + 56, a7);
 }
+
+// The two instantiations scan.cc's kernel table points at.
+template void Avx2Accumulate<uint16_t>(const uint8_t*, const float*,
+                                       const uint32_t*, size_t, size_t,
+                                       float*);
+template void Avx2Accumulate<uint8_t>(const uint8_t*, const float*,
+                                      const uint32_t*, size_t, size_t,
+                                      float*);
 
 }  // namespace internal
 }  // namespace vaq

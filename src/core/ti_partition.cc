@@ -39,8 +39,8 @@ void NearestClusters(const BlockedCodes& codes, size_t first, size_t count,
     const float* lut = luts + c * lut_size;
     for (size_t t = 0; t < count; ++t) {
       std::fill_n(acc, kScanBlockSize, 0.f);
-      kernel.accumulate(codes.block(first + t), lut, lut_offsets, 0, prefix,
-                        0, kScanBlockSize / kScanLaneGroup, acc);
+      kernel.accumulate(codes, first + t, lut, lut_offsets, 0, prefix, 0,
+                        kScanBlockSize / kScanLaneGroup, acc);
       float* tile_best = best + t * kScanBlockSize;
       uint32_t* tile_nearest = nearest + t * kScanBlockSize;
       for (size_t i = 0; i < kScanBlockSize; ++i) {

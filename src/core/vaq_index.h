@@ -57,12 +57,11 @@ class VaqIndex {
   /// Number of swaps the partial balancing step performed.
   size_t balance_swaps() const { return encoder_.balance_swaps(); }
 
-  /// Bytes of the codes as saved, n·m·2 (perfbench's
-  /// scan.code_bytes_per_vector). The one blocked store in memory adds
-  /// only the padding of its last 64-row block.
-  size_t code_bytes() const {
-    return size() * num_subspaces() * sizeof(uint16_t);
-  }
+  /// Bytes of the codes in memory, n·(m + w) (perfbench's
+  /// scan.code_bytes_per_vector): one per subspace, two for each of the w
+  /// subspaces wider than 8 bits (BlockedCodes). The store adds only the
+  /// padding of its last 64-row block; the CODE section saves n·m·2.
+  size_t code_bytes() const { return size() * ti_.codes().row_bytes(); }
 
   /// k-NN search for a raw (unprojected) query of length dim(). Results
   /// are ADC distance estimates (non-squared), ascending. This overload

@@ -258,10 +258,12 @@ TEST(KMeansKernelTest, TrainAndAssignMatchReferenceLloyd) {
 TEST(KMeansKernelTest, SeedingMatchesReferenceSquaredL2Loop) {
   SCOPED_TRACE(std::string("dispatched kernel: ") + GetCentroidKernel().name);
   for (size_t d : {size_t{1}, size_t{3}, size_t{4}, size_t{96}}) {
-    // 30 rows < k = 50 takes the padding path; 700 rows split unevenly
-    // over 4 threads; identical rows make every D^2 total 0, so each
+    // 30 rows < k = 50 takes the padding path; 5501 x 96 rows split
+    // unevenly over 4 seeding workers (SeedWorkerCount), narrower or fewer
+    // rows seed on one; identical rows make every D^2 total 0, so each
     // round draws uniformly instead.
-    for (size_t n : {size_t{30}, size_t{700}}) {
+    ASSERT_EQ(SeedWorkerCount(5501, 96, 4), 4u);
+    for (size_t n : {size_t{30}, size_t{700}, size_t{5501}}) {
       for (int kind = 0; kind < 3; ++kind) {
         FloatMatrix data = TestRows(kind == 1, n, d, 40 + d + n);
         if (kind == 2) {
@@ -284,6 +286,22 @@ TEST(KMeansKernelTest, SeedingMatchesReferenceSquaredL2Loop) {
       }
     }
   }
+}
+
+TEST(KMeansKernelTest, SeedWorkerCountWeighsSerialRowsAgainstSplitPass) {
+  // Seeding 16000 x 24 rows (k = 256) was fastest on one thread: the split
+  // saves too few floats of the distance pass per row.
+  EXPECT_EQ(SeedWorkerCount(16000, 24, 4), 1u);
+  EXPECT_EQ(SeedWorkerCount(16000, 24, 2), 1u);
+  // Wider or more rows repay the split. 8000 x 96 is the coarse k-means
+  // shape of the IVF benchmark, which keeps all of its threads.
+  EXPECT_EQ(SeedWorkerCount(8000, 96, 4), 4u);
+  EXPECT_EQ(SeedWorkerCount(16000, 32, 4), 3u);
+  EXPECT_EQ(SeedWorkerCount(32000, 24, 4), 4u);
+  // Too few floats per worker, or one thread: one worker.
+  EXPECT_EQ(SeedWorkerCount(5000, 4, 4), 1u);
+  EXPECT_EQ(SeedWorkerCount(700, 96, 4), 1u);
+  EXPECT_EQ(SeedWorkerCount(8000, 96, 1), 1u);
 }
 
 TEST(KMeansKernelTest, NearestMatchesReferenceOnEveryKernel) {

@@ -10,13 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <new>
+#include <numeric>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "adc_oracle.h"
@@ -100,24 +104,41 @@ std::vector<ScanKernelType> BlockedKernels() {
   return kernels;
 }
 
+/// Stored code of lane `lane`, subspace `s` of block `b`, read from the
+/// bytes where the documented layout puts it (BlockedCodes): a uint16 at
+/// 2 * (s * 64 + lane) for s < w, one byte at (s + w) * 64 + lane after.
+/// Unlike ReadRow it also reaches the padded lanes of the last block.
+uint16_t StoredCode(const BlockedCodes& bc, size_t b, size_t lane, size_t s) {
+  const uint8_t* block = bc.block(b);
+  const size_t w = bc.wide_subspaces();
+  if (s >= w) return block[(s + w) * kScanBlockSize + lane];
+  uint16_t code = 0;
+  std::memcpy(&code, block + 2 * (s * kScanBlockSize + lane), sizeof(code));
+  return code;
+}
+
 TEST(BlockedCodesTest, TransposesRowsIntoSubspaceStripes) {
   RawAdcProblem p = RawAdcProblem::Make(/*n=*/130, {3, 1, 5, 2}, 11);
   const BlockedCodes bc = BlockedCodes::Build(p.codes);
   ASSERT_EQ(bc.rows(), 130u);
   ASSERT_EQ(bc.num_subspaces(), 4u);
+  ASSERT_EQ(bc.wide_subspaces(), 0u);  // every code fits a byte
+  ASSERT_EQ(bc.row_bytes(), 4u);
   ASSERT_EQ(bc.num_blocks(), 3u);  // 130 = 2*64 + 2
+  std::vector<uint16_t> row(4);
   for (size_t r = 0; r < bc.rows(); ++r) {
-    const size_t b = r / kScanBlockSize;
-    const size_t lane = r % kScanBlockSize;
+    bc.ReadRow(r, row.data());
     for (size_t s = 0; s < 4; ++s) {
-      EXPECT_EQ(bc.block(b)[s * kScanBlockSize + lane], p.codes(r, s))
+      EXPECT_EQ(row[s], p.codes(r, s)) << "r=" << r << " s=" << s;
+      EXPECT_EQ(StoredCode(bc, r / kScanBlockSize, r % kScanBlockSize, s),
+                p.codes(r, s))
           << "r=" << r << " s=" << s;
     }
   }
   // Padded lanes of the last block hold code 0 (a valid LUT index).
   for (size_t lane = 2; lane < kScanBlockSize; ++lane) {
     for (size_t s = 0; s < 4; ++s) {
-      EXPECT_EQ(bc.block(2)[s * kScanBlockSize + lane], 0u);
+      EXPECT_EQ(StoredCode(bc, 2, lane, s), 0u);
     }
   }
 }
@@ -127,9 +148,11 @@ TEST(BlockedCodesTest, SubsetBuildFollowsIdOrder) {
   const std::vector<uint32_t> ids = {99, 0, 42, 7, 7, 65};
   const BlockedCodes bc = BlockedCodes::Build(p.codes, ids.data(), ids.size());
   ASSERT_EQ(bc.rows(), ids.size());
+  std::vector<uint16_t> row(2);
   for (size_t r = 0; r < ids.size(); ++r) {
+    bc.ReadRow(r, row.data());
     for (size_t s = 0; s < 2; ++s) {
-      EXPECT_EQ(bc.block(0)[s * kScanBlockSize + r], p.codes(ids[r], s));
+      EXPECT_EQ(row[s], p.codes(ids[r], s));
     }
   }
 }
@@ -442,10 +465,10 @@ TEST(KernelEquivalenceTest, LaneGroupRangesMatchAcrossKernels) {
           acc[i] = 0.f;
         }
         // Two calls, as the early-abandon loop makes them.
-        kernel.accumulate(bc.block(b), p.lut.data(), p.lut_offsets.data(),
-                          0, 3, g0, g1, acc.data());
-        kernel.accumulate(bc.block(b), p.lut.data(), p.lut_offsets.data(),
-                          3, m, g0, g1, acc.data());
+        kernel.accumulate(bc, b, p.lut.data(), p.lut_offsets.data(), 0, 3,
+                          g0, g1, acc.data());
+        kernel.accumulate(bc, b, p.lut.data(), p.lut_offsets.data(), 3, m,
+                          g0, g1, acc.data());
         for (size_t i = 0; i < kScanBlockSize; ++i) {
           const bool inside =
               i >= g0 * kScanLaneGroup && i < g1 * kScanLaneGroup;
@@ -477,6 +500,249 @@ TEST(KernelEquivalenceTest, LaneGroupRangesMatchAcrossKernels) {
 }
 
 // ---------------------------------------------------------------------------
+// The width split: subspaces [0, w) are uint16 stripes, the rest uint8.
+// ---------------------------------------------------------------------------
+
+/// m = 12 subspaces whose first `w` have 9..12 bits and the rest 1..8; row 0
+/// holds the largest code of subspace w - 1, so Build must find exactly w.
+RawAdcProblem SplitProblem(size_t n, size_t w, uint64_t seed) {
+  std::vector<int> bits(12);
+  for (size_t s = 0; s < bits.size(); ++s) {
+    bits[s] = static_cast<int>(s < w ? 9 + s % 4 : 1 + (s * 5) % 8);
+  }
+  RawAdcProblem p = RawAdcProblem::Make(n, bits, seed);
+  if (w > 0) {
+    p.codes(0, w - 1) = static_cast<uint16_t>((1u << bits[w - 1]) - 1);
+  }
+  return p;
+}
+
+TEST(SplitLayoutTest, WidthIsOnePastTheLastColumnAbove255) {
+  CodeMatrix codes(70, 5);
+  for (size_t r = 0; r < codes.rows(); ++r) {
+    for (size_t s = 0; s < codes.cols(); ++s) {
+      codes(r, s) = static_cast<uint16_t>((r * 37 + s * 11) % 256);
+    }
+  }
+  codes(69, 2) = 255;  // the largest code that stays a byte
+  std::vector<uint32_t> identity(codes.rows());
+  std::iota(identity.begin(), identity.end(), 0u);
+  auto expect_round_trip = [&](const BlockedCodes& bc) {
+    std::vector<uint16_t> row(codes.cols());
+    for (size_t r = 0; r < codes.rows(); ++r) {
+      bc.ReadRow(r, row.data());
+      for (size_t s = 0; s < codes.cols(); ++s) {
+        ASSERT_EQ(row[s], codes(r, s)) << "r=" << r << " s=" << s;
+        ASSERT_EQ(StoredCode(bc, r / kScanBlockSize, r % kScanBlockSize, s),
+                  codes(r, s));
+      }
+    }
+    EXPECT_TRUE(bc.Scatter(identity.data()) == codes);
+  };
+  BlockedCodes bc = BlockedCodes::Build(codes);
+  EXPECT_EQ(bc.wide_subspaces(), 0u);
+  EXPECT_EQ(bc.row_bytes(), 5u);
+  expect_round_trip(bc);
+
+  // Code 256 in column 2 makes columns 0..2 wide, though 0 and 1 fit a byte.
+  codes(69, 2) = 256;
+  bc = BlockedCodes::Build(codes);
+  EXPECT_EQ(bc.wide_subspaces(), 3u);
+  EXPECT_EQ(bc.row_bytes(), 8u);
+  EXPECT_EQ(bc.num_blocks(), 2u);
+  expect_round_trip(bc);
+
+  // A wide column after narrow ones makes every column up to it wide.
+  codes(3, 4) = 65535;
+  bc = BlockedCodes::Build(codes);
+  EXPECT_EQ(bc.wide_subspaces(), 5u);
+  EXPECT_EQ(bc.row_bytes(), 10u);
+  expect_round_trip(bc);
+
+  // w counts only the stored rows: without rows 3 and 69 every code fits.
+  const std::vector<uint32_t> ids = {0, 1, 2, 68, 4};
+  const BlockedCodes subset = BlockedCodes::Build(codes, ids.data(), 5);
+  EXPECT_EQ(subset.wide_subspaces(), 0u);
+  const std::vector<uint32_t> with_wide = {0, 69};
+  EXPECT_EQ(BlockedCodes::Build(codes, with_wide.data(), 2).wide_subspaces(),
+            3u);
+  const BlockedCodes empty = BlockedCodes::Build(codes, nullptr, 0);
+  EXPECT_EQ(empty.wide_subspaces(), 0u);
+  EXPECT_EQ(empty.num_blocks(), 0u);
+}
+
+class SplitWidthTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SplitWidthTest, AccumulateRangesStraddlingWidthMatchRowOracle) {
+  // Every subspace range [s0, s1) of a block, on whole blocks and on
+  // partial 8-lane groups, called as the early-abandon loop calls it:
+  // [0, s0), [s0, s1), [s1, m). Ranges on both sides of w and across it
+  // must leave each lane's sum bit-identical to the row oracle.
+  const size_t w = GetParam();
+  const RawAdcProblem p = SplitProblem(200, w, 61 + w);
+  const BlockedCodes bc = BlockedCodes::Build(p.codes);
+  const size_t m = p.bits.size();
+  ASSERT_EQ(bc.wide_subspaces(), w);
+  const float* lut = p.lut.data();
+  const uint32_t* offsets = p.lut_offsets.data();
+  const std::vector<std::pair<size_t, size_t>> group_ranges = {
+      {0, 8}, {0, 1}, {3, 5}, {7, 8}};
+  for (ScanKernelType type : BlockedKernels()) {
+    const ScanKernel& kernel = GetScanKernel(type);
+    for (const size_t b : {size_t{0}, size_t{3}}) {  // block 3: rows 192..199
+      for (const auto& [g0, g1] : group_ranges) {
+        for (size_t s0 = 0; s0 < m; ++s0) {
+          for (size_t s1 = s0 + 1; s1 <= m; ++s1) {
+            std::vector<float> acc(kScanBlockSize, -1.f);
+            std::fill(acc.begin() + g0 * kScanLaneGroup,
+                      acc.begin() + g1 * kScanLaneGroup, 0.f);
+            kernel.accumulate(bc, b, lut, offsets, 0, s0, g0, g1, acc.data());
+            kernel.accumulate(bc, b, lut, offsets, s0, s1, g0, g1,
+                              acc.data());
+            for (size_t i = 0; i < kScanBlockSize; ++i) {
+              const size_t r = b * kScanBlockSize + i;
+              const bool inside =
+                  i >= g0 * kScanLaneGroup && i < g1 * kScanLaneGroup;
+              const float want =
+                  !inside ? -1.f
+                  : r < bc.rows() ? p.RowDistance(r, s1)
+                                  : acc[i];  // padded lane: any sum
+              ASSERT_EQ(acc[i], want)
+                  << kernel.name << " w=" << w << " b=" << b << " g=[" << g0
+                  << "," << g1 << ") s=[" << s0 << "," << s1 << ") i=" << i;
+            }
+            kernel.accumulate(bc, b, lut, offsets, s1, m, g0, g1, acc.data());
+            for (size_t i = g0 * kScanLaneGroup;
+                 i < g1 * kScanLaneGroup && b * kScanBlockSize + i < bc.rows();
+                 ++i) {
+              ASSERT_EQ(acc[i], p.RowDistance(b * kScanBlockSize + i, m))
+                  << kernel.name << " w=" << w << " s=[" << s0 << "," << s1
+                  << ") i=" << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(SplitWidthTest, EarlyAbandonIntervalsAcrossWidthAgreeWithOracle) {
+  // Intervals 1..5 put abandon checks on both sides of w and make some
+  // intervals straddle it (e.g. [8, 12) at w = 10); row ranges that start
+  // and end inside blocks run the partial-group path. Every kernel must
+  // return the oracle's top-k and the same work counters.
+  const size_t w = GetParam();
+  RawAdcProblem p = SplitProblem(333, w, 83 + w);
+  const BlockedCodes bc = BlockedCodes::Build(p.codes);
+  const size_t m = p.bits.size();
+  ASSERT_EQ(bc.wide_subspaces(), w);
+  // Leading subspaces weigh most, as after VAQ's variance ordering, so
+  // partial sums separate early and blocks do get abandoned.
+  for (size_t s = 0; s < m; ++s) {
+    const size_t end = s + 1 < m ? p.lut_offsets[s + 1] : p.lut.size();
+    for (size_t e = p.lut_offsets[s]; e < end; ++e) {
+      p.lut[e] *= static_cast<float>((m - s) * (m - s));
+    }
+  }
+  size_t abandoned_rows = 0;
+  for (const auto& [begin, end] : std::vector<std::pair<size_t, size_t>>{
+           {0, 333}, {5, 130}, {70, 75}, {129, 333}}) {
+    for (size_t interval = 1; interval <= 5; ++interval) {
+      std::vector<Neighbor> want;
+      for (size_t r = begin; r < end; ++r) {
+        want.push_back({p.RowDistance(r, m), static_cast<int64_t>(r)});
+      }
+      std::sort(want.begin(), want.end());
+      want.resize(std::min<size_t>(want.size(), 7));
+      std::vector<SearchStats> stats;
+      for (ScanKernelType type : BlockedKernels()) {
+        TopKHeap heap(7);
+        SearchStats st;
+        float acc[kScanBlockSize];
+        BlockedEaScan(bc, begin, end, nullptr, p.lut.data(),
+                      p.lut_offsets.data(), m, interval, GetScanKernel(type),
+                      acc, &heap, &st);
+        EXPECT_EQ(heap.TakeSorted(), want)
+            << GetScanKernel(type).name << " w=" << w << " rows=[" << begin
+            << "," << end << ") interval=" << interval;
+        stats.push_back(st);
+      }
+      for (const SearchStats& st : stats) {
+        EXPECT_EQ(st.codes_visited, stats[0].codes_visited);
+        EXPECT_EQ(st.lut_adds, stats[0].lut_adds);
+        EXPECT_EQ(st.rows_scanned, stats[0].rows_scanned);
+      }
+      abandoned_rows += stats[0].codes_visited - stats[0].rows_scanned;
+    }
+  }
+  EXPECT_GT(abandoned_rows, 0u) << "no block was abandoned";
+}
+
+TEST_P(SplitWidthTest, TrainedCodesMatchAdcOracle) {
+  // Dictionaries trained with w subspaces of 9-10 bits: the encoder's own
+  // codes select w, and every kernel's full and early-abandon scans return
+  // adc_oracle.h's top-k bit for bit.
+  const size_t w = GetParam();
+  const size_t m = 12;
+  const FloatMatrix data = GenerateSpectrumMixture(
+      700, 2 * m, PowerLawSpectrum(2 * m, 1.1), 6, 1.0, 97);
+  const FloatMatrix queries = GenerateSpectrumMixture(
+      4, 2 * m, PowerLawSpectrum(2 * m, 1.1), 6, 1.0, 197);
+  auto layout = SubspaceLayout::Uniform(2 * m, m);
+  ASSERT_TRUE(layout.ok());
+  std::vector<int> bits(m);
+  for (size_t s = 0; s < m; ++s) {
+    bits[s] = static_cast<int>(s < w ? 10 - s % 2 : 8 - s % 3);
+  }
+  VariableCodebooks books;
+  CodebookOptions copts;
+  copts.kmeans_iters = 2;
+  ASSERT_TRUE(books.Train(data, *layout, bits, copts).ok());
+  auto codes = books.Encode(data);
+  ASSERT_TRUE(codes.ok());
+  const size_t n = data.rows();
+  const PartitionedCodes store(
+      *codes, Partitioning::FromAssignment(std::vector<uint32_t>(n, 0), 1),
+      FloatMatrix(1, 1));
+  ASSERT_EQ(store.codes().wide_subspaces(), w);
+  std::vector<float> lut;
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    books.BuildLookupTable(queries.row(q), &lut);
+    for (const size_t s_limit : {m, size_t{5}}) {
+      SearchParams params;
+      params.k = 10;
+      params.num_subspaces_used = s_limit;
+      const std::vector<Neighbor> want =
+          OracleSearch(books, queries.row(q), store, 0, params);
+      for (ScanKernelType type : BlockedKernels()) {
+        for (const size_t interval : {s_limit, size_t{4}, size_t{3}}) {
+          TopKHeap heap(params.k);
+          float acc[kScanBlockSize];
+          BlockedEaScan(store.codes(), 0, n, store.members().ids.data(),
+                        lut.data(), books.lut_offsets(), s_limit, interval,
+                        GetScanKernel(type), acc, &heap, nullptr);
+          std::vector<Neighbor> got;
+          ASSERT_TRUE(FinalizeSearchResult(nullptr, false, &heap, &got,
+                                           nullptr, 0.0)
+                          .ok());
+          EXPECT_EQ(got, want) << GetScanKernel(type).name << " w=" << w
+                               << " q=" << q << " s_limit=" << s_limit
+                               << " interval=" << interval;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, SplitWidthTest,
+                         ::testing::Values<size_t>(0, 1, 10, 12),
+                         [](const ::testing::TestParamInfo<size_t>& p) {
+                           std::string name = "w";
+                           name += std::to_string(p.param);
+                           return name;
+                         });
+
+// ---------------------------------------------------------------------------
 // End-to-end equivalence on a trained index: every kernel must return the
 // exact ADC oracle's neighbors and distances bit for bit, in all modes.
 // ---------------------------------------------------------------------------
@@ -491,7 +757,9 @@ class ScanSearchEquivalenceTest : public ::testing::Test {
                                        1.0, 1003);
     VaqOptions opts;
     opts.num_subspaces = 8;
-    opts.total_bits = 48;  // adaptive: mixed odd widths across subspaces
+    // Adaptive: mixed odd widths, some above 8 bits (uint16 stripes) and
+    // some at or below (uint8 stripes).
+    opts.total_bits = 64;
     opts.min_bits = 1;
     opts.max_bits = 13;
     opts.ti_clusters = 32;
@@ -611,6 +879,46 @@ TEST_F(ScanSearchEquivalenceTest, SaveLoadRebuildsBlockedLayout) {
   std::remove(path.c_str());
 }
 
+/// Subspaces with more than 8 bits: the store's w on a trained index,
+/// whose bits AllocateBits sorts descending.
+size_t WideSubspaces(const std::vector<int>& bits) {
+  return static_cast<size_t>(
+      std::count_if(bits.begin(), bits.end(), [](int b) { return b > 8; }));
+}
+
+TEST_F(ScanSearchEquivalenceTest, CodeBytesAreOnePerSubspacePlusOnePerWide) {
+  const size_t m = index_.num_subspaces();
+  auto expect_split = [&](const VaqIndex& index, const char* what) {
+    // w from the row-major codes: one past the last column above 255.
+    const CodeMatrix codes = index.ti_partition().RowCodes();
+    size_t w = 0;
+    for (size_t r = 0; r < codes.rows(); ++r) {
+      for (size_t s = w; s < m; ++s) {
+        if (codes(r, s) > 255) w = s + 1;
+      }
+    }
+    EXPECT_EQ(w, WideSubspaces(index.bits_per_subspace())) << what;
+    EXPECT_EQ(index.ti_partition().codes().wide_subspaces(), w) << what;
+    EXPECT_EQ(index.code_bytes(), index.size() * (m + w)) << what;
+    return w;
+  };
+  // Both stripe widths are in use, so every scan here runs both kernels.
+  const size_t w = expect_split(index_, "trained");
+  EXPECT_GT(w, 0u);
+  EXPECT_LT(w, m);
+
+  const std::string path = "/tmp/vaq_scan_code_bytes_test.bin";
+  ASSERT_TRUE(index_.Save(path).ok());
+  auto loaded = VaqIndex::Load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  expect_split(*loaded, "loaded");
+  ASSERT_TRUE(index_.Add(GenerateSpectrumMixture(
+                             100, 32, PowerLawSpectrum(32, 1.2), 8, 1.0, 77))
+                  .ok());
+  expect_split(index_, "after Add");
+}
+
 TEST_F(ScanSearchEquivalenceTest, AddRebuildsBlockedLayout) {
   const FloatMatrix extra = GenerateSpectrumMixture(
       100, 32, PowerLawSpectrum(32, 1.2), 8, 1.0, 555);
@@ -634,7 +942,7 @@ struct IvfProblem {
   VaqIvfOptions opts = [] {
     VaqIvfOptions o;
     o.vaq.num_subspaces = 6;
-    o.vaq.total_bits = 36;
+    o.vaq.total_bits = 48;  // subspaces on both sides of 8 bits
     o.vaq.kmeans_iters = 8;
     o.coarse_k = 16;
     o.default_nprobe = 16;  // all lists: results must be exhaustive-exact
@@ -689,6 +997,11 @@ TEST(VaqIvfScanTest, RetiredAndUnknownKernelValuesAreInvalidArgument) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ScanSearchEquivalenceTest, ScratchReuseMakesSearchAllocationFree) {
+  // Subspaces on both sides of w: the uint16 and the uint8 group functions
+  // both run in every query below.
+  ASSERT_GT(index_.ti_partition().codes().wide_subspaces(), 0u);
+  ASSERT_LT(index_.ti_partition().codes().wide_subspaces(),
+            index_.num_subspaces());
   for (ScanKernelType kernel : {ScanKernelType::kAuto, ScanKernelType::kScalar,
                                 ScanKernelType::kAvx2}) {
     for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
@@ -730,6 +1043,10 @@ TEST(VaqIvfScanTest, ScratchReuseMakesSearchAllocationFree) {
     p.opts.scan_kernel = kernel;
     auto index = VaqIvfIndex::Train(p.data, p.opts);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
+    // Both stripe widths, as in the VaqIndex case.
+    const size_t w = WideSubspaces(index->bits_per_subspace());
+    ASSERT_GT(w, 0u);
+    ASSERT_LT(w, index->bits_per_subspace().size());
     for (const size_t nprobe : {size_t{1}, size_t{4}, size_t{16}}) {
       SearchScratch scratch;
       std::vector<Neighbor> out;
@@ -791,16 +1108,21 @@ TEST_F(ScanSearchEquivalenceTest,
 
 TEST(ScanDispatchTest, AutoResolvesToSupportedKernel) {
   const ScanKernel& kernel = GetScanKernel(ScanKernelType::kAuto);
-  ASSERT_NE(kernel.accumulate_groups, nullptr);
+  ASSERT_NE(kernel.accumulate_u16, nullptr);
+  ASSERT_NE(kernel.accumulate_u8, nullptr);
+  // The one ISA rule forces scalar only for VAQ_SCAN_KERNEL=scalar; any
+  // other value leaves kAuto to the CPU.
+  const char* forced = std::getenv("VAQ_SCAN_KERNEL");
   if (Avx2KernelsAvailable() &&
-      std::getenv("VAQ_SCAN_KERNEL") == nullptr) {
+      (forced == nullptr || std::strcmp(forced, "scalar") != 0)) {
     EXPECT_STREQ(kernel.name, "avx2");
     EXPECT_TRUE(CpuHasAvx2());
   } else {
     EXPECT_STREQ(kernel.name, "scalar");
   }
   // Requesting AVX2 must degrade gracefully rather than crash.
-  ASSERT_NE(GetScanKernel(ScanKernelType::kAvx2).accumulate_groups, nullptr);
+  ASSERT_NE(GetScanKernel(ScanKernelType::kAvx2).accumulate_u16, nullptr);
+  ASSERT_NE(GetScanKernel(ScanKernelType::kAvx2).accumulate_u8, nullptr);
   EXPECT_STREQ(GetScanKernel(ScanKernelType::kScalar).name, "scalar");
   // The centroid kernels follow the same ISA rule.
   for (ScanKernelType type : {ScanKernelType::kAuto, ScanKernelType::kScalar,

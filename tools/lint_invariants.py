@@ -5,8 +5,11 @@ Enforces project rules the compiler cannot express, turning invariants
 that were previously only caught by runtime tests (the zero-alloc scan
 suite, the Status-not-abort API tests) into CI build failures:
 
-  kernel-no-alloc      The block-scan kernels (ScalarAccumulate,
-                       Avx2Accumulate with its Gather8 step,
+  kernel-no-alloc      The block-scan kernels (ScanKernel::accumulate
+                       in src/core/scan.h, which splits a call at the
+                       store's uint16/uint8 stripe boundary, the uint16
+                       and uint8 instantiations of ScalarAccumulate and
+                       of Avx2Accumulate with its Gather8 step,
                        BlockedFullScan, BlockedEaScan in
                        src/core/scan.cc / scan_avx2.cc, and the query
                        driver's scan loops ScanBlocked and ScanWindow in
@@ -72,6 +75,7 @@ import sys
 # --- rule configuration ------------------------------------------------
 
 KERNEL_FILES = {
+    "src/core/scan.h",
     "src/core/scan.cc",
     "src/core/scan_avx2.cc",
     "src/core/search_driver.cc",
@@ -81,6 +85,7 @@ KERNEL_FILES = {
     "src/clustering/centroid_kernel_avx2.cc",
 }
 KERNEL_FUNCTIONS = {
+    "accumulate",
     "ScalarAccumulate",
     "Avx2Accumulate",
     "Gather8",
