@@ -159,17 +159,26 @@ class StopController {
 
 class QueryTrace;  // common/trace.h
 
-/// Execution-control knobs shared by every search entry point that does
-/// not take a full SearchParams (VaqIvfIndex and batch drivers).
+/// Execution control of one query: SearchParams (VaqIndex) extends it,
+/// and VaqIvfIndex and the batch drivers take it alone.
 struct QueryControl {
+  /// Wall-clock budget (absolute expiry; a copy handed to every query of a
+  /// batch enforces one shared batch deadline). The default never expires
+  /// and costs nothing. Checked between 64-row blocks and between
+  /// partitions; on expiry the query keeps its best-so-far top-k
+  /// (DESIGN.md §9).
   Deadline deadline;
+  /// Cooperative cancellation, checked at the same points. A cancelled
+  /// query always fails with kCancelled.
   CancellationToken cancel_token;
-  /// Degrade-by-default: an expired deadline returns the best-so-far
-  /// top-k with SearchStats::truncated set. Strict mode instead fails the
-  /// query with StatusCode::kDeadlineExceeded and returns no results.
+  /// false (default): an expired deadline returns the best-so-far top-k
+  /// with OK status and SearchStats::truncated set. true: the query fails
+  /// with kDeadlineExceeded and returns no results.
   bool strict_deadline = false;
-  /// Optional phase-timing sink (common/trace.h); nullptr = no tracing.
-  /// Not owned; must outlive the query.
+  /// Optional phase-timing sink (common/trace.h), consulted only when
+  /// process-wide tracing is enabled; nullptr keeps the query free of
+  /// clock reads. Not owned; must outlive the query. Batch entry points
+  /// ignore it: a trace is not thread-safe.
   QueryTrace* trace = nullptr;
 };
 

@@ -296,13 +296,11 @@ void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
                         acc);
       s = s_stop;
       if (s >= s_limit) break;
-      float min_partial = acc[lo];
-      for (size_t i = lo + 1; i < hi; ++i) {
-        min_partial = std::min(min_partial, acc[i]);
-      }
-      // A row whose distance ties the threshold can still enter the heap
-      // on a smaller id, so only a strictly larger minimum abandons.
-      if (min_partial > threshold) {
+      // The block is abandoned when no active lane is at or under the
+      // threshold: a row whose distance ties it can still enter the heap
+      // on a smaller id, so only strictly larger partial sums abandon.
+      if (std::none_of(acc + lo, acc + hi,
+                       [threshold](float a) { return a <= threshold; })) {
         abandoned = true;
         break;
       }
@@ -354,8 +352,8 @@ Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
   return Status::OK();
 }
 
-void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
-                          const Status& status, const QueryTrace* trace) {
+void RecordQueryTelemetry(const SearchStats& query, const Status& status,
+                          const QueryTrace* trace) {
   // All metric pointers are resolved once per process; afterwards this
   // function is registry-mutex-free and allocation-free (relaxed atomic
   // adds only), which the zero-alloc scan tests rely on.
@@ -392,25 +390,22 @@ void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
 
   queries->Increment();
   if (!status.ok()) failed->Increment();
-  if (status.ok() && after.truncated) truncated->Increment();
+  if (status.ok() && query.truncated) truncated->Increment();
   if (status.code() == StatusCode::kDeadlineExceeded) {
     deadline_exceeded->Increment();
   }
   if (status.code() == StatusCode::kCancelled) cancelled->Increment();
 
-  // Work counters accumulate across queries on a reused SearchStats, so
-  // feed the delta. partitions_visited, wall and cpu are assigned per
-  // query and used as-is.
-  rows_scanned->Increment(after.rows_scanned - before.rows_scanned);
-  lut_adds->Increment(after.lut_adds - before.lut_adds);
-  codes_skipped->Increment(after.codes_skipped_ti - before.codes_skipped_ti);
-  codes_visited->Increment(after.codes_visited - before.codes_visited);
-  partitions_visited->Increment(after.partitions_visited);
-  wall_us->Observe(after.wall_micros);
-  cpu_us->Observe(after.cpu_micros);
+  rows_scanned->Increment(query.rows_scanned);
+  lut_adds->Increment(query.lut_adds);
+  codes_skipped->Increment(query.codes_skipped_ti);
+  codes_visited->Increment(query.codes_visited);
+  partitions_visited->Increment(query.partitions_visited);
+  wall_us->Observe(query.wall_micros);
+  cpu_us->Observe(query.cpu_micros);
 
   const double slow_threshold = SlowQueryLogThresholdMicros();
-  if (slow_threshold > 0.0 && after.wall_micros > slow_threshold &&
+  if (slow_threshold > 0.0 && query.wall_micros > slow_threshold &&
       ShouldLogSlowQuery()) {
     static Counter* slow_logged = reg.GetCounter(
         "vaq_slow_queries_logged_total",
@@ -420,17 +415,15 @@ void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
       VAQ_LOG(LogLevel::kWarning,
               "slow query: wall=%.1fus cpu=%.1fus rows=%zu truncated=%d "
               "status=%d trace: %s",
-              after.wall_micros, after.cpu_micros,
-              after.rows_scanned - before.rows_scanned,
-              after.truncated ? 1 : 0, static_cast<int>(status.code()),
+              query.wall_micros, query.cpu_micros, query.rows_scanned,
+              query.truncated ? 1 : 0, static_cast<int>(status.code()),
               trace->Format().c_str());
     } else {
       VAQ_LOG(LogLevel::kWarning,
               "slow query: wall=%.1fus cpu=%.1fus rows=%zu truncated=%d "
               "status=%d (tracing off)",
-              after.wall_micros, after.cpu_micros,
-              after.rows_scanned - before.rows_scanned,
-              after.truncated ? 1 : 0, static_cast<int>(status.code()));
+              query.wall_micros, query.cpu_micros, query.rows_scanned,
+              query.truncated ? 1 : 0, static_cast<int>(status.code()));
     }
   }
 }

@@ -25,28 +25,30 @@ inline constexpr size_t kScanBlockSize = 64;
 /// (one AVX2 register of floats).
 inline constexpr size_t kScanLaneGroup = 8;
 
-/// Counters describing how much work a search did; used to quantify
+/// Counters describing how much work one query did; used to quantify
 /// pruning power in tests and benchmarks. Owned by the scan layer so the
 /// kernels, the query driver, and the benchmarks agree on one vocabulary.
+/// The query driver (SearchEncoded) zeroes the record it is passed, so
+/// afterwards it describes the last query it was passed to, never a sum.
 struct SearchStats {
   size_t codes_visited = 0;      ///< codes whose distance accumulation began
   size_t codes_skipped_ti = 0;   ///< codes pruned by the triangle inequality
   size_t lut_adds = 0;           ///< lookup-table additions performed
 
-  // Planned work, stamped once at query planning time (assignment, not
-  // accumulation): how many partitions the pruning policy *selected* for
-  // this query, out of how many the index has.
+  // Planned work, stamped once at query planning time: how many
+  // partitions the pruning policy *selected* for this query, out of how
+  // many the index has.
   size_t clusters_visited = 0;   ///< partitions the query planned to visit
   size_t clusters_total = 0;     ///< partitions in the index (0 = flat scan)
 
   // Degradation report (DESIGN.md §9): work *actually performed*,
   // accumulated as the scan runs. `partitions_visited` counts partitions
-  // the scan entered, from zero on every query, so it trails
-  // `clusters_visited` while a query runs and equals it only for a query
-  // that was never stopped. The invariant partitions_visited <=
-  // clusters_visited is checked in FinalizeSearchResult. The two ratios
-  // answer different questions: planned-vs-total is pruning power,
-  // entered-vs-planned is deadline progress.
+  // the scan entered, so it trails `clusters_visited` while a query runs
+  // and equals it only for a query that was never stopped. The invariant
+  // partitions_visited <= clusters_visited is checked in
+  // FinalizeSearchResult. The two ratios answer different questions:
+  // planned-vs-total is pruning power, entered-vs-planned is deadline
+  // progress.
   bool truncated = false;         ///< stopped before the planned work finished
   size_t rows_scanned = 0;        ///< rows whose full distance was accumulated
   size_t partitions_visited = 0;  ///< TI clusters / IVF cells actually entered
@@ -265,7 +267,7 @@ const ScanKernel& GetScanKernel(ScanKernelType type);
 /// whose ids the query reads through the store's storage -> row id map.
 /// A flat kHeap scan is the single range [0, n), in storage order; a
 /// flat early-abandon scan is its seeded partitions, then the row ranges
-/// between them (SearchEncoded).
+/// between them (the query driver's one planner).
 struct PartitionRef {
   size_t begin = 0;  ///< first storage row
   size_t end = 0;    ///< one past the last storage row
@@ -306,9 +308,10 @@ void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,
 /// accumulated.
 ///
 /// The best-so-far threshold is read once per block; after every
-/// `interval` subspaces but the last, the block is abandoned when the
-/// minimum partial sum over its active lanes already exceeds that
-/// threshold (no lane can improve the heap, even on a tie broken by id).
+/// `interval` subspaces but the last, the block is abandoned when every
+/// partial sum over its active lanes already exceeds that threshold (no
+/// lane can improve the heap, even on a tie broken by id). The check stops
+/// at the first lane at or under it.
 /// Only fully-accumulated rows are ever pushed, so an abandoned partial
 /// sum is never mistaken for a distance, and the final top-k is the
 /// exact top-k of the range by (distance, id).
@@ -336,17 +339,14 @@ Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
                             SearchStats* stats, double wall_micros,
                             double cpu_micros = 0.0);
 
-/// Feeds one finished query into the global metrics registry
-/// (DESIGN.md §10): outcome counters, latency histograms (wall + CPU),
-/// and scan-work counters computed as `after - before` so callers that
-/// reuse a SearchStats across queries never double-count (except
-/// `partitions_visited`, which each query counts from zero and is fed
-/// as-is). Also emits the sampled slow-query log line (common/trace.h)
-/// when configured. Called once per query by the query driver, after
-/// FinalizeSearchResult; deliberately outside the scan loops so the hot
-/// path is untouched.
-void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
-                          const Status& status, const QueryTrace* trace);
+/// Feeds one finished query, whose record is `query`, into the global
+/// metrics registry (DESIGN.md §10): outcome counters, latency histograms
+/// (wall + CPU) and the record's scan-work counters. Also emits the sampled
+/// slow-query log line (common/trace.h) when configured. Called once per
+/// query by the query driver, after FinalizeSearchResult; deliberately
+/// outside the scan loops so the hot path is untouched.
+void RecordQueryTelemetry(const SearchStats& query, const Status& status,
+                          const QueryTrace* trace);
 
 }  // namespace vaq
 

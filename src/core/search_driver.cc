@@ -54,7 +54,7 @@ struct QueryScan {
   size_t interval;  ///< subspaces between early-abandon checks
   bool ranked;      ///< the visits are ranked partitions
   SearchScratch* scratch;
-  SearchStats* stats;
+  SearchStats* stats;  ///< the query's one record, never null
   StopController* stop;
   QueryTrace* trace;
 };
@@ -66,7 +66,6 @@ struct QueryScan {
 void ScanWindow(const QueryScan& q, const PartitionRef& p,
                 const ScanKernel& kernel) {
   TopKHeap& heap = q.scratch->heap;
-  SearchStats* stats = q.stats;
   const float* cached = p.sorted_distances;
   const float dq = p.query_distance;
   const size_t end = p.end - p.begin;  // partition-local indices
@@ -85,9 +84,9 @@ void ScanWindow(const QueryScan& q, const PartitionRef& p,
       const size_t from = i;
       i = std::lower_bound(cached + i, cached + end, dq - r) - cached;
       stop_row = std::upper_bound(cached + i, cached + end, dq + r) - cached;
-      if (stats != nullptr) stats->codes_skipped_ti += i - from;
+      q.stats->codes_skipped_ti += i - from;
       if (i == stop_row) {
-        if (stats != nullptr) stats->codes_skipped_ti += end - i;
+        q.stats->codes_skipped_ti += end - i;
         break;
       }
     }
@@ -103,11 +102,11 @@ void ScanWindow(const QueryScan& q, const PartitionRef& p,
       BlockedEaScan(q.store->codes(), row, p.begin + chunk_end,
                     q.store->members().ids.data(), q.lut, q.lut_offsets,
                     q.s_limit, q.interval, kernel, q.scratch->acc, &heap,
-                    stats, q.stop);
+                    q.stats, q.stop);
     }
     if (q.stop != nullptr && q.stop->stopped()) return;
     if (chunk_end == stop_row && stop_row < end) {
-      if (stats != nullptr) stats->codes_skipped_ti += end - stop_row;
+      q.stats->codes_skipped_ti += end - stop_row;
       break;
     }
     i = chunk_end;
@@ -118,19 +117,18 @@ void ScanWindow(const QueryScan& q, const PartitionRef& p,
 /// window. Entering a ranked partition is a stop check and counts it as
 /// visited; the flat scan's visits are neither.
 void ScanBlocked(const QueryScan& q, const ScanKernel& kernel) {
-  TopKHeap& heap = q.scratch->heap;
   for (const PartitionRef& p : q.scratch->visits) {
     if (q.ranked) {
       if (q.stop != nullptr && q.stop->ShouldStop()) return;
-      if (q.stats != nullptr) ++q.stats->partitions_visited;
+      ++q.stats->partitions_visited;
     }
     if (p.sorted_distances != nullptr) {
       ScanWindow(q, p, kernel);
     } else {
       BlockedEaScan(q.store->codes(), p.begin, p.end,
                     q.store->members().ids.data(), q.lut, q.lut_offsets,
-                    q.s_limit, q.interval, kernel, q.scratch->acc, &heap,
-                    q.stats, q.stop);
+                    q.s_limit, q.interval, kernel, q.scratch->acc,
+                    &q.scratch->heap, q.stats, q.stop);
     }
   }
 }
@@ -141,33 +139,30 @@ void ScanBlocked(const QueryScan& q, const ScanKernel& kernel) {
 /// (EXPERIMENTS.md, "Seeding the flat early-abandon scan").
 constexpr size_t kSeedRowsPerResult = 8;
 
-/// The visits of a flat query that can abandon rows. First the
-/// min(C, ceil(kSeedRowsPerResult · k · C / n)) partitions nearest the
-/// query, nearest first: about kSeedRowsPerResult · k rows that tighten
-/// the threshold early. Then every other row in storage order, each run
-/// between two seeded partitions as one range, so the sweep keeps the
-/// whole-block kernel path. Every row is visited once.
-void PlanSeededSweep(const float* projected, const PartitionedCodes& store,
-                     size_t k, SearchScratch* scratch) {
+/// The one planner: writes a query's visits to `scratch->visits`. First
+/// the `nearest` partitions nearest the query, nearest first, each inside
+/// its TI window when the store has distances and the query is ranked. A
+/// `flat` query then visits every other row in storage order, each run
+/// between two ranked partitions as one range, so the sweep keeps the
+/// whole-block kernel path and every row is visited once.
+void PlanVisits(const float* projected, const PartitionedCodes& store,
+                size_t nearest, bool flat, SearchScratch* scratch) {
   const Partitioning& parts = store.members();
-  const size_t clusters = parts.size();
-  const size_t n = parts.ids.size();
-  const size_t seeds = std::min<size_t>(
-      clusters,
-      static_cast<size_t>(std::ceil(static_cast<double>(kSeedRowsPerResult) *
-                                    static_cast<double>(k) *
-                                    static_cast<double>(clusters) /
-                                    static_cast<double>(n))));
   std::vector<Neighbor>& ranking = scratch->ranking;
-  RankPartitions(projected, store.centroids(), seeds, &ranking);
+  RankPartitions(projected, store.centroids(), nearest, &ranking);
+  const bool windowed = !flat && !store.distances().empty();
   std::vector<PartitionRef>& visits = scratch->visits;
-  // At most one sweep range before each seed and one after the last:
-  // reserving that up front keeps later queries allocation-free.
-  visits.reserve(2 * seeds + 1);
+  // At most one sweep range before each ranked partition and one after the
+  // last: reserving that up front keeps later queries allocation-free.
+  visits.reserve(2 * ranking.size() + 1);
   visits.clear();
   for (const Neighbor& r : ranking) {
-    visits.push_back({parts.begin(r.id), parts.end(r.id)});
+    const size_t begin = parts.begin(r.id);
+    visits.push_back({begin, parts.end(r.id),
+                      windowed ? store.distances().data() + begin : nullptr,
+                      std::sqrt(r.distance)});
   }
+  if (!flat) return;
   std::sort(ranking.begin(), ranking.end(),
             [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
   size_t row = 0;
@@ -175,13 +170,17 @@ void PlanSeededSweep(const float* projected, const PartitionedCodes& store,
     if (row < parts.begin(r.id)) visits.push_back({row, parts.begin(r.id)});
     row = parts.end(r.id);
   }
-  if (row < n) visits.push_back({row, n});
+  if (row < store.rows()) visits.push_back({row, store.rows()});
 }
 
 }  // namespace
 
 void RankPartitions(const float* projected, const FloatMatrix& centroids,
                     size_t visit, std::vector<Neighbor>* ranking) {
+  if (visit == 0) {
+    ranking->clear();
+    return;
+  }
   const size_t total = centroids.rows();
   ranking->resize(total);
   for (size_t c = 0; c < total; ++c) {
@@ -201,14 +200,14 @@ Status SearchEncoded(const VaqEncoder& encoder, const PartitionedCodes& store,
                      std::vector<Neighbor>* out, SearchStats* stats) {
   WallTimer timer;
   CpuTimer cpu_timer(CpuTimer::Scope::kThread);
+  // One record per query: the caller's, or this one.
+  SearchStats local;
+  if (stats == nullptr) stats = &local;
+  *stats = SearchStats{};
   VAQ_RETURN_IF_ERROR(
       ValidateSearchParams(encoder, store.rows(), query, params));
   StopController stop_state(params.deadline, params.cancel_token);
   StopController* stop = stop_state.armed() ? &stop_state : nullptr;
-
-  // Snapshot for telemetry deltas: callers may reuse `stats` across
-  // queries, so counters are fed as after-minus-before.
-  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
   QueryTrace* trace = params.trace;
   if (trace != nullptr) trace->Reset();
 
@@ -224,52 +223,40 @@ Status SearchEncoded(const VaqEncoder& encoder, const PartitionedCodes& store,
   scratch->heap.Reset(params.k);
 
   const size_t m = encoder.num_subspaces();
-  const bool ranked = visit != 0;
+  const bool flat = visit == 0;
   // A TI store's distances window every ranked visit.
-  const bool windowed = ranked && !store.distances().empty();
+  const bool windowed = !flat && !store.distances().empty();
   QueryScan scan{&store, scratch->lut.data(),
                  encoder.codebooks().lut_offsets(), m,
-                 std::max<size_t>(1, params.ea_check_interval), ranked,
+                 std::max<size_t>(1, params.ea_check_interval), !flat,
                  scratch, stats, stop, trace};
-  if (!ranked && params.num_subspaces_used != 0) {
+  if (flat && params.num_subspaces_used != 0) {
     scan.s_limit = std::min(params.num_subspaces_used, m);
   }
   // kHeap is the early-abandon scan that never checks: one interval spans
   // every accumulated subspace.
   if (params.mode == SearchMode::kHeap) scan.interval = scan.s_limit;
-  // Partitions are planned and counted per query, so a flat query reports
-  // none of none even in stats a ranked query used before.
-  if (stats != nullptr) {
-    stats->partitions_visited = 0;
-    stats->clusters_visited = 0;
-    stats->clusters_total = ranked ? store.num_partitions() : 0;
+  // A flat scan that can abandon rows ranks the partitions that seed its
+  // threshold: the fewest expected to hold kSeedRowsPerResult · k rows.
+  size_t nearest = visit;
+  if (flat && scan.interval < scan.s_limit) {
+    const double clusters = static_cast<double>(store.num_partitions());
+    const double seeds =
+        std::ceil(static_cast<double>(kSeedRowsPerResult * params.k) *
+                  clusters / static_cast<double>(store.rows()));
+    nearest = static_cast<size_t>(std::min(clusters, seeds));
   }
-  const bool seeded = !ranked && scan.interval < scan.s_limit;
+  if (!flat) stats->clusters_total = store.num_partitions();
   // Ranking is the first step a stop check can skip: a query out of
   // budget before it plans no visits and returns empty, truncated.
-  if ((ranked || seeded) && stop != nullptr && stop->ShouldStop()) {
+  if (nearest > 0 && stop != nullptr && stop->ShouldStop()) {
     scratch->visits.clear();
-  } else if (ranked) {
-    TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
-    RankPartitions(projected, store.centroids(), visit, &scratch->ranking);
-    const Partitioning& parts = store.members();
-    scratch->visits.resize(scratch->ranking.size());
-    for (size_t v = 0; v < scratch->ranking.size(); ++v) {
-      const Neighbor& r = scratch->ranking[v];
-      const size_t begin = parts.begin(r.id);
-      scratch->visits[v] = {
-          begin, parts.end(r.id),
-          windowed ? store.distances().data() + begin : nullptr,
-          std::sqrt(r.distance)};
-    }
-    rank_span.Stop();
-    if (stats != nullptr) stats->clusters_visited = scratch->visits.size();
-  } else if (seeded) {
-    TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
-    PlanSeededSweep(projected, store, params.k, scratch);
   } else {
-    scratch->visits.assign(1, PartitionRef{0, store.rows()});
+    TraceSpan rank_span(nearest > 0 ? trace : nullptr,
+                        QueryPhase::kPartitionRank);
+    PlanVisits(projected, store, nearest, flat, scratch);
   }
+  if (!flat) stats->clusters_visited = scratch->visits.size();
   {
     // A TI scan traces each chunk of its windows (ScanWindow); every other
     // scan is one span.
@@ -277,20 +264,10 @@ Status SearchEncoded(const VaqEncoder& encoder, const PartitionedCodes& store,
     ScanBlocked(scan, GetScanKernel(params.kernel));
   }
 
-  const double wall_us = timer.ElapsedMicros();
-  const double cpu_us = cpu_timer.ElapsedMicros();
-  const Status status =
-      FinalizeSearchResult(stop, params.strict_deadline, &scratch->heap, out,
-                           stats, wall_us, cpu_us);
-  if (stats != nullptr) {
-    RecordQueryTelemetry(before, *stats, status, trace);
-  } else {
-    SearchStats after;
-    after.truncated = stop != nullptr && stop->stopped();
-    after.wall_micros = wall_us;
-    after.cpu_micros = cpu_us;
-    RecordQueryTelemetry(before, after, status, trace);
-  }
+  const Status status = FinalizeSearchResult(
+      stop, params.strict_deadline, &scratch->heap, out, stats,
+      timer.ElapsedMicros(), cpu_timer.ElapsedMicros());
+  RecordQueryTelemetry(*stats, status, trace);
   return status;
 }
 

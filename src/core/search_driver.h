@@ -21,7 +21,10 @@ enum class SearchMode {
   kTriangleInequality  ///< + data skipping (TI) cascading into EA
 };
 
-struct SearchParams {
+/// A VaqIndex query: what to search for and how to prune, plus the
+/// execution control (deadline, cancellation, trace) every entry point
+/// shares.
+struct SearchParams : QueryControl {
   size_t k = 100;
   SearchMode mode = SearchMode::kTriangleInequality;
   /// Fraction of TI clusters visited (paper evaluates 0.25 and 0.1).
@@ -40,26 +43,6 @@ struct SearchParams {
   /// choices return bit-identical neighbors and distances; any other value
   /// fails with InvalidArgument.
   ScanKernelType kernel = ScanKernelType::kAuto;
-  /// Wall-clock budget for this query (absolute expiry; a copy handed to
-  /// every query of a batch enforces one shared batch deadline). The
-  /// default never expires and adds zero overhead to the hot path.
-  /// Checked between 64-row blocks and between TI partitions, so on
-  /// expiry the query returns the meaningful best-so-far top-k
-  /// accumulated so far (DESIGN.md §9).
-  Deadline deadline;
-  /// Cooperative cancellation, checked at the same granularity. A
-  /// cancelled query always fails with kCancelled.
-  CancellationToken cancel_token;
-  /// false (default): an expired deadline degrades gracefully — partial
-  /// results, OK status, SearchStats::truncated set. true: the query
-  /// fails with kDeadlineExceeded instead of returning partial results.
-  bool strict_deadline = false;
-  /// Optional per-query phase-timing sink (common/trace.h). Only consulted
-  /// when process-wide tracing is enabled; nullptr (the default) keeps the
-  /// query path free of clock reads. Not owned; must outlive the call.
-  /// Batch entry points ignore it (queries run concurrently; a single
-  /// trace is not thread-safe).
-  QueryTrace* trace = nullptr;
 };
 
 /// Algorithm 4's partition ranking, for TI clusters and IVF cells alike:
@@ -70,23 +53,28 @@ void RankPartitions(const float* projected, const FloatMatrix& centroids,
                     size_t visit, std::vector<Neighbor>* ranking);
 
 /// The one query driver under VaqIndex and VaqIvfIndex: validate, project,
-/// build the LUT, scan, finalize (FinalizeSearchResult) and record the
-/// query's telemetry. `store` is the index's one code store.
+/// build the LUT, plan the visits, scan, finalize (FinalizeSearchResult)
+/// and record the query's telemetry. `store` is the index's one code store.
 ///
 /// With `visit` > 0 the query is ranked: the scan visits the `visit`
 /// partitions whose centroids are nearest the projected query, nearest
 /// first (RankPartitions, inside the partition_rank trace span), each a row
 /// range of the store, early-abandoned over all subspaces; when the store
 /// has distances (TI) each visit is scanned inside its triangle-inequality
-/// window. With `visit` == 0 the scan is flat and visits every row once. A flat scan that can abandon rows
-/// (SearchMode::kEarlyAbandon) first seeds its threshold from the
-/// partitions nearest the query, the fewest expected to hold 8k rows
-/// (ranked inside the partition_rank span), then sweeps every other row in
-/// storage order; a flat kHeap scan is the one range [0, n). Every scan is
-/// early-abandoned; SearchMode::kHeap is the one whose check interval
-/// spans all accumulated subspaces, so it never abandons a row. The visit
-/// order never changes the result. `params.visit_fraction` is validated
-/// here but read only by the caller that chose `visit`.
+/// window. With `visit` == 0 the scan is flat and visits every row once. A
+/// flat scan that can abandon rows (SearchMode::kEarlyAbandon) first seeds
+/// its threshold from the partitions nearest the query, the fewest expected
+/// to hold 8k rows (ranked inside the partition_rank span), then sweeps
+/// every other row in storage order; a flat kHeap scan ranks nothing and is
+/// the one range [0, n). Every scan is early-abandoned; SearchMode::kHeap
+/// is the one whose check interval spans all accumulated subspaces, so it
+/// never abandons a row. The visit order never changes the result.
+/// `params.visit_fraction` is validated here but read only by the caller
+/// that chose `visit`.
+///
+/// Every call starts `stats` from zero and fills it, so afterwards it
+/// describes this query alone. With `stats` == nullptr the driver fills a
+/// record of its own; either way the record feeds the metrics registry.
 Status SearchEncoded(const VaqEncoder& encoder, const PartitionedCodes& store,
                      size_t visit, const float* query,
                      const SearchParams& params, SearchScratch* scratch,

@@ -18,13 +18,10 @@ namespace {
 SearchParams DriverParams(size_t k, const QueryControl& control,
                           ScanKernelType kernel) {
   SearchParams params;
+  static_cast<QueryControl&>(params) = control;
   params.k = k;
   params.mode = SearchMode::kEarlyAbandon;
   params.kernel = kernel;
-  params.deadline = control.deadline;
-  params.cancel_token = control.cancel_token;
-  params.strict_deadline = control.strict_deadline;
-  params.trace = control.trace;
   return params;
 }
 

@@ -19,7 +19,8 @@ struct VaqIvfOptions {
   size_t default_nprobe = 8;
   /// ADC scan implementation for the in-list scans (shared with VaqIndex;
   /// see ScanKernelType). All choices return identical results; Train
-  /// rejects a value outside the enum.
+  /// rejects a value outside the enum. It is not saved, so Load restores
+  /// kAuto.
   ScanKernelType scan_kernel = ScanKernelType::kAuto;
 };
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -495,6 +496,63 @@ TEST_F(SearchTelemetryTest, ReusedStatsDoNotDoubleCount) {
   const uint64_t partitions_before = partitions->value();
   ASSERT_TRUE(index_->Search(base_->row(6), params, &result, &stats).ok());
   EXPECT_EQ(partitions->value(), partitions_before);
+}
+
+TEST_F(SearchTelemetryTest, QueriesWithoutStatsFeedTheScanCounters) {
+  // The registry counts a query's work whether or not the caller passes a
+  // SearchStats: one at a time and in a batch, the counters grow by what
+  // the same queries report in their records.
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* rows = reg.GetCounter("vaq_scan_rows_scanned_total", "");
+  Counter* adds = reg.GetCounter("vaq_scan_lut_adds_total", "");
+  FloatMatrix queries(8, base_->cols());
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    std::copy_n(base_->row(10 + 37 * q), base_->cols(), queries.row(q));
+  }
+  std::vector<std::vector<Neighbor>> results;
+  for (const SearchMode mode :
+       {SearchMode::kHeap, SearchMode::kEarlyAbandon,
+        SearchMode::kTriangleInequality}) {
+    SearchParams params;
+    params.k = 10;
+    params.mode = mode;
+    std::vector<SearchStats> records;
+    ASSERT_TRUE(index_->SearchBatchInto(queries, params, 1, &results,
+                                        nullptr, &records)
+                    .ok());
+    uint64_t want_rows = 0;
+    uint64_t want_adds = 0;
+    for (const SearchStats& r : records) {
+      want_rows += r.rows_scanned;
+      want_adds += r.lut_adds;
+    }
+    ASSERT_GT(want_rows, 0u);
+
+    uint64_t rows_before = rows->value();
+    uint64_t adds_before = adds->value();
+    std::vector<Neighbor> result;
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      ASSERT_TRUE(
+          index_->Search(queries.row(q), params, &result, nullptr).ok());
+    }
+    EXPECT_EQ(rows->value() - rows_before, want_rows)
+        << "Search, mode " << static_cast<int>(mode);
+    EXPECT_EQ(adds->value() - adds_before, want_adds)
+        << "Search, mode " << static_cast<int>(mode);
+
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      rows_before = rows->value();
+      adds_before = adds->value();
+      ASSERT_TRUE(
+          index_->SearchBatchInto(queries, params, threads, &results).ok());
+      EXPECT_EQ(rows->value() - rows_before, want_rows)
+          << "batch, mode " << static_cast<int>(mode) << ", " << threads
+          << " threads";
+      EXPECT_EQ(adds->value() - adds_before, want_adds)
+          << "batch, mode " << static_cast<int>(mode) << ", " << threads
+          << " threads";
+    }
+  }
 }
 
 // Captured log lines for the slow-query test (plain function pointer

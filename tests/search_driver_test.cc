@@ -395,6 +395,13 @@ TEST(SearchEncodedTest, ReusedStatsReportEachQuerysOwnPlan) {
   const float* query = data.row(5);
   std::vector<Neighbor> out;
   SearchStats stats;
+  // Each query's work counts on the reused record equal a fresh record's.
+  SearchStats fresh;
+  const auto expect_own_work = [&](const Status& st, const char* what) {
+    ASSERT_TRUE(st.ok()) << what;
+    EXPECT_EQ(stats.rows_scanned, fresh.rows_scanned) << what;
+    EXPECT_EQ(stats.lut_adds, fresh.lut_adds) << what;
+  };
   SearchParams ti;
   ti.k = 10;
   ti.mode = SearchMode::kTriangleInequality;
@@ -403,6 +410,8 @@ TEST(SearchEncodedTest, ReusedStatsReportEachQuerysOwnPlan) {
   EXPECT_EQ(stats.clusters_visited, 6u);
   EXPECT_EQ(stats.clusters_total, 24u);
   EXPECT_EQ(stats.partitions_visited, 6u);
+  fresh = SearchStats{};
+  expect_own_work(index->Search(query, ti, &out, &fresh), "ti");
 
   for (const SearchMode mode :
        {SearchMode::kEarlyAbandon, SearchMode::kHeap}) {
@@ -412,12 +421,16 @@ TEST(SearchEncodedTest, ReusedStatsReportEachQuerysOwnPlan) {
     EXPECT_EQ(stats.clusters_visited, 0u) << static_cast<int>(mode);
     EXPECT_EQ(stats.clusters_total, 0u) << static_cast<int>(mode);
     EXPECT_EQ(stats.partitions_visited, 0u) << static_cast<int>(mode);
+    fresh = SearchStats{};
+    expect_own_work(index->Search(query, flat, &out, &fresh), "flat");
   }
 
   ASSERT_TRUE(ivf->Search(query, 10, 4, &out, &stats).ok());
   EXPECT_EQ(stats.clusters_visited, 4u);
   EXPECT_EQ(stats.clusters_total, 16u);
   EXPECT_EQ(stats.partitions_visited, 4u);
+  fresh = SearchStats{};
+  expect_own_work(ivf->Search(query, 10, 4, &out, &fresh), "ivf");
 }
 
 }  // namespace
