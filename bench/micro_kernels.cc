@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the hot kernels behind every
 // table/figure: distance computation, lookup-table builds and encoding per
 // subspace width, the centroid kernel's distances and fused nearest entry,
-// ADC scans with and without the pruning cascade, and k-means assignment.
+// partition ranking, ADC scans with and without the pruning cascade, and
+// k-means assignment.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "common/rng.h"
 #include "core/codebook.h"
 #include "core/scan.h"
+#include "core/search_driver.h"
 #include "core/vaq_index.h"
 #include "datasets/synthetic.h"
 
@@ -342,6 +344,35 @@ void BM_CentroidNearestSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_CentroidNearestScalar)->ArgName("len")->Arg(3)->Arg(4)->Arg(8);
 BENCHMARK(BM_CentroidNearestSimd)->ArgName("len")->Arg(3)->Arg(4)->Arg(8);
+
+// Algorithm 4's partition ranking (RankPartitions): the dispatched centroid
+// kernel's distances to `parts` dimension-major centroids of `dims` dims,
+// then the bucket select of the `visit` nearest. 256 x 96 at visit 16 is
+// an IVF coarse ranking over DEEP-like data (nprobe 16); 500 x 68 at visit
+// 50 and 500 x 48 at visit 8 are TI rankings of 500 clusters.
+void BM_RankPartitions(benchmark::State& state) {
+  const auto parts = static_cast<size_t>(state.range(0));
+  const auto dims = static_cast<size_t>(state.range(1));
+  const auto visit = static_cast<size_t>(state.range(2));
+  const FloatMatrix centroids = RandomData(dims, parts, 9 + dims);
+  const FloatMatrix queries = RandomData(64, dims, 10 + dims);
+  SearchScratch scratch;
+  size_t q = 0;
+  for (auto _ : state) {
+    RankPartitions(queries.row(q), centroids, visit, ScanKernelType::kAuto,
+                   &scratch);
+    benchmark::DoNotOptimize(scratch.ranking.data());
+    benchmark::ClobberMemory();
+    q = (q + 1) & 63;
+  }
+  state.SetLabel(GetCentroidKernel().name);
+  state.SetItemsProcessed(state.iterations() * parts);
+}
+BENCHMARK(BM_RankPartitions)
+    ->ArgNames({"parts", "dims", "visit"})
+    ->Args({256, 96, 16})
+    ->Args({500, 68, 50})
+    ->Args({500, 48, 8});
 
 }  // namespace
 }  // namespace vaq

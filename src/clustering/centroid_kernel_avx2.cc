@@ -7,11 +7,12 @@
 // dimension-major table holds one dimension of consecutive centroids, so a
 // plain load feeds 8 lanes. Each lane repeats SquaredL2's operation order
 // with separate mul and add (this TU is built without -mfma), so every
-// distance is bit-identical to the scalar one. `nearest` computes two
-// vectors (16 centroids) per step, sharing each broadcast of x, and keeps
-// per lane of each the first strict minimum of the centroids that lane saw
-// and its index. It reduces the 16 lanes once at the end: the smallest
-// distance, the lowest index among equal ones.
+// distance is bit-identical to the scalar one. Both compute two vectors
+// (16 centroids) per step, sharing each broadcast of x, so each step reads
+// 64 bytes of every table row it touches. `nearest` keeps per lane of each
+// vector the first strict minimum of the centroids that lane saw and its
+// index. It reduces the 16 lanes once at the end: the smallest distance,
+// the lowest index among equal ones.
 
 #include <cstddef>
 #include <cstdint>
@@ -159,8 +160,15 @@ inline __m256i IndexWhereEqual(__m256 best, __m256 m, __m256i idx) {
 void Avx2CentroidDistances(const float* x, const float* table, size_t len,
                            size_t stride, size_t count, float* out) {
   size_t c = 0;
-  for (; c + 8 <= count; c += 8) {
+  for (; c + 16 <= count; c += 16) {
+    __m256 lo, hi;
+    Distances16(x, table + c, len, stride, &lo, &hi);
+    _mm256_storeu_ps(out + c, lo);
+    _mm256_storeu_ps(out + c + 8, hi);
+  }
+  if (c + 8 <= count) {
     _mm256_storeu_ps(out + c, Distances8(x, table + c, len, stride, Load8{}));
+    c += 8;
   }
   if (c < count) {
     // Fewer than 8 centroids left (in the codebooks, only dictionaries of

@@ -74,8 +74,10 @@ class TopKHeap {
   }
 
   /// Extracts results sorted ascending by distance. The heap is consumed.
+  /// (distance, id) pairs that compare equal are equal, so a plain sort of
+  /// the heap's array, faster than sort_heap, gives the one sorted order.
   std::vector<Neighbor> TakeSorted() {
-    std::sort_heap(heap_.begin(), heap_.end());
+    std::sort(heap_.begin(), heap_.end());
     return std::move(heap_);
   }
 
@@ -83,7 +85,7 @@ class TopKHeap {
   /// capacity) and empties the heap while keeping the internal buffer.
   /// The allocation-free counterpart of TakeSorted for scratch reuse.
   void ExtractSorted(std::vector<Neighbor>* out) {
-    std::sort_heap(heap_.begin(), heap_.end());
+    std::sort(heap_.begin(), heap_.end());
     out->assign(heap_.begin(), heap_.end());
     heap_.clear();
   }

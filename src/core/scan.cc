@@ -11,6 +11,7 @@
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "linalg/ops.h"
 
 namespace vaq {
 
@@ -116,10 +117,10 @@ Status Partitioning::Validate(size_t num_rows, const char* what) const {
 
 PartitionedCodes::PartitionedCodes(const CodeMatrix& codes,
                                    Partitioning members,
-                                   FloatMatrix centroids,
+                                   const FloatMatrix& centroids,
                                    std::vector<float> distances)
     : members_(std::move(members)),
-      centroids_(std::move(centroids)),
+      centroids_(Transpose(centroids)),
       distances_(std::move(distances)) {
   BlockCodes(codes);
 }
@@ -134,10 +135,10 @@ void PartitionedCodes::BlockCodes(const CodeMatrix& codes) {
 Status PartitionedCodes::Validate(size_t num_rows, size_t centroid_dims,
                                   const char* what) const {
   const std::string name(what);
-  if (num_partitions() == 0 || centroids_.rows() != num_partitions()) {
+  if (num_partitions() == 0 || centroids_.cols() != num_partitions()) {
     return Status::Internal(name + " and their centroids disagree in count");
   }
-  if (centroids_.cols() != centroid_dims) {
+  if (centroids_.rows() != centroid_dims) {
     return Status::Internal(name + ": centroid width disagrees with the "
                                    "index");
   }
@@ -207,8 +208,15 @@ Status PartitionedCodes::LoadPartitions(std::istream& is,
   return Status::OK();
 }
 
+void PartitionedCodes::SaveCentroids(std::ostream& os) const {
+  WriteMatrix(os, Transpose(centroids_));
+}
+
 Status PartitionedCodes::LoadCentroids(std::istream& is) {
-  return ReadMatrix(is, &centroids_);
+  FloatMatrix rows;
+  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &rows));
+  centroids_ = Transpose(rows);
+  return Status::OK();
 }
 
 namespace internal {

@@ -153,21 +153,30 @@ struct Partitioning {
 /// An index's one encoded database: the TI clusters of a VaqIndex
 /// (TiPartition builds them) or the inverted lists of a VaqIvfIndex (its
 /// coarse k-means builds them). It holds the one BlockedCodes in the
-/// storage order of its Partitioning, one centroid row per partition
-/// (which the query driver ranks) and, for TI only, each stored member's
-/// cached centroid distance, sorted within its partition (which bound the
+/// storage order of its Partitioning, the partitions' centroids (which the
+/// query driver ranks) and, for TI only, each stored member's cached
+/// centroid distance, sorted within its partition (which bound the
 /// triangle-inequality window of a visit; empty otherwise).
+///
+/// The centroids are held dimension-major only, the centroid kernel's
+/// layout (clustering/centroid_kernel.h, DESIGN.md §7.1): row j of
+/// centroids() is dimension j of every partition's centroid, so column p is
+/// partition p's centroid. Files keep them row-major, one centroid per row:
+/// the constructor, LoadCentroids and SaveCentroids transpose.
 class PartitionedCodes {
  public:
   PartitionedCodes() = default;
 
-  /// Adopts the partitions, their centroids and (TI) the members' sorted
-  /// distances, all moved in, and blocks `codes` (row order) (BlockCodes).
+  /// Adopts the partitions and (TI) the members' sorted distances, moved
+  /// in, stores the row-major `centroids` (one row per partition)
+  /// transposed, and blocks `codes` (row order) (BlockCodes).
   PartitionedCodes(const CodeMatrix& codes, Partitioning members,
-                   FloatMatrix centroids, std::vector<float> distances = {});
+                   const FloatMatrix& centroids,
+                   std::vector<float> distances = {});
 
   const BlockedCodes& codes() const { return codes_; }
   const Partitioning& members() const { return members_; }
+  /// Dimensions x partitions: column p is partition p's centroid.
   const FloatMatrix& centroids() const { return centroids_; }
   const std::vector<float>& distances() const { return distances_; }
   size_t rows() const { return codes_.rows(); }
@@ -185,8 +194,9 @@ class PartitionedCodes {
 
   /// The partition half of an index's validation: at least one partition,
   /// holding every row of [0, num_rows) exactly once; one finite centroid
-  /// of width `centroid_dims` per partition; and, when there are distances,
-  /// one per row, finite, non-negative and sorted within each partition.
+  /// column of height `centroid_dims` per partition; and, when there are
+  /// distances, one per row, finite, non-negative and sorted within each
+  /// partition.
   /// Internal, naming the partitions `what`, otherwise.
   Status Validate(size_t num_rows, size_t centroid_dims,
                   const char* what) const;
@@ -197,7 +207,10 @@ class PartitionedCodes {
   /// the section has them.
   void SavePartitions(std::ostream& os) const;
   Status LoadPartitions(std::istream& is, bool with_distances);
-  /// Reads centroids that WriteMatrix wrote.
+  /// Writes the centroids row-major (WriteMatrix of their transpose), as
+  /// the TIPT and CRSE sections hold them; LoadCentroids reads them back
+  /// and transposes.
+  void SaveCentroids(std::ostream& os) const;
   Status LoadCentroids(std::istream& is);
 
  protected:
@@ -287,8 +300,15 @@ struct SearchScratch {
   std::vector<float> projected;         ///< query in permuted PCA space
   std::vector<Neighbor> ranking;        ///< ranked partitions (distance, id)
   TopKHeap heap{1};                     ///< reused best-so-far structure
-  float acc[kScanBlockSize] = {};       ///< per-block partial sums
+  /// Per-block partial sums, on a cache-line boundary: the AVX2 kernel
+  /// loads and stores them 32 bytes at a time on every block call.
+  alignas(64) float acc[kScanBlockSize] = {};
   std::vector<PartitionRef> visits;     ///< row ranges to scan, in order
+  // RankPartitions' buffers: the squared distance to every centroid, its
+  // histogram bucket, and the selection's (distance bits << 32 | id) keys.
+  std::vector<float> centroid_distances;
+  std::vector<uint8_t> rank_buckets;
+  std::vector<uint64_t> rank_keys;
 };
 
 /// Full blocked scan (SearchMode::kHeap): accumulates all `s_limit`

@@ -1,8 +1,12 @@
 #include "core/search_driver.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
+#include "clustering/centroid_kernel.h"
 #include "common/timer.h"
 
 namespace vaq {
@@ -146,10 +150,11 @@ constexpr size_t kSeedRowsPerResult = 8;
 /// between two ranked partitions as one range, so the sweep keeps the
 /// whole-block kernel path and every row is visited once.
 void PlanVisits(const float* projected, const PartitionedCodes& store,
-                size_t nearest, bool flat, SearchScratch* scratch) {
+                size_t nearest, bool flat, ScanKernelType kernel,
+                SearchScratch* scratch) {
   const Partitioning& parts = store.members();
   std::vector<Neighbor>& ranking = scratch->ranking;
-  RankPartitions(projected, store.centroids(), nearest, &ranking);
+  RankPartitions(projected, store.centroids(), nearest, kernel, scratch);
   const bool windowed = !flat && !store.distances().empty();
   std::vector<PartitionRef>& visits = scratch->visits;
   // At most one sweep range before each ranked partition and one after the
@@ -173,25 +178,133 @@ void PlanVisits(const float* projected, const PartitionedCodes& store,
   if (row < store.rows()) visits.push_back({row, store.rows()});
 }
 
+/// Buckets of the ranking's distance histogram (SelectNearest).
+constexpr size_t kRankBuckets = 256;
+
+/// The largest bucket SelectNearest still orders by insertion; a larger
+/// one (clustered or tied distances) falls back to a comparison sort.
+constexpr size_t kInsertionBucket = 16;
+
+/// A ranking key: (distance bits << 32 | id). Distances are >= +0, whose
+/// bits order as the floats do, so the key order is the (distance, id)
+/// order.
+inline uint64_t RankKey(float distance, size_t id) {
+  return uint64_t{std::bit_cast<uint32_t>(distance)} << 32 | uint64_t{id};
+}
+
+/// Orders the `visit` <= `count` smallest of keys[0, count) into
+/// keys[0, visit).
+void SortPrefix(uint64_t* keys, size_t count, size_t visit) {
+  if (count > visit) std::nth_element(keys, keys + visit, keys + count);
+  std::sort(keys, keys + visit);
+}
+
+/// Writes the keys (RankKey) of the `visit` <= `count` smallest squared
+/// distances `dist[0, count)` to `keys[0, visit)`, ascending. `buckets`
+/// holds `count` bytes and `keys` count + 1 keys.
+///
+/// A bucket select: bucket(d) = min(255, int((d - lo) · 255 / (hi - lo)))
+/// over the distances' range [lo, hi] never decreases as d grows. The
+/// buckets before the first one, `cut`, at which the prefix count reaches
+/// `visit` bound the answer: a centroid in a later bucket is strictly
+/// farther than the >= `visit` centroids in them, so it is not among the
+/// nearest. Only their keys are placed, bucket by bucket in ascending
+/// order, so only keys within one bucket are out of order.
+void SelectNearest(const float* dist, size_t count, size_t visit,
+                   uint8_t* buckets, uint64_t* keys) {
+  // The range [lo, hi], over four independent chains.
+  float chain_lo[4], chain_hi[4];
+  std::fill_n(chain_lo, 4, std::numeric_limits<float>::infinity());
+  std::fill_n(chain_hi, 4, -std::numeric_limits<float>::infinity());
+  size_t c = 0;
+  for (; c + 4 <= count; c += 4) {
+    for (size_t j = 0; j < 4; ++j) {
+      chain_lo[j] = std::min(chain_lo[j], dist[c + j]);
+      chain_hi[j] = std::max(chain_hi[j], dist[c + j]);
+    }
+  }
+  for (; c < count; ++c) {
+    chain_lo[0] = std::min(chain_lo[0], dist[c]);
+    chain_hi[0] = std::max(chain_hi[0], dist[c]);
+  }
+  const float lo = std::min(std::min(chain_lo[0], chain_lo[1]),
+                            std::min(chain_lo[2], chain_lo[3]));
+  const float hi = std::max(std::max(chain_hi[0], chain_hi[1]),
+                            std::max(chain_hi[2], chain_hi[3]));
+  const float top = static_cast<float>(kRankBuckets - 1);
+  const float scale = top / (hi - lo);
+  if (!(scale > 0.f && scale <= std::numeric_limits<float>::max())) {
+    // No range that is finite and positive (every distance equal, or one
+    // overflowed to +inf): one bucket. Bucketing would compute 0 · inf,
+    // a NaN, and casting a NaN to an integer is undefined.
+    for (c = 0; c < count; ++c) keys[c] = RankKey(dist[c], c);
+    SortPrefix(keys, count, visit);
+    return;
+  }
+  // min() sends a NaN distance to the last bucket too.
+  for (c = 0; c < count; ++c) {
+    buckets[c] = static_cast<uint8_t>(
+        static_cast<int32_t>(std::min(top, (dist[c] - lo) * scale)));
+  }
+  uint32_t counts[kRankBuckets] = {};
+  for (c = 0; c < count; ++c) ++counts[buckets[c]];
+  // Buckets [0, cut) hold the `kept` >= visit nearest; bucket b's keys go
+  // from start[b].
+  uint32_t start[kRankBuckets];
+  size_t kept = 0;
+  size_t largest = 0;
+  size_t cut = 0;
+  for (; kept < visit; ++cut) {
+    start[cut] = static_cast<uint32_t>(kept);
+    kept += counts[cut];
+    largest = std::max<size_t>(largest, counts[cut]);
+  }
+  // Later buckets all write the spare slot keys[kept] and never advance,
+  // so placing a key takes no branch.
+  std::fill(start + cut, start + kRankBuckets, static_cast<uint32_t>(kept));
+  for (c = 0; c < count; ++c) {
+    const uint32_t b = buckets[c];
+    const uint32_t slot = start[b];
+    keys[slot] = RankKey(dist[c], c);
+    start[b] = slot + (b < cut ? 1 : 0);
+  }
+  if (largest > kInsertionBucket) {
+    SortPrefix(keys, kept, visit);
+    return;
+  }
+  // Every key moves only within its own bucket.
+  for (size_t i = 1; i < kept; ++i) {
+    const uint64_t key = keys[i];
+    size_t j = i;
+    for (; j > 0 && keys[j - 1] > key; --j) keys[j] = keys[j - 1];
+    keys[j] = key;
+  }
+}
+
 }  // namespace
 
 void RankPartitions(const float* projected, const FloatMatrix& centroids,
-                    size_t visit, std::vector<Neighbor>* ranking) {
-  if (visit == 0) {
-    ranking->clear();
-    return;
+                    size_t visit, ScanKernelType kernel,
+                    SearchScratch* scratch) {
+  const size_t total = centroids.cols();
+  visit = std::min(visit, total);
+  std::vector<Neighbor>& ranking = scratch->ranking;
+  ranking.resize(visit);
+  if (visit == 0) return;
+  std::vector<float>& dist = scratch->centroid_distances;
+  std::vector<uint8_t>& buckets = scratch->rank_buckets;
+  std::vector<uint64_t>& keys = scratch->rank_keys;
+  dist.resize(total);
+  buckets.resize(total);
+  keys.resize(total + 1);
+  GetCentroidKernel(kernel).distances(projected, centroids.data(),
+                                      centroids.rows(), total, total,
+                                      dist.data());
+  SelectNearest(dist.data(), total, visit, buckets.data(), keys.data());
+  for (size_t v = 0; v < visit; ++v) {
+    ranking[v] = {std::bit_cast<float>(static_cast<uint32_t>(keys[v] >> 32)),
+                  static_cast<int64_t>(keys[v] & UINT32_MAX)};
   }
-  const size_t total = centroids.rows();
-  ranking->resize(total);
-  for (size_t c = 0; c < total; ++c) {
-    (*ranking)[c] = {SquaredL2(projected, centroids.row(c), centroids.cols()),
-                     static_cast<int64_t>(c)};
-  }
-  // Neighbor orders by (distance, id).
-  const auto nearest_end = ranking->begin() + std::min(visit, total);
-  std::nth_element(ranking->begin(), nearest_end, ranking->end());
-  std::sort(ranking->begin(), nearest_end);
-  ranking->erase(nearest_end, ranking->end());
 }
 
 Status SearchEncoded(const VaqEncoder& encoder, const PartitionedCodes& store,
@@ -254,7 +367,7 @@ Status SearchEncoded(const VaqEncoder& encoder, const PartitionedCodes& store,
   } else {
     TraceSpan rank_span(nearest > 0 ? trace : nullptr,
                         QueryPhase::kPartitionRank);
-    PlanVisits(projected, store, nearest, flat, scratch);
+    PlanVisits(projected, store, nearest, flat, params.kernel, scratch);
   }
   if (!flat) stats->clusters_visited = scratch->visits.size();
   {

@@ -46,11 +46,17 @@ struct SearchParams : QueryControl {
 };
 
 /// Algorithm 4's partition ranking, for TI clusters and IVF cells alike:
-/// writes the min(visit, centroids.rows()) centroids nearest the first
-/// `centroids.cols()` dims of `projected` to `ranking` as (squared
-/// distance, row id), sorted nearest first with exact ties in ascending id.
+/// writes the min(visit, centroids.cols()) centroids of the
+/// dimension-major `centroids` (PartitionedCodes::centroids()) nearest the
+/// first `centroids.rows()` dims of `projected` to `scratch->ranking` as
+/// (squared distance, partition id), sorted nearest first with exact ties
+/// in ascending id. The distances are the centroid kernel of `kernel`'s,
+/// bit-identical to SquaredL2 on every instruction set; a bucket select
+/// (DESIGN.md §7) picks the nearest. It reuses the scratch's buffers, so
+/// it allocates nothing once they have grown.
 void RankPartitions(const float* projected, const FloatMatrix& centroids,
-                    size_t visit, std::vector<Neighbor>* ranking);
+                    size_t visit, ScanKernelType kernel,
+                    SearchScratch* scratch);
 
 /// The one query driver under VaqIndex and VaqIvfIndex: validate, project,
 /// build the LUT, plan the visits, scan, finalize (FinalizeSearchResult)

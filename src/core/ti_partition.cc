@@ -5,9 +5,11 @@
 #include <limits>
 #include <utility>
 
+#include "clustering/centroid_kernel.h"
 #include "common/io.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "linalg/ops.h"
 
 namespace vaq {
 namespace {
@@ -75,15 +77,15 @@ Status TiPartition::Build(const CodeMatrix& codes,
                              books.layout().span(prefix_subspaces_ - 1).length;
 
   // Algorithm 3 lines 24-32: random encoded samples become centroids,
-  // decoded over the prefix subspaces.
+  // decoded over the prefix subspaces, one per row until they are stored.
   Rng rng(options.seed);
   const std::vector<size_t> picks =
       rng.SampleWithoutReplacement(n, num_clusters);
-  centroids_.Resize(num_clusters, prefix_dims);
+  FloatMatrix centroids(num_clusters, prefix_dims);
   std::vector<float> decoded(books.dim());
   for (size_t c = 0; c < num_clusters; ++c) {
     books.DecodeRow(codes.row(picks[c]), decoded.data());
-    std::copy_n(decoded.data(), prefix_dims, centroids_.row(c));
+    std::copy_n(decoded.data(), prefix_dims, centroids.row(c));
   }
 
   // Assign every code to its nearest centroid (Algorithm 3 lines 33-48).
@@ -97,7 +99,7 @@ Status TiPartition::Build(const CodeMatrix& codes,
                                                       size_t end) {
     std::vector<float> lut;
     for (size_t c = begin; c < end; ++c) {
-      books.BuildPrefixLookupTable(centroids_.row(c), prefix_subspaces_, &lut);
+      books.BuildPrefixLookupTable(centroids.row(c), prefix_subspaces_, &lut);
       std::copy(lut.begin(), lut.end(), luts.begin() + c * lut_size);
     }
   });
@@ -137,24 +139,24 @@ Status TiPartition::Build(const CodeMatrix& codes,
   }
   distances_.resize(n);
   for (size_t i = 0; i < n; ++i) distances_[i] = best_dist[members_.ids[i]];
+  centroids_ = Transpose(centroids);
   BlockCodes(codes);
   return Status::OK();
 }
 
 void TiPartition::QueryDistances(const float* projected_query,
                                  std::vector<float>* out) const {
-  const size_t pd = prefix_dims();
-  out->resize(num_partitions());
-  for (size_t c = 0; c < num_partitions(); ++c) {
-    (*out)[c] =
-        std::sqrt(SquaredL2(projected_query, centroids_.row(c), pd));
-  }
+  const size_t count = num_partitions();
+  out->resize(count);
+  GetCentroidKernel().distances(projected_query, centroids_.data(),
+                                prefix_dims(), count, count, out->data());
+  for (float& d : *out) d = std::sqrt(d);
 }
 
 void TiPartition::Save(std::ostream& os) const {
   WritePod<uint8_t>(os, num_partitions() != 0 ? 1 : 0);
   WritePod<uint64_t>(os, prefix_subspaces_);
-  WriteMatrix(os, centroids_);
+  SaveCentroids(os);
   SavePartitions(os);
 }
 

@@ -41,8 +41,8 @@ struct TiPartitionOptions {
 /// The clusters are a PartitionedCodes, the store VaqIndex scans: cluster
 /// c is storage rows [begin(c), end(c)) of members(), its members sorted
 /// ascending by (cached distance, row id), with the codes blocked in that
-/// order, the prefix centroids as the partitions' centroids and the cached
-/// distances as distances().
+/// order, the prefix centroids as the partitions' (dimension-major)
+/// centroids and the cached distances as distances().
 class TiPartition : public PartitionedCodes {
  public:
   /// Builds the partition over `codes` using `books` to decode, then
@@ -52,15 +52,17 @@ class TiPartition : public PartitionedCodes {
                const TiPartitionOptions& options);
 
   size_t prefix_subspaces() const { return prefix_subspaces_; }
-  size_t prefix_dims() const { return centroids_.cols(); }
+  size_t prefix_dims() const { return centroids_.rows(); }
 
   /// Non-squared prefix distances from a projected query to every cluster
-  /// centroid.
+  /// centroid: the square roots of the centroid kernel's distances, which
+  /// RankPartitions ranks.
   void QueryDistances(const float* projected_query,
                       std::vector<float>* out) const;
 
-  /// Writes the TIPT section: a built flag, the prefix, the centroids and
-  /// the clusters (SavePartitions). The codes are not part of it.
+  /// Writes the TIPT section: a built flag, the prefix, the centroids
+  /// (row-major, SaveCentroids) and the clusters (SavePartitions). The
+  /// codes are not part of it.
   void Save(std::ostream& os) const;
   /// Reads what Save wrote; the caller validates, then blocks the codes.
   Status Load(std::istream& is);

@@ -125,7 +125,7 @@ Status VaqIvfIndex::Save(const std::string& path) const {
   encoder_.SavePermutation(pca);
   encoder_.SaveBooks(writer.AddSection(kSecBooks));
   WriteMatrix(writer.AddSection(kSecCodes), codes);
-  WriteMatrix(writer.AddSection(kSecCoarse), lists_.centroids());
+  lists_.SaveCentroids(writer.AddSection(kSecCoarse));
   lists_.SavePartitions(writer.AddSection(kSecLists));
   return writer.Commit(path);
 }

@@ -11,8 +11,9 @@
 // The rows a query may see:
 //   - a flat query (kHeap, kEarlyAbandon, or kTriangleInequality with a
 //     subspace prefix): every row, over the prefix's subspaces;
-//   - a ranked query (TI clusters, IVF cells): the members of the
-//     partitions RankPartitions picks, over every subspace.
+//   - a ranked query (TI clusters, IVF cells): the members of the `visit`
+//     partitions whose centroids are nearest the query by (SquaredL2, id),
+//     as RankPartitions must pick them, over every subspace.
 
 #ifndef VAQ_TESTS_ADC_ORACLE_H_
 #define VAQ_TESTS_ADC_ORACLE_H_
@@ -29,6 +30,7 @@
 #include "core/scan.h"
 #include "core/search_driver.h"
 #include "core/vaq_index.h"
+#include "linalg/ops.h"
 
 namespace vaq {
 
@@ -46,8 +48,16 @@ inline std::vector<Neighbor> OracleSearch(const VariableCodebooks& books,
   std::vector<size_t> partitions;
   size_t s_limit = m;
   if (visit != 0) {
+    // Every centroid's SquaredL2, sorted by (distance, id), cut at visit.
+    const FloatMatrix centroids = Transpose(store.centroids());
     std::vector<Neighbor> ranking;
-    RankPartitions(projected, store.centroids(), visit, &ranking);
+    for (size_t c = 0; c < centroids.rows(); ++c) {
+      ranking.push_back(
+          {SquaredL2(projected, centroids.row(c), centroids.cols()),
+           static_cast<int64_t>(c)});
+    }
+    std::sort(ranking.begin(), ranking.end());
+    ranking.resize(std::min(visit, ranking.size()));
     for (const Neighbor& r : ranking) {
       partitions.push_back(static_cast<size_t>(r.id));
     }

@@ -273,8 +273,10 @@ TEST_F(SearchDeadlineTest, EarlyAbandonMidScanExpiryReturnsSeededPrefixTopK) {
   ASSERT_LT(seeds, clusters);
   std::vector<float> projected;
   index_->ProjectQuery(query, &projected);
-  std::vector<Neighbor> nearest;
-  RankPartitions(projected.data(), ti.centroids(), seeds, &nearest);
+  SearchScratch rank_scratch;
+  RankPartitions(projected.data(), ti.centroids(), seeds,
+                 ScanKernelType::kAuto, &rank_scratch);
+  const std::vector<Neighbor>& nearest = rank_scratch.ranking;
   std::vector<std::pair<size_t, size_t>> visits;  // storage row ranges
   std::vector<bool> seeded(clusters, false);
   for (const Neighbor& c : nearest) {

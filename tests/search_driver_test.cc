@@ -12,8 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "adc_oracle.h"
@@ -23,13 +30,15 @@
 #include "core/vaq_index.h"
 #include "datasets/synthetic.h"
 #include "index/vaq_ivf.h"
+#include "linalg/ops.h"
 
 namespace vaq {
 namespace {
 
-/// One-dimensional centroids at `positions`.
+/// One-dimensional centroids at `positions`, dimension-major: one row,
+/// one centroid per column.
 FloatMatrix Line(const std::vector<float>& positions) {
-  return FloatMatrix(positions.size(), 1, positions);
+  return FloatMatrix(1, positions.size(), positions);
 }
 
 std::vector<int64_t> Ids(const std::vector<Neighbor>& ranking) {
@@ -41,8 +50,9 @@ std::vector<int64_t> Ids(const std::vector<Neighbor>& ranking) {
 TEST(RankPartitionsTest, NearestFirst) {
   const FloatMatrix centroids = Line({5.f, 1.f, 3.f, -2.f, 4.f});
   const float query = 0.f;
-  std::vector<Neighbor> ranking;
-  RankPartitions(&query, centroids, 5, &ranking);
+  SearchScratch scratch;
+  const std::vector<Neighbor>& ranking = scratch.ranking;
+  RankPartitions(&query, centroids, 5, ScanKernelType::kAuto, &scratch);
   EXPECT_EQ(Ids(ranking), (std::vector<int64_t>{1, 3, 2, 4, 0}));
   // Distances are squared, as the scan's thresholds are.
   const std::vector<float> want = {1.f, 4.f, 9.f, 16.f, 25.f};
@@ -56,11 +66,12 @@ TEST(RankPartitionsTest, EqualDistancesComeOutInAscendingId) {
   // Mirror images around the query tie exactly.
   const FloatMatrix centroids = Line({2.f, -1.f, -2.f, 1.f, 1.f});
   const float query = 0.f;
-  std::vector<Neighbor> ranking;
-  RankPartitions(&query, centroids, 5, &ranking);
+  SearchScratch scratch;
+  const std::vector<Neighbor>& ranking = scratch.ranking;
+  RankPartitions(&query, centroids, 5, ScanKernelType::kAuto, &scratch);
   EXPECT_EQ(Ids(ranking), (std::vector<int64_t>{1, 3, 4, 0, 2}));
   // A cut through a tie keeps the lower ids.
-  RankPartitions(&query, centroids, 2, &ranking);
+  RankPartitions(&query, centroids, 2, ScanKernelType::kAuto, &scratch);
   EXPECT_EQ(Ids(ranking), (std::vector<int64_t>{1, 3}));
 
   // Many partitions on four distance levels, shuffled: every prefix is
@@ -77,7 +88,7 @@ TEST(RankPartitionsTest, EqualDistancesComeOutInAscendingId) {
     return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
   });
   for (const size_t visit : {size_t{1}, size_t{7}, size_t{75}, size_t{300}}) {
-    RankPartitions(&query, many, visit, &ranking);
+    RankPartitions(&query, many, visit, ScanKernelType::kAuto, &scratch);
     ASSERT_EQ(ranking.size(), visit);
     for (size_t v = 0; v < visit; ++v) {
       EXPECT_EQ(ranking[v].id, all[v].id) << "visit=" << visit << " v=" << v;
@@ -88,14 +99,16 @@ TEST(RankPartitionsTest, EqualDistancesComeOutInAscendingId) {
 
 TEST(RankPartitionsTest, ReturnsExactlyVisitEntries) {
   Rng rng(5);
-  FloatMatrix centroids(40, 3);
+  FloatMatrix centroids(3, 40);
   for (size_t i = 0; i < centroids.size(); ++i) {
     centroids.data()[i] = static_cast<float>(rng.Gaussian());
   }
   const float query[3] = {0.25f, -0.5f, 1.f};
-  std::vector<Neighbor> full;
-  RankPartitions(query, centroids, centroids.rows(), &full);
-  ASSERT_EQ(full.size(), centroids.rows());
+  SearchScratch scratch;
+  RankPartitions(query, centroids, centroids.cols(), ScanKernelType::kAuto,
+                 &scratch);
+  const std::vector<Neighbor> full = scratch.ranking;
+  ASSERT_EQ(full.size(), centroids.cols());
   // visit == total orders all of them.
   EXPECT_TRUE(std::is_sorted(full.begin(), full.end()));
   std::vector<int64_t> ids = Ids(full);
@@ -105,39 +118,179 @@ TEST(RankPartitionsTest, ReturnsExactlyVisitEntries) {
   }
   // Every smaller visit is a prefix of that order. The scratch vector is
   // reused across calls, as the query path reuses it.
-  std::vector<Neighbor> ranking;
-  for (size_t visit = 1; visit <= centroids.rows(); ++visit) {
-    RankPartitions(query, centroids, visit, &ranking);
+  const std::vector<Neighbor>& ranking = scratch.ranking;
+  for (size_t visit = 1; visit <= centroids.cols(); ++visit) {
+    RankPartitions(query, centroids, visit, ScanKernelType::kAuto, &scratch);
     ASSERT_EQ(ranking.size(), visit);
     EXPECT_TRUE(std::equal(ranking.begin(), ranking.end(), full.begin()));
   }
   // More than the index has: all of them.
-  RankPartitions(query, centroids, centroids.rows() + 5, &ranking);
-  EXPECT_EQ(ranking.size(), centroids.rows());
+  RankPartitions(query, centroids, centroids.cols() + 5,
+                 ScanKernelType::kAuto, &scratch);
+  EXPECT_EQ(ranking.size(), centroids.cols());
 }
 
 TEST(RankPartitionsTest, ReadsOnlyTheCentroidWidth) {
   // IVF's full width: every query dim counts.
-  const FloatMatrix full(2, 3, std::vector<float>{0.f, 0.f, 3.f,  //
-                                                  0.f, 2.f, 0.f});
+  // Centroids (0, 0, 3) and (0, 2, 0), dimension-major.
+  const FloatMatrix full(3, 2, std::vector<float>{0.f, 0.f,  //
+                                                  0.f, 2.f,  //
+                                                  3.f, 0.f});
   const float query[4] = {0.f, 0.f, 0.f,
                           std::numeric_limits<float>::quiet_NaN()};
-  std::vector<Neighbor> ranking;
-  RankPartitions(query, full, 2, &ranking);
+  SearchScratch scratch;
+  const std::vector<Neighbor>& ranking = scratch.ranking;
+  RankPartitions(query, full, 2, ScanKernelType::kAuto, &scratch);
   EXPECT_EQ(Ids(ranking), (std::vector<int64_t>{1, 0}));
   EXPECT_EQ(ranking[0].distance, 4.f);
   EXPECT_EQ(ranking[1].distance, 9.f);
 
   // A prefix width, as TI's centroids have: the NaN past it and the
   // far-away dim 2 are never read.
-  const FloatMatrix prefix(2, 2, std::vector<float>{0.f, 1.f,  //
-                                                    0.f, 2.f});
+  // Centroids (0, 1) and (0, 2), dimension-major.
+  const FloatMatrix prefix(2, 2, std::vector<float>{0.f, 0.f,  //
+                                                    1.f, 2.f});
   const float far[4] = {0.f, 0.f, 100.f,
                         std::numeric_limits<float>::quiet_NaN()};
-  RankPartitions(far, prefix, 2, &ranking);
+  RankPartitions(far, prefix, 2, ScanKernelType::kAuto, &scratch);
   EXPECT_EQ(Ids(ranking), (std::vector<int64_t>{0, 1}));
   EXPECT_EQ(ranking[0].distance, 1.f);
   EXPECT_EQ(ranking[1].distance, 4.f);
+}
+
+/// The ranking RankPartitions must return: every centroid's SquaredL2 to
+/// `query` (the centroids dimension-major), sorted by (distance, id), cut
+/// at visit.
+std::vector<Neighbor> BruteForceRanking(const float* query,
+                                        const FloatMatrix& centroids,
+                                        size_t visit) {
+  const FloatMatrix rows = Transpose(centroids);
+  std::vector<Neighbor> all;
+  for (size_t c = 0; c < rows.rows(); ++c) {
+    all.push_back({SquaredL2(query, rows.row(c), rows.cols()),
+                   static_cast<int64_t>(c)});
+  }
+  std::sort(all.begin(), all.end());
+  all.resize(std::min(visit, all.size()));
+  return all;
+}
+
+/// RankPartitions on the scalar and the AVX2 kernel against
+/// BruteForceRanking: the same ids, the same distance bits.
+void ExpectBruteForceRanking(const float* query, const FloatMatrix& centroids,
+                             size_t visit, SearchScratch* scratch,
+                             const std::string& what) {
+  const std::vector<Neighbor> want =
+      BruteForceRanking(query, centroids, visit);
+  for (const ScanKernelType kernel :
+       {ScanKernelType::kScalar, ScanKernelType::kAvx2}) {
+    RankPartitions(query, centroids, visit, kernel, scratch);
+    const std::vector<Neighbor>& got = scratch->ranking;
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t v = 0; v < want.size(); ++v) {
+      ASSERT_EQ(got[v].id, want[v].id)
+          << what << " kernel=" << static_cast<int>(kernel) << " v=" << v;
+      ASSERT_EQ(std::bit_cast<uint32_t>(got[v].distance),
+                std::bit_cast<uint32_t>(want[v].distance))
+          << what << " kernel=" << static_cast<int>(kernel) << " v=" << v;
+    }
+  }
+}
+
+TEST(RankPartitionsTest, BucketSelectMatchesBruteForceSort) {
+  // Partition counts off the kernels' 8- and 16-centroid tiles, widths off
+  // SquaredL2's groups of four, and visit at 1, total - 1, total, past
+  // total and in between. Half the shapes draw coordinates from a 5-point
+  // grid, so exact distance ties are common and some straddle the cut.
+  Rng rng(17);
+  SearchScratch scratch;
+  const std::vector<std::pair<size_t, size_t>> shapes = {
+      {1, 1},  {2, 3},  {7, 3},   {15, 5},  {17, 6},   {33, 7},
+      {100, 13}, {255, 2}, {256, 96}, {257, 11}, {500, 9}};
+  for (const auto& [total, dims] : shapes) {
+    for (const bool grid : {false, true}) {
+      FloatMatrix centroids(dims, total);
+      std::vector<float> query(dims);
+      const auto draw = [&] {
+        return grid ? static_cast<float>(rng.NextIndex(5)) - 2.f
+                    : static_cast<float>(rng.Gaussian());
+      };
+      for (size_t i = 0; i < centroids.size(); ++i) {
+        centroids.data()[i] = draw();
+      }
+      for (float& v : query) v = draw();
+      const size_t mid = 1 + rng.NextIndex(total);
+      for (const size_t visit :
+           {size_t{1}, total - 1, total, total + 3, mid}) {
+        if (visit == 0) continue;
+        ExpectBruteForceRanking(query.data(), centroids, visit, &scratch,
+                                "total=" + std::to_string(total) +
+                                    " dims=" + std::to_string(dims) +
+                                    " grid=" + std::to_string(grid) +
+                                    " visit=" + std::to_string(visit));
+      }
+    }
+  }
+}
+
+TEST(RankPartitionsTest, AllDistancesEqualRankById) {
+  // One distance for every centroid: the histogram has no range.
+  const FloatMatrix centroids =
+      Line({1.f, -1.f, 1.f, 1.f, -1.f, -1.f, 1.f, -1.f, 1.f, 1.f, -1.f});
+  const float query = 0.f;
+  SearchScratch scratch;
+  RankPartitions(&query, centroids, 4, ScanKernelType::kAuto, &scratch);
+  EXPECT_EQ(Ids(scratch.ranking), (std::vector<int64_t>{0, 1, 2, 3}));
+  for (size_t visit = 1; visit <= centroids.cols(); ++visit) {
+    ExpectBruteForceRanking(&query, centroids, visit, &scratch,
+                            "visit=" + std::to_string(visit));
+  }
+}
+
+TEST(RankPartitionsTest, TiesStraddlingTheCutBucketKeepTheLowerIds) {
+  // Query 0, distances 0 (lo) and 256 (hi), so bucket(d) = int(d · 255 /
+  // 256). Eight centroids tie at distance 4 (bucket 3) with ids spread
+  // through the range, next to 3.9601 and 4.008004 in the same bucket and
+  // three at 1 in bucket 0. Every visit from 1 to all cuts somewhere, and visits
+  // 6-12 cut through the tie inside the cut bucket.
+  const FloatMatrix centroids = Line({2.f, 16.f, -2.f, 1.f, 2.002f, 2.f, -1.f,
+                                      -2.f, 0.f, 1.99f, 2.f, -2.f, 2.f, -2.f,
+                                      1.f});
+  const float query = 0.f;
+  SearchScratch scratch;
+  RankPartitions(&query, centroids, 9, ScanKernelType::kAuto, &scratch);
+  EXPECT_EQ(Ids(scratch.ranking),
+            (std::vector<int64_t>{8, 3, 6, 14, 9, 0, 2, 5, 7}));
+  for (size_t visit = 1; visit <= centroids.cols() + 1; ++visit) {
+    ExpectBruteForceRanking(&query, centroids, visit, &scratch,
+                            "visit=" + std::to_string(visit));
+  }
+}
+
+TEST(RankPartitionsTest, InfiniteDistancesRankLastById) {
+  // A query at 1e20: (1e20)^2 overflows, so every distance to a centroid
+  // near the origin is +inf. With all of them infinite the ranking is by
+  // id; with some centroids out at the query the finite ones come first.
+  const float query[2] = {1e20f, 0.f};
+  const FloatMatrix near_origin(2, 5, std::vector<float>{
+                                          0.f, 1.f, -1.f, 2.f, 0.5f,  //
+                                          0.f, 0.f, 3.f, -2.f, 1.f});
+  SearchScratch scratch;
+  RankPartitions(query, near_origin, 3, ScanKernelType::kAuto, &scratch);
+  EXPECT_EQ(Ids(scratch.ranking), (std::vector<int64_t>{0, 1, 2}));
+  for (const Neighbor& r : scratch.ranking) EXPECT_TRUE(std::isinf(r.distance));
+
+  const FloatMatrix mixed(2, 6, std::vector<float>{
+                                    0.f, 1e20f, 1.f, 1e20f, -3.f, 1e20f,  //
+                                    0.f, 2.f, 0.f, 1.f, 0.f, 0.f});
+  RankPartitions(query, mixed, 5, ScanKernelType::kAuto, &scratch);
+  EXPECT_EQ(Ids(scratch.ranking), (std::vector<int64_t>{5, 3, 1, 0, 2}));
+  for (size_t visit = 1; visit <= mixed.cols(); ++visit) {
+    ExpectBruteForceRanking(query, mixed, visit, &scratch,
+                            "visit=" + std::to_string(visit));
+    ExpectBruteForceRanking(query, near_origin, visit, &scratch,
+                            "all inf, visit=" + std::to_string(visit));
+  }
 }
 
 TEST(RankPartitionsTest, MatchesTiPrefixDistances) {
@@ -157,12 +310,13 @@ TEST(RankPartitionsTest, MatchesTiPrefixDistances) {
   ASSERT_LT(ti.prefix_dims(), index->dim());
 
   std::vector<float> projected, dq;
-  std::vector<Neighbor> ranking;
+  SearchScratch scratch;
+  const std::vector<Neighbor>& ranking = scratch.ranking;
   for (size_t q = 0; q < 5; ++q) {
     index->ProjectQuery(data.row(q * 100), &projected);
     ti.QueryDistances(projected.data(), &dq);
     RankPartitions(projected.data(), ti.centroids(), ti.num_partitions(),
-                   &ranking);
+                   ScanKernelType::kAuto, &scratch);
     ASSERT_EQ(ranking.size(), ti.num_partitions());
     for (const Neighbor& r : ranking) {
       EXPECT_EQ(std::sqrt(r.distance), dq[r.id]);
@@ -215,8 +369,8 @@ TEST(SearchEncodedTest, ExactTiesAtTheKthPlaceKeepTheSmallerIdsInAnyOrder) {
   ASSERT_GT(reversed_runs, unique / 2);
   const size_t n = data.rows();
   const PartitionedCodes& store_ascending = ti;
-  const PartitionedCodes store_descending(rows.codes, descending,
-                                          ti.centroids(), cached);
+  const PartitionedCodes store_descending(
+      rows.codes, descending, Transpose(ti.centroids()), cached);
 
   // TI at visit 1.0: every cluster, nearest first, each in its window.
   const size_t all_clusters = ti.num_partitions();
@@ -431,6 +585,45 @@ TEST(SearchEncodedTest, ReusedStatsReportEachQuerysOwnPlan) {
   EXPECT_EQ(stats.partitions_visited, 4u);
   fresh = SearchStats{};
   expect_own_work(ivf->Search(query, 10, 4, &out, &fresh), "ivf");
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(PartitionedCodesTest, IvfSaveLoadSaveReproducesTheFile) {
+  // 12 coarse cells of 16 dims: the CRSE section's row-major matrix is not
+  // square, so a transpose missed on either side changes its shape.
+  const FloatMatrix data = GenerateSpectrumMixture(
+      900, 16, PowerLawSpectrum(16, 1.0), 6, 1.0, 31);
+  VaqIvfOptions opts;
+  opts.vaq.num_subspaces = 4;
+  opts.vaq.total_bits = 24;
+  opts.vaq.kmeans_iters = 5;
+  opts.coarse_k = 12;
+  auto ivf = VaqIvfIndex::Train(data, opts);
+  ASSERT_TRUE(ivf.ok()) << ivf.status().ToString();
+  const std::string first_path = ::testing::TempDir() + "ivf_roundtrip_a.bin";
+  const std::string second_path =
+      ::testing::TempDir() + "ivf_roundtrip_b.bin";
+  ASSERT_TRUE(ivf->Save(first_path).ok());
+  auto loaded = VaqIvfIndex::Load(first_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->Save(second_path).ok());
+  const std::string first = ReadFile(first_path);
+  EXPECT_FALSE(first.empty());
+  EXPECT_TRUE(ReadFile(second_path) == first)
+      << "save -> load -> save changed the file";
+  // The reloaded index ranks and scans as the trained one does.
+  std::vector<Neighbor> want, got;
+  for (size_t q = 0; q < 5; ++q) {
+    ASSERT_TRUE(ivf->Search(data.row(q * 150), 10, 3, &want).ok());
+    ASSERT_TRUE(loaded->Search(data.row(q * 150), 10, 3, &got).ok());
+    EXPECT_EQ(got, want) << "q=" << q;
+  }
+  std::remove(first_path.c_str());
+  std::remove(second_path.c_str());
 }
 
 }  // namespace

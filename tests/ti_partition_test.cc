@@ -9,7 +9,9 @@
 #include <set>
 #include <sstream>
 
+#include "common/io.h"
 #include "common/rng.h"
+#include "linalg/ops.h"
 
 namespace vaq {
 namespace {
@@ -76,18 +78,19 @@ TEST_F(TiPartitionTest, MembersAssignedToNearestCentroid) {
   std::vector<float> decoded(books_.dim());
   const size_t pd = ti_.prefix_dims();
   const Partitioning& members = ti_.members();
+  const FloatMatrix centroids = Transpose(ti_.centroids());  // one per row
   for (size_t c = 0; c < std::min<size_t>(4, ti_.num_partitions()); ++c) {
     const size_t end =
         std::min<size_t>(members.begin(c) + 5, members.end(c));
     for (size_t i = members.begin(c); i < end; ++i) {
       const uint32_t id = members.ids[i];
       books_.DecodeRow(codes_.row(id), decoded.data());
-      const float own = std::sqrt(
-          SquaredL2(decoded.data(), ti_.centroids().row(c), pd));
+      const float own =
+          std::sqrt(SquaredL2(decoded.data(), centroids.row(c), pd));
       EXPECT_NEAR(ti_.distances()[i], own, 1e-3f);
       for (size_t other = 0; other < ti_.num_partitions(); ++other) {
-        const float dist = std::sqrt(
-            SquaredL2(decoded.data(), ti_.centroids().row(other), pd));
+        const float dist =
+            std::sqrt(SquaredL2(decoded.data(), centroids.row(other), pd));
         EXPECT_GE(dist, own - 1e-3f);
       }
     }
@@ -129,14 +132,14 @@ TEST_F(TiPartitionTest, AssignmentMatchesPrefixSumOracle) {
     // order, and the first strict minimum over the clusters.
     std::vector<std::vector<float>> luts(clusters);
     std::vector<float> padded(books_.dim(), 0.f);
+    const FloatMatrix centroids = Transpose(ti.centroids());  // one per row
     size_t tied_pairs = 0;
     for (size_t c = 0; c < clusters; ++c) {
-      std::copy_n(ti.centroids().row(c), ti.prefix_dims(), padded.data());
+      std::copy_n(centroids.row(c), ti.prefix_dims(), padded.data());
       books_.BuildLookupTable(padded.data(), &luts[c]);
       for (size_t other = 0; other < c; ++other) {
-        if (std::equal(ti.centroids().row(c),
-                       ti.centroids().row(c) + ti.prefix_dims(),
-                       ti.centroids().row(other))) {
+        if (std::equal(centroids.row(c), centroids.row(c) + ti.prefix_dims(),
+                       centroids.row(other))) {
           ++tied_pairs;
         }
       }
@@ -186,9 +189,10 @@ TEST_F(TiPartitionTest, QueryDistancesMatchDirectComputation) {
   std::vector<float> dists;
   ti_.QueryDistances(query.data(), &dists);
   ASSERT_EQ(dists.size(), ti_.num_partitions());
+  const FloatMatrix centroids = Transpose(ti_.centroids());  // one per row
   for (size_t c = 0; c < ti_.num_partitions(); ++c) {
-    const float direct = std::sqrt(SquaredL2(
-        query.data(), ti_.centroids().row(c), ti_.prefix_dims()));
+    const float direct = std::sqrt(
+        SquaredL2(query.data(), centroids.row(c), ti_.prefix_dims()));
     EXPECT_NEAR(dists[c], direct, 1e-4f);
   }
 }
@@ -234,6 +238,31 @@ TEST_F(TiPartitionTest, SaveLoadRoundtrip) {
               std::vector<uint32_t>(want.ids.begin() + want.begin(c),
                                     want.ids.begin() + want.end(c)));
   }
+}
+
+TEST_F(TiPartitionTest, SaveLoadSaveReproducesTheBytes) {
+  // 16 clusters of 4 prefix dims: the section keeps them row-major, one
+  // cluster per row, while the partition holds them dimension-major.
+  std::stringstream first;
+  ti_.Save(first);
+  const std::string bytes = first.str();
+  TiPartition loaded;
+  ASSERT_TRUE(loaded.Load(first).ok());
+  EXPECT_TRUE(loaded.centroids() == ti_.centroids());
+  std::stringstream second;
+  loaded.Save(second);
+  EXPECT_TRUE(second.str() == bytes) << "save -> load -> save changed TIPT";
+
+  std::istringstream section(bytes);
+  uint8_t built = 0;
+  uint64_t prefix = 0;
+  FloatMatrix rows;
+  ASSERT_TRUE(ReadPod(section, &built).ok());
+  ASSERT_TRUE(ReadPod(section, &prefix).ok());
+  ASSERT_TRUE(ReadMatrix(section, &rows).ok());
+  ASSERT_EQ(rows.rows(), ti_.num_partitions());
+  ASSERT_EQ(rows.cols(), ti_.prefix_dims());
+  EXPECT_TRUE(rows == Transpose(ti_.centroids()));
 }
 
 TEST_F(TiPartitionTest, ClusterCountCappedByRows) {

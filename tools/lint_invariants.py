@@ -12,7 +12,8 @@ suite, the Status-not-abort API tests) into CI build failures:
                        of Avx2Accumulate with its Gather8 step,
                        BlockedFullScan, BlockedEaScan in
                        src/core/scan.cc / scan_avx2.cc, and the query
-                       driver's scan loops ScanBlocked and ScanWindow in
+                       driver's scan loops ScanBlocked and ScanWindow and
+                       its ranking's bucket select SelectNearest in
                        src/core/search_driver.cc), the centroid
                        kernels behind the ADC lookup tables, k-means
                        assignment and encoding (ScalarCentroidDistances,
@@ -93,6 +94,7 @@ KERNEL_FUNCTIONS = {
     "BlockedEaScan",
     "ScanBlocked",
     "ScanWindow",
+    "SelectNearest",
     "DistanceTile",
     "ScalarCentroidDistances",
     "ScalarCentroidNearest",
